@@ -33,6 +33,14 @@ def _emit(args, payload):
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
+def _vector(spec, length, name):
+    """A vector argument, which must have ``length`` entries."""
+    vec = fileio.read_vector(spec)
+    if len(vec) != length:
+        raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
+    return vec
+
+
 def _triangulation_payload(a, delta, tdi):
     return {
         "maximal_faces": [face_out(f) for f in delta.maximal_faces],
@@ -47,7 +55,7 @@ def _triangulation_payload(a, delta, tdi):
 
 def cmd_triangulate(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
+    cost = _vector(args.cost, a.n, "cost")
     delta = regular_subdivision(a, cost)
     tdi = unimodularity_report(a, delta).tdi if delta.is_triangulation else False
     _emit(args, _triangulation_payload(a, delta, tdi))
@@ -55,7 +63,7 @@ def cmd_triangulate(args):
 
 def cmd_groebner(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
+    cost = _vector(args.cost, a.n, "cost")
     gb = cached_groebner(a, CostOrder.from_cost(cost))
     _emit(args, {
         "elements": [{"plus": list(b.head), "minus": list(b.tail)} for b in gb.elements],
@@ -65,16 +73,16 @@ def cmd_groebner(args):
 
 def cmd_solve(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
-    b = fileio.read_vector(args.rhs)
+    cost = _vector(args.cost, a.n, "cost")
+    b = _vector(args.rhs, a.d, "rhs")
     opt = solve_ip(a, CostOrder.from_cost(cost), b)
     _emit(args, {"optimum": list(opt), "value": dot(cost, opt)})
 
 
 def cmd_relax(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
-    b = fileio.read_vector(args.rhs)
+    cost = _vector(args.cost, a.n, "cost")
+    b = _vector(args.rhs, a.d, "rhs")
     tau = fileio.read_face(args.face)
     delta = regular_subdivision(a, cost)
     rel = relax.build_relaxation(a, cost, delta, tau, b)
@@ -90,8 +98,8 @@ def cmd_relax(args):
 
 def cmd_solve_sp(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
-    b = fileio.read_vector(args.rhs)
+    cost = _vector(args.cost, a.n, "cost")
+    b = _vector(args.rhs, a.d, "rhs")
     _, _, decomp, _ = stdpairs.decomposition_for(a, cost)
     opt, pair = relax.solve_via_standard_pairs(decomp, a, b)
     _emit(args, {
@@ -117,7 +125,7 @@ def _decomposition_payload(decomp, delta, a):
 
 def cmd_stdpairs(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
+    cost = _vector(args.cost, a.n, "cost")
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
     if args.oracle:
         box = [max(e - 1, 0) for e in initial_ideal(gb).max_exponents()]
@@ -133,7 +141,7 @@ def cmd_stdpairs(args):
 
 def cmd_assoc(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
+    cost = _vector(args.cost, a.n, "cost")
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
     report = stdpairs.associated_report(decomp, delta)
     _emit(args, {
@@ -148,7 +156,7 @@ def cmd_assoc(args):
 
 def cmd_gomory(args):
     a = fileio.read_matrix(args.matrix)
-    cost = fileio.read_vector(args.cost)
+    cost = _vector(args.cost, a.n, "cost")
     delta, _, decomp, _ = stdpairs.decomposition_for(a, cost)
     _emit(args, {"gomory_family": stdpairs.is_gomory_family(decomp, delta)})
 
@@ -190,6 +198,8 @@ def cmd_gomory_cost(args):
 
 
 def cmd_sharp_family(args):
+    if args.m < 2:
+        raise ParseError(f"--m must be at least 2, got {args.m}")
     a, cost = hilbert.sharp_family(args.m)
     _emit(args, {
         "matrix": [list(r) for r in a.entries],
@@ -202,14 +212,14 @@ def cmd_sharp_family(args):
 def cmd_oracle(args):
     if args.oracle_cmd == "points":
         rows = fileio.read_raw_matrix(args.rows)
-        offs = fileio.read_vector(args.offsets)
+        offs = _vector(args.offsets, len(rows), "offsets")
         poly = oracle.IneqPolytope.from_rows(list(zip(rows, offs)))
         pts = oracle.enumerate_lattice_points(poly)
         _emit(args, {"points": [list(p) for p in pts], "oracle": True})
     elif args.oracle_cmd == "fiber":
         a = fileio.read_matrix(args.matrix)
-        cost = fileio.read_vector(args.cost)
-        b = fileio.read_vector(args.rhs)
+        cost = _vector(args.cost, a.n, "cost")
+        b = _vector(args.rhs, a.d, "rhs")
         opt, fiber = oracle.fiber_solve(a, cost, b, with_fiber=True)
         _emit(args, {
             "optimum": list(opt) if opt else None,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import BadIndex, RankDeficient, UnboundedFamily
+from .errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
 from .linprog import lp_feasible
 
 
@@ -23,7 +23,7 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(_integer(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise RankDeficient("empty matrix")
@@ -66,6 +66,13 @@ class IntMatrix:
         return "\n".join([head] + [" ".join(str(v) for v in r) for r in self.entries])
 
 
+def _integer(x):
+    """``x`` as an int; bools and non-integers are malformed entries."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"matrix entry {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """n x (n-d) integer basis of the saturated kernel lattice of A."""
@@ -83,11 +90,6 @@ class LatticeBasis:
 
     def columns(self):
         return [tuple(self.matrix[i][k] for i in range(self.n)) for k in range(self.corank)]
-
-    def rows_without(self, tau):
-        """B^{tau-bar}: the rows of B with indices outside tau (0-based)."""
-        drop = set(tau)
-        return tuple(self.matrix[i] for i in range(self.n) if i not in drop)
 
     def apply(self, z):
         """B z, as a length-n integer vector."""

@@ -45,12 +45,6 @@ class NotOptimal(DomainError):
     kind = "not_optimal"
 
 
-class NonMonomial(DomainError):
-    """Initial ideal requested from a basis computed under a non-generic order."""
-
-    kind = "non_monomial"
-
-
 class FaceViolation(DomainError):
     """A standard pair landed on a set that is not a face of the triangulation."""
 

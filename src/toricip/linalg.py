@@ -231,13 +231,5 @@ def mat_vec(rows, x):
     return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))

@@ -1,14 +1,22 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over ``fractions.Fraction`` with Bland's rule, so it
-terminates and every sign decision is exact.  Variables are free; internally
-each is split into a difference of nonnegative parts.  Problem sizes in this
-package are tiny (tens of rows/columns), which is the regime this solver is
-written for.
+A dense two-phase simplex with Bland's rule, so it terminates and every sign
+decision is exact.  Pivoting is fraction-free: a tableau row is a list of
+Python ints and stands for itself divided by its entry in the row's basic
+column, which is kept positive.  After each pivot a row is divided by the gcd
+of its entries.  Rationals appear only at the boundary: each input row is
+scaled by the lcm of its denominators, and ``x`` and ``value`` are returned
+as Fractions.  The arithmetic is exact, so the pivots and the results are
+those of the same simplex run on a ``fractions.Fraction`` tableau.
+
+Variables are free; internally each is split into a difference of
+nonnegative parts.  Problem sizes in this package are tiny (tens of
+rows/columns), which is the regime this solver is written for.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -30,122 +38,126 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
     """
     nx = len(objective)
     obj = [Fraction(-c if maximize else c) for c in objective]
-    rows = []
-    rhs = []
     nslack = len(a_ub)
-    for r, b in zip(a_ub, b_ub):
-        rows.append([Fraction(v) for v in r])
-        rhs.append(Fraction(b))
-    for r, b in zip(a_eq, b_eq):
-        rows.append([Fraction(v) for v in r])
-        rhs.append(Fraction(b))
-    m = len(rows)
+    m = nslack + len(a_eq)
     ncols = 2 * nx + nslack
-    # columns: x+ (nx), x- (nx), slacks (nslack), then phase-1 artificials
-    tab = []
-    for i in range(m):
-        row = [Fraction(0)] * ncols
-        for j in range(nx):
-            row[j] = rows[i][j]
-            row[nx + j] = -rows[i][j]
+    # columns: x+ (nx), x- (nx), slacks (nslack), phase-1 artificials (m), rhs
+    rows = []
+    for i, (r, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
+        (*a, rhs), scale = _scaled([*r, b])
+        sign = -1 if rhs < 0 else 1
+        row = [sign * v for v in a] + [-sign * v for v in a] + [0] * (nslack + m)
         if i < nslack:
-            row[2 * nx + i] = Fraction(1)
-        if rhs[i] < 0:
-            row = [-v for v in row]
-            rhs[i] = -rhs[i]
-        tab.append(row + [rhs[i]])
+            row[2 * nx + i] = sign * scale
+        row[ncols + i] = scale
+        row.append(sign * rhs)
+        rows.append(row)
+    basis = list(range(ncols, ncols + m))
 
-    basis = []
-    for i in range(m):
-        for row in tab:
-            row.insert(ncols + i, Fraction(0))
-        tab[i][ncols + i] = Fraction(1)
-        basis.append(ncols + i)
-    total = ncols + m
-
-    cost1 = [Fraction(0)] * total
-    for j in range(ncols, total):
-        cost1[j] = Fraction(1)
-    if _simplex(tab, basis, cost1, total) != OPTIMAL:
+    if _simplex(rows, basis, _cost_row(rows, basis, [0] * ncols + [1] * m)) != OPTIMAL:
         raise RuntimeError("phase 1 cannot be unbounded")
-    if _objective_value(tab, basis, cost1) > 0:
+    if any(r[-1] for r, b in zip(rows, basis) if b >= ncols):
         return LPResult(INFEASIBLE)
-    _drive_out_artificials(tab, basis, ncols, total)
+    _drive_out_artificials(rows, basis, ncols)
+    rows = [_primitive(r[:ncols] + r[-1:]) for r in rows]
 
-    cost2 = [Fraction(0)] * total
-    for j in range(nx):
-        cost2[j] = obj[j]
-        cost2[nx + j] = -obj[j]
-    status = _simplex(tab, basis, cost2, ncols)
-    if status == UNBOUNDED:
+    cost, _ = _scaled(obj)
+    cost += [-c for c in cost] + [0] * nslack
+    if _simplex(rows, basis, _cost_row(rows, basis, cost)) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    xsplit = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        xsplit[b] = tab[i][-1]
+    xsplit = [Fraction(0)] * ncols
+    for r, b in zip(rows, basis):
+        xsplit[b] = Fraction(r[-1], r[b])
     x = tuple(xsplit[j] - xsplit[nx + j] for j in range(nx))
     value = sum(o * v for o, v in zip(obj, x))
     return LPResult(OPTIMAL, x, -value if maximize else value)
 
 
-def _objective_value(tab, basis, cost):
-    return sum(cost[b] * tab[i][-1] for i, b in enumerate(basis))
+def _scaled(values):
+    """Integers ``ints`` and a positive ``scale`` with values == ints / scale."""
+    values = [v if type(v) is int else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _reduced_costs(tab, basis, cost, ncols):
-    red = list(cost[:ncols])
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            row = tab[i]
-            for j in range(ncols):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
-    return red
+def _primitive(row):
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-def _simplex(tab, basis, cost, ncols):
-    """Bland-rule simplex on rows already in basic feasible form."""
-    m = len(tab)
+
+def _cost_row(rows, basis, cost):
+    """A positive multiple of the reduced costs of ``cost``, as a primitive row.
+
+    The simplex reads only signs, so the multiple is not tracked.  The entry
+    under the rhs column keeps the row as long as the tableau rows.
+    """
+    scale = lcm(*(r[b] for r, b in zip(rows, basis) if cost[b]))
+    z = [scale * c for c in cost] + [0]
+    for r, b in zip(rows, basis):
+        if cost[b]:
+            f = cost[b] * (scale // r[b])
+            z = [u - f * v for u, v in zip(z, r)]
+    return _primitive(z)
+
+
+def _simplex(rows, basis, z):
+    """Bland-rule simplex on rows already in basic feasible form.
+
+    ``z`` is the cost row from :func:`_cost_row`; it is pivoted with the rows.
+    """
     while True:
-        red = _reduced_costs(tab, basis, cost, ncols)
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, r in enumerate(rows):
+            a = r[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                # the row denominator cancels: the ratio is r[-1] / a
+                if leave is not None:
+                    diff = r[-1] * best_a - best_rhs * a
+                    if diff > 0 or (diff == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = i, r[-1], a
         if leave is None:
             return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
+        z = _eliminate(z, _pivot(rows, basis, leave, enter), enter)
 
 
-def _pivot(tab, basis, i, j):
-    piv = tab[i][j]
-    tab[i] = [v / piv for v in tab[i]]
-    for k in range(len(tab)):
-        if k != i and tab[k][j] != 0:
-            f = tab[k][j]
-            tab[k] = [a - f * b for a, b in zip(tab[k], tab[i])]
+def _eliminate(row, prow, j):
+    """``row`` with column ``j`` cleared by the pivot row ``prow`` (prow[j] > 0)."""
+    f = row[j]
+    if not f:
+        return row
+    p = prow[j]
+    return _primitive([p * u - f * v for u, v in zip(row, prow)])
+
+
+def _pivot(rows, basis, i, j):
+    """Make column ``j`` basic in row ``i``; returns the new pivot row."""
+    prow = rows[i]
+    if prow[j] < 0:
+        prow = rows[i] = [-v for v in prow]
     basis[i] = j
+    for k, row in enumerate(rows):
+        if k != i:
+            rows[k] = _eliminate(row, prow, j)
+    return prow
 
 
-def _drive_out_artificials(tab, basis, ncols, total):
+def _drive_out_artificials(rows, basis, ncols):
     """After phase 1, pivot zero-valued artificials out of the basis."""
     i = 0
-    while i < len(tab):
+    while i < len(rows):
         if basis[i] >= ncols:
-            enter = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            enter = next((j for j in range(ncols) if rows[i][j]), None)
             if enter is None:
                 # redundant constraint row
-                del tab[i]
+                del rows[i]
                 del basis[i]
                 continue
-            _pivot(tab, basis, i, enter)
+            _pivot(rows, basis, i, enter)
         i += 1
 
 

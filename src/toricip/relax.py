@@ -29,10 +29,6 @@ class GroupRelaxation:
     ctilde: tuple  # full-length rational reduced cost, zero on sigma
     cost_row: tuple  # -cB
 
-    def projected_rhs(self):
-        drop = set(self.face)
-        return tuple(self.feasible[i] for i in range(self.matrix.n) if i not in drop)
-
     def constraint_rows(self):
         lat = cached_kernel_basis(self.matrix)
         drop = set(self.face)

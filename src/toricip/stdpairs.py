@@ -85,10 +85,6 @@ class Decomposition:
     def associated_sets(self):
         return sorted(self.multiplicities, key=lambda f: (len(f), f))
 
-    def pairs_on(self, face):
-        face = tuple(sorted(face))
-        return [p for p in self.pairs if p.face == face]
-
 
 def _admissible_roots(taubar, proj_gens, bounds):
     """Roots over the taubar coordinates whose semigroup avoids the ideal.

@@ -156,6 +156,23 @@ def test_exit_codes(capsys, fixtures, tmp_path):
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "--matrix", "knap.mat", "--cost", "1 2"],
+    ["groebner", "--matrix", "knap.mat", "--cost", "1 2 3 4"],
+    # b = 27 alone is feasible: the extra entry must not be dropped silently
+    ["solve", "--matrix", "knap.mat", "--cost", "knap.cost", "--rhs", "27 5"],
+    ["solve", "--matrix", "ex1.mat", "--cost", "ex1.cost", "--rhs", "3"],
+    ["oracle", "fiber", "--matrix", "knap.mat", "--cost", "knap.cost", "--rhs", ""],
+    ["oracle", "points", "--rows", "sq.mat", "--offsets", "1 0 1"],
+    ["sharp-family", "--m", "1"],
+    ["sharp-family", "--m", "-3"],
+])
+def test_malformed_vectors_and_family_size_are_parse_errors(capsys, fixtures, argv):
+    code, out = run(capsys, [fixtures.get(a, a) for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
 def test_byte_identical_output(capsys, fixtures):
     _, out1 = run(capsys, [
         "stdpairs", "--matrix", fixtures["knap.mat"], "--cost", fixtures["knap.cost"]])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from conftest import EX1, KNAPSACK, LONG_CHAIN, face
 
@@ -8,12 +10,18 @@ from toricip.core import (
     gcd_maximal_minors,
     kernel_lattice_basis,
 )
-from toricip.errors import BadIndex, RankDeficient, UnboundedFamily
+from toricip.errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
 
 
 def test_rejects_rank_deficient():
     with pytest.raises(RankDeficient):
         IntMatrix(((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, Fraction(1, 2), Fraction(4), "3", None])
+def test_rejects_non_integer_entries(bad):
+    with pytest.raises(ParseError, match="not an integer"):
+        IntMatrix(((bad, 5, 8),))
 
 
 def test_rejects_unbounded_family():

@@ -3,7 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import reference_linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_linprog import reference_solve_lp
 
+import toricip.linprog
 from toricip.linalg import dot, solve_exact
 from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible, solve_lp
 
@@ -110,3 +115,122 @@ def test_against_scipy_on_mixed_systems(seed):
         assert abs(float(mine.value) - ref.fun) < 1e-7
     elif mine.status == INFEASIBLE:
         assert ref.status == 2
+
+
+def assert_matches_reference(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
+    """solve_lp and the Fraction-tableau reference give the same LPResult."""
+    mine = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+    ref = reference_solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+    assert (mine.status, mine.x, mine.value) == (ref.status, ref.x, ref.value)
+    assert type(mine.value) is type(ref.value)
+    if mine.x is not None:
+        assert all(type(v) is Fraction for v in mine.x)
+    return mine
+
+
+REFERENCE_CASES = {
+    # x, y free, optimum at negative coordinates
+    "free_variables": (OPTIMAL, [1, 1], dict(a_ub=[[-1, 0], [0, -1]], b_ub=[3, 2])),
+    "mixed_rows": (OPTIMAL, [1, -1, 2], dict(
+        a_ub=[[1, 1, 0], [0, -1, 1], [-1, 0, 0], [0, 0, -1]], b_ub=[4, 1, 0, 0],
+        a_eq=[[1, 0, 1]], b_eq=[2])),
+    # the second and third rows repeat the first: phase 1 leaves artificials
+    # basic at zero, and the drive-out deletes their rows
+    "redundant_equalities": (OPTIMAL, [1, 0], dict(
+        a_eq=[[1, 1], [2, 2], [-1, -1]], b_eq=[3, 6, -3], a_ub=[[-1, 0], [0, -1]],
+        b_ub=[0, 0])),
+    # an equality with zero right-hand side pivots its artificial out
+    "zero_rhs_equality": (OPTIMAL, [1, 2], dict(
+        a_eq=[[1, -1]], b_eq=[0], a_ub=[[-1, 0]], b_ub=[1])),
+    "infeasible": (INFEASIBLE, [1, 1], dict(
+        a_ub=[[1, 1], [-1, 0], [0, -1]], b_ub=[-1, 0, 0])),
+    "infeasible_equalities": (INFEASIBLE, [0], dict(a_eq=[[1], [1]], b_eq=[1, 2])),
+    "unbounded": (UNBOUNDED, [-1, 0], dict(a_ub=[[-1, 1]], b_ub=[2])),
+    "fractions": (OPTIMAL, [Fraction(1, 2), Fraction(-2, 3)], dict(
+        a_ub=[[Fraction(1, 3), 1], [1, Fraction(-1, 2)], [-1, 0], [0, -1]],
+        b_ub=[Fraction(5, 2), 3, 0, 0], a_eq=[[Fraction(1, 7), Fraction(2, 7)]],
+        b_eq=[Fraction(3, 5)])),
+    "maximize": (OPTIMAL, [3, 2], dict(
+        a_ub=[[1, 1], [1, 3], [-1, 0], [0, -1]], b_ub=[4, 6, 0, 0], maximize=True)),
+    "maximize_unbounded": (UNBOUNDED, [1], dict(a_ub=[[-1]], b_ub=[0], maximize=True)),
+    "empty_a_ub": (OPTIMAL, [1, 2], dict(a_eq=[[1, 1], [1, -1]], b_eq=[4, 2])),
+    "no_rows": (OPTIMAL, [0, 0], {}),
+    "no_rows_unbounded": (UNBOUNDED, [0, 1], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_matches_reference_on_named_cases(name):
+    status, c, kwargs = REFERENCE_CASES[name]
+    assert assert_matches_reference(c, **kwargs).status == status
+
+
+def random_system(rng):
+    """A small LP with free variables, mixed rows and, at times, Fractions."""
+    fractional = rng.random() < 0.3
+
+    def num():
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.randint(1, 5)) if fractional and rng.random() < 0.4 else v
+
+    n = rng.randint(0, 4)
+    a_ub = [[num() for _ in range(n)] for _ in range(rng.randint(0, 5))]
+    b_ub = [num() for _ in a_ub]
+    a_eq = [[num() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    b_eq = [num() for _ in a_eq]
+    if a_eq and rng.random() < 0.4:  # a redundant equality
+        k = rng.choice([-2, -1, 2, 3])
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return [num() for _ in range(n)], a_ub, b_ub, a_eq, b_eq, rng.random() < 0.5
+
+
+def recorded_pivots(monkeypatch, module):
+    seen = []
+    pivot = module._pivot
+
+    def recording(tab, basis, i, j):
+        seen.append((i, j))
+        return pivot(tab, basis, i, j)
+
+    monkeypatch.setattr(module, "_pivot", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_reference_seeded(seed, monkeypatch):
+    mine = recorded_pivots(monkeypatch, toricip.linprog)
+    ref = recorded_pivots(monkeypatch, reference_linprog)
+    rng = random.Random(seed)
+    for _ in range(25):
+        c, a_ub, b_ub, a_eq, b_eq, maximize = random_system(rng)
+        assert_matches_reference(c, a_ub, b_ub, a_eq, b_eq, maximize)
+        # same pivots, in the same order
+        assert mine == ref
+        mine.clear()
+        ref.clear()
+
+
+coefficients = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def lp_problems(draw):
+    n = draw(st.integers(0, 4))
+    row = st.lists(coefficients, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=5))
+    b_ub = draw(st.lists(coefficients, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=3))
+    b_eq = draw(st.lists(coefficients, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):  # a redundant equality
+        k = draw(st.integers(-3, 3))
+        a_eq.append([k * v for v in a_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return draw(row), a_ub, b_ub, a_eq, b_eq, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_problems())
+def test_matches_reference_property(problem):
+    assert_matches_reference(*problem)
