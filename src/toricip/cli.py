@@ -231,100 +231,48 @@ def cmd_oracle(args):
         cmd_stdpairs(args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ParseError, so it too prints one JSON document."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="toricip", description=__doc__)
+    p = _Parser(prog="toricip", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--tsv", action="store_true")
 
-    def common(sp, matrix=True, cost=True, rhs=False):
-        if matrix:
-            sp.add_argument("--matrix", required=True)
-        if cost:
-            sp.add_argument("--cost", required=True)
-        if rhs:
-            sp.add_argument("--rhs", required=True)
-        sp.add_argument("--json", action="store_true", default=True)
-        sp.add_argument("--tsv", action="store_true", default=False)
-        sp.add_argument("--seed", type=int, default=0)
+    def command(parent, name, func, *required):
+        sp = parent.add_parser(name, parents=[shared])
+        for option in required:
+            sp.add_argument(f"--{option}", required=True)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("triangulate")
-    common(sp)
-    sp.set_defaults(func=cmd_triangulate)
-
-    sp = sub.add_parser("groebner")
-    common(sp)
-    sp.set_defaults(func=cmd_groebner)
-
-    sp = sub.add_parser("solve")
-    common(sp, rhs=True)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("relax")
-    common(sp, rhs=True)
-    sp.add_argument("--face", default="")
-    sp.set_defaults(func=cmd_relax)
-
-    sp = sub.add_parser("solve-sp")
-    common(sp, rhs=True)
-    sp.set_defaults(func=cmd_solve_sp)
-
-    sp = sub.add_parser("stdpairs")
-    common(sp)
-    sp.add_argument("--oracle", action="store_true")
-    sp.set_defaults(func=cmd_stdpairs)
-
-    sp = sub.add_parser("assoc")
-    common(sp)
-    sp.set_defaults(func=cmd_assoc)
-
-    sp = sub.add_parser("gomory")
-    common(sp)
-    sp.set_defaults(func=cmd_gomory)
-
-    sp = sub.add_parser("hilbert")
-    sp.add_argument("--generators", required=True)
-    sp.add_argument("--tsv", action="store_true", default=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_hilbert)
-
-    sp = sub.add_parser("normality")
-    sp.add_argument("--matrix", required=True)
+    model = ("matrix", "cost")
+    command(sub, "triangulate", cmd_triangulate, *model)
+    command(sub, "groebner", cmd_groebner, *model)
+    command(sub, "solve", cmd_solve, *model, "rhs")
+    command(sub, "relax", cmd_relax, *model, "rhs").add_argument("--face", default="")
+    command(sub, "solve-sp", cmd_solve_sp, *model, "rhs")
+    command(sub, "stdpairs", cmd_stdpairs, *model).add_argument("--oracle", action="store_true")
+    command(sub, "assoc", cmd_assoc, *model)
+    command(sub, "gomory", cmd_gomory, *model)
+    command(sub, "hilbert", cmd_hilbert, "generators")
+    sp = command(sub, "normality", cmd_normality, "matrix")
     sp.add_argument("--triangulation", default=None)
     sp.add_argument("--super", action="store_true")
-    sp.add_argument("--tsv", action="store_true", default=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_normality)
+    command(sub, "gomory-cost", cmd_gomory_cost, "matrix", "triangulation")
+    command(sub, "sharp-family", cmd_sharp_family).add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("gomory-cost")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--triangulation", required=True)
-    sp.add_argument("--tsv", action="store_true", default=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_gomory_cost)
-
-    sp = sub.add_parser("sharp-family")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--tsv", action="store_true", default=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_sharp_family)
-
-    sp = sub.add_parser("oracle")
-    osub = sp.add_subparsers(dest="oracle_cmd", required=True)
-    op = osub.add_parser("points")
-    op.add_argument("--rows", required=True, help="matrix file of inequality normals")
-    op.add_argument("--offsets", required=True, help="vector of right-hand sides")
-    op.add_argument("--tsv", action="store_true", default=False)
-    op.add_argument("--seed", type=int, default=0)
-    op.set_defaults(func=cmd_oracle)
-    for name in ("fiber", "stdpairs"):
-        op = osub.add_parser(name)
-        op.add_argument("--matrix", required=True)
-        op.add_argument("--cost", required=True)
-        if name == "fiber":
-            op.add_argument("--rhs", required=True)
-        op.add_argument("--tsv", action="store_true", default=False)
-        op.add_argument("--seed", type=int, default=0)
-        op.set_defaults(func=cmd_oracle)
-
+    osub = sub.add_parser("oracle").add_subparsers(dest="oracle_cmd", required=True)
+    sp = command(osub, "points", cmd_oracle)
+    sp.add_argument("--rows", required=True, help="matrix file of inequality normals")
+    sp.add_argument("--offsets", required=True, help="vector of right-hand sides")
+    command(osub, "fiber", cmd_oracle, *model, "rhs")
+    command(osub, "stdpairs", cmd_oracle, *model)
     return p
 
 

@@ -7,6 +7,11 @@ holds over every column-subset cone.  Delta-normality over a regular
 triangulation yields, constructively, a generic cost whose family is solved
 entirely by Gomory relaxations; :func:`gomory_cost` carries out that
 construction and re-verifies its own postcondition before returning.
+
+Hilbert-basis candidates are the lattice points of the half-open
+parallelepipeds spanned by independent generators; they are found by writing
+each parallelepiped as an integer inequality system and handing it to the
+oracle's lattice-point sweep.
 """
 
 import math
@@ -14,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import fibers, stdpairs
+from . import fibers, oracle, stdpairs
 from .core import IntMatrix
 from .errors import NotDeltaNormal, NotPointed, NotRegular
 from .groebner import CostOrder, toric_groebner
-from .linalg import dot, rank, solve_exact
+from .linalg import det_int, dot, kernel_basis, rank
 from .linprog import OPTIMAL, lp_feasible, solve_lp
 from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
 from .triangulation import regular_subdivision
@@ -47,30 +52,32 @@ def _pointed(gens):
 
 
 def _parallelepiped_points(gens):
-    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens."""
+    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens.
+
+    With M a nonsingular r x r minor of the generators on coordinates I,
+    lam = adj(M) x_I / det(M).  So the points are the integer x with
+    0 <= sign(det) adj_t . x_I <= |det| - 1 for every t, and, when r < d,
+    w . x = 0 for every w in the left kernel of the generators; the oracle's
+    lattice-point sweep enumerates them.
+    """
     r = len(gens)
     d = len(gens[0])
-    corners = []
-    for mask in range(1 << r):
-        corners.append(
-            tuple(sum(gens[t][i] for t in range(r) if mask >> t & 1) for i in range(d))
-        )
-    out = []
-    cols = [[g[i] for g in gens] for i in range(d)]
-    for x in _integer_box(corners):
-        lam = solve_exact(cols, x)
-        if lam is not None and all(0 <= v < 1 for v in lam):
-            out.append(tuple(x))
-    return out
-
-
-def _integer_box(corners):
-    from itertools import product
-
-    d = len(corners[0])
-    lo = [min(c[i] for c in corners) for i in range(d)]
-    hi = [max(c[i] for c in corners) for i in range(d)]
-    return product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+    for coords in combinations(range(d), r):
+        m = [[g[i] for g in gens] for i in coords]
+        det = det_int(m)
+        if det:
+            break
+    sign = 1 if det > 0 else -1
+    rows = []
+    for t in range(r):
+        s = [0] * d
+        for i, ci in enumerate(coords):
+            minor = [row[:t] + row[t + 1 :] for k, row in enumerate(m) if k != i]
+            s[ci] = sign * (-1) ** (i + t) * det_int(minor)
+        rows += [(tuple(s), abs(det) - 1), (tuple(-v for v in s), 0)]
+    for w in kernel_basis(gens, d)[0]:
+        rows += [(w, 0), (tuple(-v for v in w), 0)]
+    return oracle.lattice_points_boxed(rows, d)
 
 
 def hilbert_basis(generators) -> HilbertBasis:

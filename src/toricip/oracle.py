@@ -7,19 +7,26 @@ program iff the same holds after deleting the rows indexed by the face, and a
 standard polytope is a singleton that loses the property when any single
 B-row is dropped.  None of it consults the Groebner machinery, which is the
 point: the two routes must agree and the test suite enforces that.
+
+Every lattice-point question about {s . z <= o}, and the boundedness test,
+goes through one exact integer Fourier-Motzkin elimination:
+:func:`lattice_points_boxed` is the library's only enumerator of such
+systems (the relaxation solver and the Hilbert-basis parallelepipeds use it
+too).  Fibers, which are equality systems over the naturals, keep their own
+sweep in :mod:`fibers`.  Only :func:`width_along` solves LPs.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import fibers
 from .core import IntMatrix, cached_kernel_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
 from .linalg import det_int, dot
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .stdpairs import Decomposition, StandardPair
 from .triangulation import RegularSubdivision, cached_subdivision
 
@@ -45,20 +52,17 @@ class IneqPolytope:
 
 @lru_cache(maxsize=4096)
 def _recession_trivial(normals, dim):
+    """Whether {s . z <= 0} is {0}: every elimination level bounds its coordinate.
+
+    The homogeneous Fourier-Motzkin test.  The level over z_1..z_k describes
+    the projection of the cone onto those coordinates, which is {0} exactly
+    when the projection onto z_1..z_(k-1) is {0} and the level has rows of
+    both signs in z_k.
+    """
     if dim == 0:
         return True
-    a_ub = [list(s) for s in normals]
-    b_ub = [0] * len(normals)
-    for i in range(dim):
-        for sense in (1, -1):
-            obj = [0] * dim
-            obj[i] = sense
-            cap = [0] * dim
-            cap[i] = sense
-            res = solve_lp(obj, a_ub + [cap], b_ub + [1], maximize=True)
-            if res.status != OPTIMAL or res.value > 0:
-                return False
-    return True
+    levels = _bound_rows(_fm_levels([(s, 0) for s in normals], dim))
+    return all(upper and lower for upper, lower in levels)
 
 
 def enumerate_lattice_points(poly: IneqPolytope, limit=None):
@@ -69,89 +73,101 @@ def enumerate_lattice_points(poly: IneqPolytope, limit=None):
     """
     if not poly.is_bounded():
         raise Unbounded("recession cone is nontrivial")
+    return lattice_points_boxed(poly.rows, poly.dim, limit)
+
+
+def _fm_levels(rows, dim):
+    """Integer Fourier-Motzkin elimination of {s . z <= o} (Schrijver, 12.2).
+
+    Level k (0-based) maps each normal over z_1..z_(k+1) to its least
+    offset; the last level is the input, and each level below eliminates the
+    next coordinate by pairing every row positive in it with every row
+    negative in it.  Rows are divided by the gcd of their coefficients with
+    the offset floored, which keeps every integer point.  All-zero rows end
+    up on level 0 under the key (0,).
+    """
+    level = {}
+    for s, o in rows:
+        _add_row(level, tuple(s), o)
+    levels = [level]
+    for k in range(dim - 1, 0, -1):
+        below = {}
+        pos = []
+        neg = []
+        for s, o in level.items():
+            if s[k] > 0:
+                pos.append((s, o))
+            elif s[k] < 0:
+                neg.append((s, o))
+            else:
+                _add_row(below, s[:k], o)
+        for s, o in pos:
+            for t, q in neg:
+                a, b = s[k], -t[k]
+                _add_row(below, tuple(b * x + a * y for x, y in zip(s[:k], t[:k])), b * o + a * q)
+        level = below
+        levels.append(level)
+    levels.reverse()
+    return levels
+
+
+def _add_row(level, s, o):
+    """Store s . z <= o divided by the gcd of s, keeping the least offset per normal."""
+    g = math.gcd(*s)
+    if g > 1:
+        s = tuple(c // g for c in s)
+        o //= g
+    old = level.get(s)
+    if old is None or o < old:
+        level[s] = o
+
+
+def _bound_rows(levels):
+    """Per level k: the (prefix, coefficient, offset) rows bounding z_(k+1) above, below."""
     out = []
-    _sweep([(list(s), o) for s, o in poly.rows], poly.dim, (), out, limit)
+    for k, level in enumerate(levels):
+        upper = [(s[:k], s[k], o) for s, o in level.items() if s[k] > 0]
+        lower = [(s[:k], s[k], o) for s, o in level.items() if s[k] < 0]
+        out.append((upper, lower))
     return out
 
 
-def _sweep(rows, dim, prefix, out, limit):
-    if dim == 0:
-        if all(o >= 0 for _, o in rows):
-            out.append(prefix)
-        return limit is not None and len(out) >= limit
-    if dim == 1:
-        lo = hi = None
-        for (coef,), o in rows:
-            if coef > 0:
-                q = math.floor(Fraction(o, coef))
-                hi = q if hi is None else min(hi, q)
-            elif coef < 0:
-                q = math.ceil(Fraction(o, coef))
-                lo = q if lo is None else max(lo, q)
-            elif o < 0:
-                return False
-        if lo is None or hi is None:
-            raise Unbounded("one-dimensional slice is unbounded")
-        for v in range(lo, hi + 1):
-            out.append(prefix + (v,))
-            if limit is not None and len(out) >= limit:
-                return True
-        return False
-    lo = _slice_extremum(rows, dim, minimize=True)
-    if lo is None:
-        return False
-    hi = _slice_extremum(rows, dim, minimize=False)
-    for v in range(math.ceil(lo), math.floor(hi) + 1):
-        sub = [(coefs[1:], o - coefs[0] * v) for coefs, o in rows]
-        if _sweep(sub, dim - 1, prefix + (v,), out, limit):
-            return True
-    return False
-
-
-def _slice_extremum(rows, dim, minimize):
-    obj = [0] * dim
-    obj[0] = 1
-    res = solve_lp(obj, [c for c, _ in rows], [o for _, o in rows], maximize=not minimize)
-    if res.status == INFEASIBLE:
-        return None
-    if res.status == UNBOUNDED:
-        raise Unbounded("slice extremum is unbounded")
-    return res.value
-
-
 def lattice_points_boxed(rows, dim, limit=None):
-    """Integer points of a bounded polytope via its vertex bounding box.
+    """Integer points of {s . z <= o} in ascending lex order, by one exact sweep.
 
-    Vertices are the feasible basic solutions (integer Cramer), the box they
-    span is swept with pure integer arithmetic.  Assumes boundedness, which
-    callers establish once per normal pattern via the recession-cone check.
+    The rows are projected once by integer Fourier-Motzkin elimination; then
+    z_1, ..., z_dim are swept in turn, each between the closed-form integer
+    bounds its level gives once the earlier coordinates are fixed.  ``limit``
+    stops the sweep once that many points are found.  Returns [] when a
+    constant row is violated and raises Unbounded when a coordinate the
+    sweep reaches has no bound on one side.
     """
     if dim == 0:
         return [()] if all(o >= 0 for _, o in rows) else []
-    verts = []
-    for sub in combinations(range(len(rows)), dim):
-        m = [rows[i][0] for i in sub]
-        d = det_int(m)
-        if d == 0:
-            continue
-        z = []
-        for j in range(dim):
-            mj = [list(rows[i][0]) for i in sub]
-            for t in range(dim):
-                mj[t][j] = rows[sub[t]][1]
-            z.append(Fraction(det_int(mj), d))
-        if all(dot(s, z) <= o for s, o in rows):
-            verts.append(z)
-    if not verts:
+    levels = _fm_levels(rows, dim)
+    if levels[0].get((0,), 0) < 0:
         return []
-    lo = [math.ceil(min(v[j] for v in verts)) for j in range(dim)]
-    hi = [math.floor(max(v[j] for v in verts)) for j in range(dim)]
+    bounds = _bound_rows(levels)
     out = []
-    for z in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if all(dot(s, z) <= o for s, o in rows):
-            out.append(z)
-            if limit is not None and len(out) >= limit:
-                break
+
+    def sweep(prefix):
+        k = len(prefix)
+        upper, lower = bounds[k]
+        if not upper or not lower:
+            raise Unbounded(f"coordinate {k + 1} is unbounded")
+        hi = min((o - dot(p, prefix)) // c for p, c, o in upper)
+        lo = max(-((o - dot(p, prefix)) // -c) for p, c, o in lower)
+        for v in range(lo, hi + 1):
+            if k + 1 < dim:
+                if sweep(prefix + (v,)):
+                    return True
+            else:
+                out.append(prefix + (v,))
+                if limit is not None and len(out) >= limit:
+                    return True
+        return False
+
+    sweep(())
     return out
 
 

@@ -1,0 +1,123 @@
+"""Reference lattice-point enumerators for tests: the naive versions.
+
+These are the enumerators ``toricip`` used before one integer
+Fourier–Motzkin sweep (``oracle.lattice_points_boxed``) replaced them all.
+Each answers the same questions by a different route, so the tests can hold
+the sweep equal to them:
+
+- ``reference_boxed``: vertex enumeration over every Cramer-solvable row
+  subset, then a filter over every point of the vertex bounding box;
+- ``reference_lp_sweep``: one coordinate at a time, between the minimum and
+  the maximum of that coordinate over the slice, each found by an LP;
+- ``reference_recession_trivial``: 2·dim LPs, one per signed unit direction;
+- ``reference_parallelepiped_points``: the corner box of the parallelepiped,
+  keeping a point when its exact coordinates in the generators lie in [0, 1).
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations, product
+
+from toricip.errors import Unbounded
+from toricip.linalg import det_int, dot, solve_exact
+from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+
+def reference_boxed(rows, dim, limit=None):
+    """Integer points of {s . z <= o}, ascending lex, by a vertex-box sweep.
+
+    Assumes the polytope is bounded or empty.
+    """
+    if dim == 0:
+        return [()] if all(o >= 0 for _, o in rows) else []
+    verts = []
+    for sub in combinations(range(len(rows)), dim):
+        m = [rows[i][0] for i in sub]
+        d = det_int(m)
+        if d == 0:
+            continue
+        z = []
+        for j in range(dim):
+            mj = [list(rows[i][0]) for i in sub]
+            for t in range(dim):
+                mj[t][j] = rows[sub[t]][1]
+            z.append(Fraction(det_int(mj), d))
+        if all(dot(s, z) <= o for s, o in rows):
+            verts.append(z)
+    if not verts:
+        return []
+    lo = [math.ceil(min(v[j] for v in verts)) for j in range(dim)]
+    hi = [math.floor(max(v[j] for v in verts)) for j in range(dim)]
+    out = []
+    for z in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        if all(dot(s, z) <= o for s, o in rows):
+            out.append(z)
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+def reference_lp_sweep(rows, dim, limit=None):
+    """Integer points of {s . z <= o}, ascending lex, by one LP per slice bound.
+
+    Raises Unbounded when a slice is unbounded.
+    """
+    out = []
+    _sweep([(list(s), o) for s, o in rows], dim, (), out, limit)
+    return out
+
+
+def _sweep(rows, dim, prefix, out, limit):
+    if dim == 0:
+        if all(o >= 0 for _, o in rows):
+            out.append(prefix)
+        return limit is not None and len(out) >= limit
+    obj = [1] + [0] * (dim - 1)
+    a_ub = [c for c, _ in rows]
+    b_ub = [o for _, o in rows]
+    lo = solve_lp(obj, a_ub, b_ub)
+    if lo.status == INFEASIBLE:
+        return False
+    hi = solve_lp(obj, a_ub, b_ub, maximize=True)
+    if UNBOUNDED in (lo.status, hi.status):
+        raise Unbounded("slice extremum is unbounded")
+    for v in range(math.ceil(lo.value), math.floor(hi.value) + 1):
+        sub = [(coefs[1:], o - coefs[0] * v) for coefs, o in rows]
+        if _sweep(sub, dim - 1, prefix + (v,), out, limit):
+            return True
+    return False
+
+
+def reference_recession_trivial(normals, dim):
+    """Whether {s . z <= 0} is {0}: no unit direction has a positive maximum."""
+    if dim == 0:
+        return True
+    a_ub = [list(s) for s in normals]
+    b_ub = [0] * len(normals)
+    for i in range(dim):
+        for sense in (1, -1):
+            obj = [0] * dim
+            obj[i] = sense
+            res = solve_lp(obj, a_ub + [obj], b_ub + [1], maximize=True)
+            if res.status != OPTIMAL or res.value > 0:
+                return False
+    return True
+
+
+def reference_parallelepiped_points(gens):
+    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens."""
+    r = len(gens)
+    d = len(gens[0])
+    corners = [
+        tuple(sum(gens[t][i] for t in range(r) if mask >> t & 1) for i in range(d))
+        for mask in range(1 << r)
+    ]
+    lo = [min(c[i] for c in corners) for i in range(d)]
+    hi = [max(c[i] for c in corners) for i in range(d)]
+    cols = [[g[i] for g in gens] for i in range(d)]
+    out = []
+    for x in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        lam = solve_exact(cols, x)
+        if lam is not None and all(0 <= v < 1 for v in lam):
+            out.append(tuple(x))
+    return out

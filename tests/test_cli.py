@@ -188,3 +188,26 @@ def test_tsv_mode(capsys, fixtures):
     assert code == 0
     lines = dict(line.split("\t") for line in out.strip().splitlines())
     assert lines["value"] == "10500"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--matrix", "knap.mat", "--cost", "knap.cost"],
+    ["sharp-family", "--m", "abc"],
+    ["solve", "--matrix", "knap.mat", "--cost", "knap.cost", "--rhs", "27", "--bogus"],
+    ["frobnicate", "--matrix", "knap.mat"],
+])
+def test_usage_errors_print_one_parse_document(capsys, fixtures, argv):
+    code = main([fixtures.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["kind"] == "parse"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flag", [["--json"], ["--seed", "3"]])
+def test_removed_noop_flags_are_parse_errors(capsys, fixtures, flag):
+    code, out = run(capsys, [
+        "solve", "--matrix", fixtures["knap.mat"], "--cost", fixtures["knap.cost"],
+        "--rhs", "27", *flag])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import GFAMILY_COST, KNAPSACK_COST, face
+from reference_enum import reference_boxed, reference_lp_sweep
 
 from toricip import oracle
 from toricip.core import IntMatrix
@@ -46,6 +47,7 @@ def test_unbounded_raises():
 
 @pytest.mark.parametrize("seed", range(25))
 def test_boxed_enumeration_matches_lp_sweep(seed):
+    """The Fourier-Motzkin sweep against the test-only LP and vertex-box sweeps."""
     rng = random.Random(seed)
     dim = rng.randint(1, 3)
     rows = []
@@ -58,9 +60,10 @@ def test_boxed_enumeration_matches_lp_sweep(seed):
     for _ in range(rng.randint(0, 3)):
         rows.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6)))
     poly = IneqPolytope.from_rows(rows)
-    swept = sorted(enumerate_lattice_points(poly))
-    boxed = sorted(lattice_points_boxed(list(poly.rows), dim))
-    assert swept == boxed
+    swept = enumerate_lattice_points(poly)
+    assert swept == reference_lp_sweep(poly.rows, dim)
+    assert swept == reference_boxed(poly.rows, dim)
+    assert lattice_points_boxed(list(poly.rows), dim) == swept
 
 
 def test_q_polytope_optimum_is_singleton(knapsack_pipeline):
