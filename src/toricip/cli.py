@@ -211,9 +211,10 @@ def cmd_sharp_family(args):
 
 def cmd_oracle(args):
     if args.oracle_cmd == "points":
-        rows = fileio.read_raw_matrix(args.rows)
+        rows, n = fileio.read_raw_matrix(args.rows)
         offs = _vector(args.offsets, len(rows), "offsets")
-        poly = oracle.IneqPolytope.from_rows(list(zip(rows, offs)))
+        # with no rows, the trivial row 0 . z <= 0 keeps the file's dimension n
+        poly = oracle.IneqPolytope.from_rows(list(zip(rows, offs)) or [((0,) * n, 0)])
         pts = oracle.enumerate_lattice_points(poly)
         _emit(args, {"points": [list(p) for p in pts], "oracle": True})
     elif args.oracle_cmd == "fiber":

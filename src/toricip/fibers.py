@@ -1,68 +1,157 @@
-"""Exact enumeration of fibers {x in N^n : A x = b}.
+"""Exact lattice-point enumeration: one sweep for inequality systems and fibers.
 
-Fibers are finite whenever the kernel of A meets the nonnegative orthant only
-at the origin, which IntMatrix construction guarantees.  Enumeration is a lex
-sweep with exact per-coordinate bounds: cheap integer bounds when the matrix
-is nonnegative, rational LP bounds otherwise.
+:func:`lattice_points_boxed`, an integer Fourier-Motzkin sweep (Schrijver,
+*Theory of Linear and Integer Programming*, 12.2), is the library's only
+enumerator of {z in Z^k : s . z <= o}.  A fiber {x in N^n : A x = b} is
+{x0 + B z : -B z <= x0}: one column-Hermite reduction of A gives an integer
+x0 with A x0 = b (or shows there is none), and a second brings the kernel
+basis to column-echelon form B with positive pivots.  Then the coordinates
+of x before the pivot row of z_2 depend on z_1 alone, and the pivot row of
+z_1 grows strictly with it; so on for z_2, z_3, ...  Lex order on z is lex
+order on x, so the sweep yields the fiber in lex order.  An infinite fiber
+(the kernel of A meets the nonnegative orthant; IntMatrix rules that out)
+raises Unbounded.
 """
 
-from .linalg import dot
-from .linprog import OPTIMAL, solve_lp
+import math
+
+from .errors import ParseError, Unbounded
+from .linalg import column_hermite, dot, mat_vec
 
 
-def _is_nonneg(rows):
-    return all(v >= 0 for row in rows for v in row)
+def _fm_levels(rows, dim):
+    """Integer Fourier-Motzkin elimination of {s . z <= o} (Schrijver, 12.2).
+
+    Level k (0-based) maps each normal over z_1..z_(k+1) to its least
+    offset; the last level is the input, and each level below eliminates the
+    next coordinate by pairing every row positive in it with every row
+    negative in it.  Rows are divided by the gcd of their coefficients with
+    the offset floored, which keeps every integer point.  All-zero rows end
+    up on level 0 under the key (0,).
+    """
+    level = {}
+    for s, o in rows:
+        _add_row(level, tuple(s), o)
+    levels = [level]
+    for k in range(dim - 1, 0, -1):
+        below = {}
+        pos = []
+        neg = []
+        for s, o in level.items():
+            if s[k] > 0:
+                pos.append((s, o))
+            elif s[k] < 0:
+                neg.append((s, o))
+            else:
+                _add_row(below, s[:k], o)
+        for s, o in pos:
+            for t, q in neg:
+                a, b = s[k], -t[k]
+                _add_row(below, tuple(b * x + a * y for x, y in zip(s[:k], t[:k])), b * o + a * q)
+        level = below
+        levels.append(level)
+    levels.reverse()
+    return levels
+
+
+def _add_row(level, s, o):
+    """Store s . z <= o divided by the gcd of s, keeping the least offset per normal."""
+    g = math.gcd(*s)
+    if g > 1:
+        s = tuple(c // g for c in s)
+        o //= g
+    old = level.get(s)
+    if old is None or o < old:
+        level[s] = o
+
+
+def _bound_rows(levels):
+    """Per level k: the (prefix, coefficient, offset) rows bounding z_(k+1) above, below."""
+    out = []
+    for k, level in enumerate(levels):
+        upper = [(s[:k], s[k], o) for s, o in level.items() if s[k] > 0]
+        lower = [(s[:k], s[k], o) for s, o in level.items() if s[k] < 0]
+        out.append((upper, lower))
+    return out
+
+
+def lattice_points_boxed(rows, dim, limit=None):
+    """Integer points of {s . z <= o} in ascending lex order, by one exact sweep.
+
+    The rows are projected once by integer Fourier-Motzkin elimination; then
+    z_1, ..., z_dim are swept in turn, each between the closed-form integer
+    bounds its level gives once the earlier coordinates are fixed.  ``limit``
+    stops the sweep once that many points are found.  Returns [] when a
+    constant row is violated and raises Unbounded when a coordinate the
+    sweep reaches has no bound on one side.
+    """
+    if dim == 0:
+        return [()] if all(o >= 0 for _, o in rows) else []
+    levels = _fm_levels(rows, dim)
+    if levels[0].get((0,), 0) < 0:
+        return []
+    bounds = _bound_rows(levels)
+    out = []
+
+    def sweep(prefix):
+        k = len(prefix)
+        upper, lower = bounds[k]
+        if not upper or not lower:
+            raise Unbounded(f"coordinate {k + 1} is unbounded")
+        hi = min((o - dot(p, prefix)) // c for p, c, o in upper)
+        lo = max(-((o - dot(p, prefix)) // -c) for p, c, o in lower)
+        for v in range(lo, hi + 1):
+            if k + 1 < dim:
+                if sweep(prefix + (v,)):
+                    return True
+            else:
+                out.append(prefix + (v,))
+                if limit is not None and len(out) >= limit:
+                    return True
+        return False
+
+    sweep(())
+    return out
+
+
+def _parametrize(rows, b):
+    """(x0, B, k): {x in Z^n : rows @ x = b} = x0 + B Z^k, B echelon; None if empty."""
+    if len(b) != len(rows):
+        raise ParseError(f"right-hand side has {len(b)} entries, expected {len(rows)}")
+    n = len(rows[0]) if rows else 0
+    h, u, pivots = column_hermite(rows, n)
+    w = [0] * n
+    for r, col in enumerate(pivots):
+        res = b[r] - dot(h[r], w)
+        if col is not None and res % h[r][col] == 0:
+            w[col] = res // h[r][col]
+        elif res or col is not None:  # a pivot that does not divide, or a residual left
+            return None
+    x0 = mat_vec(u, w)
+    k = n - (len(pivots) - pivots.count(None))
+    echelon = column_hermite([row[n - k :] for row in u], k)[0]
+    sign = [1 if next(v for v in col if v) > 0 else -1 for col in zip(*echelon)]
+    basis = [tuple(s * v for s, v in zip(sign, row)) for row in echelon]
+    if mat_vec(rows, x0) != b or any(dot(r, c) for r in rows for c in zip(*basis)):
+        raise AssertionError("fiber parametrisation failed A x0 = b or A B = 0")
+    return x0, basis, k
+
+
+def _fiber_points(rows, b, limit=None):
+    param = _parametrize(rows, tuple(int(v) for v in b))
+    if param is None:
+        return []
+    x0, basis, k = param
+    ineqs = [(tuple(-v for v in row), x) for row, x in zip(basis, x0)]
+    return [
+        tuple(x + dot(row, z) for row, x in zip(basis, x0))
+        for z in lattice_points_boxed(ineqs, k, limit)
+    ]
 
 
 def iter_fiber(rows, b):
     """Yield all x in N^n with rows @ x = b, in lexicographic order."""
-    d = len(rows)
-    n = len(rows[0]) if d else 0
-    b = tuple(int(v) for v in b)
-    if _is_nonneg(rows):
-        yield from _iter_nonneg(rows, d, n, 0, b, ())
-    else:
-        yield from _iter_lp(rows, d, n, 0, b, ())
-
-
-def _iter_nonneg(rows, d, n, k, residual, prefix):
-    if any(r < 0 for r in residual):
-        return
-    if k == n:
-        if all(r == 0 for r in residual):
-            yield prefix
-        return
-    ub = None
-    for i in range(d):
-        a = rows[i][k]
-        if a > 0:
-            q = residual[i] // a
-            ub = q if ub is None else min(ub, q)
-    if ub is None:
-        # zero column: ruled out by the boundedness assumption
-        raise ValueError("zero column makes the fiber infinite")
-    for v in range(ub + 1):
-        nres = tuple(residual[i] - v * rows[i][k] for i in range(d))
-        yield from _iter_nonneg(rows, d, n, k + 1, nres, prefix + (v,))
-
-
-def _iter_lp(rows, d, n, k, residual, prefix):
-    if k == n:
-        if all(r == 0 for r in residual):
-            yield prefix
-        return
-    nrest = n - k
-    cols = [[rows[i][j] for j in range(k, n)] for i in range(d)]
-    a_ub = [[-1 if j == i else 0 for j in range(nrest)] for i in range(nrest)]
-    res = solve_lp(
-        [1] + [0] * (nrest - 1), a_ub, [0] * nrest, cols, list(residual), maximize=True
-    )
-    if res.status != OPTIMAL:
-        return
-    ub = int(res.value)  # floor of a nonnegative rational
-    for v in range(ub + 1):
-        nres = tuple(residual[i] - v * rows[i][k] for i in range(d))
-        yield from _iter_lp(rows, d, n, k + 1, nres, prefix + (v,))
+    yield from _fiber_points(rows, b)
 
 
 def fiber_first(rows, b):
@@ -71,13 +160,12 @@ def fiber_first(rows, b):
     Deliberately independent of any cost vector, so it can seed optimization
     paths without biasing them.
     """
-    for x in iter_fiber(rows, b):
-        return x
-    return None
+    pts = _fiber_points(rows, b, limit=1)
+    return pts[0] if pts else None
 
 
 def fiber_list(rows, b):
-    return list(iter_fiber(rows, b))
+    return _fiber_points(rows, b)
 
 
 def fiber_optimum(rows, cost, b, key=None):
@@ -88,10 +176,4 @@ def fiber_optimum(rows, cost, b, key=None):
     """
     if key is None:
         key = lambda x: (dot(cost, x), x)
-    best = None
-    best_key = None
-    for x in iter_fiber(rows, b):
-        k = key(x)
-        if best_key is None or k < best_key:
-            best, best_key = x, k
-    return best
+    return min(_fiber_points(rows, b), key=key, default=None)

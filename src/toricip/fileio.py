@@ -13,7 +13,7 @@ from .errors import ParseError
 
 
 def read_raw_matrix(path):
-    """Rows of a matrix file, without structural validation."""
+    """(rows, n) of a matrix file, without structural validation; n even with no rows."""
     try:
         with open(path) as fh:
             tokens = fh.read().split()
@@ -21,13 +21,13 @@ def read_raw_matrix(path):
         vals = [int(t) for t in tokens[2:]]
         if len(vals) != d * n:
             raise ParseError(f"expected {d * n} entries, found {len(vals)}")
-        return tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(d))
+        return tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(d)), n
     except (OSError, ValueError, IndexError) as exc:
         raise ParseError(f"bad matrix file {path}: {exc}") from exc
 
 
 def read_matrix(path) -> IntMatrix:
-    return IntMatrix(read_raw_matrix(path))
+    return IntMatrix(read_raw_matrix(path)[0])
 
 
 def read_vector(spec):

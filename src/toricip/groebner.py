@@ -17,6 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from . import fibers
 from .core import IntMatrix, LatticeBasis, cached_kernel_basis
@@ -81,7 +82,7 @@ class GroebnerBasis:
 
 
 def _divides(u, v):
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def _strip(u, v):

@@ -11,7 +11,7 @@ construction and re-verifies its own postcondition before returning.
 Hilbert-basis candidates are the lattice points of the half-open
 parallelepipeds spanned by independent generators; they are found by writing
 each parallelepiped as an integer inequality system and handing it to the
-oracle's lattice-point sweep.
+library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
 """
 
 import math
@@ -57,7 +57,7 @@ def _parallelepiped_points(gens):
     With M a nonsingular r x r minor of the generators on coordinates I,
     lam = adj(M) x_I / det(M).  So the points are the integer x with
     0 <= sign(det) adj_t . x_I <= |det| - 1 for every t, and, when r < d,
-    w . x = 0 for every w in the left kernel of the generators; the oracle's
+    w . x = 0 for every w in the left kernel of the generators; the
     lattice-point sweep enumerates them.
     """
     r = len(gens)

@@ -99,19 +99,20 @@ def _colop_combine(mat, j0, j1, x, y, z, w):
         row[j1] = z * a + w * b
 
 
-def kernel_basis(rows, n):
-    """Basis of the saturated integer kernel {x in Z^n : rows @ x = 0}.
+def column_hermite(rows, n):
+    """Column Hermite reduction A*U = [H | 0], U unimodular: (H, U, pivots) as rows.
 
-    Column-style Hermite reduction with a unimodular transform: A*U = [H | 0],
-    so the trailing columns of U span the kernel lattice and the basis is
-    automatically saturated.  Returns (basis_columns, rank).
+    Row r of A pivots in column pivots[r] of H, or in none (None); pivot
+    columns come in row order and H is zero right of each pivot.
     """
     a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivots = []
     cc = 0
     for r in range(len(a)):
         piv = next((j for j in range(cc, n) if a[r][j] != 0), None)
         if piv is None:
+            pivots.append(None)
             continue
         if piv != cc:
             for row in a:
@@ -125,9 +126,19 @@ def kernel_basis(rows, n):
             g, x, y = _xgcd(p, q)
             _colop_combine(a, cc, j, x, y, -(q // g), p // g)
             _colop_combine(u, cc, j, x, y, -(q // g), p // g)
+        pivots.append(cc)
         cc += 1
-    basis = [tuple(u[i][j] for i in range(n)) for j in range(cc, n)]
-    return basis, cc
+    return a, u, pivots
+
+
+def kernel_basis(rows, n):
+    """Saturated basis of {x in Z^n : rows @ x = 0}: the trailing columns of U.
+
+    Returns (basis_columns, rank).
+    """
+    _, u, pivots = column_hermite(rows, n)
+    rk = len(pivots) - pivots.count(None)
+    return [tuple(u[i][j] for i in range(n)) for j in range(rk, n)], rk
 
 
 def _xgcd(a, b):

@@ -8,12 +8,12 @@ standard polytope is a singleton that loses the property when any single
 B-row is dropped.  None of it consults the Groebner machinery, which is the
 point: the two routes must agree and the test suite enforces that.
 
-Every lattice-point question about {s . z <= o}, and the boundedness test,
-goes through one exact integer Fourier-Motzkin elimination:
-:func:`lattice_points_boxed` is the library's only enumerator of such
-systems (the relaxation solver and the Hilbert-basis parallelepipeds use it
-too).  Fibers, which are equality systems over the naturals, keep their own
-sweep in :mod:`fibers`.  Only :func:`width_along` solves LPs.
+Every lattice-point question about {s . z <= o}, every fiber, and the
+boundedness test go through one exact integer Fourier-Motzkin elimination:
+:func:`lattice_points_boxed`, which lives in :mod:`fibers` (the lowest layer
+that needs it) and is re-exported here, is the library's only enumerator
+(the relaxation solver and the Hilbert-basis parallelepipeds use it too).
+Only :func:`width_along` solves LPs.
 """
 
 import math
@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from . import fibers
 from .core import IntMatrix, cached_kernel_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
+from .fibers import _bound_rows, _fm_levels, fiber_list, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .stdpairs import Decomposition, StandardPair
@@ -76,101 +76,6 @@ def enumerate_lattice_points(poly: IneqPolytope, limit=None):
     return lattice_points_boxed(poly.rows, poly.dim, limit)
 
 
-def _fm_levels(rows, dim):
-    """Integer Fourier-Motzkin elimination of {s . z <= o} (Schrijver, 12.2).
-
-    Level k (0-based) maps each normal over z_1..z_(k+1) to its least
-    offset; the last level is the input, and each level below eliminates the
-    next coordinate by pairing every row positive in it with every row
-    negative in it.  Rows are divided by the gcd of their coefficients with
-    the offset floored, which keeps every integer point.  All-zero rows end
-    up on level 0 under the key (0,).
-    """
-    level = {}
-    for s, o in rows:
-        _add_row(level, tuple(s), o)
-    levels = [level]
-    for k in range(dim - 1, 0, -1):
-        below = {}
-        pos = []
-        neg = []
-        for s, o in level.items():
-            if s[k] > 0:
-                pos.append((s, o))
-            elif s[k] < 0:
-                neg.append((s, o))
-            else:
-                _add_row(below, s[:k], o)
-        for s, o in pos:
-            for t, q in neg:
-                a, b = s[k], -t[k]
-                _add_row(below, tuple(b * x + a * y for x, y in zip(s[:k], t[:k])), b * o + a * q)
-        level = below
-        levels.append(level)
-    levels.reverse()
-    return levels
-
-
-def _add_row(level, s, o):
-    """Store s . z <= o divided by the gcd of s, keeping the least offset per normal."""
-    g = math.gcd(*s)
-    if g > 1:
-        s = tuple(c // g for c in s)
-        o //= g
-    old = level.get(s)
-    if old is None or o < old:
-        level[s] = o
-
-
-def _bound_rows(levels):
-    """Per level k: the (prefix, coefficient, offset) rows bounding z_(k+1) above, below."""
-    out = []
-    for k, level in enumerate(levels):
-        upper = [(s[:k], s[k], o) for s, o in level.items() if s[k] > 0]
-        lower = [(s[:k], s[k], o) for s, o in level.items() if s[k] < 0]
-        out.append((upper, lower))
-    return out
-
-
-def lattice_points_boxed(rows, dim, limit=None):
-    """Integer points of {s . z <= o} in ascending lex order, by one exact sweep.
-
-    The rows are projected once by integer Fourier-Motzkin elimination; then
-    z_1, ..., z_dim are swept in turn, each between the closed-form integer
-    bounds its level gives once the earlier coordinates are fixed.  ``limit``
-    stops the sweep once that many points are found.  Returns [] when a
-    constant row is violated and raises Unbounded when a coordinate the
-    sweep reaches has no bound on one side.
-    """
-    if dim == 0:
-        return [()] if all(o >= 0 for _, o in rows) else []
-    levels = _fm_levels(rows, dim)
-    if levels[0].get((0,), 0) < 0:
-        return []
-    bounds = _bound_rows(levels)
-    out = []
-
-    def sweep(prefix):
-        k = len(prefix)
-        upper, lower = bounds[k]
-        if not upper or not lower:
-            raise Unbounded(f"coordinate {k + 1} is unbounded")
-        hi = min((o - dot(p, prefix)) // c for p, c, o in upper)
-        lo = max(-((o - dot(p, prefix)) // -c) for p, c, o in lower)
-        for v in range(lo, hi + 1):
-            if k + 1 < dim:
-                if sweep(prefix + (v,)):
-                    return True
-            else:
-                out.append(prefix + (v,))
-                if limit is not None and len(out) >= limit:
-                    return True
-        return False
-
-    sweep(())
-    return out
-
-
 _lattice = cached_kernel_basis
 
 
@@ -196,11 +101,9 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     error).  With ``with_fiber`` the full fiber is returned alongside.
     """
     cost = tuple(int(v) for v in cost)
-    if with_fiber:
-        fiber = fibers.fiber_list(a.entries, b)
-        best = min(fiber, key=lambda x: (dot(cost, x), x)) if fiber else None
-        return best, fiber
-    return fibers.fiber_optimum(a.entries, cost, b)
+    fiber = fiber_list(a.entries, b)
+    best = min(fiber, key=lambda x: (dot(cost, x), x), default=None)
+    return (best, fiber) if with_fiber else best
 
 
 def _singleton(rows, dim):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import fibers, oracle
 from .core import IntMatrix, cached_kernel_basis
 from .errors import Infeasible, NotAFace
-from .linalg import dot, solve_exact
+from .linalg import dot
 from .stdpairs import Decomposition
 from .triangulation import RegularSubdivision, reduced_cost
 
@@ -91,10 +91,10 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
 def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     """Solve the program by scanning pair linear systems A_tau x = b - A u.
 
-    Any pair whose square system has a nonnegative integral solution yields
-    the optimum (the lifted point lies in the pair's semigroup, hence among
-    the optimal points, and fibers meet the optimal set once).  Maximal faces
-    are tried first, then faces by decreasing size.
+    Any pair whose system has a point in N^tau (its fiber) yields the optimum
+    (the lifted point lies in the pair's semigroup, hence among the optimal
+    points, and fibers meet the optimal set once).  Maximal faces are tried
+    first, then faces by decreasing size.
     """
     b = tuple(int(v) for v in b)
     maximal = set(decomp.delta.maximal_faces)
@@ -104,19 +104,11 @@ def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     )
     for pair in ordered:
         rhs = tuple(bi - vi for bi, vi in zip(b, a.apply(pair.root)))
-        tau = pair.face
-        if not tau:
-            if all(v == 0 for v in rhs):
-                return pair.root, pair
-            continue
-        cols = a.columns(tau)
-        sol = solve_exact(cols, rhs)
+        sol = fibers.fiber_first(a.columns(pair.face), rhs)
         if sol is None:
             continue
-        if any(v.denominator != 1 or v < 0 for v in sol):
-            continue
         x = list(pair.root)
-        for t, i in enumerate(tau):
-            x[i] = int(sol[t])
+        for t, i in enumerate(pair.face):
+            x[i] = sol[t]
         return tuple(x), pair
     raise Infeasible(f"no standard pair solves A x = {b}; the fiber is empty")

@@ -109,14 +109,22 @@ def optimal_face(delta: RegularSubdivision, b):
     """The unique smallest face tau of Delta with b in cone(A_tau).
 
     This is the support of an optimal solution of the linear relaxation for
-    right-hand side b.  Raises OutsideCone when b is not in cone(A).
+    right-hand side b.  Raises OutsideCone when b is not in cone(A).  The face
+    cones of a triangulation form a fan, so tau is the support of b's
+    coordinates in any maximal simplex whose cone holds b.
     """
     a = delta.matrix
     if len(b) != a.d:
         raise ValueError("rhs length must match row count")
-    for face in delta.faces():
-        if in_cone(a, face, b):
-            return face
+    if delta.is_triangulation:
+        for sigma in delta.maximal_faces:
+            lam = linalg.solve_exact(a.columns(sigma), b)
+            if all(v >= 0 for v in lam):
+                return tuple(j for j, v in zip(sigma, lam) if v)
+    else:
+        for face in delta.faces():
+            if in_cone(a, face, b):
+                return face
     raise OutsideCone(f"{tuple(b)} is outside cone(A)")
 
 

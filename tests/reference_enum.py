@@ -1,9 +1,10 @@
 """Reference lattice-point enumerators for tests: the naive versions.
 
 These are the enumerators ``toricip`` used before one integer
-Fourier–Motzkin sweep (``oracle.lattice_points_boxed``) replaced them all.
-Each answers the same questions by a different route, so the tests can hold
-the sweep equal to them:
+Fourier–Motzkin sweep (``fibers.lattice_points_boxed``, also bound as
+``oracle.lattice_points_boxed``) replaced them all, fibers included.  Each
+answers the same questions by a different route, so the tests can hold the
+sweep equal to them:
 
 - ``reference_boxed``: vertex enumeration over every Cramer-solvable row
   subset, then a filter over every point of the vertex bounding box;
@@ -12,6 +13,9 @@ the sweep equal to them:
 - ``reference_recession_trivial``: 2·dim LPs, one per signed unit direction;
 - ``reference_parallelepiped_points``: the corner box of the parallelepiped,
   keeping a point when its exact coordinates in the generators lie in [0, 1).
+- ``reference_fiber``: the fiber {x in N^n : A x = b} walked one coordinate
+  of x at a time, with integer bounds when A has no negative entry and one
+  LP bound per prefix otherwise.
 """
 
 import math
@@ -121,3 +125,56 @@ def reference_parallelepiped_points(gens):
         if lam is not None and all(0 <= v < 1 for v in lam):
             out.append(tuple(x))
     return out
+
+
+def reference_fiber(rows, b):
+    """All x in N^n with rows @ x = b, ascending lex, by a walk over x itself.
+
+    Assumes the fiber is finite: an LP bound that is unbounded ends its
+    branch, and a zero column of a nonnegative matrix raises ValueError.
+    """
+    d = len(rows)
+    n = len(rows[0]) if d else 0
+    b = tuple(int(v) for v in b)
+    if all(v >= 0 for row in rows for v in row):
+        return list(_iter_nonneg(rows, d, n, 0, b, ()))
+    return list(_iter_lp(rows, d, n, 0, b, ()))
+
+
+def _iter_nonneg(rows, d, n, k, residual, prefix):
+    if any(r < 0 for r in residual):
+        return
+    if k == n:
+        if all(r == 0 for r in residual):
+            yield prefix
+        return
+    ub = None
+    for i in range(d):
+        a = rows[i][k]
+        if a > 0:
+            q = residual[i] // a
+            ub = q if ub is None else min(ub, q)
+    if ub is None:
+        raise ValueError("zero column makes the fiber infinite")
+    for v in range(ub + 1):
+        nres = tuple(residual[i] - v * rows[i][k] for i in range(d))
+        yield from _iter_nonneg(rows, d, n, k + 1, nres, prefix + (v,))
+
+
+def _iter_lp(rows, d, n, k, residual, prefix):
+    if k == n:
+        if all(r == 0 for r in residual):
+            yield prefix
+        return
+    nrest = n - k
+    cols = [[rows[i][j] for j in range(k, n)] for i in range(d)]
+    a_ub = [[-1 if j == i else 0 for j in range(nrest)] for i in range(nrest)]
+    res = solve_lp(
+        [1] + [0] * (nrest - 1), a_ub, [0] * nrest, cols, list(residual), maximize=True
+    )
+    if res.status != OPTIMAL:
+        return
+    ub = int(res.value)  # floor of a nonnegative rational
+    for v in range(ub + 1):
+        nres = tuple(residual[i] - v * rows[i][k] for i in range(d))
+        yield from _iter_lp(rows, d, n, k + 1, nres, prefix + (v,))

@@ -141,6 +141,24 @@ def test_hilbert_and_sharp_and_points(capsys, fixtures, tmp_path):
     assert doc["optimum"] == [0, 2, 0] and len(doc["fiber"]) == 3
 
 
+def test_oracle_points_with_no_rows_in_the_plane_is_unbounded(capsys, tmp_path):
+    # no rows in Z^2: every point is feasible
+    plane = tmp_path / "plane.mat"
+    plane.write_text("0 2\n")
+    code, out = run(capsys, ["oracle", "points", "--rows", str(plane), "--offsets", ""])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "unbounded"
+
+
+def test_oracle_points_with_no_rows_in_dimension_zero(capsys, tmp_path):
+    # no rows in Z^0: the one empty point
+    point = tmp_path / "point.mat"
+    point.write_text("0 0\n")
+    code, out = run(capsys, ["oracle", "points", "--rows", str(point), "--offsets", ""])
+    assert code == 0
+    assert json.loads(out)["points"] == [[]]
+
+
 def test_exit_codes(capsys, fixtures, tmp_path):
     code, out = run(capsys, [
         "solve", "--matrix", fixtures["knap.mat"], "--cost", fixtures["knap.cost"],

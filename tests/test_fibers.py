@@ -1,6 +1,29 @@
+"""Fiber enumeration against the test-only reference walk.
+
+``fibers`` writes a fiber {x in N^n : A x = b} as x0 + B z over an echelon
+kernel basis and enumerates it with the same Fourier-Motzkin sweep that the
+oracle and the relaxation solver use.  ``reference_enum.reference_fiber``
+walks x itself, one coordinate at a time, so the two must agree point for
+point and in order.
+"""
+
+import contextlib
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import KNAPSACK, KNAPSACK_COST
+from reference_enum import reference_fiber
+
+from toricip.core import IntMatrix
+from toricip.errors import ParseError, Unbounded
 from toricip.fibers import fiber_first, fiber_list, fiber_optimum, iter_fiber
+from toricip.groebner import CostOrder, solve_ip
+from toricip.linprog import lp_feasible
+from toricip.oracle import fiber_solve
+from toricip.relax import build_relaxation
+from toricip.triangulation import regular_subdivision
 
 
 def test_lex_order_and_first():
@@ -12,7 +35,7 @@ def test_lex_order_and_first():
 
 
 def test_negative_entry_path():
-    # falls back to LP bounds when the matrix has negative entries
+    # a matrix with negative entries goes through the same sweep
     rows = ((1, -1, 3), (0, 2, 1))
     assert fiber_list(rows, (3, 3)) == [(1, 1, 1)]
     assert fiber_list(rows, (1, 0)) == [(1, 0, 0)]
@@ -47,3 +70,94 @@ def test_iter_is_lazy():
     gen = iter_fiber(((1, 1),), (50,))
     assert next(gen) == (0, 50)
     assert next(gen) == (1, 49)
+
+
+def _kernel_meets_orthant(rows, n):
+    """Whether some x >= 0 with sum 1 has rows @ x = 0, exactly."""
+    a_ub = [[-1 if j == i else 0 for j in range(n)] for i in range(n)]
+    return lp_feasible(a_ub, [0] * n, [list(r) for r in rows] + [[1] * n], [0] * len(rows) + [1])
+
+
+def check_against_reference(rows, b):
+    n = len(rows[0]) if rows else 0
+    if n and _kernel_meets_orthant(rows, n):
+        # a nonempty fiber is then infinite, so the sweep must not yield
+        with contextlib.suppress(Unbounded):
+            assert fiber_list(rows, b) == []
+        return
+    expected = reference_fiber(rows, b)
+    assert fiber_list(rows, b) == expected
+    assert list(iter_fiber(rows, b)) == expected
+    assert fiber_first(rows, b) == (expected[0] if expected else None)
+
+
+def random_fiber(rng):
+    """A small system: nonnegative or mixed-sign, often of lower rank or corank 0."""
+    d = rng.randint(1, 3)
+    n = d if rng.random() < 0.15 else d + rng.randint(1, 3)
+    lo = 0 if rng.random() < 0.5 else -3
+    rows = [[rng.randint(lo, 4) for _ in range(n)] for _ in range(d)]
+    if rng.random() < 0.2:  # a repeated or combined row lowers the rank
+        rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+    rows = tuple(tuple(r) for r in rows)
+    if rng.random() < 0.7:
+        u = [rng.randint(0, 3) for _ in range(n)]
+        b = tuple(sum(a * x for a, x in zip(r, u)) for r in rows)
+    else:
+        b = tuple(rng.randint(-2, 9) for _ in rows)
+    return rows, b
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_fibers_match_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        check_against_reference(*random_fiber(rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_hypothesis_fibers_match_reference(rng):
+    check_against_reference(*random_fiber(rng))
+
+
+@pytest.mark.parametrize("rows, b", [
+    (((2, 5, 8),), (27,)),
+    (((1, -1, 3), (0, 2, 1)), (5, 6)),
+    (((1, 1, 1, 1), (0, 1, 2, 3)), (4, 6)),
+    (((1, 1, 1, 1), (0, 1, 2, 3), (1, 2, 3, 4)), (4, 6, 10)),  # rank 2 of 3 rows
+    (((1, 1, 1, 1), (0, 1, 2, 3), (1, 2, 3, 4)), (4, 6, 9)),   # inconsistent rows
+    (((2, 4),), (3,)),            # b outside the lattice ZA
+    (((2, 4), (1, 3)), (6, 4)),   # corank 0, one point
+    (((2, 1), (1, 3)), (1, 1)),   # corank 0, rational but not integral
+    (((2, 1), (1, 3)), (-1, 2)),  # corank 0, integral but negative
+    (((), ()), (0, 0)),           # no columns: the empty point
+    (((),), (1,)),                # no columns, b != 0: empty
+    ((), ()),                     # no rows and no columns
+])
+def test_named_fibers_match_reference(rows, b):
+    check_against_reference(rows, b)
+
+
+def test_infinite_fibers_raise_unbounded():
+    # (k, k) lies in the fiber for every k
+    with pytest.raises(Unbounded):
+        fiber_list(((1, -1),), (0,))
+    # a zero column is free
+    with pytest.raises(Unbounded):
+        fiber_list(((1, 0),), (1,))
+    with pytest.raises(Unbounded):
+        fiber_first(((1, 0, 2),), (2,))
+
+
+@pytest.mark.parametrize("b", [(), (27, 5)])
+def test_rhs_of_wrong_length_is_a_parse_error(b):
+    a = IntMatrix(KNAPSACK)
+    with pytest.raises(ParseError):
+        fiber_list(KNAPSACK, b)
+    with pytest.raises(ParseError):
+        solve_ip(a, CostOrder.from_cost(KNAPSACK_COST), b)
+    with pytest.raises(ParseError):
+        fiber_solve(a, KNAPSACK_COST, b)
+    with pytest.raises(ParseError):
+        build_relaxation(a, KNAPSACK_COST, regular_subdivision(a, KNAPSACK_COST), (), b)

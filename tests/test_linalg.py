@@ -83,3 +83,47 @@ def test_solve_exact_consistency():
     assert linalg.solve_exact([[1], [1]], [1, 2]) is None
     with pytest.raises(ValueError):
         linalg.solve_exact([[1, 1]], [1])
+
+
+def fraction_solve(rows, rhs):
+    """Gauss-Jordan over Fractions: the reference for the integer solve_exact."""
+    from fractions import Fraction
+
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, m) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(m):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    if any(a[i][n] != 0 for i in range(n, m)):
+        return None
+    return tuple(a[i][n] for i in range(n))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_exact_matches_fraction_reference(seed):
+    # square, tall, consistent, inconsistent and rank-deficient systems
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(0, 4)
+        m = rng.randint(n, n + 2)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            rhs = [sum(r * v for r, v in zip(row, x)) * rng.choice((1, 3)) for row in rows]
+        else:
+            rhs = [rng.randint(-9, 9) for _ in range(m)]
+        try:
+            want = fraction_solve(rows, rhs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                linalg.solve_exact(rows, rhs)
+            continue
+        assert linalg.solve_exact(rows, rhs) == want

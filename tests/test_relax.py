@@ -129,3 +129,48 @@ def test_solving_matches_pair_cover(long_chain_pipeline):
     for f in delta.faces():
         out = solve_relaxation(build_relaxation(a, LONG_CHAIN_COST, delta, f, b))
         assert out.solves_ip == (f in solvers)
+
+
+def square_system_scan(decomp, a, b):
+    """The pair scan with each system solved by rational elimination."""
+    from toricip.linalg import solve_exact
+
+    maximal = set(decomp.delta.maximal_faces)
+    ordered = sorted(
+        decomp.pairs,
+        key=lambda p: (0 if p.face in maximal else 1, -len(p.face), p.face, p.root),
+    )
+    for pair in ordered:
+        rhs = tuple(bi - vi for bi, vi in zip(b, a.apply(pair.root)))
+        sol = solve_exact(a.columns(pair.face), rhs)
+        if sol is None or any(v.denominator != 1 or v < 0 for v in sol):
+            continue
+        x = list(pair.root)
+        for t, i in enumerate(pair.face):
+            x[i] = int(sol[t])
+        return tuple(x), pair
+    return None
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_solve_via_pairs_matches_square_system_scan(seed):
+    # the fiber of each pair's system against its rational solution, on
+    # right-hand sides in the semigroup and arbitrary ones (often infeasible)
+    from conftest import make_instance
+
+    from toricip.stdpairs import decomposition_for
+
+    a, c = make_instance(seed)
+    _, _, decomp, _ = decomposition_for(a, c)
+    rng = random.Random(seed)
+    for k in range(10):
+        if k % 2:
+            b = tuple(rng.randint(0, 12) for _ in range(a.d))
+        else:
+            b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
+        want = square_system_scan(decomp, a, b)
+        if want is None:
+            with pytest.raises(Infeasible):
+                solve_via_standard_pairs(decomp, a, b)
+        else:
+            assert solve_via_standard_pairs(decomp, a, b) == want

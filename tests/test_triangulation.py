@@ -164,3 +164,40 @@ def test_volume_cover():
         d = regular_subdivision(a, cost)
         total = sum(face_determinant(a, f) for f in d.maximal_faces)
         assert total == face_determinant(a, extreme)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_optimal_face_matches_lp_face_scan(seed):
+    # the walk over maximal simplices against the LP membership test on every
+    # face in (size, lex) order, for points of cone(A), points outside it and
+    # points of the cone off the lattice ZA
+    from conftest import make_instance
+
+    from toricip.triangulation import in_cone
+
+    a, c = make_instance(seed)
+    d = regular_subdivision(a, c)
+    assert d.is_triangulation
+    rng = random.Random(seed)
+    for k in range(12):
+        if k % 2:
+            b = a.apply(tuple(rng.randint(0, 3) * rng.randint(0, 1) for _ in range(a.n)))
+        else:
+            b = tuple(rng.randint(-2, 9) for _ in range(a.d))
+        want = next((f for f in d.faces() if in_cone(a, f, b)), None)
+        if want is None:
+            with pytest.raises(OutsideCone):
+                optimal_face(d, b)
+        else:
+            assert optimal_face(d, b) == want
+
+
+def test_optimal_face_on_a_subdivision():
+    # a non-simplicial cell keeps the LP scan over subsets of its columns
+    d = regular_subdivision(IntMatrix(EX1), (0, 0, 0, 0))
+    assert not d.is_triangulation
+    assert optimal_face(d, (2, 2)) == face(2)
+    assert optimal_face(d, (0, 0)) == ()
+    assert optimal_face(d, (3, 4)) == face(1, 3)
+    with pytest.raises(OutsideCone):
+        optimal_face(d, (1, 4))
