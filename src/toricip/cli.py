@@ -170,7 +170,7 @@ def cmd_hilbert(args):
 
 def cmd_normality(args):
     a = fileio.read_matrix(args.matrix)
-    delta = fileio.read_faces_json(args.triangulation) if args.triangulation else None
+    delta = fileio.read_faces_json(args.triangulation, a.n) if args.triangulation else None
     report = hilbert.normality_report(a, delta, check_super=args.super)
     payload = {
         "normal": report.normal,
@@ -186,7 +186,7 @@ def cmd_normality(args):
 
 def cmd_gomory_cost(args):
     a = fileio.read_matrix(args.matrix)
-    faces = fileio.read_faces_json(args.triangulation)
+    faces = fileio.read_faces_json(args.triangulation, a.n)
     result = hilbert.gomory_cost(a, faces)
     _emit(args, {
         "cost": list(result.cost),

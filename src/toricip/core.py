@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
-from .linprog import lp_feasible
+from .linprog import nonneg_feasible
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,8 @@ class IntMatrix:
             raise RankDeficient("ragged rows")
         if linalg.rank(rows) < len(rows):
             raise RankDeficient(f"rank below {len(rows)}")
-        if self._kernel_meets_orthant():
+        if kernel_meets_orthant(rows):
             raise UnboundedFamily("kernel of A meets the nonnegative orthant")
-
-    def _kernel_meets_orthant(self):
-        # feasibility of {x >= 0, Ax = 0, sum x = 1}, exactly
-        n = self.n
-        a_ub = [[-1 if j == i else 0 for j in range(n)] for i in range(n)]
-        b_ub = [0] * n
-        a_eq = [list(r) for r in self.entries] + [[1] * n]
-        b_eq = [0] * self.d + [1]
-        return lp_feasible(a_ub, b_ub, a_eq, b_eq)
 
     @property
     def d(self):
@@ -64,6 +55,11 @@ class IntMatrix:
     def __str__(self):
         head = f"{self.d} {self.n}"
         return "\n".join([head] + [" ".join(str(v) for v in r) for r in self.entries])
+
+
+def kernel_meets_orthant(rows):
+    """Whether rows x = 0 has a solution x >= 0, x != 0 (scaled to sum x = 1)."""
+    return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
 
 
 def _integer(x):

@@ -58,14 +58,19 @@ def read_face(spec):
     return tuple(idx)
 
 
-def read_faces_json(path):
-    """A triangulation as a JSON list of 1-based index lists."""
+def read_faces_json(path, n):
+    """A triangulation of n columns as a JSON list of 1-based index lists."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return tuple(tuple(sorted(int(i) - 1 for i in face)) for face in data)
+        faces = tuple(tuple(sorted(int(i) - 1 for i in face)) for face in data)
     except (OSError, ValueError, TypeError) as exc:
         raise ParseError(f"bad triangulation file {path}: {exc}") from exc
+    if any(i < 0 for f in faces for i in f):
+        raise ParseError("face indices are 1-based")
+    if any(i >= n for f in faces for i in f):
+        raise ParseError(f"face index above the {n} columns")
+    return faces
 
 
 def face_out(face):

@@ -14,7 +14,6 @@ assumed.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
@@ -22,7 +21,7 @@ from operator import le
 from . import fibers
 from .core import IntMatrix, LatticeBasis, cached_kernel_basis
 from .errors import Infeasible
-from .linalg import dot
+from .linalg import clear_denominators, dot
 from .linprog import OPTIMAL, solve_lp
 
 
@@ -113,15 +112,18 @@ def _reduce_full(head, tail, basis, order):
                     head, tail = tail, head
                 changed = True
                 break
-    changed = True
-    while changed:
-        changed = False
-        for g in basis:
-            if _divides(g[0], tail):
-                tail = tuple(a - b + c for a, b, c in zip(tail, g[0], g[1]))
-                changed = True
+    return head, _reduce(tail, basis)
+
+
+def _reduce(u, pairs):
+    """x^u reduced by the first (head, tail) whose head divides it, until none does."""
+    while True:
+        for h, t in pairs:
+            if _divides(h, u):
+                u = tuple(a - b + c for a, b, c in zip(u, h, t))
                 break
-    return head, tail
+        else:
+            return u
 
 
 def _completion(gens, order, strip_common):
@@ -182,18 +184,8 @@ def _interreduce(basis, order):
     for g in basis:
         if not any(_divides(h[0], g[0]) for h in kept):
             kept.append(g)
-    out = []
-    for idx, (head, tail) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        changed = True
-        while changed:
-            changed = False
-            for g in others:
-                if _divides(g[0], tail):
-                    tail = tuple(a - b + c for a, b, c in zip(tail, g[0], g[1]))
-                    changed = True
-                    break
-        out.append((head, tail))
+    out = [(head, _reduce(tail, kept[:idx] + kept[idx + 1 :]))
+           for idx, (head, tail) in enumerate(kept)]
     return sorted(out, key=lambda g: order.key(g[0]))
 
 
@@ -209,11 +201,7 @@ def positive_grading(a: IntMatrix):
     res = solve_lp([sum(row) for row in a.entries], neg_cols, [-1] * n)
     if res.status != OPTIMAL:
         raise AssertionError("no positive grading; matrix invariants violated")
-    w = [dot(res.x, a.column(j)) for j in range(n)]
-    denom = 1
-    for v in w:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return tuple(int(v * denom) for v in w)
+    return tuple(clear_denominators([dot(res.x, a.column(j)) for j in range(n)])[0])
 
 
 def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
@@ -292,16 +280,7 @@ def lex_realizing_cost(a: IntMatrix, cost):
 
 def normal_form(gb: GroebnerBasis, u):
     """Reduce x^u to its normal form, always by the lowest-index element."""
-    u = tuple(int(v) for v in u)
-    changed = True
-    while changed:
-        changed = False
-        for b in gb.elements:
-            if _divides(b.head, u):
-                u = tuple(a - h + t for a, h, t in zip(u, b.head, b.tail))
-                changed = True
-                break
-    return u
+    return _reduce(tuple(int(v) for v in u), [(b.head, b.tail) for b in gb.elements])
 
 
 def solve_ip(a: IntMatrix, order: CostOrder, b):

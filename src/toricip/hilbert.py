@@ -14,17 +14,16 @@ each parallelepiped as an integer inequality system and handing it to the
 library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import fibers, oracle, stdpairs
-from .core import IntMatrix
+from .core import IntMatrix, kernel_meets_orthant
 from .errors import NotDeltaNormal, NotPointed, NotRegular
 from .groebner import CostOrder, toric_groebner
-from .linalg import det_int, dot, kernel_basis, rank
-from .linprog import OPTIMAL, lp_feasible, solve_lp
+from .linalg import clear_denominators, det_int, dot, kernel_basis, rank
+from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
 from .triangulation import regular_subdivision
 
@@ -36,19 +35,11 @@ class HilbertBasis:
 
 
 def _in_cone_of(gens, x):
-    k = len(gens)
-    if k == 0:
-        return all(v == 0 for v in x)
-    cols = [[g[i] for g in gens] for i in range(len(x))]
-    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
-    return lp_feasible(a_ub, [0] * k, cols, list(x))
+    return nonneg_feasible([[g[i] for g in gens] for i in range(len(x))], x)
 
 
 def _pointed(gens):
-    k = len(gens)
-    cols = [[g[i] for g in gens] for i in range(len(gens[0]))]
-    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
-    return not lp_feasible(a_ub, [0] * k, cols + [[1] * k], [0] * len(gens[0]) + [1])
+    return not kernel_meets_orthant([[g[i] for g in gens] for i in range(len(gens[0]))])
 
 
 def _parallelepiped_points(gens):
@@ -245,11 +236,7 @@ def _certificate_cost(a: IntMatrix, faces):
     res = solve_lp(obj, a_ub, b_ub, a_eq, b_eq, maximize=True)
     if res.status != OPTIMAL or res.value <= 0:
         raise NotRegular("no cost vector certifies the triangulation")
-    c = res.x[:n]
-    denom = 1
-    for v in c:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return tuple(int(v * denom) for v in c)
+    return tuple(clear_denominators(res.x[:n])[0])
 
 
 def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
@@ -286,10 +273,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
                 break
         else:
             raise NotRegular(f"column {j} is outside every cell")
-    denom = 1
-    for v in lifted:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    c0 = tuple(int(v * denom) for v in lifted)
+    c0 = tuple(clear_denominators(lifted)[0])
     omega = tuple(-1 if j in rays else 0 for j in range(a.n))
 
     # residue optima per cell under the symbolic order (c0, omega, lex)

@@ -5,7 +5,7 @@ Matrices are sequences of rows; all arithmetic is over Python ints and
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def det_int(rows):
@@ -244,3 +244,10 @@ def mat_vec(rows, x):
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def clear_denominators(values):
+    """Integers ``ints`` and a positive ``scale`` with values == ints / scale."""
+    values = [v if type(v) is int else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -9,14 +9,19 @@ scaled by the lcm of its denominators, and ``x`` and ``value`` are returned
 as Fractions.  The arithmetic is exact, so the pivots and the results are
 those of the same simplex run on a ``fractions.Fraction`` tableau.
 
-Variables are free; internally each is split into a difference of
-nonnegative parts.  Problem sizes in this package are tiny (tens of
-rows/columns), which is the regime this solver is written for.
+``solve_lp`` takes free variables and splits each into a difference of
+nonnegative parts.  ``nonneg_feasible`` asks whether {x >= 0 : Gx = b} is
+nonempty and runs phase 1 on x itself, with no split and no slack.  Both
+build their tableau with one phase-1 routine.  Problem sizes in this package
+are tiny (tens of rows/columns), which is the regime this solver is written
+for.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .linalg import clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,33 +44,19 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
     nx = len(objective)
     obj = [Fraction(-c if maximize else c) for c in objective]
     nslack = len(a_ub)
-    m = nslack + len(a_eq)
-    ncols = 2 * nx + nslack
-    # columns: x+ (nx), x- (nx), slacks (nslack), phase-1 artificials (m), rhs
-    rows = []
-    for i, (r, b) in enumerate([*zip(a_ub, b_ub), *zip(a_eq, b_eq)]):
-        (*a, rhs), scale = _scaled([*r, b])
-        sign = -1 if rhs < 0 else 1
-        row = [sign * v for v in a] + [-sign * v for v in a] + [0] * (nslack + m)
-        if i < nslack:
-            row[2 * nx + i] = sign * scale
-        row[ncols + i] = scale
-        row.append(sign * rhs)
-        rows.append(row)
-    basis = list(range(ncols, ncols + m))
-
-    if _simplex(rows, basis, _cost_row(rows, basis, [0] * ncols + [1] * m)) != OPTIMAL:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    if any(r[-1] for r, b in zip(rows, basis) if b >= ncols):
+    # columns: x+ (nx), x- (nx), slacks (nslack)
+    std = [[*r, *(-v for v in r), *(int(i == j) for j in range(nslack))]
+           for i, r in enumerate([*a_ub, *a_eq])]
+    feasible = _phase1(std, [*b_ub, *b_eq])
+    if feasible is None:
         return LPResult(INFEASIBLE)
-    _drive_out_artificials(rows, basis, ncols)
-    rows = [_primitive(r[:ncols] + r[-1:]) for r in rows]
+    rows, basis = feasible
 
-    cost, _ = _scaled(obj)
+    cost, _ = clear_denominators(obj)
     cost += [-c for c in cost] + [0] * nslack
     if _simplex(rows, basis, _cost_row(rows, basis, cost)) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    xsplit = [Fraction(0)] * ncols
+    xsplit = [Fraction(0)] * len(cost)
     for r, b in zip(rows, basis):
         xsplit[b] = Fraction(r[-1], r[b])
     x = tuple(xsplit[j] - xsplit[nx + j] for j in range(nx))
@@ -73,11 +64,36 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
     return LPResult(OPTIMAL, x, -value if maximize else value)
 
 
-def _scaled(values):
-    """Integers ``ints`` and a positive ``scale`` with values == ints / scale."""
-    values = [v if type(v) is int else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+def nonneg_feasible(rows, b):
+    """Exact feasibility of {x >= 0 : rows x = b}; with no columns, of b = 0."""
+    return _phase1(rows, b) is not None
+
+
+def _phase1(std, rhs):
+    """A feasible basis of {x >= 0 : std x = rhs} as ``(rows, basis)``, or None.
+
+    Each row is scaled to integers and signed so its right-hand side is
+    nonnegative; an artificial column per row starts the basis.  The returned
+    rows drop the artificials and any redundant row.
+    """
+    m = len(std)
+    ncols = len(std[0]) if std else 0
+    # columns: x (ncols), artificials (m), rhs
+    rows = []
+    for i, (r, b) in enumerate(zip(std, rhs)):
+        (*a, b), scale = clear_denominators([*r, b])
+        sign = -1 if b < 0 else 1
+        art = [0] * m
+        art[i] = scale
+        rows.append([sign * v for v in a] + art + [sign * b])
+    basis = list(range(ncols, ncols + m))
+
+    if _simplex(rows, basis, _cost_row(rows, basis, [0] * ncols + [1] * m)) != OPTIMAL:
+        raise RuntimeError("phase 1 cannot be unbounded")
+    if any(r[-1] for r, b in zip(rows, basis) if b >= ncols):
+        return None
+    _drive_out_artificials(rows, basis, ncols)
+    return [_primitive(r[:ncols] + r[-1:]) for r in rows], basis
 
 
 def _primitive(row):
@@ -159,16 +175,3 @@ def _drive_out_artificials(rows, basis, ncols):
                 continue
             _pivot(rows, basis, i, enter)
         i += 1
-
-
-def lp_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars=None):
-    """Exact feasibility of {a_ub x <= b_ub, a_eq x = b_eq}, x free."""
-    if nvars is None:
-        if a_ub:
-            nvars = len(a_ub[0])
-        elif a_eq:
-            nvars = len(a_eq[0])
-        else:
-            return True
-    res = solve_lp([0] * nvars, a_ub, b_ub, a_eq, b_eq)
-    return res.status == OPTIMAL

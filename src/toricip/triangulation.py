@@ -17,7 +17,7 @@ from itertools import combinations
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors
 from .errors import NotAFace, OutsideCone
-from .linprog import lp_feasible
+from .linprog import nonneg_feasible
 
 
 def _as_face(indices):
@@ -96,13 +96,7 @@ def cached_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
 
 def in_cone(a: IntMatrix, tau, b) -> bool:
     """Exact membership b in cone(A_tau) = {A_tau lam : lam >= 0}."""
-    tau = _as_face(tau)
-    if not tau:
-        return all(v == 0 for v in b)
-    k = len(tau)
-    sub = a.columns(tau)
-    a_ub = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
-    return lp_feasible(a_ub, [0] * k, sub, list(b))
+    return nonneg_feasible(a.columns(tau), b)
 
 
 def optimal_face(delta: RegularSubdivision, b):

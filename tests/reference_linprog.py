@@ -5,6 +5,9 @@ pivoting.  It keeps one ``fractions.Fraction`` per tableau entry and
 recomputes the reduced costs on every iteration.  It uses the same column
 layout and Bland's rule, so ``solve_lp`` must return an identical
 ``LPResult`` on every input; ``tests/test_linprog.py`` checks that.
+
+``reference_nonneg_feasible`` is the x >= 0 feasibility test as the library
+once wrote it: free variables, with x >= 0 spelled out as identity rows.
 """
 
 from fractions import Fraction
@@ -75,6 +78,13 @@ def reference_solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=F
     x = tuple(xsplit[j] - xsplit[nx + j] for j in range(nx))
     value = sum(o * v for o, v in zip(obj, x))
     return LPResult(OPTIMAL, x, -value if maximize else value)
+
+
+def reference_nonneg_feasible(rows, b):
+    """Feasibility of {x >= 0 : rows x = b} as k identity rows -x_i <= 0 over free x."""
+    k = len(rows[0]) if rows else 0
+    nonneg = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
+    return reference_solve_lp([0] * k, nonneg, [0] * k, rows, b).status == OPTIMAL
 
 
 def _objective_value(tab, basis, cost):

@@ -208,6 +208,19 @@ def test_tsv_mode(capsys, fixtures):
     assert lines["value"] == "10500"
 
 
+@pytest.mark.parametrize("command", ["normality", "gomory-cost"])
+@pytest.mark.parametrize("faces", ["[[0, 1]]", "[[1, 5]]"])
+def test_triangulation_indices_out_of_range_are_parse_errors(capsys, tmp_path, command, faces):
+    # index 0 must not read the last column; 5 is past the 3 columns
+    mat = tmp_path / "a.mat"
+    mat.write_text("2 3\n1 1 1\n0 1 3\n")
+    tri = tmp_path / "a.tri"
+    tri.write_text(faces)
+    code, out = run(capsys, [command, "--matrix", str(mat), "--triangulation", str(tri)])
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--matrix", "knap.mat", "--cost", "knap.cost"],
     ["sharp-family", "--m", "abc"],

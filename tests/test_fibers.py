@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import KNAPSACK, KNAPSACK_COST
 from reference_enum import reference_fiber
+from reference_linprog import reference_nonneg_feasible
 
 from toricip.core import IntMatrix
 from toricip.errors import ParseError, Unbounded
 from toricip.fibers import fiber_first, fiber_list, fiber_optimum, iter_fiber
 from toricip.groebner import CostOrder, solve_ip
-from toricip.linprog import lp_feasible
 from toricip.oracle import fiber_solve
 from toricip.relax import build_relaxation
 from toricip.triangulation import regular_subdivision
@@ -74,8 +74,7 @@ def test_iter_is_lazy():
 
 def _kernel_meets_orthant(rows, n):
     """Whether some x >= 0 with sum 1 has rows @ x = 0, exactly."""
-    a_ub = [[-1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return lp_feasible(a_ub, [0] * n, [list(r) for r in rows] + [[1] * n], [0] * len(rows) + [1])
+    return reference_nonneg_feasible([*rows, [1] * n], [0] * len(rows) + [1])
 
 
 def check_against_reference(rows, b):

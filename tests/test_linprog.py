@@ -6,11 +6,11 @@ import pytest
 import reference_linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_linprog import reference_solve_lp
+from reference_linprog import reference_nonneg_feasible, reference_solve_lp
 
 import toricip.linprog
 from toricip.linalg import dot, solve_exact
-from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible, solve_lp
+from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, nonneg_feasible, solve_lp
 
 
 def vertex_oracle(c, a_ub, b_ub, maximize=False):
@@ -55,7 +55,6 @@ def test_against_vertex_enumeration(seed):
 def test_infeasible():
     res = solve_lp([1], a_ub=[[1], [-1]], b_ub=[-2, 1])  # x <= -2 and x >= -1
     assert res.status == INFEASIBLE
-    assert not lp_feasible([[1], [-1]], [-2, 1])
 
 
 def test_unbounded():
@@ -234,3 +233,78 @@ def lp_problems(draw):
 @given(lp_problems())
 def test_matches_reference_property(problem):
     assert_matches_reference(*problem)
+
+
+NONNEG_CASES = {
+    # (expected, rows, b)
+    "zero_columns_zero_b": (True, [[], []], [0, 0]),
+    "zero_columns_nonzero_b": (False, [[], []], [0, 3]),
+    "no_rows": (True, [], []),
+    "zero_b": (True, [[1, -2, 3], [0, 1, -1]], [0, 0]),
+    "negative_b": (True, [[-1, 2], [0, -1]], [-3, -1]),
+    "negative_b_outside": (False, [[1, 2], [0, 1]], [-3, 1]),
+    "redundant_rows": (True, [[1, 1], [2, 2], [-1, -1]], [3, 6, -3]),
+    "inconsistent_rows": (False, [[1, 1], [2, 2]], [3, 5]),
+    "sign_blocks": (False, [[1, 1, 0], [0, 0, 1]], [-1, 2]),
+    "fractions": (True, [[Fraction(1, 3), Fraction(-1, 2)], [1, 0]],
+                  [Fraction(1, 6), Fraction(2)]),
+    "fractions_infeasible": (False, [[Fraction(1, 3), Fraction(1, 2)]], [Fraction(-1, 5)]),
+    # the cone of (1, 0), (1, 1) misses (0, 1)
+    "outside_cone": (False, [[1, 1], [0, 1]], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONNEG_CASES))
+def test_nonneg_feasible_named_cases(name):
+    want, rows, b = NONNEG_CASES[name]
+    assert nonneg_feasible(rows, b) == reference_nonneg_feasible(rows, b) == want
+
+
+def random_nonneg_system(rng):
+    """Rows and b of {x >= 0 : rows x = b}: mixed signs, at times Fractions,
+    redundant rows, b = 0 or no columns."""
+    fractional = rng.random() < 0.3
+
+    def num():
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.randint(1, 4)) if fractional and rng.random() < 0.4 else v
+
+    d, k = rng.randint(1, 4), rng.randint(0, 6)
+    rows = [[num() for _ in range(k)] for _ in range(d)]
+    if rng.random() < 0.3:  # b in the cone, built from some x >= 0
+        x = [rng.randint(0, 2) for _ in range(k)]
+        b = [dot(r, x) for r in rows]
+    else:
+        b = [0 if rng.random() < 0.2 else num() for _ in range(d)]
+    if rng.random() < 0.3:  # a redundant or, when b is off, an inconsistent row
+        m = rng.choice([-2, -1, 2])
+        rows.append([m * v for v in rows[0]])
+        b.append(m * b[0] + rng.choice([0, 0, 1]))
+    return rows, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nonneg_feasible_matches_reference_seeded(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        rows, b = random_nonneg_system(rng)
+        assert nonneg_feasible(rows, b) == reference_nonneg_feasible(rows, b)
+
+
+@st.composite
+def nonneg_systems(draw):
+    k = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(coefficients, min_size=k, max_size=k), min_size=1, max_size=4))
+    b = draw(st.lists(coefficients, min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):  # a redundant row
+        m = draw(st.integers(-3, 3))
+        rows.append([m * v for v in rows[0]])
+        b.append(m * b[0])
+    return rows, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_systems())
+def test_nonneg_feasible_matches_reference_property(system):
+    rows, b = system
+    assert nonneg_feasible(rows, b) == reference_nonneg_feasible(rows, b)
