@@ -83,7 +83,7 @@ def cmd_relax(args):
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     b = _vector(args.rhs, a.d, "rhs")
-    tau = fileio.read_face(args.face)
+    tau = fileio.read_face(args.face, a.n)
     delta = regular_subdivision(a, cost)
     rel = relax.build_relaxation(a, cost, delta, tau, b)
     out = relax.solve_relaxation(rel)

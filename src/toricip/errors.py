@@ -83,6 +83,10 @@ class BoundUnavailable(DomainError):
     kind = "bound_unavailable"
 
 
+class BudgetExceeded(DomainError):
+    kind = "budget_exceeded"
+
+
 class ParseError(Exception):
     """Malformed input file or CLI argument (exit code 2)."""
 

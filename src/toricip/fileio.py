@@ -45,17 +45,21 @@ def read_vector(spec):
         raise ParseError(f"bad vector {spec!r}: {exc}") from exc
 
 
-def read_face(spec):
-    """1-based comma-separated indices to a 0-based sorted face; '' is empty."""
-    if not spec:
-        return ()
+def _face(indices, n):
+    """0-based sorted face of 1-based indices: each an int in 1..n, none repeated."""
+    distinct = len(set(indices)) == len(indices)
+    if not distinct or any(type(i) is not int or not 1 <= i <= n for i in indices):
+        raise ParseError(f"face {list(indices)} needs distinct int indices in 1..{n}")
+    return tuple(sorted(i - 1 for i in indices))
+
+
+def read_face(spec, n):
+    """1-based comma-separated indices of n columns to a 0-based face; '' is empty."""
     try:
-        idx = sorted(int(t) - 1 for t in spec.replace(",", " ").split())
+        idx = [int(t) for t in spec.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad face {spec!r}: {exc}") from exc
-    if any(i < 0 for i in idx):
-        raise ParseError("face indices are 1-based")
-    return tuple(idx)
+    return _face(idx, n)
 
 
 def read_faces_json(path, n):
@@ -63,14 +67,9 @@ def read_faces_json(path, n):
     try:
         with open(path) as fh:
             data = json.load(fh)
-        faces = tuple(tuple(sorted(int(i) - 1 for i in face)) for face in data)
+        return tuple(_face(face, n) for face in data)
     except (OSError, ValueError, TypeError) as exc:
         raise ParseError(f"bad triangulation file {path}: {exc}") from exc
-    if any(i < 0 for f in faces for i in f):
-        raise ParseError("face indices are 1-based")
-    if any(i >= n for f in faces for i in f):
-        raise ParseError(f"face index above the {n} columns")
-    return faces
 
 
 def face_out(face):

@@ -248,36 +248,6 @@ def is_generic(a: IntMatrix, cost):
     return True, None
 
 
-def lex_realizing_cost(a: IntMatrix, cost):
-    """An integer cost realizing (cost, lex tie-break) generically.
-
-    For costs whose subdivision is not simplicial or whose basis carries ties,
-    geometric lex weights are added at increasing scales until the perturbed
-    cost is generic, reproduces the tie-broken initial ideal exactly, and
-    induces a genuine triangulation.  The verification makes the scaling safe:
-    a wrong scale is rejected, never returned.
-    """
-    from .triangulation import regular_subdivision
-
-    cost = tuple(int(v) for v in cost)
-    gb = cached_groebner(a, CostOrder.from_cost(cost))
-    if gb.generic and regular_subdivision(a, cost).is_triangulation:
-        return cost
-    heads = {b.head for b in gb.elements}
-    n = a.n
-    for base in (8, 64, 1024):
-        w = tuple(base ** (n - 1 - j) for j in range(n))
-        scale = sum(w) + 1
-        for _ in range(10):
-            c2 = tuple(scale * cv + wv for cv, wv in zip(cost, w))
-            gb2 = toric_groebner(a, CostOrder.from_cost(c2))
-            if gb2.generic and {b.head for b in gb2.elements} == heads:
-                if regular_subdivision(a, c2).is_triangulation:
-                    return c2
-            scale *= 32
-    raise RuntimeError("no scale realized the lex refinement")
-
-
 def normal_form(gb: GroebnerBasis, u):
     """Reduce x^u to its normal form, always by the lowest-index element."""
     return _reduce(tuple(int(v) for v in u), [(b.head, b.tail) for b in gb.elements])

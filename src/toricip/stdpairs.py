@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import IntMatrix
-from .errors import ChainViolation, FaceViolation, LengthViolation, NotOptimal
-from .groebner import CostOrder, GroebnerBasis, cached_groebner, lex_realizing_cost
-from .triangulation import RegularSubdivision, regular_subdivision
+from .errors import BudgetExceeded, ChainViolation, FaceViolation, LengthViolation, NotOptimal
+from .groebner import CostOrder, GroebnerBasis, cached_groebner
+from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,8 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     When the order was not generic the result is only the monomial part and is
     flagged via ``from_generic_order``.
     """
-    heads = sorted({b.head for b in gb.elements})
-    minimal = []
-    for h in heads:
-        if not any(all(e <= x for e, x in zip(g, h)) for g in minimal if g != h):
-            minimal.append(h)
-    return MonomialIdeal(tuple(minimal), gb.matrix.n, gb.generic)
+    heads = _minimalize(b.head for b in gb.elements)
+    return MonomialIdeal(tuple(heads), gb.matrix.n, gb.generic)
 
 
 @dataclass(frozen=True, order=True)
@@ -122,7 +118,7 @@ def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision)
     """
     n = ideal.nvars
     if n > 16:
-        raise ValueError("decomposition enumeration is desk-scale (n <= 16)")
+        raise BudgetExceeded(f"standard pairs sweep all 2^n index subsets; n = {n} > 16")
     gens = ideal.generators
     maxexp = ideal.max_exponents()
     delta_faces = set(delta.faces())
@@ -153,6 +149,7 @@ def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision)
 
 
 def _minimalize(gens):
+    """The minimal elements of a set of exponent vectors, in ascending order."""
     gens = sorted(set(gens))
     out = []
     for g in gens:
@@ -259,10 +256,9 @@ def decomposition_for(a: IntMatrix, cost):
     cost = tuple(int(v) for v in cost)
     gb = cached_groebner(a, CostOrder.from_cost(cost))
     delta = regular_subdivision(a, cost)
-    refined = False
-    if not gb.generic or not delta.is_triangulation:
-        delta = regular_subdivision(a, lex_realizing_cost(a, cost))
-        refined = True
+    refined = not gb.generic or not delta.is_triangulation
+    if refined:
+        delta = lex_refinement(delta)
     decomp = standard_pair_decomposition(initial_ideal(gb), delta)
     return delta, gb, decomp, refined
 

@@ -26,7 +26,12 @@ def _as_face(indices):
 
 @dataclass(frozen=True)
 class RegularSubdivision:
-    """The subdivision Delta_c: maximal cells, exact dual certificates, flags."""
+    """The subdivision Delta_c: maximal cells, exact dual certificates, flags.
+
+    A certificate y has y.a_j = c_j on its cell and y.a_j < c_j off it.  In a
+    lex refinement a simplex carries the certificate of the cell it refines, so
+    y.a_j = c_j holds on that whole cell, not only on the simplex.
+    """
 
     matrix: IntMatrix
     cost: tuple
@@ -87,6 +92,30 @@ def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     certs = tuple(cells[f] for f in faces)
     is_tri = all(len(f) == a.d for f in faces)
     return RegularSubdivision(a, cost, tuple(faces), certs, is_tri)
+
+
+def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
+    """The lex refinement of Delta_c: the triangulation for c + eps (1, t, t^2, ...).
+
+    A nonsingular d-subset sigma of a cell C is a simplex when, for each j in
+    C - sigma, the first nonzero entry of (A_sigma^{-1} a_j on sigma, -1 at j)
+    is negative, so a_j lifts above sigma.  Columns off C stay strictly slack.
+    """
+    a = delta.matrix
+    simplices = {}
+    for cell, y in zip(delta.maximal_faces, delta.certificates):
+        for sigma in combinations(cell, a.d):
+            sub = a.columns(sigma)
+            if linalg.det_int(sub) and all(
+                    _lifted_above(sigma, linalg.solve_exact(sub, a.column(j)), j)
+                    for j in cell if j not in sigma):
+                simplices[sigma] = y
+    faces = sorted(simplices)
+    return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
+
+
+def _lifted_above(sigma, lam, j):
+    return next(v for _, v in sorted([*zip(sigma, lam), (j, -1)]) if v) < 0
 
 
 @lru_cache(maxsize=256)

@@ -184,6 +184,9 @@ def test_exit_codes(capsys, fixtures, tmp_path):
     ["oracle", "points", "--rows", "sq.mat", "--offsets", "1 0 1"],
     ["sharp-family", "--m", "1"],
     ["sharp-family", "--m", "-3"],
+    # a face flag that repeats an index, or names a column past n = 4
+    ["relax", "--matrix", "ex1.mat", "--cost", "ex1.cost", "--rhs", "3 4", "--face", "1,1"],
+    ["relax", "--matrix", "ex1.mat", "--cost", "ex1.cost", "--rhs", "3 4", "--face", "1,5"],
 ])
 def test_malformed_vectors_and_family_size_are_parse_errors(capsys, fixtures, argv):
     code, out = run(capsys, [fixtures.get(a, a) for a in argv])
@@ -209,9 +212,11 @@ def test_tsv_mode(capsys, fixtures):
 
 
 @pytest.mark.parametrize("command", ["normality", "gomory-cost"])
-@pytest.mark.parametrize("faces", ["[[0, 1]]", "[[1, 5]]"])
+@pytest.mark.parametrize("faces", [
+    "[[0, 1]]", "[[1, 5]]", "[[1, 1, 2]]", "[[1.7, 2]]", "[[true, 2]]"])
 def test_triangulation_indices_out_of_range_are_parse_errors(capsys, tmp_path, command, faces):
-    # index 0 must not read the last column; 5 is past the 3 columns
+    # index 0 must not read the last column; 5 is past the 3 columns; a
+    # repeated index, a float or a bool must not be kept, truncated or cast
     mat = tmp_path / "a.mat"
     mat.write_text("2 3\n1 1 1\n0 1 3\n")
     tri = tmp_path / "a.tri"
@@ -242,3 +247,14 @@ def test_removed_noop_flags_are_parse_errors(capsys, fixtures, flag):
         "--rhs", "27", *flag])
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("command", [
+    ["stdpairs"], ["assoc"], ["gomory"], ["solve-sp", "--rhs", "3"]])
+def test_standard_pairs_past_sixteen_columns_exceed_the_budget(capsys, tmp_path, command):
+    mat = tmp_path / "wide.mat"
+    mat.write_text("1 17\n" + " ".join(["1"] * 17) + "\n")
+    cost = " ".join(str(j) for j in range(1, 18))
+    code, out = run(capsys, [command[0], "--matrix", str(mat), "--cost", cost, *command[1:]])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "budget_exceeded"

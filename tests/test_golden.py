@@ -25,6 +25,8 @@ CORPUS = GOLDEN / "corpus.json"
 KNAP = ["--matrix", "knap.mat", "--cost", "knap.cost"]
 LC = ["--matrix", "lc.mat", "--cost", "lc.cost"]
 GF = ["--matrix", "gf.mat", "--cost", "gf.cost"]
+EX2 = ["--matrix", "ex1.mat", "--cost", "ex2.cost"]
+SHARP3 = ["--matrix", "sharp3.mat", "--cost", "sharp3.cost"]
 
 CASES = {
     "triangulate-ex1": ["triangulate", "--matrix", "ex1.mat", "--cost", "ex1.cost"],
@@ -52,6 +54,11 @@ CASES = {
     "oracle-points-sq": ["oracle", "points", "--rows", "sq.mat", "--offsets", "sq.off"],
     "oracle-fiber-knap": ["oracle", "fiber", *KNAP, "--rhs", "58"],
     "oracle-stdpairs-knap": ["oracle", "stdpairs", *KNAP],
+    # degenerate costs: the subdivision is refined by the lex tie-break
+    "stdpairs-ex2": ["stdpairs", *EX2],
+    "solve-sp-ex2": ["solve-sp", *EX2, "--rhs", "3,4"],
+    "stdpairs-sharp3": ["stdpairs", *SHARP3],
+    "assoc-sharp3": ["assoc", *SHARP3],
 }
 
 RUNS = {f"{name}.{fmt}": argv + extra

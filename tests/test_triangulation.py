@@ -6,16 +6,23 @@ from conftest import (
     EX1_COST,
     EX2_COST,
     EX3,
+    GFAMILY,
+    KNAPSACK,
     LONG_CHAIN,
     LONG_CHAIN_COST,
+    NONNORMAL,
     face,
     faces_1based,
 )
+from reference_refinement import lex_realizing_cost
 
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
-from toricip.errors import OutsideCone
+from toricip.errors import DomainError, OutsideCone
+from toricip.groebner import CostOrder, cached_groebner
+from toricip.hilbert import sharp_family
 from toricip.linalg import dot
 from toricip.triangulation import (
+    lex_refinement,
     optimal_face,
     regular_subdivision,
     unimodularity_report,
@@ -201,3 +208,68 @@ def test_optimal_face_on_a_subdivision():
     assert optimal_face(d, (3, 4)) == face(1, 3)
     with pytest.raises(OutsideCone):
         optimal_face(d, (1, 4))
+
+
+DEGENERATE = {
+    "ex1-zero": (IntMatrix(EX1), (0, 0, 0, 0)),
+    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
+    "ex3-zero": (IntMatrix(EX3), (0, 0, 0, 0)),
+    "knapsack-zero": (IntMatrix(KNAPSACK), (0, 0, 0)),
+    "nonnormal-zero": (IntMatrix(NONNORMAL), (0, 0, 0, 0)),
+    "gfamily-zero": (IntMatrix(GFAMILY), (0,) * 6),
+    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
+    "sharp3": sharp_family(3),
+}
+
+
+def _degenerate_instance(seed):
+    """A small matrix with a degenerate cost: ties in the basis or a fat cell.
+
+    At most 5 columns, so the integer-cost search of the reference stays fast.
+    """
+    rng = random.Random(seed)
+    d = 1 + rng.randrange(3)
+    n = min(d + 1 + rng.randrange(3), 5)
+    while True:
+        rows = tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d))
+        try:
+            a = IntMatrix(rows)
+        except DomainError:
+            continue
+        for _ in range(20):
+            c = tuple(rng.randint(0, 2) for _ in range(n))
+            gb = cached_groebner(a, CostOrder.from_cost(c))
+            if not gb.generic or not regular_subdivision(a, c).is_triangulation:
+                return a, c
+
+
+def _assert_matches_search(a, cost):
+    delta = regular_subdivision(a, cost)
+    refined = lex_refinement(delta)
+    want = regular_subdivision(a, lex_realizing_cost(a, cost))
+    assert refined.maximal_faces == want.maximal_faces
+    assert refined.is_triangulation and refined.cost == delta.cost
+    # each simplex carries the certificate of the cell it refines
+    for sigma, y in zip(refined.maximal_faces, refined.certificates):
+        cell = next(f for f in delta.maximal_faces if set(sigma) <= set(f))
+        assert y == delta.certificate(cell)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_lex_refinement_matches_integer_cost_search(name):
+    _assert_matches_search(*DEGENERATE[name])
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_lex_refinement_matches_search_on_seeded_costs(seed):
+    _assert_matches_search(*_degenerate_instance(seed))
+
+
+def test_lex_refinement_splits_the_zero_cost_cell():
+    # all four columns of EX1 lie in one cell at cost 0; the lex lift
+    # (1, t, t^2, t^3) is convex over the points 0..3, so each column is a vertex
+    d = lex_refinement(regular_subdivision(IntMatrix(EX1), (0, 0, 0, 0)))
+    assert faces_1based(d.maximal_faces) == [(1, 2), (2, 3), (3, 4)]
+    # a triangulation is its own refinement
+    tri = regular_subdivision(IntMatrix(EX1), EX1_COST)
+    assert lex_refinement(tri).maximal_faces == tri.maximal_faces
