@@ -28,6 +28,8 @@ def _emit(args, payload):
             elif isinstance(value, dict):
                 value = ";".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
                                  for k, v in sorted(value.items()))
+            elif not isinstance(value, str):
+                value = json.dumps(value)
             print(f"{key}\t{value}")
     else:
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))

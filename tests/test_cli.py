@@ -211,6 +211,16 @@ def test_tsv_mode(capsys, fixtures):
     assert lines["value"] == "10500"
 
 
+def test_tsv_mode_writes_booleans_and_null_as_json(capsys, fixtures):
+    code, out = run(capsys, ["normality", "--matrix", fixtures["nn.mat"], "--tsv"])
+    assert code == 0
+    lines = dict(line.split("\t") for line in out.strip().splitlines())
+    assert lines["normal"] == "false"
+    code, out = run(capsys, ["normality", "--matrix", fixtures["ex1.mat"], "--tsv"])
+    lines = dict(line.split("\t") for line in out.strip().splitlines())
+    assert (lines["normal"], lines["witness"]) == ("true", "null")
+
+
 @pytest.mark.parametrize("command", ["normality", "gomory-cost"])
 @pytest.mark.parametrize("faces", [
     "[[0, 1]]", "[[1, 5]]", "[[1, 1, 2]]", "[[1.7, 2]]", "[[true, 2]]"])
