@@ -1,12 +1,15 @@
 """Toric Groebner bases and integer programming by normal-form reduction.
 
 The toric ideal of A is the binomial ideal of its kernel relations.  We start
-from a saturated kernel lattice basis, run a binomial Buchberger completion,
-and saturate by each variable in turn with a graded reverse-lexicographic pass
-(the lattice-ideal saturation trick: for positively graded ideals, dividing
-every reduced-basis element by the variable made cheapest computes the
-quotient by that variable's powers).  A final completion under the cost order
-yields the reduced basis, the unique minimal test set of the family.
+from the binomials of an LLL-reduced basis of the saturated kernel lattice,
+run a binomial Buchberger completion, and saturate by each variable in turn
+with a graded reverse-lexicographic pass (the lattice-ideal saturation trick:
+for positively graded ideals, dividing every reduced-basis element by the
+variable made cheapest computes the quotient by that variable's powers).  A
+final completion under the cost order yields the reduced basis, the unique
+minimal test set of the family.  Any lattice basis gives the same toric ideal
+and so the same reduced basis; short vectors keep the intermediate bases
+small, where the long vectors of a column-Hermite basis can make them grow.
 
 Orders are weight stacks refined by lex, encoded as sort keys, so every run is
 deterministic even for non-generic costs; genericity is reported, never
@@ -21,7 +24,7 @@ from operator import le
 from . import fibers
 from .core import IntMatrix, LatticeBasis, cached_kernel_basis
 from .errors import Infeasible
-from .linalg import clear_denominators, dot
+from .linalg import clear_denominators, dot, lll_reduce
 from .linprog import OPTIMAL, solve_lp
 
 
@@ -207,12 +210,11 @@ def positive_grading(a: IntMatrix):
 def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal of A under the given order."""
     lattice = cached_kernel_basis(a)
-    gens = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
-            for col in lattice.columns()]
-    if not gens:
+    basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
+             for col in lll_reduce(lattice.columns())]
+    if not basis:
         return GroebnerBasis((), order, a, lattice, True)
     w = positive_grading(a)
-    basis = [g for g in gens]
     for i in range(a.n):
         basis = _completion(basis, _RevlexSat(w, a.n, i), False)
         stripped = []

@@ -141,6 +141,66 @@ def kernel_basis(rows, n):
     return [tuple(u[i][j] for i in range(n)) for j in range(rk, n)], rk
 
 
+def lll_reduce(vectors):
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by independent vectors.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): d[i] is the Gram determinant of the first i vectors and
+    lam[k][j] = d[j+1] * mu[k][j], so every step stays in the integers.
+    """
+    b = [list(v) for v in vectors]
+    n = len(b)
+    if n == 0:
+        return []
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    d[1] = dot(b[0], b[0])
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("vectors are linearly dependent")
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return [tuple(v) for v in b]
+
+
 def _xgcd(a, b):
     """g, x, y with x*a + y*b = g = gcd(a, b), g > 0 for (a, b) != (0, 0)."""
     old_r, r = a, b

@@ -1,11 +1,24 @@
 import random
 
 import pytest
-from conftest import EX1, EX1_COST, KNAPSACK, KNAPSACK_COST
+from conftest import (
+    EX1,
+    EX1_COST,
+    EX2_COST,
+    GFAMILY,
+    GFAMILY_COST,
+    KNAPSACK,
+    KNAPSACK_COST,
+    LONG_CHAIN,
+    LONG_CHAIN_COST,
+    make_instance,
+)
+from reference_groebner import hermite_toric_groebner
 
 from toricip import fibers, oracle
 from toricip.core import IntMatrix
 from toricip.errors import Infeasible
+from toricip.hilbert import sharp_family
 from toricip.groebner import (
     CostOrder,
     cached_groebner,
@@ -150,3 +163,66 @@ def test_phi_bijectivity_on_box():
         img = a.apply(nf)
         assert img not in images
         images.add(img)
+
+
+NAMED = {
+    "knapsack": (IntMatrix(KNAPSACK), KNAPSACK_COST),
+    "ex1": (IntMatrix(EX1), EX1_COST),
+    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
+    "long-chain": (IntMatrix(LONG_CHAIN), LONG_CHAIN_COST),
+    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
+    "gfamily": (IntMatrix(GFAMILY), GFAMILY_COST),
+    "sharp3": sharp_family(3),
+}
+
+
+def _assert_matches_hermite_seeded(a, cost):
+    # the reduced basis of an order does not depend on the lattice basis
+    # the saturation starts from
+    order = CostOrder.from_cost(cost)
+    gb, ref = toric_groebner(a, order), hermite_toric_groebner(a, order)
+    assert (gb.elements, gb.generic) == (ref.elements, ref.generic)
+    assert gb.lattice == ref.lattice
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_basis_matches_hermite_seeded_reference(name):
+    _assert_matches_hermite_seeded(*NAMED[name])
+
+
+@pytest.mark.parametrize("seed", [s for s in range(41) if s != 37])
+def test_basis_matches_hermite_seeded_reference_on_acceptance_seeds(seed):
+    # seed 34's Hermite basis has entries up to 92; its saturation grows large
+    _assert_matches_hermite_seeded(*make_instance(seed))
+
+
+# (rows or acceptance seed, cost, basis size, generic): the Hermite-seeded
+# saturation takes seconds (seed 37, the first matrix) or minutes on these
+SLOW_FOR_HERMITE = {
+    "seed-37": (37, None, 7, True),
+    "degenerate-a": (((2, 2, 3, 3, 1, 3), (3, 4, 2, 3, 0, 3), (2, 1, 3, 0, 4, 1)),
+                     (0, 1, 1, 1, 0, 2), 19, False),
+    "degenerate-b": (((4, 4, 3, 3, 2, 2), (2, 0, 3, 2, 2, 4), (4, 4, 2, 2, 1, 3)),
+                     (0, 0, 2, 0, 2, 2), 10, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_FOR_HERMITE))
+def test_bases_beyond_the_reference(name):
+    rows, cost, size, generic = SLOW_FOR_HERMITE[name]
+    a, cost = make_instance(rows) if cost is None else (IntMatrix(rows), cost)
+    order = CostOrder.from_cost(cost)
+    gb = toric_groebner(a, order)
+    assert (len(gb.elements), gb.generic) == (size, generic)
+    for i, b in enumerate(gb.elements):
+        assert a.apply(b.vector) == (0,) * a.d
+        assert all(p == 0 or m == 0 for p, m in zip(b.head, b.tail))
+        assert order.key(b.head) > order.key(b.tail)
+        for j, other in enumerate(gb.elements):
+            if i != j:
+                assert not all(x <= y for x, y in zip(other.head, b.head))
+                assert not all(x <= y for x, y in zip(other.head, b.tail))
+    rng = random.Random(7)
+    for _ in range(4):
+        rhs = a.apply(tuple(rng.randint(0, 2) for _ in range(a.n)))
+        assert solve_ip(a, order, rhs) == oracle.fiber_solve(a, cost, rhs)

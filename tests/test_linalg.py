@@ -127,3 +127,81 @@ def test_solve_exact_matches_fraction_reference(seed):
                 linalg.solve_exact(rows, rhs)
             continue
         assert linalg.solve_exact(rows, rhs) == want
+
+
+def gram_schmidt(vectors):
+    """Fraction Gram-Schmidt: the squared lengths |b*_i|^2 and the mu matrix."""
+    from fractions import Fraction
+
+    stars, norms = [], []
+    mu = [[Fraction(0)] * len(vectors) for _ in vectors]
+    for i, v in enumerate(vectors):
+        star = [Fraction(x) for x in v]
+        for j in range(i):
+            mu[i][j] = linalg.dot(v, stars[j]) / norms[j]
+            star = [x - mu[i][j] * y for x, y in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(linalg.dot(star, star))
+    return norms, mu
+
+
+def hermite_form(vectors):
+    """Canonical column Hermite form of the lattice the vectors span."""
+    n, k = len(vectors[0]), len(vectors)
+    h, _, pivots = linalg.column_hermite([[v[i] for v in vectors] for i in range(n)], k)
+    cols = [[h[i][j] for i in range(n)] for j in range(k)]
+    for r, c in enumerate(pivots):
+        if c is None:
+            continue
+        if cols[c][r] < 0:
+            cols[c] = [-x for x in cols[c]]
+        for left in range(c):
+            q = cols[left][r] // cols[c][r]
+            cols[left] = [x - q * y for x, y in zip(cols[left], cols[c])]
+    return [tuple(col) for col in cols if any(col)]
+
+
+def assert_lll_reduced(vectors, reduced):
+    from fractions import Fraction
+
+    assert hermite_form(reduced) == hermite_form(vectors)
+    norms, mu = gram_schmidt(reduced)
+    for i in range(len(reduced)):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        if i:
+            assert norms[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norms[i - 1]
+
+
+def skewed_basis(rng, k, n):
+    """k independent vectors in Z^n, mixed by random unimodular steps."""
+    while True:
+        vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(vecs) == k:
+            break
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        vecs[i] = [x + rng.randint(-6, 6) * y for x, y in zip(vecs[i], vecs[j])]
+    return [tuple(v) for v in vecs]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lll_reduce_matches_fraction_gram_schmidt(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    vectors = skewed_basis(rng, rng.randint(1, n), n)
+    assert_lll_reduced(vectors, linalg.lll_reduce(vectors))
+
+
+def test_lll_reduce_shortens_a_hermite_kernel_basis():
+    # the column-Hermite kernel basis of acceptance seed 34
+    vectors = [(4, 11, -16, 20, 0), (17, 51, -74, 92, 2)]
+    reduced = linalg.lll_reduce(vectors)
+    assert reduced == [(-2, 3, -4, 4, 4), (-5, -1, 2, -4, 6)]
+    assert_lll_reduced(vectors, reduced)
+
+
+def test_lll_reduce_edge_cases():
+    assert linalg.lll_reduce([]) == []
+    assert linalg.lll_reduce([(0, -3, 0)]) == [(0, -3, 0)]
+    with pytest.raises(ValueError):
+        linalg.lll_reduce([(1, 2, 3), (2, 4, 6)])

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import assert_lll_reduced
 
 from toricip import linalg
 from toricip.core import IntMatrix
@@ -96,3 +97,17 @@ def test_order_ideal_downward_closure(rows, cost):
             if star[i]:
                 below = star[:i] + (star[i] - 1,) + star[i + 1 :]
                 assert normal_form(gb, below) == below
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, n).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+            min_size=k,
+            max_size=k,
+        ))))
+def test_lll_reduce_properties(vectors):
+    if linalg.rank(vectors) < len(vectors):
+        return
+    assert_lll_reduced(vectors, linalg.lll_reduce(vectors))

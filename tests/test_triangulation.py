@@ -225,11 +225,11 @@ DEGENERATE = {
 def _degenerate_instance(seed):
     """A small matrix with a degenerate cost: ties in the basis or a fat cell.
 
-    At most 5 columns, so the integer-cost search of the reference stays fast.
+    At most 6 columns, so the integer-cost search of the reference stays fast.
     """
     rng = random.Random(seed)
     d = 1 + rng.randrange(3)
-    n = min(d + 1 + rng.randrange(3), 5)
+    n = d + 1 + rng.randrange(3)
     while True:
         rows = tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d))
         try:
