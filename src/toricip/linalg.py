@@ -176,6 +176,8 @@ def lll_reduce(vectors):
         d[k] = new
 
     d[1] = dot(b[0], b[0])
+    if d[1] == 0:
+        raise ValueError("vectors are linearly dependent")
     k, kmax = 1, 0
     while k < n:
         if k > kmax:

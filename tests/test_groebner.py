@@ -18,7 +18,6 @@ from reference_groebner import hermite_toric_groebner
 from toricip import fibers, oracle
 from toricip.core import IntMatrix
 from toricip.errors import Infeasible
-from toricip.hilbert import sharp_family
 from toricip.groebner import (
     CostOrder,
     cached_groebner,
@@ -28,6 +27,7 @@ from toricip.groebner import (
     solve_ip,
     toric_groebner,
 )
+from toricip.hilbert import sharp_family
 from toricip.linalg import dot
 
 
@@ -196,21 +196,21 @@ def test_basis_matches_hermite_seeded_reference_on_acceptance_seeds(seed):
     _assert_matches_hermite_seeded(*make_instance(seed))
 
 
-# (rows or acceptance seed, cost, basis size, generic): the Hermite-seeded
-# saturation takes seconds (seed 37, the first matrix) or minutes on these
+# (instance, basis size, generic): the Hermite-seeded saturation takes
+# seconds (seed 37, the first degenerate cost) or minutes on these
 SLOW_FOR_HERMITE = {
-    "seed-37": (37, None, 7, True),
-    "degenerate-a": (((2, 2, 3, 3, 1, 3), (3, 4, 2, 3, 0, 3), (2, 1, 3, 0, 4, 1)),
-                     (0, 1, 1, 1, 0, 2), 19, False),
-    "degenerate-b": (((4, 4, 3, 3, 2, 2), (2, 0, 3, 2, 2, 4), (4, 4, 2, 2, 1, 3)),
-                     (0, 0, 2, 0, 2, 2), 10, False),
+    "seed-37": (lambda: make_instance(37), 7, True),
+    "degenerate-a": (lambda: (IntMatrix(((2, 2, 3, 3, 1, 3), (3, 4, 2, 3, 0, 3),
+                                         (2, 1, 3, 0, 4, 1))), (0, 1, 1, 1, 0, 2)), 19, False),
+    "degenerate-b": (lambda: (IntMatrix(((4, 4, 3, 3, 2, 2), (2, 0, 3, 2, 2, 4),
+                                         (4, 4, 2, 2, 1, 3))), (0, 0, 2, 0, 2, 2)), 10, False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SLOW_FOR_HERMITE))
 def test_bases_beyond_the_reference(name):
-    rows, cost, size, generic = SLOW_FOR_HERMITE[name]
-    a, cost = make_instance(rows) if cost is None else (IntMatrix(rows), cost)
+    instance, size, generic = SLOW_FOR_HERMITE[name]
+    a, cost = instance()
     order = CostOrder.from_cost(cost)
     gb = toric_groebner(a, order)
     assert (len(gb.elements), gb.generic) == (size, generic)

@@ -203,5 +203,6 @@ def test_lll_reduce_shortens_a_hermite_kernel_basis():
 def test_lll_reduce_edge_cases():
     assert linalg.lll_reduce([]) == []
     assert linalg.lll_reduce([(0, -3, 0)]) == [(0, -3, 0)]
-    with pytest.raises(ValueError):
-        linalg.lll_reduce([(1, 2, 3), (2, 4, 6)])
+    for dependent in [[(0, 0)], [(1, 2, 3), (2, 4, 6)], [(1, 0), (0, 0), (0, 1)]]:
+        with pytest.raises(ValueError):
+            linalg.lll_reduce(dependent)
