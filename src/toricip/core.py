@@ -8,11 +8,12 @@ the origin (which also forces the cone to be pointed and every program in the
 family to be bounded).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
 from .errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
+from .fibers import Factorization, factor
 from .linprog import nonneg_feasible
 
 
@@ -71,10 +72,15 @@ def _integer(x):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """n x (n-d) integer basis of the saturated kernel lattice of A."""
+    """n x (n-d) integer basis of the saturated kernel lattice of A.
+
+    ``fibers`` is the column-Hermite factorization of A the basis was read
+    from; it solves A x = b over the fibers of A for every b.
+    """
 
     matrix: tuple  # n rows, n-d columns
     source: IntMatrix
+    fibers: Factorization = field(compare=False, repr=False)
 
     @property
     def n(self):
@@ -99,16 +105,17 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     lattice is saturated by construction; both facts are re-verified before
     returning (A B = 0 entrywise, Smith invariants of B all 1).
     """
-    cols, rk = linalg.kernel_basis(a.entries, a.n)
-    if rk < a.d:
+    fac = factor(a.entries)
+    if fac.rank < a.d:
         raise RankDeficient("rank below row count")
-    bmat = tuple(tuple(col[i] for col in cols) for i in range(a.n))
+    bmat = tuple(row[fac.rank :] for row in fac.u)
+    cols = list(zip(*bmat))
     for col in cols:
         if any(v != 0 for v in a.apply(col)):
             raise AssertionError("kernel basis failed A B = 0")
     if cols and any(s != 1 for s in linalg.smith_invariants(bmat)):
         raise AssertionError("kernel basis not saturated")
-    return LatticeBasis(bmat, a)
+    return LatticeBasis(bmat, a, fac)
 
 
 @lru_cache(maxsize=256)

@@ -8,12 +8,15 @@ x0 with A x0 = b (or shows there is none), and a second brings the kernel
 basis to column-echelon form B with positive pivots.  Then the coordinates
 of x before the pivot row of z_2 depend on z_1 alone, and the pivot row of
 z_1 grows strictly with it; so on for z_2, z_3, ...  Lex order on z is lex
-order on x, so the sweep yields the fiber in lex order.  An infinite fiber
+order on x, so the sweep yields the fiber in lex order.  Both reductions
+depend on A alone: :func:`factor` does them once, and its
+:class:`Factorization` answers every b.  An infinite fiber
 (the kernel of A meets the nonnegative orthant; IntMatrix rules that out)
 raises Unbounded.
 """
 
 import math
+from dataclasses import dataclass
 
 from .errors import ParseError, Unbounded
 from .linalg import column_hermite, dot, mat_vec
@@ -114,44 +117,78 @@ def lattice_points_boxed(rows, dim, limit=None):
     return out
 
 
-def _parametrize(rows, b):
-    """(x0, B, k): {x in Z^n : rows @ x = b} = x0 + B Z^k, B echelon; None if empty."""
-    if len(b) != len(rows):
-        raise ParseError(f"right-hand side has {len(b)} entries, expected {len(rows)}")
+@dataclass(frozen=True)
+class Factorization:
+    """rows U = [H | 0] with U unimodular, and an echelon kernel basis B.
+
+    Everything here depends on the rows alone, so one factorization serves
+    every right-hand side: each b then costs a forward substitution through
+    H, the check rows @ x0 = b and the sweep over z.
+    """
+
+    rows: tuple
+    h: tuple
+    u: tuple
+    pivots: tuple  # pivot column of H per row, or None
+    basis: tuple  # n rows, k columns: column echelon with positive pivots
+
+    @property
+    def rank(self):
+        return len(self.pivots) - self.pivots.count(None)
+
+    def particular(self, b):
+        """An integer x0 with rows @ x0 = b, or None when there is none."""
+        b = tuple(int(v) for v in b)
+        if len(b) != len(self.rows):
+            raise ParseError(f"right-hand side has {len(b)} entries, expected {len(self.rows)}")
+        h = self.h
+        w = [0] * len(self.u)
+        for r, col in enumerate(self.pivots):
+            res = b[r] - dot(h[r], w)
+            if col is not None and res % h[r][col] == 0:
+                w[col] = res // h[r][col]
+            elif res or col is not None:  # a pivot that does not divide, or a residual left
+                return None
+        x0 = mat_vec(self.u, w)
+        if mat_vec(self.rows, x0) != b:
+            raise AssertionError("fiber parametrisation failed A x0 = b")
+        return x0
+
+    def points(self, b, limit=None):
+        """The fiber {x in N^n : rows @ x = b} in lex order, at most ``limit`` points."""
+        x0 = self.particular(b)
+        if x0 is None:
+            return []
+        basis = self.basis
+        ineqs = [(tuple(-v for v in row), x) for row, x in zip(basis, x0)]
+        return [
+            tuple(x + dot(row, z) for row, x in zip(basis, x0))
+            for z in lattice_points_boxed(ineqs, len(self.u) - self.rank, limit)
+        ]
+
+    def first(self, b):
+        """Lexicographically first fiber point, or None when the fiber is empty."""
+        pts = self.points(b, limit=1)
+        return pts[0] if pts else None
+
+
+def factor(rows):
+    """The :class:`Factorization` of {x in Z^n : rows @ x = b} for every b."""
+    rows = tuple(tuple(r) for r in rows)
     n = len(rows[0]) if rows else 0
     h, u, pivots = column_hermite(rows, n)
-    w = [0] * n
-    for r, col in enumerate(pivots):
-        res = b[r] - dot(h[r], w)
-        if col is not None and res % h[r][col] == 0:
-            w[col] = res // h[r][col]
-        elif res or col is not None:  # a pivot that does not divide, or a residual left
-            return None
-    x0 = mat_vec(u, w)
     k = n - (len(pivots) - pivots.count(None))
     echelon = column_hermite([row[n - k :] for row in u], k)[0]
     sign = [1 if next(v for v in col if v) > 0 else -1 for col in zip(*echelon)]
-    basis = [tuple(s * v for s, v in zip(sign, row)) for row in echelon]
-    if mat_vec(rows, x0) != b or any(dot(r, c) for r in rows for c in zip(*basis)):
-        raise AssertionError("fiber parametrisation failed A x0 = b or A B = 0")
-    return x0, basis, k
-
-
-def _fiber_points(rows, b, limit=None):
-    param = _parametrize(rows, tuple(int(v) for v in b))
-    if param is None:
-        return []
-    x0, basis, k = param
-    ineqs = [(tuple(-v for v in row), x) for row, x in zip(basis, x0)]
-    return [
-        tuple(x + dot(row, z) for row, x in zip(basis, x0))
-        for z in lattice_points_boxed(ineqs, k, limit)
-    ]
+    basis = tuple(tuple(s * v for s, v in zip(sign, row)) for row in echelon)
+    if any(dot(r, c) for r in rows for c in zip(*basis)):
+        raise AssertionError("fiber parametrisation failed A B = 0")
+    return Factorization(rows, tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots), basis)
 
 
 def iter_fiber(rows, b):
     """Yield all x in N^n with rows @ x = b, in lexicographic order."""
-    yield from _fiber_points(rows, b)
+    yield from factor(rows).points(b)
 
 
 def fiber_first(rows, b):
@@ -160,12 +197,11 @@ def fiber_first(rows, b):
     Deliberately independent of any cost vector, so it can seed optimization
     paths without biasing them.
     """
-    pts = _fiber_points(rows, b, limit=1)
-    return pts[0] if pts else None
+    return factor(rows).first(b)
 
 
 def fiber_list(rows, b):
-    return _fiber_points(rows, b)
+    return factor(rows).points(b)
 
 
 def fiber_optimum(rows, cost, b, key=None):
@@ -176,4 +212,4 @@ def fiber_optimum(rows, cost, b, key=None):
     """
     if key is None:
         key = lambda x: (dot(cost, x), x)
-    return min(_fiber_points(rows, b), key=key, default=None)
+    return min(factor(rows).points(b), key=key, default=None)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from . import fibers
 from .core import IntMatrix, LatticeBasis, cached_kernel_basis
 from .errors import Infeasible
 from .linalg import clear_denominators, dot, lll_reduce
@@ -258,11 +257,12 @@ def normal_form(gb: GroebnerBasis, u):
 def solve_ip(a: IntMatrix, order: CostOrder, b):
     """Optimal point of min {cost . x : Ax = b, x in N^n} via normal form.
 
-    A feasible point is taken from the fiber sweep (lex-first, cost-blind) and
-    reduced by the basis; by the test-set property the result is the unique
-    optimum under the order.
+    A feasible point is taken from the fiber sweep (lex-first, cost-blind),
+    through the factorization of A its kernel basis carries, and reduced by
+    the basis; by the test-set property the result is the unique optimum
+    under the order.
     """
-    u = fibers.fiber_first(a.entries, b)
+    u = cached_kernel_basis(a).fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {tuple(b)}")
     gb = cached_groebner(a, order)

@@ -33,6 +33,18 @@ def det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(rows):
+    """The integer adjugate of a square matrix, so rows @ adj = det(rows) I.
+
+    Entry (i, j) is the (j, i) cofactor, a Bareiss determinant of size n - 1.
+    """
+    n = len(rows)
+    return tuple(
+        tuple((-1) ** (i + j) * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+              for j in range(n))
+        for i in range(n))
+
+
 def rank(rows):
     """Rank over Q, by fraction Gaussian elimination."""
     a = [[Fraction(x) for x in r] for r in rows]

@@ -10,9 +10,9 @@ nonnegative.
 
 from dataclasses import dataclass
 
-from . import fibers, oracle
+from . import oracle
 from .core import IntMatrix, cached_kernel_basis
-from .errors import Infeasible, NotAFace
+from .errors import Infeasible, NotAFace, ParseError
 from .linalg import dot
 from .stdpairs import Decomposition
 from .triangulation import RegularSubdivision, reduced_cost
@@ -50,16 +50,20 @@ class RelaxationOutcome:
 def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> GroupRelaxation:
     """Assemble G^tau(b).  NotAFace when tau is outside the triangulation
     (the relaxation would be unbounded); Infeasible when the fiber is empty.
+    ``delta`` must be the subdivision of (a, cost): the reduced cost is read
+    off its certificate.
     """
     cost = tuple(int(v) for v in cost)
+    if delta.matrix != a or delta.cost != cost:
+        raise ParseError("the subdivision was built for another matrix or cost")
     tau = tuple(sorted(tau))
     if tau not in delta:
         raise NotAFace(f"{tau} indexes an unbounded relaxation")
-    u = fibers.fiber_first(a.entries, b)
+    u = cached_kernel_basis(a).fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {tuple(b)}")
     sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
-    ctilde = reduced_cost(a, cost, sigma)
+    ctilde = reduced_cost(delta, sigma)
     return GroupRelaxation(
         a, cost, tau, tuple(int(v) for v in b), u, sigma, ctilde,
         oracle.cost_row(a, cost),
@@ -94,9 +98,14 @@ def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     Any pair whose system has a point in N^tau (its fiber) yields the optimum
     (the lifted point lies in the pair's semigroup, hence among the optimal
     points, and fibers meet the optimal set once).  Maximal faces are tried
-    first, then faces by decreasing size.
+    first, then faces by decreasing size.  Each face's system is factored
+    once per decomposition (:attr:`Decomposition.face_fibers`).
     """
     b = tuple(int(v) for v in b)
+    if len(b) != a.d:
+        raise ParseError(f"right-hand side has {len(b)} entries, expected {a.d}")
+    if decomp.delta.matrix != a:
+        raise ParseError("the decomposition was built for another matrix")
     maximal = set(decomp.delta.maximal_faces)
     ordered = sorted(
         decomp.pairs,
@@ -104,7 +113,7 @@ def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     )
     for pair in ordered:
         rhs = tuple(bi - vi for bi, vi in zip(b, a.apply(pair.root)))
-        sol = fibers.fiber_first(a.columns(pair.face), rhs)
+        sol = decomp.face_fibers[pair.face].first(rhs)
         if sol is None:
             continue
         x = list(pair.root)

@@ -14,10 +14,12 @@ multiplicities, the arithmetic degree and the chain structure audited by
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .core import IntMatrix
 from .errors import BudgetExceeded, ChainViolation, FaceViolation, LengthViolation, NotOptimal
+from .fibers import factor
 from .groebner import CostOrder, GroebnerBasis, cached_groebner
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
@@ -81,31 +83,48 @@ class Decomposition:
     def associated_sets(self):
         return sorted(self.multiplicities, key=lambda f: (len(f), f))
 
+    @cached_property
+    def face_fibers(self):
+        """The fiber factorization of A_tau per pair face tau, built on first use."""
+        a = self.delta.matrix
+        return {face: factor(a.columns(face)) for face in self.multiplicities}
 
-def _admissible_roots(taubar, proj_gens, bounds):
-    """Roots over the taubar coordinates whose semigroup avoids the ideal.
 
-    proj_gens are the generators projected to taubar; a subtree dies as soon
-    as one generator is dominated on assigned coordinates and vanishes on the
-    rest.
+def _standard_roots(proj_gens):
+    """Roots u over the taubar coordinates for which (u, tau) is a standard pair.
+
+    proj_gens are the minimal generators projected to taubar.  The search
+    fixes u_1, u_2, ... in turn, and each generator g keeps where it exceeds
+    u so far: nowhere (-1), at the one coordinate t (t), or at two or more
+    (-2).  The pair is admissible iff every g exceeds u somewhere; g
+    vanishes past its last nonzero coordinate, so that is settled at that
+    depth.  It is maximal iff every coordinate t is the lone excess of some
+    g (such a g keeps t out of the face).  Excess sets only grow, so a
+    coordinate left without such a g prunes the subtree, and since a lone
+    excess needs g_t > u_t, the generators' box bounds the search.
     """
-    k = len(taubar)
-    lastnz = [max((t for t in range(k) if g[t] != 0), default=-1) for g in proj_gens]
+    k = len(proj_gens[0])
+    bounds = [max(col) for col in zip(*proj_gens)]
+    due = [[] for _ in range(k + 1)]
+    for i, g in enumerate(proj_gens):
+        due[max((t for t in range(k) if g[t] != 0), default=-1) + 1].append(i)
     out = []
 
-    def rec(depth, u):
-        for gi, g in enumerate(proj_gens):
-            if lastnz[gi] < depth and all(g[t] <= u[t] for t in range(depth)):
-                return
+    def rec(depth, u, over):
+        if any(over[i] == -1 for i in due[depth]):
+            return  # g divides x^u
+        if len({t for t in over if t >= 0}) < depth:
+            return  # a coordinate fixed so far could join the face
         if depth == k:
             out.append(tuple(u))
             return
         for v in range(bounds[depth]):
             u.append(v)
-            rec(depth + 1, u)
+            rec(depth + 1, u, [t if g[depth] <= v else depth if t == -1 else -2
+                               for g, t in zip(proj_gens, over)])
             u.pop()
 
-    rec(0, [])
+    rec(0, [], [-1] * len(proj_gens))
     return out
 
 
@@ -120,7 +139,6 @@ def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision)
     if n > 16:
         raise BudgetExceeded(f"standard pairs sweep all 2^n index subsets; n = {n} > 16")
     gens = ideal.generators
-    maxexp = ideal.max_exponents()
     delta_faces = set(delta.faces())
     pairs = []
     for size in range(n + 1):
@@ -134,14 +152,11 @@ def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision)
             proj = [tuple(g[i] for i in taubar) for g in gens]
             if any(not any(p) for p in proj):
                 continue  # some generator lives inside tau: nothing is admissible
-            proj = _minimalize(proj)
-            bounds = [maxexp[i] for i in taubar]
-            for u in _admissible_roots(taubar, proj, bounds):
-                if _is_maximal(u, proj):
-                    root = [0] * n
-                    for t, i in enumerate(taubar):
-                        root[i] = u[t]
-                    pairs.append(StandardPair(tuple(root), tau))
+            for u in _standard_roots(_minimalize(proj)):
+                root = [0] * n
+                for t, i in enumerate(taubar):
+                    root[i] = u[t]
+                pairs.append(StandardPair(tuple(root), tau))
     for p in pairs:
         if p.face not in delta_faces:
             raise FaceViolation(f"standard pair face {p.face} not in the triangulation")
@@ -156,20 +171,6 @@ def _minimalize(gens):
         if not any(all(e <= x for e, x in zip(h, g)) for h in out):
             out.append(g)
     return out
-
-
-def _is_maximal(u, proj_gens):
-    # the pair cannot be grown by any single extra coordinate
-    k = len(u)
-    for skip in range(k):
-        ok = False
-        for g in proj_gens:
-            if all(t == skip or g[t] <= u[t] for t in range(k)):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ non-generic inputs are never silently perturbed.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors
-from .errors import NotAFace, OutsideCone
+from .errors import NotAFace, OutsideCone, ParseError
 from .linprog import nonneg_feasible
 
 
@@ -58,6 +58,31 @@ class RegularSubdivision:
         face = set(face)
         return any(face <= set(f) for f in self.maximal_faces)
 
+    @cached_property
+    def reduced_costs(self):
+        """c~ = c - y A per maximal face, y its certificate, built on first use.
+
+        y.a_j = c_j on the face pins y down, so this is c - c_sigma A_sigma^{-1} A
+        for any nonsingular d-subset sigma of the face; it vanishes on the face.
+        """
+        a, cost = self.matrix, self.cost
+        return {face: tuple(Fraction(cost[j]) - linalg.dot(a.column(j), y) for j in range(a.n))
+                for face, y in zip(self.maximal_faces, self.certificates)}
+
+    @cached_property
+    def simplex_inverses(self):
+        """(sigma, adj A_sigma, sign of det A_sigma) per maximal simplex.
+
+        A_sigma^{-1} b = adj A_sigma b / det A_sigma, so the signs of
+        sign * (adj A_sigma b) are those of b's coordinates in sigma.  Built
+        on first use and kept for the life of the subdivision.
+        """
+        out = []
+        for sigma in self.maximal_faces:
+            sub = self.matrix.columns(sigma)
+            out.append((sigma, linalg.adjugate(sub), 1 if linalg.det_int(sub) > 0 else -1))
+        return tuple(out)
+
 
 def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     """Compute Delta_c with exact certificates.
@@ -67,7 +92,7 @@ def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     """
     cost = tuple(int(v) for v in cost)
     if len(cost) != a.n:
-        raise ValueError("cost length must match column count")
+        raise ParseError(f"cost has {len(cost)} entries, expected {a.n}")
     at = [list(a.column(j)) for j in range(a.n)]  # row j is a_j
     cells = {}
     for sigma in combinations(range(a.n), a.d):
@@ -134,14 +159,15 @@ def optimal_face(delta: RegularSubdivision, b):
     This is the support of an optimal solution of the linear relaxation for
     right-hand side b.  Raises OutsideCone when b is not in cone(A).  The face
     cones of a triangulation form a fan, so tau is the support of b's
-    coordinates in any maximal simplex whose cone holds b.
+    coordinates in any maximal simplex whose cone holds b, read off the
+    simplex's integer inverse.
     """
     a = delta.matrix
     if len(b) != a.d:
-        raise ValueError("rhs length must match row count")
+        raise ParseError(f"right-hand side has {len(b)} entries, expected {a.d}")
     if delta.is_triangulation:
-        for sigma in delta.maximal_faces:
-            lam = linalg.solve_exact(a.columns(sigma), b)
+        for sigma, adj, sign in delta.simplex_inverses:
+            lam = [sign * linalg.dot(row, b) for row in adj]
             if all(v >= 0 for v in lam):
                 return tuple(j for j, v in zip(sigma, lam) if v)
     else:
@@ -171,13 +197,13 @@ def unimodularity_report(a: IntMatrix, delta: RegularSubdivision) -> Unimodulari
     return UnimodularityReport(tuple(out), all(ix == 1 for _, ix in out))
 
 
-def reduced_cost(a: IntMatrix, cost, sigma):
+def reduced_cost(delta: RegularSubdivision, sigma):
     """c~ = c - c_sigma A_sigma^{-1} A as a full-length rational vector.
 
-    sigma must index a nonsingular d x d submatrix; the result vanishes on
-    sigma and on any column lying on the same lifted facet.
+    sigma must be a maximal face of delta; see
+    :attr:`RegularSubdivision.reduced_costs`.
     """
-    sigma = _as_face(sigma)
-    sub_t = [list(a.column(j)) for j in sigma]
-    y = linalg.solve_exact(sub_t, [cost[j] for j in sigma])
-    return tuple(Fraction(cost[j]) - linalg.dot(a.column(j), y) for j in range(a.n))
+    face = _as_face(sigma)
+    if face not in delta.reduced_costs:
+        raise NotAFace(f"{face} is not a maximal face")
+    return delta.reduced_costs[face]

@@ -5,7 +5,7 @@ import pytest
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
 from toricip.groebner import CostOrder, cached_groebner, is_generic
-from toricip.stdpairs import initial_ideal, standard_pair_decomposition
+from toricip.stdpairs import decomposition_for, initial_ideal, standard_pair_decomposition
 from toricip.triangulation import regular_subdivision
 
 KNAPSACK = ((2, 5, 8),)
@@ -23,6 +23,27 @@ GFAMILY = ((1, 0, 1, 1, 1, 1), (0, 1, 1, 1, 2, 2), (0, 0, 1, 2, 3, 4))
 GFAMILY_COST = (0, 0, 1, 1, 0, 3)
 
 NONNORMAL = ((1, 1, 1, 1), (0, 1, 3, 4))
+
+CENSUS_MATRICES = [
+    # 7 x 12, every generic cost supports a Gomory family
+    ((1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0),
+     (0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1),
+     (0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1),
+     (0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0),
+     (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0),
+     (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1),
+     (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)),
+    # 4 x 8 simplicial-normal matrix with 77 regular triangulations
+    ((1, 0, 0, 1, 1, 1, 1, 1),
+     (0, 1, 0, 1, 1, 2, 2, 2),
+     (0, 0, 1, 1, 2, 2, 3, 3),
+     (0, 0, 0, 1, 2, 3, 4, 5)),
+    # 4 x 7 normal matrix with 19 regular triangulations
+    ((1, 1, 1, 1, 1, 1, 1),
+     (1, 0, 1, 1, 1, 1, 0),
+     (0, 1, 2, 2, 1, 1, 0),
+     (0, 0, 4, 3, 2, 1, 0)),
+]
 
 
 def face(*idx):
@@ -50,6 +71,24 @@ def make_instance(seed, max_entry=4, cost_range=40):
             generic, _ = is_generic(a, c)
             if generic and regular_subdivision(a, c).is_triangulation:
                 return a, c
+
+
+@pytest.fixture(scope="session")
+def acceptance_pipelines():
+    """The 100 acceptance instances, their pipelines and criterion 8's twenty b each."""
+    out = []
+    for seed in range(100):
+        a, c = make_instance(seed)
+        delta, gb, decomp, _ = decomposition_for(a, c)
+        rng = random.Random(10_000 + seed)
+        faces = delta.faces()
+        rhs = []
+        for _ in range(20):
+            rhs.append(a.apply(tuple(rng.randint(0, 3) for _ in range(a.n))))
+            rng.randrange(len(faces))  # criterion 8 draws a face after each b
+        out.append({"seed": seed, "a": a, "c": c, "delta": delta, "gb": gb,
+                    "decomp": decomp, "rhs": rhs})
+    return out
 
 
 @pytest.fixture(scope="session")

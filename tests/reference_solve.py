@@ -1,0 +1,36 @@
+"""Per-call Fraction references for the solves the library now factors once.
+
+``optimal_face`` reads b's coordinates off each simplex's integer adjugate,
+and ``reduced_cost`` reads y off the subdivision's certificate.  These
+references solve the linear systems afresh on every call, in Fraction
+Gauss-Jordan (``linalg.solve_exact``), as the library did before; tests hold
+the factored answers equal to them.
+"""
+
+from fractions import Fraction
+
+from toricip.errors import OutsideCone
+from toricip.linalg import dot, solve_exact
+from toricip.triangulation import in_cone
+
+
+def reference_optimal_face(delta, b):
+    """The smallest face with b in its cone, by a Fraction solve per simplex."""
+    a = delta.matrix
+    if delta.is_triangulation:
+        for sigma in delta.maximal_faces:
+            lam = solve_exact(a.columns(sigma), b)
+            if all(v >= 0 for v in lam):
+                return tuple(j for j, v in zip(sigma, lam) if v)
+    else:
+        for face in delta.faces():
+            if in_cone(a, face, b):
+                return face
+    raise OutsideCone(f"{tuple(b)} is outside cone(A)")
+
+
+def reference_reduced_cost(a, cost, sigma):
+    """c - y A for the y with y.a_j = c_j on sigma, by a Fraction solve."""
+    sigma = tuple(sorted(sigma))
+    y = solve_exact([list(a.column(j)) for j in sigma], [cost[j] for j in sigma])
+    return tuple(Fraction(cost[j]) - dot(a.column(j), y) for j in range(a.n))

@@ -8,6 +8,7 @@ import random
 
 import pytest
 from conftest import (
+    CENSUS_MATRICES,
     EX1,
     EX1_COST,
     EX2_COST,
@@ -222,28 +223,6 @@ def test_criterion_10_kannan_guard(instances):
         guarded += 1
     assert guarded > 0
     print(f"ACCEPTANCE 10: PASS - Kannan guard on {guarded} nondegenerate instances")
-
-
-CENSUS_MATRICES = [
-    # 7 x 12, every generic cost supports a Gomory family
-    ((1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0),
-     (0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1),
-     (0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1),
-     (0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0),
-     (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0),
-     (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1),
-     (0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)),
-    # 4 x 8 simplicial-normal matrix with 77 regular triangulations
-    ((1, 0, 0, 1, 1, 1, 1, 1),
-     (0, 1, 0, 1, 1, 2, 2, 2),
-     (0, 0, 1, 1, 2, 2, 3, 3),
-     (0, 0, 0, 1, 2, 3, 4, 5)),
-    # 4 x 7 normal matrix with 19 regular triangulations
-    ((1, 1, 1, 1, 1, 1, 1),
-     (1, 0, 1, 1, 1, 1, 0),
-     (0, 1, 2, 2, 1, 1, 0),
-     (0, 0, 4, 3, 2, 1, 0)),
-]
 
 
 def test_census_substitute_smoke():

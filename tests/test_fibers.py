@@ -17,9 +17,9 @@ from conftest import KNAPSACK, KNAPSACK_COST
 from reference_enum import reference_fiber
 from reference_linprog import reference_nonneg_feasible
 
-from toricip.core import IntMatrix
+from toricip.core import IntMatrix, cached_kernel_basis
 from toricip.errors import ParseError, Unbounded
-from toricip.fibers import fiber_first, fiber_list, fiber_optimum, iter_fiber
+from toricip.fibers import factor, fiber_first, fiber_list, fiber_optimum, iter_fiber
 from toricip.groebner import CostOrder, solve_ip
 from toricip.oracle import fiber_solve
 from toricip.relax import build_relaxation
@@ -160,3 +160,40 @@ def test_rhs_of_wrong_length_is_a_parse_error(b):
         fiber_solve(a, KNAPSACK_COST, b)
     with pytest.raises(ParseError):
         build_relaxation(a, KNAPSACK_COST, regular_subdivision(a, KNAPSACK_COST), (), b)
+
+
+def test_one_factorization_serves_every_acceptance_rhs(acceptance_pipelines):
+    # the factorization the kernel basis carries, reused for all twenty b of
+    # each acceptance seed, against the per-call walk over x
+    checked = 0
+    for inst in acceptance_pipelines:
+        a = inst["a"]
+        shared = cached_kernel_basis(a).fibers
+        assert shared == factor(a.entries)
+        for b in inst["rhs"]:
+            want = reference_fiber(a.entries, b)
+            assert shared.points(b) == want, (inst["seed"], b)
+            assert shared.first(b) == want[0]
+            checked += 1
+    assert checked == 2000
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_factorization_reused_across_rhs_matches_reference(seed):
+    # one factorization per system, many b: in the lattice, off it, negative
+    rng = random.Random(seed)
+    for _ in range(5):
+        rows, _ = random_fiber(rng)
+        n = len(rows[0])
+        if _kernel_meets_orthant(rows, n):
+            continue
+        fac = factor(rows)
+        for _ in range(8):
+            if rng.random() < 0.6:
+                u = [rng.randint(0, 3) for _ in range(n)]
+                b = tuple(sum(a * x for a, x in zip(r, u)) for r in rows)
+            else:
+                b = tuple(rng.randint(-2, 9) for _ in rows)
+            want = reference_fiber(rows, b)
+            assert fac.points(b) == want
+            assert fac.first(b) == (want[0] if want else None)

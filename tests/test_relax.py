@@ -2,15 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import KNAPSACK_COST, LONG_CHAIN_COST, face
+from conftest import EX1, KNAPSACK_COST, LONG_CHAIN_COST, face
 
 from toricip import oracle
-from toricip.core import cached_kernel_basis
-from toricip.errors import Infeasible, NotAFace
+from toricip.core import IntMatrix, cached_kernel_basis
+from toricip.errors import Infeasible, NotAFace, ParseError
 from toricip.groebner import CostOrder, solve_ip
 from toricip.linalg import dot
 from toricip.relax import build_relaxation, solve_relaxation, solve_via_standard_pairs
 from toricip.stdpairs import relaxations_solving
+from toricip.triangulation import cached_subdivision, optimal_face, regular_subdivision
 
 
 def test_build_relaxation_rows(knapsack_pipeline):
@@ -107,6 +108,35 @@ def test_solve_via_standard_pairs(knapsack_pipeline):
     assert x == (1, 1, 0)
     with pytest.raises(Infeasible):
         solve_via_standard_pairs(decomp, a, (3,))
+
+
+OTHER = IntMatrix(((2, 5, 7),))
+
+# each call gets the knapsack pipeline (a, delta, gb, ideal, decomp)
+INCONSISTENT_CALLS = {
+    "solve-sp-rhs-too-long": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, (27, 5)),
+    "solve-sp-rhs-empty": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, ()),
+    "solve-sp-other-matrix": lambda a, delta, decomp: solve_via_standard_pairs(decomp, OTHER, (27,)),
+    "subdivision-cost-too-short": lambda a, delta, decomp: regular_subdivision(a, (1, 2)),
+    "subdivision-cost-too-long": lambda a, delta, decomp: cached_subdivision(a, (1, 2, 3, 4)),
+    "optimal-face-rhs-too-long": lambda a, delta, decomp: optimal_face(delta, (27, 5)),
+    "optimal-face-rhs-empty": lambda a, delta, decomp: optimal_face(delta, ()),
+    "build-rhs-too-long": lambda a, delta, decomp: build_relaxation(a, KNAPSACK_COST, delta, (), (27, 5)),
+    "build-other-cost": lambda a, delta, decomp: build_relaxation(a, (1, 100, 10000), delta, (), (27,)),
+    "build-other-matrix": lambda a, delta, decomp: build_relaxation(OTHER, KNAPSACK_COST, delta, (), (27,)),
+    "build-other-shape": lambda a, delta, decomp: build_relaxation(
+        IntMatrix(EX1), (1, 0, 0, 1), delta, (), (4, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCONSISTENT_CALLS))
+def test_inconsistent_library_inputs_are_parse_errors(knapsack_pipeline, name):
+    # a right-hand side or cost of the wrong length, or a subdivision or
+    # decomposition built for another matrix or cost, is malformed input; on
+    # the 1-row knapsack, zip used to cut (27, 5) down to b = 27
+    a, delta, _, _, decomp = knapsack_pipeline
+    with pytest.raises(ParseError):
+        INCONSISTENT_CALLS[name](a, delta, decomp)
 
 
 def test_solve_via_pairs_matches_groebner(long_chain_pipeline):

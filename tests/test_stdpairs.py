@@ -1,6 +1,8 @@
 import pytest
-from conftest import face
+from conftest import CENSUS_MATRICES, face
+from reference_stdpairs import reference_standard_pairs
 
+from toricip.core import IntMatrix
 from toricip.errors import FaceViolation, NotOptimal
 from toricip.stdpairs import (
     MonomialIdeal,
@@ -11,6 +13,7 @@ from toricip.stdpairs import (
     relaxations_solving,
     standard_pair_decomposition,
 )
+from toricip.hilbert import sharp_family
 
 
 def e(*idx, n=6):
@@ -269,3 +272,28 @@ def test_decomposition_for_refines_degenerate_costs():
     # pairs of the refined pipeline still satisfy the zero-root theorem
     assert {p.face for p in decomp.pairs if not any(p.root)} == set(delta.maximal_faces)
     associated_report(decomp, delta)
+
+
+def test_pairs_match_reference_enumeration_on_acceptance_seeds(acceptance_pipelines):
+    for inst in acceptance_pipelines:
+        want = reference_standard_pairs(initial_ideal(inst["gb"]))
+        assert list(inst["decomp"].pairs) == want, inst["seed"]
+
+
+# the first two generic costs the census check draws for each census matrix
+CENSUS_COSTS = [
+    ((55, 60, 26, 8, 1, 39, 24, 24, 20, 17, 11, 32), (31, 1, 52, 30, 10, 9, 36, 48, 43, 30, 7, 1)),
+    ((55, 60, 26, 8, 1, 39, 24, 24), (20, 17, 11, 32, 31, 1, 52, 30)),
+    ((55, 60, 26, 8, 1, 39, 24), (24, 20, 17, 11, 32, 31, 1)),
+]
+REFERENCE_CASES = {
+    f"census{IntMatrix(rows).d}x{IntMatrix(rows).n}-{k}": (IntMatrix(rows), cost)
+    for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)
+}
+REFERENCE_CASES["sharp3"] = sharp_family(3)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_pairs_match_reference_enumeration_on_census_and_sharp3(name):
+    _, gb, decomp, _ = decomposition_for(*REFERENCE_CASES[name])
+    assert list(decomp.pairs) == reference_standard_pairs(initial_ideal(gb))

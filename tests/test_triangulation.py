@@ -15,15 +15,17 @@ from conftest import (
     faces_1based,
 )
 from reference_refinement import lex_realizing_cost
+from reference_solve import reference_optimal_face, reference_reduced_cost
 
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
-from toricip.errors import DomainError, OutsideCone
+from toricip.errors import DomainError, NotAFace, OutsideCone
 from toricip.groebner import CostOrder, cached_groebner
 from toricip.hilbert import sharp_family
 from toricip.linalg import dot
 from toricip.triangulation import (
     lex_refinement,
     optimal_face,
+    reduced_cost,
     regular_subdivision,
     unimodularity_report,
 )
@@ -273,3 +275,83 @@ def test_lex_refinement_splits_the_zero_cost_cell():
     # a triangulation is its own refinement
     tri = regular_subdivision(IntMatrix(EX1), EX1_COST)
     assert lex_refinement(tri).maximal_faces == tri.maximal_faces
+
+
+def _same_optimal_face(delta, b):
+    try:
+        want = reference_optimal_face(delta, b)
+    except OutsideCone:
+        with pytest.raises(OutsideCone):
+            optimal_face(delta, b)
+        return False
+    assert optimal_face(delta, b) == want, b
+    return True
+
+
+def test_optimal_face_matches_fraction_scan_on_acceptance_rhs(acceptance_pipelines):
+    # the integer inverses against a Fraction solve per simplex, for the
+    # twenty b of each seed and for random b, many of them outside cone(A)
+    inside = outside = 0
+    for inst in acceptance_pipelines:
+        delta, a = inst["delta"], inst["a"]
+        rng = random.Random(inst["seed"])
+        extra = [tuple(rng.randint(-3, 9) for _ in range(a.d)) for _ in range(10)]
+        for b in inst["rhs"] + extra:
+            if _same_optimal_face(delta, b):
+                inside += 1
+            else:
+                outside += 1
+    assert inside >= 2000 and outside > 100
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_optimal_face_matches_fraction_scan_on_lex_refinements(seed):
+    a, c = _degenerate_instance(seed)
+    refined = lex_refinement(regular_subdivision(a, c))
+    rng = random.Random(seed)
+    for _ in range(15):
+        if rng.random() < 0.6:
+            b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
+        else:
+            b = tuple(rng.randint(-2, 9) for _ in range(a.d))
+        _same_optimal_face(refined, b)
+
+
+def _assert_certificate_reduced_costs(delta):
+    a = delta.matrix
+    for sigma in delta.maximal_faces:
+        want = reference_reduced_cost(a, delta.cost, sigma)
+        assert reduced_cost(delta, sigma) == want, sigma
+    return len(delta.maximal_faces)
+
+
+def test_certificate_reduced_cost_matches_fraction_solve_on_generic_costs(acceptance_pipelines):
+    faces = sum(_assert_certificate_reduced_costs(inst["delta"]) for inst in acceptance_pipelines)
+    assert faces > 150
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_certificate_reduced_cost_matches_fraction_solve_on_degenerate_costs(name):
+    # the cells of the subdivision (not all simplices) and the simplices of
+    # its lex refinement, which carry their cell's certificate
+    delta = regular_subdivision(*DEGENERATE[name])
+    refined = lex_refinement(delta)
+    _assert_certificate_reduced_costs(delta)
+    _assert_certificate_reduced_costs(refined)
+    if not delta.is_triangulation:
+        # a simplex inside a cell is not a face the subdivision carries a cost for
+        inner = next(s for s in refined.maximal_faces if s not in delta.maximal_faces)
+        with pytest.raises(NotAFace):
+            reduced_cost(delta, inner)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_certificate_reduced_cost_matches_fraction_solve_on_seeded_degenerate_costs(seed):
+    delta = regular_subdivision(*_degenerate_instance(seed))
+    _assert_certificate_reduced_costs(delta)
+    _assert_certificate_reduced_costs(lex_refinement(delta))
+
+
+def test_degenerate_cases_include_subdivisions_that_are_not_triangulations():
+    fat = [name for name in DEGENERATE if not regular_subdivision(*DEGENERATE[name]).is_triangulation]
+    assert len(fat) >= 3
