@@ -11,9 +11,10 @@ import json
 import sys
 
 from . import fileio, hilbert, oracle, relax, stdpairs
+from .core import int_vector
 from .errors import DomainError, ParseError
 from .fileio import face_key, face_out, frac_out
-from .groebner import CostOrder, cached_groebner, solve_ip
+from .groebner import CostOrder, solve_ip, toric_groebner
 from .linalg import dot
 from .stdpairs import initial_ideal
 from .triangulation import regular_subdivision, unimodularity_report
@@ -37,10 +38,7 @@ def _emit(args, payload):
 
 def _vector(spec, length, name):
     """A vector argument, which must have ``length`` entries."""
-    vec = fileio.read_vector(spec)
-    if len(vec) != length:
-        raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
-    return vec
+    return int_vector(fileio.read_vector(spec), length, name)
 
 
 def _triangulation_payload(a, delta, tdi):
@@ -66,7 +64,7 @@ def cmd_triangulate(args):
 def cmd_groebner(args):
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
-    gb = cached_groebner(a, CostOrder.from_cost(cost))
+    gb = toric_groebner(a, CostOrder.from_cost(cost))
     _emit(args, {
         "elements": [{"plus": list(b.head), "minus": list(b.tail)} for b in gb.elements],
         "generic": gb.generic,

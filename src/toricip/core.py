@@ -63,11 +63,27 @@ def kernel_meets_orthant(rows):
     return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
 
 
-def _integer(x):
+def _integer(x, name="matrix"):
     """``x`` as an int; bools and non-integers are malformed entries."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"matrix entry {x!r} is not an integer")
+        raise ParseError(f"{name} entry {x!r} is not an integer")
     return int(x)
+
+
+def int_vector(values, length, name):
+    """``values`` as a tuple of ``length`` ints, or ParseError.
+
+    The library's one check of a caller's vector: a bool, a non-integer or a
+    wrong length is malformed input, never truncated.
+    """
+    vec = tuple(values)
+    for v in vec:
+        if type(v) is not int:  # _integer rejects it, or converts an int subclass
+            vec = tuple(_integer(x, name) for x in vec)
+            break
+    if len(vec) != length:
+        raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -91,19 +107,21 @@ class LatticeBasis:
         return len(self.matrix[0]) if self.matrix and self.matrix[0] else 0
 
     def columns(self):
-        return [tuple(self.matrix[i][k] for i in range(self.n)) for k in range(self.corank)]
+        return list(zip(*self.matrix))
 
     def apply(self, z):
         """B z, as a length-n integer vector."""
         return tuple(linalg.dot(row, z) for row in self.matrix)
 
 
+@lru_cache(maxsize=256)
 def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     """Basis B of the saturated lattice {x in Z^n : A x = 0}, A B = 0.
 
     The basis comes from a unimodular column reduction of A, so its column
     lattice is saturated by construction; both facts are re-verified before
-    returning (A B = 0 entrywise, Smith invariants of B all 1).
+    returning (A B = 0 entrywise, Smith invariants of B all 1).  Built once
+    per matrix and kept in a bounded cache.
     """
     fac = factor(a.entries)
     if fac.rank < a.d:
@@ -118,9 +136,7 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     return LatticeBasis(bmat, a, fac)
 
 
-@lru_cache(maxsize=256)
-def cached_kernel_basis(a: IntMatrix) -> LatticeBasis:
-    return kernel_lattice_basis(a)
+cached_kernel_basis = kernel_lattice_basis  # the cache, for cache_info() and cache_clear()
 
 
 def gcd_maximal_minors(a: IntMatrix) -> int:

@@ -18,7 +18,8 @@ raises Unbounded.
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, Unbounded
+from . import core  # a module reference: core imports this module
+from .errors import Unbounded
 from .linalg import column_hermite, dot, mat_vec
 
 
@@ -138,9 +139,7 @@ class Factorization:
 
     def particular(self, b):
         """An integer x0 with rows @ x0 = b, or None when there is none."""
-        b = tuple(int(v) for v in b)
-        if len(b) != len(self.rows):
-            raise ParseError(f"right-hand side has {len(b)} entries, expected {len(self.rows)}")
+        b = core.int_vector(b, len(self.rows), "right-hand side")
         h = self.h
         w = [0] * len(self.u)
         for r, col in enumerate(self.pivots):
@@ -185,31 +184,3 @@ def factor(rows):
         raise AssertionError("fiber parametrisation failed A B = 0")
     return Factorization(rows, tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots), basis)
 
-
-def iter_fiber(rows, b):
-    """Yield all x in N^n with rows @ x = b, in lexicographic order."""
-    yield from factor(rows).points(b)
-
-
-def fiber_first(rows, b):
-    """Lexicographically first fiber point, or None when the fiber is empty.
-
-    Deliberately independent of any cost vector, so it can seed optimization
-    paths without biasing them.
-    """
-    return factor(rows).first(b)
-
-
-def fiber_list(rows, b):
-    return factor(rows).points(b)
-
-
-def fiber_optimum(rows, cost, b, key=None):
-    """Cost-minimal fiber point with lexicographic tie-break, or None.
-
-    ``key`` overrides the default key (cost . x, x); it must map a point to a
-    comparable tuple.
-    """
-    if key is None:
-        key = lambda x: (dot(cost, x), x)
-    return min(factor(rows).points(b), key=key, default=None)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from .core import IntMatrix, LatticeBasis, cached_kernel_basis
+from .core import IntMatrix, LatticeBasis, int_vector, kernel_lattice_basis
 from .errors import Infeasible
 from .linalg import clear_denominators, dot, lll_reduce
 from .linprog import OPTIMAL, solve_lp
@@ -36,7 +36,7 @@ class CostOrder:
 
     @classmethod
     def from_cost(cls, cost):
-        return cls((tuple(int(v) for v in cost),), len(cost))
+        return cls((int_vector(cost, len(cost), "cost"),), len(cost))
 
     @property
     def cost(self):
@@ -206,9 +206,13 @@ def positive_grading(a: IntMatrix):
     return tuple(clear_denominators([dot(res.x, a.column(j)) for j in range(n)])[0])
 
 
+@lru_cache(maxsize=128)
 def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
-    """Reduced Groebner basis of the toric ideal of A under the given order."""
-    lattice = cached_kernel_basis(a)
+    """Reduced Groebner basis of the toric ideal of A under the given order.
+
+    Built once per (A, order) and kept in a bounded cache.
+    """
+    lattice = kernel_lattice_basis(a)
     basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
              for col in lll_reduce(lattice.columns())]
     if not basis:
@@ -231,9 +235,7 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
     return GroebnerBasis(elems, order, a, lattice, generic)
 
 
-@lru_cache(maxsize=128)
-def cached_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
-    return toric_groebner(a, order)
+cached_groebner = toric_groebner  # the cache, for cache_info() and cache_clear()
 
 
 def is_generic(a: IntMatrix, cost):
@@ -242,7 +244,7 @@ def is_generic(a: IntMatrix, cost):
     Returns (flag, witness): on failure the witness is a basis binomial whose
     two monomials tie under the cost (so optima are not unique).
     """
-    gb = cached_groebner(a, CostOrder.from_cost(cost))
+    gb = toric_groebner(a, CostOrder.from_cost(cost))
     for b in gb.elements:
         if dot(gb.order.cost, b.head) == dot(gb.order.cost, b.tail):
             return False, b
@@ -251,7 +253,7 @@ def is_generic(a: IntMatrix, cost):
 
 def normal_form(gb: GroebnerBasis, u):
     """Reduce x^u to its normal form, always by the lowest-index element."""
-    return _reduce(tuple(int(v) for v in u), [(b.head, b.tail) for b in gb.elements])
+    return _reduce(int_vector(u, gb.matrix.n, "exponent"), [(b.head, b.tail) for b in gb.elements])
 
 
 def solve_ip(a: IntMatrix, order: CostOrder, b):
@@ -262,8 +264,7 @@ def solve_ip(a: IntMatrix, order: CostOrder, b):
     the basis; by the test-set property the result is the unique optimum
     under the order.
     """
-    u = cached_kernel_basis(a).fibers.first(b)
+    u = kernel_lattice_basis(a).fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {tuple(b)}")
-    gb = cached_groebner(a, order)
-    return normal_form(gb, u)
+    return normal_form(toric_groebner(a, order), u)

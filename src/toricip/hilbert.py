@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import fibers, oracle, stdpairs
-from .core import IntMatrix, kernel_meets_orthant
+from . import oracle, stdpairs
+from .core import IntMatrix, int_vector, kernel_meets_orthant
 from .errors import NotDeltaNormal, NotPointed, NotRegular
+from .fibers import factor
 from .groebner import CostOrder, toric_groebner
-from .linalg import clear_denominators, det_int, dot, kernel_basis, rank
+from .linalg import adjugate, clear_denominators, det_int, dot, kernel_basis, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
 from .triangulation import regular_subdivision
@@ -60,11 +61,10 @@ def _parallelepiped_points(gens):
             break
     sign = 1 if det > 0 else -1
     rows = []
-    for t in range(r):
+    for adj_t in adjugate(m):
         s = [0] * d
-        for i, ci in enumerate(coords):
-            minor = [row[:t] + row[t + 1 :] for k, row in enumerate(m) if k != i]
-            s[ci] = sign * (-1) ** (i + t) * det_int(minor)
+        for ci, v in zip(coords, adj_t):
+            s[ci] = sign * v
         rows += [(tuple(s), abs(det) - 1), (tuple(-v for v in s), 0)]
     for w in kernel_basis(gens, d)[0]:
         rows += [(w, 0), (tuple(-v for v in w), 0)]
@@ -79,7 +79,7 @@ def hilbert_basis(generators) -> HilbertBasis:
     the cone); an element is kept iff subtracting any other candidate leaves
     the cone.  Raises NotPointed when the cone contains a line.
     """
-    gens = [tuple(int(v) for v in g) for g in generators]
+    gens = [int_vector(g, len(generators[0]), "generator") for g in generators]
     gens = [g for g in gens if any(g)]
     if not gens:
         return HilbertBasis((), ())
@@ -110,7 +110,7 @@ def hilbert_basis(generators) -> HilbertBasis:
 def _semigroup_member(columns, x):
     """x in N{columns}: integer feasibility by fiber sweep."""
     rows = [tuple(col[i] for col in columns) for i in range(len(x))]
-    return fibers.fiber_first(rows, x) is not None
+    return factor(rows).first(x) is not None
 
 
 @dataclass(frozen=True)
@@ -280,13 +280,14 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     def sym_key(x):
         return (dot(c0, x), -sum(x[j] for j in rays), x)
 
+    fac = factor(a.entries)
     residue_roots = []
     expected = set()
     for face in faces:
         gens = [a.column(j) for j in face]
         roots = []
         for b in _parallelepiped_points(gens):
-            opt = fibers.fiber_optimum(a.entries, None, b, key=sym_key)
+            opt = min(fac.points(b), key=sym_key, default=None)
             if opt is None:
                 raise NotDeltaNormal(f"residue {b} has an empty fiber")
             root = tuple(0 if j in set(face) else opt[j] for j in range(a.n))

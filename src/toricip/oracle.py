@@ -22,13 +22,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .core import IntMatrix, cached_kernel_basis
+from .core import IntMatrix, int_vector, kernel_lattice_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
-from .fibers import _bound_rows, _fm_levels, fiber_list, lattice_points_boxed
+from .fibers import _bound_rows, _fm_levels, factor, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .stdpairs import Decomposition, StandardPair
-from .triangulation import RegularSubdivision, cached_subdivision
+from .triangulation import RegularSubdivision, regular_subdivision
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,11 @@ class IneqPolytope:
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(tuple((tuple(int(c) for c in s), int(o)) for s, o in rows))
+        """Rows (s, offset) of one width, each checked as the integer vector (*s, offset)."""
+        rows = [(*s, o) for s, o in rows]
+        width = len(rows[0]) if rows else 0
+        rows = [int_vector(r, width, "inequality row") for r in rows]
+        return cls(tuple((r[:-1], r[-1]) for r in rows))
 
     @property
     def dim(self):
@@ -76,18 +80,15 @@ def enumerate_lattice_points(poly: IneqPolytope, limit=None):
     return lattice_points_boxed(poly.rows, poly.dim, limit)
 
 
-_lattice = cached_kernel_basis
-
-
 def cost_row(a: IntMatrix, cost):
     """The objective row -cB of the z-space reformulation."""
-    lat = _lattice(a)
+    lat = kernel_lattice_basis(a)
     return tuple(-dot(cost, col) for col in lat.columns())
 
 
 def q_polytope(a: IntMatrix, cost, u, tau=()):
     """Q_u^{tau-bar}: B rows off tau bounded by u, plus the cost cut."""
-    lat = _lattice(a)
+    lat = kernel_lattice_basis(a)
     tau = set(tau)
     rows = [(lat.matrix[i], u[i]) for i in range(a.n) if i not in tau]
     rows.append((cost_row(a, cost), 0))
@@ -100,8 +101,8 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     Lexicographic tie-break; returns None when infeasible (a marker, not an
     error).  With ``with_fiber`` the full fiber is returned alongside.
     """
-    cost = tuple(int(v) for v in cost)
-    fiber = fiber_list(a.entries, b)
+    cost = int_vector(cost, a.n, "cost")
+    fiber = factor(a.entries).points(b)
     best = min(fiber, key=lambda x: (dot(cost, x), x), default=None)
     return (best, fiber) if with_fiber else best
 
@@ -118,21 +119,18 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: RegularSubdivision =
     Unbounded relaxations count as admitting one (integral data puts lattice
     points on any unbounded edge).  Raises NotAFace when tau is not a face.
     """
-    cost = tuple(int(v) for v in cost)
+    cost = int_vector(cost, a.n, "cost")
     if delta is None:
-        delta = cached_subdivision(a, cost)
+        delta = regular_subdivision(a, cost)
     tau = tuple(sorted(tau))
     if tau not in delta:
         raise NotAFace(f"{tau} is not a face of the triangulation")
-    lat = _lattice(a)
-    ndim = lat.corank
-    taubar = [i for i in range(a.n) if i not in set(tau)]
-    crow = (cost_row(a, cost), 0)
-    rows = [(lat.matrix[i], int(u[i])) for i in taubar] + [crow]
+    ndim = kernel_lattice_basis(a).corank
+    rows = q_polytope(a, cost, int_vector(u, a.n, "root"), tau).rows
     if not _singleton(rows, ndim):
         return False
-    for k in range(len(taubar)):
-        rel = rows[:k] + rows[k + 1 : len(taubar)] + [crow]
+    for k in range(len(rows) - 1):  # every B-row; the cost cut stays last
+        rel = rows[:k] + rows[k + 1 :]
         normals = tuple(s for s, _ in rel)
         if not _recession_trivial(normals, ndim):
             continue  # unbounded: admits a nonzero lattice point
@@ -147,7 +145,7 @@ def kannan_bound(rows, ndim):
     M is the largest row l1-norm, Delta/delta the extreme absolute values of
     the n x n minors; a zero minor is the degenerate case and raises.
     """
-    rows = [tuple(int(v) for v in r) for r in rows]
+    rows = [int_vector(r, ndim, "row") for r in rows]
     m = max(sum(abs(v) for v in r) for r in rows)
     minors = [
         abs(det_int([rows[i] for i in sub])) for sub in combinations(range(len(rows)), ndim)
@@ -159,7 +157,7 @@ def kannan_bound(rows, ndim):
 
 def kannan_root_bound(a: IntMatrix, cost):
     """Kannan bound for standard-polytope right-hand sides, or None if degenerate."""
-    lat = _lattice(a)
+    lat = kernel_lattice_basis(a)
     if lat.corank == 0:
         return 0
     rows = list(lat.matrix) + [cost_row(a, cost)]
@@ -197,8 +195,8 @@ def brute_force_standard_pairs(
     box shows up as extra pairs rather than silent agreement); with a
     vanishing minor and no box, the search is refused.
     """
-    cost = tuple(int(v) for v in cost)
-    lat = _lattice(a)
+    cost = int_vector(cost, a.n, "cost")
+    lat = kernel_lattice_basis(a)
     kb = kannan_root_bound(a, cost)
     if kb is None and root_box is None:
         raise BoundUnavailable("degenerate minors and no caller-supplied root box")

@@ -11,7 +11,7 @@ nonnegative.
 from dataclasses import dataclass
 
 from . import oracle
-from .core import IntMatrix, cached_kernel_basis
+from .core import IntMatrix, int_vector, kernel_lattice_basis
 from .errors import Infeasible, NotAFace, ParseError
 from .linalg import dot
 from .stdpairs import Decomposition
@@ -30,13 +30,7 @@ class GroupRelaxation:
     cost_row: tuple  # -cB
 
     def constraint_rows(self):
-        lat = cached_kernel_basis(self.matrix)
-        drop = set(self.face)
-        rows = [
-            (lat.matrix[i], self.feasible[i]) for i in range(self.matrix.n) if i not in drop
-        ]
-        rows.append((self.cost_row, 0))
-        return rows
+        return oracle.q_polytope(self.matrix, self.cost, self.feasible, self.face).rows
 
 
 @dataclass(frozen=True)
@@ -53,21 +47,19 @@ def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> G
     ``delta`` must be the subdivision of (a, cost): the reduced cost is read
     off its certificate.
     """
-    cost = tuple(int(v) for v in cost)
+    cost = int_vector(cost, a.n, "cost")
+    b = int_vector(b, a.d, "right-hand side")
     if delta.matrix != a or delta.cost != cost:
         raise ParseError("the subdivision was built for another matrix or cost")
     tau = tuple(sorted(tau))
     if tau not in delta:
         raise NotAFace(f"{tau} indexes an unbounded relaxation")
-    u = cached_kernel_basis(a).fibers.first(b)
+    u = kernel_lattice_basis(a).fibers.first(b)
     if u is None:
-        raise Infeasible(f"no lattice point with A x = {tuple(b)}")
+        raise Infeasible(f"no lattice point with A x = {b}")
     sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
     ctilde = reduced_cost(delta, sigma)
-    return GroupRelaxation(
-        a, cost, tau, tuple(int(v) for v in b), u, sigma, ctilde,
-        oracle.cost_row(a, cost),
-    )
+    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, oracle.cost_row(a, cost))
 
 
 def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
@@ -77,7 +69,7 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
     are enumerated exactly and the (-cB)-minimum taken with lexicographic
     tie-break.
     """
-    lat = cached_kernel_basis(r.matrix)
+    lat = kernel_lattice_basis(r.matrix)
     ndim = lat.corank
     rows = r.constraint_rows()
     pts = oracle.lattice_points_boxed(rows, ndim)
@@ -101,9 +93,7 @@ def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     first, then faces by decreasing size.  Each face's system is factored
     once per decomposition (:attr:`Decomposition.face_fibers`).
     """
-    b = tuple(int(v) for v in b)
-    if len(b) != a.d:
-        raise ParseError(f"right-hand side has {len(b)} entries, expected {a.d}")
+    b = int_vector(b, a.d, "right-hand side")
     if decomp.delta.matrix != a:
         raise ParseError("the decomposition was built for another matrix")
     maximal = set(decomp.delta.maximal_faces)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import IntMatrix
+from .core import IntMatrix, int_vector
 from .errors import BudgetExceeded, ChainViolation, FaceViolation, LengthViolation, NotOptimal
 from .fibers import factor
-from .groebner import CostOrder, GroebnerBasis, cached_groebner
+from .groebner import CostOrder, GroebnerBasis, toric_groebner
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
 
@@ -254,9 +254,8 @@ def decomposition_for(a: IntMatrix, cost):
     the subdivision is refined by the deterministic lex tie-break, reported in
     the returned flag, never silently.  Returns (delta, gb, decomp, refined).
     """
-    cost = tuple(int(v) for v in cost)
-    gb = cached_groebner(a, CostOrder.from_cost(cost))
     delta = regular_subdivision(a, cost)
+    gb = toric_groebner(a, CostOrder.from_cost(delta.cost))
     refined = not gb.generic or not delta.is_triangulation
     if refined:
         delta = lex_refinement(delta)
@@ -270,7 +269,7 @@ def relaxations_solving(v, decomp: Decomposition):
     These are the subsets of faces of pairs whose semigroup contains v; raises
     NotOptimal when v is not an optimal point (it is covered by no pair).
     """
-    v = tuple(int(x) for x in v)
+    v = int_vector(v, decomp.delta.matrix.n, "point")
     covering = []
     for p in decomp.pairs:
         face = set(p.face)

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
-from .core import IntMatrix, gcd_maximal_minors
-from .errors import NotAFace, OutsideCone, ParseError
+from .core import IntMatrix, gcd_maximal_minors, int_vector
+from .errors import NotAFace, OutsideCone
 from .linprog import nonneg_feasible
 
 
@@ -88,11 +88,14 @@ def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     """Compute Delta_c with exact certificates.
 
     Maximal cells are the equality sets of the vertices of {y : yA <= c};
-    the subdivision is a triangulation iff they all have size d.
+    the subdivision is a triangulation iff they all have size d.  The cost is
+    checked first, so the bounded cache behind this is keyed on its ints.
     """
-    cost = tuple(int(v) for v in cost)
-    if len(cost) != a.n:
-        raise ParseError(f"cost has {len(cost)} entries, expected {a.n}")
+    return _subdivision(a, int_vector(cost, a.n, "cost"))
+
+
+@lru_cache(maxsize=256)
+def _subdivision(a, cost):
     at = [list(a.column(j)) for j in range(a.n)]  # row j is a_j
     cells = {}
     for sigma in combinations(range(a.n), a.d):
@@ -119,6 +122,9 @@ def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     return RegularSubdivision(a, cost, tuple(faces), certs, is_tri)
 
 
+cached_subdivision = _subdivision  # the cache, for cache_info() and cache_clear()
+
+
 def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
     """The lex refinement of Delta_c: the triangulation for c + eps (1, t, t^2, ...).
 
@@ -143,11 +149,6 @@ def _lifted_above(sigma, lam, j):
     return next(v for _, v in sorted([*zip(sigma, lam), (j, -1)]) if v) < 0
 
 
-@lru_cache(maxsize=256)
-def cached_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
-    return regular_subdivision(a, cost)
-
-
 def in_cone(a: IntMatrix, tau, b) -> bool:
     """Exact membership b in cone(A_tau) = {A_tau lam : lam >= 0}."""
     return nonneg_feasible(a.columns(tau), b)
@@ -163,8 +164,7 @@ def optimal_face(delta: RegularSubdivision, b):
     simplex's integer inverse.
     """
     a = delta.matrix
-    if len(b) != a.d:
-        raise ParseError(f"right-hand side has {len(b)} entries, expected {a.d}")
+    b = int_vector(b, a.d, "right-hand side")
     if delta.is_triangulation:
         for sigma, adj, sign in delta.simplex_inverses:
             lam = [sign * linalg.dot(row, b) for row in adj]
@@ -174,7 +174,7 @@ def optimal_face(delta: RegularSubdivision, b):
         for face in delta.faces():
             if in_cone(a, face, b):
                 return face
-    raise OutsideCone(f"{tuple(b)} is outside cone(A)")
+    raise OutsideCone(f"{b} is outside cone(A)")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
-from toricip.groebner import CostOrder, cached_groebner, is_generic
+from toricip.groebner import CostOrder, toric_groebner, is_generic
 from toricip.stdpairs import decomposition_for, initial_ideal, standard_pair_decomposition
 from toricip.triangulation import regular_subdivision
 
@@ -95,7 +95,7 @@ def acceptance_pipelines():
 def knapsack_pipeline():
     a = IntMatrix(KNAPSACK)
     delta = regular_subdivision(a, KNAPSACK_COST)
-    gb = cached_groebner(a, CostOrder.from_cost(KNAPSACK_COST))
+    gb = toric_groebner(a, CostOrder.from_cost(KNAPSACK_COST))
     ideal = initial_ideal(gb)
     decomp = standard_pair_decomposition(ideal, delta)
     return a, delta, gb, ideal, decomp
@@ -105,7 +105,7 @@ def knapsack_pipeline():
 def long_chain_pipeline():
     a = IntMatrix(LONG_CHAIN)
     delta = regular_subdivision(a, LONG_CHAIN_COST)
-    gb = cached_groebner(a, CostOrder.from_cost(LONG_CHAIN_COST))
+    gb = toric_groebner(a, CostOrder.from_cost(LONG_CHAIN_COST))
     ideal = initial_ideal(gb)
     decomp = standard_pair_decomposition(ideal, delta)
     return a, delta, gb, ideal, decomp
@@ -115,7 +115,7 @@ def long_chain_pipeline():
 def gfamily_pipeline():
     a = IntMatrix(GFAMILY)
     delta = regular_subdivision(a, GFAMILY_COST)
-    gb = cached_groebner(a, CostOrder.from_cost(GFAMILY_COST))
+    gb = toric_groebner(a, CostOrder.from_cost(GFAMILY_COST))
     ideal = initial_ideal(gb)
     decomp = standard_pair_decomposition(ideal, delta)
     return a, delta, gb, ideal, decomp

@@ -8,7 +8,7 @@ element.  Hermite columns can be long, so the saturation passes can grow large:
 keep the instances small.
 """
 
-from toricip.core import IntMatrix, cached_kernel_basis
+from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.groebner import (
     Binomial,
     GroebnerBasis,
@@ -19,7 +19,7 @@ from toricip.groebner import (
 
 
 def hermite_toric_groebner(a: IntMatrix, order) -> GroebnerBasis:
-    lattice = cached_kernel_basis(a)
+    lattice = kernel_lattice_basis(a)
     basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
              for col in lattice.columns()]
     if not basis:

@@ -9,14 +9,14 @@ Groebner basis and a subdivision, so keep the instances small.
 """
 
 from toricip.core import IntMatrix
-from toricip.groebner import CostOrder, cached_groebner, toric_groebner
+from toricip.groebner import CostOrder, toric_groebner
 from toricip.triangulation import regular_subdivision
 
 
 def lex_realizing_cost(a: IntMatrix, cost):
     """An integer cost realizing (cost, lex tie-break) generically."""
     cost = tuple(int(v) for v in cost)
-    gb = cached_groebner(a, CostOrder.from_cost(cost))
+    gb = toric_groebner(a, CostOrder.from_cost(cost))
     if gb.generic and regular_subdivision(a, cost).is_triangulation:
         return cost
     heads = {b.head for b in gb.elements}

@@ -5,6 +5,10 @@ benchmark harness empties between operations.  Every other memo is a
 ``cached_property`` of an object a single operation builds for itself, so it
 dies with that object.  A new cross-call cache would carry work from one
 operation to the next unseen; these tests make adding one a visible change.
+
+Each cached object has one builder.  The ``cached_*`` names are handles to
+the same cache objects, for ``cache_info()`` and ``cache_clear()`` only: no
+other module names them, and no module keeps an alias of a builder.
 """
 
 import ast
@@ -15,11 +19,18 @@ import toricip
 SRC = Path(toricip.__file__).parent
 CROSS_CALL = {"lru_cache", "cache"}
 ALLOWED_CACHES = {
-    ("core", "cached_kernel_basis"),
-    ("groebner", "cached_groebner"),
-    ("triangulation", "cached_subdivision"),
+    ("core", "kernel_lattice_basis"),
+    ("groebner", "toric_groebner"),
+    ("triangulation", "_subdivision"),
     ("oracle", "_recession_trivial"),
 }
+# handle -> (defining module, the cached function it names)
+HANDLES = {
+    "cached_kernel_basis": ("core", "kernel_lattice_basis"),
+    "cached_groebner": ("groebner", "toric_groebner"),
+    "cached_subdivision": ("triangulation", "_subdivision"),
+}
+BUILDERS = {name for _, name in ALLOWED_CACHES} | {"regular_subdivision"} | set(HANDLES)
 PER_OBJECT_HOSTS = {"RegularSubdivision", "Decomposition"}
 
 
@@ -80,3 +91,30 @@ def test_per_object_memos_live_on_per_operation_objects():
     hosts = {owner for _, owner, _ in _decorated({"cached_property"})}
     assert hosts <= PER_OBJECT_HOSTS
     assert "IntMatrix" not in hosts
+
+
+def test_cache_handles_are_named_only_where_they_are_defined():
+    named = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = _name(node)
+            else:
+                continue
+            if name in HANDLES and HANDLES[name][0] != module:
+                named.append((module, name, node.lineno))
+    assert named == []
+
+
+def test_no_module_level_alias_of_a_builder():
+    # ``_lattice = cached_kernel_basis`` was a second name for a builder; the
+    # only module-level aliases are the handles, each bound to its own cache
+    aliases = set()
+    for module, tree in _modules():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.Attribute))
+                    and _name(node.value) in BUILDERS):
+                aliases.update((module, _name(t), _name(node.value)) for t in node.targets)
+    assert aliases == {(module, handle, cached) for handle, (module, cached) in HANDLES.items()}

@@ -17,9 +17,9 @@ from conftest import KNAPSACK, KNAPSACK_COST
 from reference_enum import reference_fiber
 from reference_linprog import reference_nonneg_feasible
 
-from toricip.core import IntMatrix, cached_kernel_basis
+from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.errors import ParseError, Unbounded
-from toricip.fibers import factor, fiber_first, fiber_list, fiber_optimum, iter_fiber
+from toricip.fibers import factor
 from toricip.groebner import CostOrder, solve_ip
 from toricip.oracle import fiber_solve
 from toricip.relax import build_relaxation
@@ -27,26 +27,26 @@ from toricip.triangulation import regular_subdivision
 
 
 def test_lex_order_and_first():
-    rows = ((2, 5, 8),)
-    pts = fiber_list(rows, (10,))
+    fac = factor(((2, 5, 8),))
+    pts = fac.points((10,))
     assert pts == sorted(pts)
-    assert fiber_first(rows, (10,)) == pts[0] == (0, 2, 0)
-    assert fiber_first(rows, (3,)) is None
+    assert fac.first((10,)) == pts[0] == (0, 2, 0)
+    assert fac.first((3,)) is None
 
 
 def test_negative_entry_path():
     # a matrix with negative entries goes through the same sweep
-    rows = ((1, -1, 3), (0, 2, 1))
-    assert fiber_list(rows, (3, 3)) == [(1, 1, 1)]
-    assert fiber_list(rows, (1, 0)) == [(1, 0, 0)]
-    assert fiber_list(rows, (-1, 0)) == []
+    fac = factor(((1, -1, 3), (0, 2, 1)))
+    assert fac.points((3, 3)) == [(1, 1, 1)]
+    assert fac.points((1, 0)) == [(1, 0, 0)]
+    assert fac.points((-1, 0)) == []
 
 
 def test_optimum_with_custom_key():
     rows = ((2, 5, 8),)
     # plain cost picks the cheapest point, custom key can invert the choice
-    assert fiber_optimum(rows, (10000, 100, 1), (16,)) == (0, 0, 2)
-    worst = fiber_optimum(rows, None, (16,), key=lambda x: (-x[0], x))
+    assert fiber_solve(IntMatrix(rows), (10000, 100, 1), (16,)) == (0, 0, 2)
+    worst = min(factor(rows).points((16,)), key=lambda x: (-x[0], x))
     assert worst == (8, 0, 0)
 
 
@@ -63,13 +63,12 @@ def test_matches_box_scan():
             for z in range(10)
             if (x + 2 * y + z, y + 3 * z) == b
         )
-        assert fiber_list(rows, b) == expected
+        assert factor(rows).points(b) == expected
 
 
 def test_iter_is_lazy():
-    gen = iter_fiber(((1, 1),), (50,))
-    assert next(gen) == (0, 50)
-    assert next(gen) == (1, 49)
+    # the sweep stops once ``limit`` points are found
+    assert factor(((1, 1),)).points((50,), limit=2) == [(0, 50), (1, 49)]
 
 
 def _kernel_meets_orthant(rows, n):
@@ -82,12 +81,13 @@ def check_against_reference(rows, b):
     if n and _kernel_meets_orthant(rows, n):
         # a nonempty fiber is then infinite, so the sweep must not yield
         with contextlib.suppress(Unbounded):
-            assert fiber_list(rows, b) == []
+            assert factor(rows).points(b) == []
         return
     expected = reference_fiber(rows, b)
-    assert fiber_list(rows, b) == expected
-    assert list(iter_fiber(rows, b)) == expected
-    assert fiber_first(rows, b) == (expected[0] if expected else None)
+    fac = factor(rows)
+    assert fac.points(b) == expected
+    assert fac.points(b, limit=2) == expected[:2]
+    assert fac.first(b) == (expected[0] if expected else None)
 
 
 def random_fiber(rng):
@@ -141,19 +141,19 @@ def test_named_fibers_match_reference(rows, b):
 def test_infinite_fibers_raise_unbounded():
     # (k, k) lies in the fiber for every k
     with pytest.raises(Unbounded):
-        fiber_list(((1, -1),), (0,))
+        factor(((1, -1),)).points((0,))
     # a zero column is free
     with pytest.raises(Unbounded):
-        fiber_list(((1, 0),), (1,))
+        factor(((1, 0),)).points((1,))
     with pytest.raises(Unbounded):
-        fiber_first(((1, 0, 2),), (2,))
+        factor(((1, 0, 2),)).first((2,))
 
 
 @pytest.mark.parametrize("b", [(), (27, 5)])
 def test_rhs_of_wrong_length_is_a_parse_error(b):
     a = IntMatrix(KNAPSACK)
     with pytest.raises(ParseError):
-        fiber_list(KNAPSACK, b)
+        factor(KNAPSACK).points(b)
     with pytest.raises(ParseError):
         solve_ip(a, CostOrder.from_cost(KNAPSACK_COST), b)
     with pytest.raises(ParseError):
@@ -168,7 +168,7 @@ def test_one_factorization_serves_every_acceptance_rhs(acceptance_pipelines):
     checked = 0
     for inst in acceptance_pipelines:
         a = inst["a"]
-        shared = cached_kernel_basis(a).fibers
+        shared = kernel_lattice_basis(a).fibers
         assert shared == factor(a.entries)
         for b in inst["rhs"]:
             want = reference_fiber(a.entries, b)

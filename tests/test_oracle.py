@@ -136,9 +136,9 @@ def test_width_of_singleton_simplex_is_zero(knapsack_pipeline):
 def test_standard_polytopes_satisfy_narrow_width_bound(knapsack_pipeline):
     # some defining row sees width at most M(n+2) on every standard polytope
     a, delta, _, ideal, decomp = knapsack_pipeline
-    from toricip.core import cached_kernel_basis
+    from toricip.core import kernel_lattice_basis
 
-    lat = cached_kernel_basis(a)
+    lat = kernel_lattice_basis(a)
     crow = oracle.cost_row(a, KNAPSACK_COST)
     ndim = lat.corank
     for p in decomp.pairs:

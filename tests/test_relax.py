@@ -5,7 +5,8 @@ import pytest
 from conftest import EX1, KNAPSACK_COST, LONG_CHAIN_COST, face
 
 from toricip import oracle
-from toricip.core import IntMatrix, cached_kernel_basis
+from toricip.oracle import IneqPolytope, fiber_solve
+from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.errors import Infeasible, NotAFace, ParseError
 from toricip.groebner import CostOrder, solve_ip
 from toricip.linalg import dot
@@ -17,7 +18,7 @@ from toricip.triangulation import cached_subdivision, optimal_face, regular_subd
 def test_build_relaxation_rows(knapsack_pipeline):
     a, delta, _, _, _ = knapsack_pipeline
     r = build_relaxation(a, KNAPSACK_COST, delta, face(3), (40,))
-    lat = cached_kernel_basis(a)
+    lat = kernel_lattice_basis(a)
     rows = r.constraint_rows()
     assert [s for s, _ in rows[:-1]] == [lat.matrix[0], lat.matrix[1]]
     assert rows[-1] == (oracle.cost_row(a, KNAPSACK_COST), 0)
@@ -118,10 +119,17 @@ INCONSISTENT_CALLS = {
     "solve-sp-rhs-empty": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, ()),
     "solve-sp-other-matrix": lambda a, delta, decomp: solve_via_standard_pairs(decomp, OTHER, (27,)),
     "subdivision-cost-too-short": lambda a, delta, decomp: regular_subdivision(a, (1, 2)),
-    "subdivision-cost-too-long": lambda a, delta, decomp: cached_subdivision(a, (1, 2, 3, 4)),
+    "subdivision-cost-too-long": lambda a, delta, decomp: regular_subdivision(a, (1, 2, 3, 4)),
+    "subdivision-cost-float": lambda a, delta, decomp: regular_subdivision(a, (1.5, 2, 3)),
+    "cost-order-bool": lambda a, delta, decomp: CostOrder.from_cost((True, 0, 0)),
+    "solve-ip-rhs-float": lambda a, delta, decomp: solve_ip(
+        a, CostOrder.from_cost(KNAPSACK_COST), (27.5,)),
+    "fiber-solve-cost-float": lambda a, delta, decomp: fiber_solve(a, (10000.5, 100, 1), (27,)),
+    "polytope-offset-float": lambda a, delta, decomp: IneqPolytope.from_rows([((1,), 2.9)]),
     "optimal-face-rhs-too-long": lambda a, delta, decomp: optimal_face(delta, (27, 5)),
     "optimal-face-rhs-empty": lambda a, delta, decomp: optimal_face(delta, ()),
     "build-rhs-too-long": lambda a, delta, decomp: build_relaxation(a, KNAPSACK_COST, delta, (), (27, 5)),
+    "build-rhs-float": lambda a, delta, decomp: build_relaxation(a, KNAPSACK_COST, delta, (), (27.9,)),
     "build-other-cost": lambda a, delta, decomp: build_relaxation(a, (1, 100, 10000), delta, (), (27,)),
     "build-other-matrix": lambda a, delta, decomp: build_relaxation(OTHER, KNAPSACK_COST, delta, (), (27,)),
     "build-other-shape": lambda a, delta, decomp: build_relaxation(
@@ -131,12 +139,22 @@ INCONSISTENT_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(INCONSISTENT_CALLS))
 def test_inconsistent_library_inputs_are_parse_errors(knapsack_pipeline, name):
-    # a right-hand side or cost of the wrong length, or a subdivision or
-    # decomposition built for another matrix or cost, is malformed input; on
-    # the 1-row knapsack, zip used to cut (27, 5) down to b = 27
+    # a right-hand side or cost of the wrong length or with an entry that is
+    # not an int, or a subdivision or decomposition built for another matrix
+    # or cost, is malformed input; on the 1-row knapsack, zip used to cut
+    # (27, 5) down to b = 27, and int() used to cut (27.5,) down to (27,)
     a, delta, _, _, decomp = knapsack_pipeline
     with pytest.raises(ParseError):
         INCONSISTENT_CALLS[name](a, delta, decomp)
+
+
+def test_subdivision_cache_is_keyed_on_the_checked_cost():
+    # a list cost is checked into the same int tuple, so it hits the cache
+    a = IntMatrix(EX1)
+    first = regular_subdivision(a, (1, 0, 0, 1))
+    hits = cached_subdivision.cache_info().hits
+    assert regular_subdivision(a, [1, 0, 0, 1]) is first
+    assert cached_subdivision.cache_info().hits == hits + 1
 
 
 def test_solve_via_pairs_matches_groebner(long_chain_pipeline):

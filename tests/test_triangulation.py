@@ -19,7 +19,7 @@ from reference_solve import reference_optimal_face, reference_reduced_cost
 
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
 from toricip.errors import DomainError, NotAFace, OutsideCone
-from toricip.groebner import CostOrder, cached_groebner
+from toricip.groebner import CostOrder, toric_groebner
 from toricip.hilbert import sharp_family
 from toricip.linalg import dot
 from toricip.triangulation import (
@@ -240,7 +240,7 @@ def _degenerate_instance(seed):
             continue
         for _ in range(20):
             c = tuple(rng.randint(0, 2) for _ in range(n))
-            gb = cached_groebner(a, CostOrder.from_cost(c))
+            gb = toric_groebner(a, CostOrder.from_cost(c))
             if not gb.generic or not regular_subdivision(a, c).is_triangulation:
                 return a, c
 
