@@ -38,6 +38,13 @@ CASES = {
     "solve-infeasible": ["solve", *KNAP, "--rhs", "1"],
     "relax-knap": ["relax", *KNAP, "--rhs", "58", "--face", "3"],
     "relax-knap-trivial": ["relax", *KNAP, "--rhs", "14"],
+    "relax-lc": ["relax", *LC, "--rhs", "14 16 15", "--face", "2,5,6"],
+    "relax-gf": ["relax", *GF, "--rhs", "8 10 14", "--face", "2,5,6"],
+    # EX2 ties: two points share the least cost, and the lex-first one wins
+    "relax-ex2": ["relax", *EX2, "--rhs", "6 8", "--face", "3,4"],
+    "relax-ex2-tie": ["relax", *EX2, "--rhs", "5 9", "--face", "1,3"],
+    # sharp m=3 is a subdivision with non-simplex cells; face 1 is bounded
+    "relax-sharp3": ["relax", *SHARP3, "--rhs", "6 9 8 9 6 7 6", "--face", "1"],
     "solve-sp-knap": ["solve-sp", *KNAP, "--rhs", "58"],
     "stdpairs-knap": ["stdpairs", *KNAP],
     "stdpairs-lc": ["stdpairs", *LC],
