@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import le
 
 from .core import IntMatrix, LatticeBasis, int_vector, kernel_lattice_basis
-from .errors import Infeasible
+from .errors import Infeasible, ParseError
 from .linalg import clear_denominators, dot, lll_reduce
 from .linprog import OPTIMAL, solve_lp
 
@@ -210,8 +210,10 @@ def positive_grading(a: IntMatrix):
 def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the toric ideal of A under the given order.
 
-    Built once per (A, order) and kept in a bounded cache.
+    Built once per (A, order) and kept in a bounded cache; an order for
+    another number of variables is a parse error, and is never cached.
     """
+    _check_order(a, order)
     lattice = kernel_lattice_basis(a)
     basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
              for col in lll_reduce(lattice.columns())]
@@ -236,6 +238,11 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
 
 
 cached_groebner = toric_groebner  # the cache, for cache_info() and cache_clear()
+
+
+def _check_order(a: IntMatrix, order: CostOrder):
+    if order.n != a.n or any(len(w) != a.n for w in order.weights):
+        raise ParseError(f"the order is on {order.n} variables, the matrix has {a.n} columns")
 
 
 def is_generic(a: IntMatrix, cost):
@@ -264,6 +271,7 @@ def solve_ip(a: IntMatrix, order: CostOrder, b):
     the basis; by the test-set property the result is the unique optimum
     under the order.
     """
+    _check_order(a, order)
     u = kernel_lattice_basis(a).fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {tuple(b)}")

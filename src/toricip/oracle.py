@@ -196,6 +196,9 @@ def brute_force_standard_pairs(
     vanishing minor and no box, the search is refused.
     """
     cost = int_vector(cost, a.n, "cost")
+    if root_box is not None:
+        root_box = int_vector(root_box, a.n, "root box")
+    (margin,) = int_vector((margin,), 1, "margin")
     lat = kernel_lattice_basis(a)
     kb = kannan_root_bound(a, cost)
     if kb is None and root_box is None:

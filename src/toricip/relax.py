@@ -3,9 +3,12 @@
 The relaxation for a face tau drops nonnegativity on the tau-variables.  In
 z-space it reads: minimize (-cB).z over B^{tau-bar} z <= pi_tau(u) for any
 feasible u of the fiber, a polytope exactly when tau is a face of the
-triangulation.  The winner z* lifts to x* = u - B z*, integral by
-construction; the relaxation solves the program iff the lifted tau-part is
-nonnegative.
+triangulation.  It is solved by one first-point sweep in the cost-first
+coordinates z = T w of the subdivision
+(:attr:`~toricip.triangulation.RegularSubdivision.cost_coordinates`), where
+the lex-first lattice point is the (cost, lex z) optimum.  The winner z*
+lifts to x* = u - B z*, integral by construction; the relaxation solves the
+program iff the lifted tau-part is nonnegative.
 """
 
 from dataclasses import dataclass
@@ -28,6 +31,9 @@ class GroupRelaxation:
     sigma: tuple  # the maximal face supplying the reduced cost
     ctilde: tuple  # full-length rational reduced cost, zero on sigma
     cost_row: tuple  # -cB
+    transform: tuple  # T, with z = T w (RegularSubdivision.cost_coordinates)
+    kernel_rows: tuple  # B T, the kernel basis in w
+    cut: tuple  # (-cB) T = (g, 0, ..., 0)
 
     def constraint_rows(self):
         return oracle.q_polytope(self.matrix, self.cost, self.feasible, self.face).rows
@@ -59,25 +65,29 @@ def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> G
         raise Infeasible(f"no lattice point with A x = {b}")
     sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
     ctilde = reduced_cost(delta, sigma)
-    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, oracle.cost_row(a, cost))
+    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, oracle.cost_row(a, cost),
+                           *delta.cost_coordinates)
 
 
 def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
     """Optimal z of the relaxation, lifted and classified.
 
-    The feasible region with the cost cut is a polytope; its lattice points
-    are enumerated exactly and the (-cB)-minimum taken with lexicographic
-    tie-break.
+    The feasible region with the cost cut is a polytope.  In the cost-first
+    coordinates w its rows are (B T)_i w <= u_i off the face and
+    (g, 0, ..., 0) w <= 0, and one sweep stopped at the first lattice point
+    finds the (-cB)-minimum with lexicographic tie-break on z = T w.  An
+    unbounded relaxation raises Unbounded.
     """
-    lat = kernel_lattice_basis(r.matrix)
-    ndim = lat.corank
-    rows = r.constraint_rows()
-    pts = oracle.lattice_points_boxed(rows, ndim)
+    in_face = set(r.face)
+    rows = [(row, ui) for i, (row, ui) in enumerate(zip(r.kernel_rows, r.feasible))
+            if i not in in_face]
+    rows.append((r.cut, 0))
+    pts = oracle.lattice_points_boxed(rows, len(r.cut), limit=1)
     if not pts:
         raise AssertionError("relaxation lost the origin")
-    z = min(pts, key=lambda p: (dot(r.cost_row, p), p))
-    x = tuple(ui - bi for ui, bi in zip(r.feasible, lat.apply(z)))
-    in_face = set(r.face)
+    w = pts[0]
+    z = tuple(dot(row, w) for row in r.transform)
+    x = tuple(ui - dot(row, w) for ui, row in zip(r.feasible, r.kernel_rows))
     solves = all(x[i] >= 0 for i in range(r.matrix.n) if i in in_face)
     if any(x[i] < 0 for i in range(r.matrix.n) if i not in in_face):
         raise AssertionError("lift broke nonnegativity off the face")

@@ -15,8 +15,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
-from .core import IntMatrix, gcd_maximal_minors, int_vector
+from .core import IntMatrix, gcd_maximal_minors, int_vector, kernel_lattice_basis
 from .errors import NotAFace, OutsideCone
+from .fibers import factor
 from .linprog import nonneg_feasible
 
 
@@ -68,6 +69,33 @@ class RegularSubdivision:
         a, cost = self.matrix, self.cost
         return {face: tuple(Fraction(cost[j]) - linalg.dot(a.column(j), y) for j in range(a.n))
                 for face, y in zip(self.maximal_faces, self.certificates)}
+
+    @cached_property
+    def cost_coordinates(self):
+        """(T, B T, r T): kernel coordinates z = T w that put the cost first.
+
+        B is the kernel basis of A and r = -cB the cost row of every group
+        relaxation of (A, c).  T = [u_1 | E] is unimodular: r u_1 = g > 0 is
+        the gcd of r, and E is the column-echelon basis of the kernel of r
+        with positive pivots (both read off ``factor((r,))``), so
+        r T = (g, 0, ..., 0) and w_1 = r.z / g.  For a fixed w_1,
+        z = w_1 u_1 + E w' and lex order on w' is lex order on z (the echelon
+        argument of :mod:`fibers`); so the lex-first lattice point in w is the
+        (cost, lex z) minimum.  When r = 0, T = E.  Built on first use.
+        """
+        lat = kernel_lattice_basis(self.matrix)
+        r = tuple(-linalg.dot(self.cost, col) for col in lat.columns())
+        fac = factor((r,))
+        cols = list(zip(*fac.basis))
+        if fac.rank:
+            sign = 1 if fac.h[0][0] > 0 else -1
+            cols.insert(0, tuple(sign * row[0] for row in fac.u))
+        cut = tuple(linalg.dot(r, col) for col in cols)
+        if any(cut[1:]) or (fac.rank and cut[0] <= 0):
+            raise AssertionError("cost-first coordinates failed r T = (g, 0, ..., 0)")
+        t = tuple(zip(*cols)) if cols else ()
+        bt = tuple(tuple(linalg.dot(row, col) for col in cols) for row in lat.matrix)
+        return t, bt, cut
 
     @cached_property
     def simplex_inverses(self):

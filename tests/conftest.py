@@ -5,6 +5,7 @@ import pytest
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
 from toricip.groebner import CostOrder, toric_groebner, is_generic
+from toricip.hilbert import sharp_family
 from toricip.stdpairs import decomposition_for, initial_ideal, standard_pair_decomposition
 from toricip.triangulation import regular_subdivision
 
@@ -46,6 +47,19 @@ CENSUS_MATRICES = [
 ]
 
 
+# named degenerate costs: ties in the Groebner basis, or cells that are not simplices
+DEGENERATE = {
+    "ex1-zero": (IntMatrix(EX1), (0, 0, 0, 0)),
+    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
+    "ex3-zero": (IntMatrix(EX3), (0, 0, 0, 0)),
+    "knapsack-zero": (IntMatrix(KNAPSACK), (0, 0, 0)),
+    "nonnormal-zero": (IntMatrix(NONNORMAL), (0, 0, 0, 0)),
+    "gfamily-zero": (IntMatrix(GFAMILY), (0,) * 6),
+    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
+    "sharp3": sharp_family(3),
+}
+
+
 def face(*idx):
     """1-based indices to the internal 0-based sorted face."""
     return tuple(sorted(i - 1 for i in idx))
@@ -75,7 +89,7 @@ def make_instance(seed, max_entry=4, cost_range=40):
 
 @pytest.fixture(scope="session")
 def acceptance_pipelines():
-    """The 100 acceptance instances, their pipelines and criterion 8's twenty b each."""
+    """The 100 acceptance instances, their pipelines and criterion 8's twenty (b, face) each."""
     out = []
     for seed in range(100):
         a, c = make_instance(seed)
@@ -83,11 +97,12 @@ def acceptance_pipelines():
         rng = random.Random(10_000 + seed)
         faces = delta.faces()
         rhs = []
+        taus = []
         for _ in range(20):
             rhs.append(a.apply(tuple(rng.randint(0, 3) for _ in range(a.n))))
-            rng.randrange(len(faces))  # criterion 8 draws a face after each b
+            taus.append(faces[rng.randrange(len(faces))])  # criterion 8's face for that b
         out.append({"seed": seed, "a": a, "c": c, "delta": delta, "gb": gb,
-                    "decomp": decomp, "rhs": rhs})
+                    "decomp": decomp, "rhs": rhs, "taus": taus})
     return out
 
 

@@ -4,7 +4,9 @@ Four functions are memoized across calls, and they are the four caches the
 benchmark harness empties between operations.  Every other memo is a
 ``cached_property`` of an object a single operation builds for itself, so it
 dies with that object.  A new cross-call cache would carry work from one
-operation to the next unseen; these tests make adding one a visible change.
+operation to the next unseen; these tests make adding one a visible change,
+and they pin the per-object memos by class and name, so adding one of those
+is a visible change too.
 
 Each cached object has one builder.  The ``cached_*`` names are handles to
 the same cache objects, for ``cache_info()`` and ``cache_clear()`` only: no
@@ -31,7 +33,14 @@ HANDLES = {
     "cached_subdivision": ("triangulation", "_subdivision"),
 }
 BUILDERS = {name for _, name in ALLOWED_CACHES} | {"regular_subdivision"} | set(HANDLES)
-PER_OBJECT_HOSTS = {"RegularSubdivision", "Decomposition"}
+# (class, cached_property): the per-object memos the README lists
+PER_OBJECT_MEMOS = {
+    ("RegularSubdivision", "simplex_inverses"),
+    ("RegularSubdivision", "reduced_costs"),
+    ("RegularSubdivision", "cost_coordinates"),
+    ("Decomposition", "face_fibers"),
+}
+PER_OBJECT_HOSTS = {host for host, _ in PER_OBJECT_MEMOS}
 
 
 def _name(node):
@@ -91,6 +100,12 @@ def test_per_object_memos_live_on_per_operation_objects():
     hosts = {owner for _, owner, _ in _decorated({"cached_property"})}
     assert hosts <= PER_OBJECT_HOSTS
     assert "IntMatrix" not in hosts
+
+
+def test_per_object_memos_are_exactly_the_listed_ones():
+    # a new memo is added on purpose: here and in the README "Caches" paragraph
+    found = {(owner, name) for _, owner, name in _decorated({"cached_property"})}
+    assert found == PER_OBJECT_MEMOS
 
 
 def test_cache_handles_are_named_only_where_they_are_defined():

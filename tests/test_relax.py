@@ -1,18 +1,28 @@
+import math
 import random
 from itertools import combinations
 
 import pytest
-from conftest import EX1, KNAPSACK_COST, LONG_CHAIN_COST, face
+from conftest import DEGENERATE, EX1, KNAPSACK_COST, LONG_CHAIN, LONG_CHAIN_COST, face
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_relax import reference_solve, tie_count
 
 from toricip import oracle
-from toricip.oracle import IneqPolytope, fiber_solve
+from toricip.oracle import IneqPolytope, brute_force_standard_pairs, fiber_solve
 from toricip.core import IntMatrix, kernel_lattice_basis
-from toricip.errors import Infeasible, NotAFace, ParseError
-from toricip.groebner import CostOrder, solve_ip
-from toricip.linalg import dot
+from toricip.errors import DomainError, Infeasible, NotAFace, ParseError, Unbounded
+from toricip.groebner import CostOrder, is_generic, solve_ip, toric_groebner
+from toricip.hilbert import sharp_family
+from toricip.linalg import det_int, dot
 from toricip.relax import build_relaxation, solve_relaxation, solve_via_standard_pairs
 from toricip.stdpairs import relaxations_solving
-from toricip.triangulation import cached_subdivision, optimal_face, regular_subdivision
+from toricip.triangulation import (
+    cached_subdivision,
+    lex_refinement,
+    optimal_face,
+    regular_subdivision,
+)
 
 
 def test_build_relaxation_rows(knapsack_pipeline):
@@ -134,6 +144,20 @@ INCONSISTENT_CALLS = {
     "build-other-matrix": lambda a, delta, decomp: build_relaxation(OTHER, KNAPSACK_COST, delta, (), (27,)),
     "build-other-shape": lambda a, delta, decomp: build_relaxation(
         IntMatrix(EX1), (1, 0, 0, 1), delta, (), (4, 6)),
+    # an order on fewer variables than A has columns used to act as if padded with 0
+    "groebner-order-too-short": lambda a, delta, decomp: toric_groebner(
+        IntMatrix(EX1), CostOrder.from_cost((1, 0))),
+    "groebner-order-too-long": lambda a, delta, decomp: toric_groebner(
+        a, CostOrder.from_cost((10000, 100, 1, 0))),
+    "is-generic-cost-too-short": lambda a, delta, decomp: is_generic(IntMatrix(EX1), (1, 0)),
+    "solve-ip-order-too-short": lambda a, delta, decomp: solve_ip(
+        IntMatrix(EX1), CostOrder.from_cost((1, 0)), (4, 6)),
+    "brute-pairs-root-box-float": lambda a, delta, decomp: brute_force_standard_pairs(
+        a, KNAPSACK_COST, delta, root_box=[1.5, 1, 1]),
+    "brute-pairs-root-box-too-short": lambda a, delta, decomp: brute_force_standard_pairs(
+        a, KNAPSACK_COST, delta, root_box=[1, 1]),
+    "brute-pairs-margin-float": lambda a, delta, decomp: brute_force_standard_pairs(
+        a, KNAPSACK_COST, delta, root_box=[1, 1, 1], margin=0.5),
 }
 
 
@@ -155,6 +179,158 @@ def test_subdivision_cache_is_keyed_on_the_checked_cost():
     hits = cached_subdivision.cache_info().hits
     assert regular_subdivision(a, [1, 0, 0, 1]) is first
     assert cached_subdivision.cache_info().hits == hits + 1
+
+
+def _matches_reference(r):
+    """solve_relaxation equals the enumerate-and-min reference, or both raise Unbounded.
+
+    Returns the outcome, or None for an unbounded relaxation.
+    """
+    try:
+        want = reference_solve(r)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            solve_relaxation(r)
+        return None
+    assert solve_relaxation(r) == want
+    return want
+
+
+def test_solve_matches_enumerate_and_min_on_acceptance_rhs(acceptance_pipelines):
+    # criterion 8's twenty (b, face) per seed; the outcomes compare z, x,
+    # solves_ip and value
+    checked = 0
+    for inst in acceptance_pipelines:
+        a, c, delta = inst["a"], inst["c"], inst["delta"]
+        for b, tau in zip(inst["rhs"], inst["taus"]):
+            r = build_relaxation(a, c, delta, tau, b)
+            assert solve_relaxation(r) == reference_solve(r), (inst["seed"], b, tau)
+            checked += 1
+    assert checked == 2000
+
+
+LOW_CORANK = {
+    # corank 0: the relaxation lives in Z^0
+    "corank0": (((1, 1), (0, 2)), (3, 1)),
+    "corank0-zero": (((2, 1), (1, 3)), (0, 0)),
+    # corank 1: the cost row is one number, of either sign or zero
+    "corank1": (((2, 3),), (1, 1)),
+    "corank1-other-sign": (((2, 3),), (1, 5)),
+    "corank1-zero-row": (((2, 3),), (2, 3)),  # c B = 0: one cell, no cost cut
+    "knapsack": (((2, 5, 8),), KNAPSACK_COST),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_CORANK))
+def test_solve_matches_enumerate_and_min_at_low_corank(name):
+    rows, cost = LOW_CORANK[name]
+    a = IntMatrix(rows)
+    delta = regular_subdivision(a, cost)
+    solved = 0
+    for u in [(0,) * a.n, (1,) * a.n, tuple(range(a.n)), tuple(range(a.n, 0, -1)), (4,) * a.n]:
+        b = a.apply(u)
+        for tau in delta.faces():
+            solved += _matches_reference(build_relaxation(a, cost, delta, tau, b)) is not None
+    assert solved
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_solve_matches_enumerate_and_min_on_degenerate_costs(name):
+    # the faces of the cells (not all simplices) and of the lex refinement;
+    # ties in the cost are broken by lex order on z, as in the reference
+    a, cost = DEGENERATE[name]
+    delta = regular_subdivision(a, cost)
+    rng = random.Random(name)
+    ties = 0
+    for sub in (delta, lex_refinement(delta)):
+        for _ in range(3):
+            b = a.apply(tuple(rng.randint(0, 2) for _ in range(a.n)))
+            for tau in sub.faces():
+                r = build_relaxation(a, cost, sub, tau, b)
+                if _matches_reference(r) is not None:
+                    ties += tie_count(r) > 1
+    assert ties
+
+
+def test_zero_cost_row_puts_no_coordinate_first():
+    # r = -cB = 0: T is the echelon kernel basis of the zero row, the cut is 0
+    a, cost = DEGENERATE["long-chain-zero"]
+    t, bt, cut = regular_subdivision(a, cost).cost_coordinates
+    assert cut == (0, 0, 0)
+    assert abs(det_int(t)) == 1
+    assert bt == tuple(tuple(dot(row, col) for col in zip(*t))
+                       for row in kernel_lattice_basis(a).matrix)
+
+
+def test_cost_coordinates_are_built_once_per_subdivision():
+    a = IntMatrix(LONG_CHAIN)
+    delta = regular_subdivision(a, LONG_CHAIN_COST)
+    coords = delta.cost_coordinates
+    assert delta.cost_coordinates is coords
+    r = build_relaxation(a, LONG_CHAIN_COST, delta, (), a.apply((1,) * a.n))
+    assert (r.transform, r.kernel_rows, r.cut) == coords
+    assert r.cut[0] > 0 and not any(r.cut[1:])
+    assert r.cut[0] == math.gcd(*r.cost_row)
+
+
+def _random_instance(rng):
+    """A small matrix with a small, zero-heavy cost, or None when the matrix is invalid."""
+    d = rng.randint(1, 2)
+    n = d + rng.randint(1, 3)
+    rows = tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d))
+    try:
+        a = IntMatrix(rows)
+    except DomainError:
+        return None
+    return a, tuple(rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_hypothesis_bounded_relaxations_match_reference(rng):
+    inst = _random_instance(rng)
+    if inst is None:
+        return
+    a, cost = inst
+    delta = regular_subdivision(a, cost)
+    t, bt, cut = delta.cost_coordinates
+    assert abs(det_int(t)) == 1 if t else a.n == a.d
+    for sub in (delta, lex_refinement(delta)):
+        b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
+        for tau in sub.faces():
+            r = build_relaxation(a, cost, sub, tau, b)
+            if IneqPolytope.from_rows(r.constraint_rows()).is_bounded():
+                assert solve_relaxation(r) == reference_solve(r), (a, cost, tau, b)
+
+
+def test_unbounded_relaxation_on_a_cell_that_is_not_a_simplex():
+    # sharp m=3: the second cell has 9 columns in dimension 7, so its kernel
+    # directions are free in the relaxation and cost nothing
+    a, cost = sharp_family(3)
+    delta = regular_subdivision(a, cost)
+    cell = max(delta.maximal_faces, key=len)
+    assert len(cell) > a.d
+    r = build_relaxation(a, cost, delta, cell, a.apply((1,) * a.n))
+    with pytest.raises(Unbounded):
+        reference_solve(r)
+    with pytest.raises(Unbounded):
+        solve_relaxation(r)
+
+
+def test_one_solve_is_one_first_point_sweep(long_chain_pipeline, monkeypatch):
+    a, delta, _, _, _ = long_chain_pipeline
+    r = build_relaxation(a, LONG_CHAIN_COST, delta, delta.maximal_faces[2], a.apply((2,) * a.n))
+    calls = []
+    sweep = oracle.lattice_points_boxed
+
+    def counted(rows, dim, limit=None):
+        calls.append(limit)
+        return sweep(rows, dim, limit)
+
+    monkeypatch.setattr(oracle, "lattice_points_boxed", counted)
+    out = solve_relaxation(r)
+    assert calls == [1]
+    assert out.value < dot(LONG_CHAIN_COST, (2,) * a.n)
 
 
 def test_solve_via_pairs_matches_groebner(long_chain_pipeline):

@@ -2,15 +2,13 @@ import random
 
 import pytest
 from conftest import (
+    DEGENERATE,
     EX1,
     EX1_COST,
     EX2_COST,
     EX3,
-    GFAMILY,
-    KNAPSACK,
     LONG_CHAIN,
     LONG_CHAIN_COST,
-    NONNORMAL,
     face,
     faces_1based,
 )
@@ -20,7 +18,6 @@ from reference_solve import reference_optimal_face, reference_reduced_cost
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
 from toricip.errors import DomainError, NotAFace, OutsideCone
 from toricip.groebner import CostOrder, toric_groebner
-from toricip.hilbert import sharp_family
 from toricip.linalg import dot
 from toricip.triangulation import (
     lex_refinement,
@@ -210,18 +207,6 @@ def test_optimal_face_on_a_subdivision():
     assert optimal_face(d, (3, 4)) == face(1, 3)
     with pytest.raises(OutsideCone):
         optimal_face(d, (1, 4))
-
-
-DEGENERATE = {
-    "ex1-zero": (IntMatrix(EX1), (0, 0, 0, 0)),
-    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
-    "ex3-zero": (IntMatrix(EX3), (0, 0, 0, 0)),
-    "knapsack-zero": (IntMatrix(KNAPSACK), (0, 0, 0)),
-    "nonnormal-zero": (IntMatrix(NONNORMAL), (0, 0, 0, 0)),
-    "gfamily-zero": (IntMatrix(GFAMILY), (0,) * 6),
-    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
-    "sharp3": sharp_family(3),
-}
 
 
 def _degenerate_instance(seed):
