@@ -93,7 +93,7 @@ class RegularSubdivision:
         cut = tuple(linalg.dot(r, col) for col in cols)
         if any(cut[1:]) or (fac.rank and cut[0] <= 0):
             raise AssertionError("cost-first coordinates failed r T = (g, 0, ..., 0)")
-        t = tuple(zip(*cols)) if cols else ()
+        t = tuple(zip(*cols))
         bt = tuple(tuple(linalg.dot(row, col) for col in cols) for row in lat.matrix)
         return t, bt, cut
 

@@ -152,6 +152,8 @@ INCONSISTENT_CALLS = {
     "is-generic-cost-too-short": lambda a, delta, decomp: is_generic(IntMatrix(EX1), (1, 0)),
     "solve-ip-order-too-short": lambda a, delta, decomp: solve_ip(
         IntMatrix(EX1), CostOrder.from_cost((1, 0)), (4, 6)),
+    "solve-ip-order-too-short-empty-fiber": lambda a, delta, decomp: solve_ip(
+        IntMatrix(EX1), CostOrder.from_cost((1, 0)), (1, 5)),
     "brute-pairs-root-box-float": lambda a, delta, decomp: brute_force_standard_pairs(
         a, KNAPSACK_COST, delta, root_box=[1.5, 1, 1]),
     "brute-pairs-root-box-too-short": lambda a, delta, decomp: brute_force_standard_pairs(
