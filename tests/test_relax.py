@@ -295,8 +295,9 @@ def test_hypothesis_bounded_relaxations_match_reference(rng):
         return
     a, cost = inst
     delta = regular_subdivision(a, cost)
-    t, bt, cut = delta.cost_coordinates
-    assert abs(det_int(t)) == 1 if t else a.n == a.d
+    t, _, _ = delta.cost_coordinates
+    if t:
+        assert abs(det_int(t)) == 1
     for sub in (delta, lex_refinement(delta)):
         b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
         for tau in sub.faces():
