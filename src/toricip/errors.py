@@ -45,12 +45,6 @@ class NotOptimal(DomainError):
     kind = "not_optimal"
 
 
-class FaceViolation(DomainError):
-    """A standard pair landed on a set that is not a face of the triangulation."""
-
-    kind = "face_violation"
-
-
 class ChainViolation(DomainError):
     kind = "chain_violation"
 
@@ -81,10 +75,6 @@ class Degenerate(DomainError):
 
 class BoundUnavailable(DomainError):
     kind = "bound_unavailable"
-
-
-class BudgetExceeded(DomainError):
-    kind = "budget_exceeded"
 
 
 class ParseError(Exception):

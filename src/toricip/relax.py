@@ -30,13 +30,9 @@ class GroupRelaxation:
     feasible: tuple  # a fiber point u
     sigma: tuple  # the maximal face supplying the reduced cost
     ctilde: tuple  # full-length rational reduced cost, zero on sigma
-    cost_row: tuple  # -cB
     transform: tuple  # T, with z = T w (RegularSubdivision.cost_coordinates)
     kernel_rows: tuple  # B T, the kernel basis in w
     cut: tuple  # (-cB) T = (g, 0, ..., 0)
-
-    def constraint_rows(self):
-        return oracle.q_polytope(self.matrix, self.cost, self.feasible, self.face).rows
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,7 @@ def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> G
         raise Infeasible(f"no lattice point with A x = {b}")
     sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
     ctilde = reduced_cost(delta, sigma)
-    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, oracle.cost_row(a, cost),
-                           *delta.cost_coordinates)
+    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, *delta.cost_coordinates)
 
 
 def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:

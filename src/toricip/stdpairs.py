@@ -6,11 +6,13 @@ admissible when the shifted coordinate semigroup u + N^tau avoids the ideal,
 and standard when no admissible pair properly contains it; the decomposition
 by standard pairs is unique.  Roots of standard pairs are bounded coordinate-
 wise by the generator exponents (a consequence of admissibility plus the
-single-step maximality test), which makes the enumeration here finite.
+single-step maximality test), which makes the root search finite.
 
 Faces of standard pairs are the associated sets of the family; they carry the
 multiplicities, the arithmetic degree and the chain structure audited by
-:func:`associated_report`.
+:func:`associated_report`.  They are faces of the triangulation and form
+saturated chains down from its maximal cells (Hosten-Thomas 1999), so the
+decomposition runs the root search only on the faces of a top-down walk.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .core import IntMatrix, int_vector
-from .errors import BudgetExceeded, ChainViolation, FaceViolation, LengthViolation, NotOptimal
+from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError
 from .fibers import factor
 from .groebner import CostOrder, GroebnerBasis, toric_groebner
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
@@ -90,21 +92,21 @@ class Decomposition:
         return {face: factor(a.columns(face)) for face in self.multiplicities}
 
 
-def _standard_roots(proj_gens):
-    """Roots u over the taubar coordinates for which (u, tau) is a standard pair.
+def _standard_roots(proj_gens, k):
+    """Roots u over the k taubar coordinates for which (u, tau) is a standard pair.
 
     proj_gens are the minimal generators projected to taubar.  The search
     fixes u_1, u_2, ... in turn, and each generator g keeps where it exceeds
     u so far: nowhere (-1), at the one coordinate t (t), or at two or more
     (-2).  The pair is admissible iff every g exceeds u somewhere; g
     vanishes past its last nonzero coordinate, so that is settled at that
-    depth.  It is maximal iff every coordinate t is the lone excess of some
-    g (such a g keeps t out of the face).  Excess sets only grow, so a
-    coordinate left without such a g prunes the subtree, and since a lone
-    excess needs g_t > u_t, the generators' box bounds the search.
+    depth (at once for a g that projects to zero).  It is maximal iff every
+    coordinate t is the lone excess of some g (such a g keeps t out of the
+    face).  Excess sets only grow, so a coordinate left without such a g
+    prunes the subtree, and since a lone excess needs g_t > u_t, the
+    generators' box bounds the search.
     """
-    k = len(proj_gens[0])
-    bounds = [max(col) for col in zip(*proj_gens)]
+    bounds = [max((g[t] for g in proj_gens), default=0) for t in range(k)]
     due = [[] for _ in range(k + 1)]
     for i, g in enumerate(proj_gens):
         due[max((t for t in range(k) if g[t] != 0), default=-1) + 1].append(i)
@@ -128,38 +130,46 @@ def _standard_roots(proj_gens):
     return out
 
 
+def _face_pairs(ideal: MonomialIdeal, tau):
+    """The standard pairs of the ideal on the face tau."""
+    taubar = [i for i in range(ideal.nvars) if i not in tau]
+    proj = _minimalize(tuple(g[i] for i in taubar) for g in ideal.generators)
+    pairs = []
+    for u in _standard_roots(proj, len(taubar)):
+        root = dict(zip(taubar, u))
+        pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(ideal.nvars)), tau))
+    return pairs
+
+
 def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision) -> Decomposition:
     """The unique standard-pair decomposition of the standard monomials.
 
-    Candidate faces range over all index subsets; the theory says every face
-    that survives is a face of the triangulation, and a FaceViolation is
-    raised if that fails (an internal-consistency alarm, not a user error).
+    ``delta`` is the triangulation of the order that gave the ideal.  The
+    pair faces (the associated sets) include every maximal cell, and each
+    one below full size lies in one a size larger (Hosten-Thomas, The
+    associated primes of initial ideals of lattice ideals, Math. Res. Lett.
+    1999).  So a walk by size from the top finds them all: the candidates of
+    a size are the maximal cells and the subsets of the associated sets one
+    size larger, and a candidate is associated iff it has a root.  A
+    maximal cell without one means the ideal and delta do not belong
+    together and raises ChainViolation.
     """
     n = ideal.nvars
-    if n > 16:
-        raise BudgetExceeded(f"standard pairs sweep all 2^n index subsets; n = {n} > 16")
-    gens = ideal.generators
-    delta_faces = set(delta.faces())
+    if n != delta.matrix.n:
+        raise ParseError(f"the ideal has {n} variables, the subdivision {delta.matrix.n}")
+    maximal = set(delta.maximal_faces)
     pairs = []
-    for size in range(n + 1):
-        for tau in combinations(range(n), size):
-            taubar = [i for i in range(n) if i not in tau]
-            if not gens:
-                # zero ideal: all of N^n is standard; only the full face survives
-                if not taubar:
-                    pairs.append(StandardPair((0,) * n, tau))
-                continue
-            proj = [tuple(g[i] for i in taubar) for g in gens]
-            if any(not any(p) for p in proj):
-                continue  # some generator lives inside tau: nothing is admissible
-            for u in _standard_roots(_minimalize(proj)):
-                root = [0] * n
-                for t, i in enumerate(taubar):
-                    root[i] = u[t]
-                pairs.append(StandardPair(tuple(root), tau))
-    for p in pairs:
-        if p.face not in delta_faces:
-            raise FaceViolation(f"standard pair face {p.face} not in the triangulation")
+    level = set()
+    for size in range(n, -1, -1):
+        below = set()
+        for tau in sorted(level | {f for f in maximal if len(f) == size}):
+            found = _face_pairs(ideal, tau)
+            if found:
+                pairs += found
+                below.update(tau[:i] + tau[i + 1:] for i in range(size))
+            elif tau in maximal:
+                raise ChainViolation(f"maximal face {tau} is not associated")
+        level = below
     return Decomposition.from_pairs(pairs, delta, ideal)
 
 

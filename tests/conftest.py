@@ -87,6 +87,18 @@ def make_instance(seed, max_entry=4, cost_range=40):
                 return a, c
 
 
+def zero_heavy_instance(rng):
+    """A small matrix with a small, zero-heavy cost, or None when the matrix is invalid."""
+    d = rng.randint(1, 2)
+    n = d + rng.randint(1, 3)
+    rows = tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d))
+    try:
+        a = IntMatrix(rows)
+    except DomainError:
+        return None
+    return a, tuple(rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n))
+
+
 @pytest.fixture(scope="session")
 def acceptance_pipelines():
     """The 100 acceptance instances, their pipelines and criterion 8's twenty (b, face) each."""

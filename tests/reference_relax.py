@@ -16,10 +16,11 @@ from toricip.relax import RelaxationOutcome
 def reference_solve(r):
     """The :class:`RelaxationOutcome` of a ``GroupRelaxation``, by enumerate-and-min."""
     lat = kernel_lattice_basis(r.matrix)
-    pts = oracle.lattice_points_boxed(r.constraint_rows(), lat.corank)
+    crow = oracle.cost_row(r.matrix, r.cost)
+    pts = oracle.lattice_points_boxed(_rows(r), lat.corank)
     if not pts:
         raise AssertionError("relaxation lost the origin")
-    z = min(pts, key=lambda p: (dot(r.cost_row, p), p))
+    z = min(pts, key=lambda p: (dot(crow, p), p))
     x = tuple(ui - bi for ui, bi in zip(r.feasible, lat.apply(z)))
     in_face = set(r.face)
     solves = all(x[i] >= 0 for i in in_face)
@@ -31,6 +32,11 @@ def reference_solve(r):
 def tie_count(r):
     """How many lattice points of the relaxation share its least cost."""
     lat = kernel_lattice_basis(r.matrix)
-    costs = [dot(r.cost_row, p)
-             for p in oracle.lattice_points_boxed(r.constraint_rows(), lat.corank)]
+    crow = oracle.cost_row(r.matrix, r.cost)
+    costs = [dot(crow, p) for p in oracle.lattice_points_boxed(_rows(r), lat.corank)]
     return costs.count(min(costs))
+
+
+def _rows(r):
+    """The B-rows off the face bounded by the fiber point u, then the cost cut."""
+    return oracle.q_polytope(r.matrix, r.cost, r.feasible, r.face).rows

@@ -259,12 +259,18 @@ def test_removed_noop_flags_are_parse_errors(capsys, fixtures, flag):
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
-@pytest.mark.parametrize("command", [
-    ["stdpairs"], ["assoc"], ["gomory"], ["solve-sp", "--rhs", "3"]])
-def test_standard_pairs_past_sixteen_columns_exceed_the_budget(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, expected", [
+    (["stdpairs"], {"pairs": [{"root": [0] * 17, "face": [1]}]}),
+    (["assoc"], {"max_chain_length": 0}),
+    (["gomory"], {"gomory_family": True}),
+    (["solve-sp", "--rhs", "3"], {"optimum": [3] + [0] * 16}),
+])
+def test_standard_pairs_run_past_sixteen_columns(capsys, tmp_path, command, expected):
+    # 1 x 17 all ones, cost 1..17: the cheapest column is the one cell
     mat = tmp_path / "wide.mat"
     mat.write_text("1 17\n" + " ".join(["1"] * 17) + "\n")
     cost = " ".join(str(j) for j in range(1, 18))
     code, out = run(capsys, [command[0], "--matrix", str(mat), "--cost", cost, *command[1:]])
-    assert code == 1
-    assert json.loads(out)["error"]["kind"] == "budget_exceeded"
+    assert code == 0
+    payload = json.loads(out)
+    assert {key: payload[key] for key in expected} == expected

@@ -95,6 +95,8 @@ def test_is_standard_polytope_examples(knapsack_pipeline):
     assert is_standard_polytope(a, KNAPSACK_COST, (0, 2, 0), face(3))
     assert not is_standard_polytope(a, KNAPSACK_COST, (0, 8, 0), face(3))
     assert is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), face(3))
+    # the root is alone in its fiber (b = 2): only the cost cut may be dropped
+    assert is_standard_polytope(a, KNAPSACK_COST, (1, 0, 0), ())
     with pytest.raises(NotAFace):
         is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), face(1))
 

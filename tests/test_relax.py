@@ -3,7 +3,15 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import DEGENERATE, EX1, KNAPSACK_COST, LONG_CHAIN, LONG_CHAIN_COST, face
+from conftest import (
+    DEGENERATE,
+    EX1,
+    KNAPSACK_COST,
+    LONG_CHAIN,
+    LONG_CHAIN_COST,
+    face,
+    zero_heavy_instance,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_relax import reference_solve, tie_count
@@ -11,7 +19,7 @@ from reference_relax import reference_solve, tie_count
 from toricip import oracle
 from toricip.oracle import IneqPolytope, brute_force_standard_pairs, fiber_solve
 from toricip.core import IntMatrix, kernel_lattice_basis
-from toricip.errors import DomainError, Infeasible, NotAFace, ParseError, Unbounded
+from toricip.errors import Infeasible, NotAFace, ParseError, Unbounded
 from toricip.groebner import CostOrder, is_generic, solve_ip, toric_groebner
 from toricip.hilbert import sharp_family
 from toricip.linalg import det_int, dot
@@ -29,7 +37,7 @@ def test_build_relaxation_rows(knapsack_pipeline):
     a, delta, _, _, _ = knapsack_pipeline
     r = build_relaxation(a, KNAPSACK_COST, delta, face(3), (40,))
     lat = kernel_lattice_basis(a)
-    rows = r.constraint_rows()
+    rows = oracle.q_polytope(a, KNAPSACK_COST, r.feasible, r.face).rows
     assert [s for s, _ in rows[:-1]] == [lat.matrix[0], lat.matrix[1]]
     assert rows[-1] == (oracle.cost_row(a, KNAPSACK_COST), 0)
     # c~ restricted to the kernel basis equals cB regardless of face
@@ -272,25 +280,13 @@ def test_cost_coordinates_are_built_once_per_subdivision():
     r = build_relaxation(a, LONG_CHAIN_COST, delta, (), a.apply((1,) * a.n))
     assert (r.transform, r.kernel_rows, r.cut) == coords
     assert r.cut[0] > 0 and not any(r.cut[1:])
-    assert r.cut[0] == math.gcd(*r.cost_row)
-
-
-def _random_instance(rng):
-    """A small matrix with a small, zero-heavy cost, or None when the matrix is invalid."""
-    d = rng.randint(1, 2)
-    n = d + rng.randint(1, 3)
-    rows = tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d))
-    try:
-        a = IntMatrix(rows)
-    except DomainError:
-        return None
-    return a, tuple(rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n))
+    assert r.cut[0] == math.gcd(*oracle.cost_row(a, LONG_CHAIN_COST))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_hypothesis_bounded_relaxations_match_reference(rng):
-    inst = _random_instance(rng)
+    inst = zero_heavy_instance(rng)
     if inst is None:
         return
     a, cost = inst
@@ -302,7 +298,7 @@ def test_hypothesis_bounded_relaxations_match_reference(rng):
         b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
         for tau in sub.faces():
             r = build_relaxation(a, cost, sub, tau, b)
-            if IneqPolytope.from_rows(r.constraint_rows()).is_bounded():
+            if oracle.q_polytope(a, cost, r.feasible, tau).is_bounded():
                 assert solve_relaxation(r) == reference_solve(r), (a, cost, tau, b)
 
 

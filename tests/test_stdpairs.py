@@ -1,9 +1,11 @@
 import pytest
-from conftest import CENSUS_MATRICES, face
+from conftest import CENSUS_MATRICES, DEGENERATE, KNAPSACK, face, zero_heavy_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_stdpairs import reference_standard_pairs
 
 from toricip.core import IntMatrix
-from toricip.errors import FaceViolation, NotOptimal
+from toricip.errors import ChainViolation, NotOptimal, ParseError
 from toricip.stdpairs import (
     MonomialIdeal,
     associated_report,
@@ -151,14 +153,23 @@ def test_associated_report_long_chain(long_chain_pipeline):
         assert set(small) < set(big)
 
 
-def test_face_violation_fires_on_wrong_triangulation(knapsack_pipeline):
-    from toricip.core import IntMatrix
+def test_triangulation_of_another_matrix_is_a_parse_error(knapsack_pipeline):
     from toricip.triangulation import regular_subdivision
 
     _, _, _, ideal, _ = knapsack_pipeline
-    # triangulation of a different matrix: the knapsack pairs use face {3}
     wrong = regular_subdivision(IntMatrix(((1, 2),)), (0, 0))
-    with pytest.raises(FaceViolation):
+    with pytest.raises(ParseError):
+        standard_pair_decomposition(ideal, wrong)
+
+
+def test_triangulation_of_another_cost_breaks_the_chain(knapsack_pipeline):
+    from toricip.triangulation import regular_subdivision
+
+    _, _, _, ideal, _ = knapsack_pipeline
+    # the reversed cost's cell {1} holds the generator x_1^4, so it has no root
+    wrong = regular_subdivision(IntMatrix(KNAPSACK), (1, 100, 10000))
+    assert wrong.maximal_faces == (face(1),)
+    with pytest.raises(ChainViolation, match="maximal face"):
         standard_pair_decomposition(ideal, wrong)
 
 
@@ -290,10 +301,21 @@ REFERENCE_CASES = {
     f"census{IntMatrix(rows).d}x{IntMatrix(rows).n}-{k}": (IntMatrix(rows), cost)
     for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)
 }
-REFERENCE_CASES["sharp3"] = sharp_family(3)
+REFERENCE_CASES.update(DEGENERATE)  # sharp m=3 among them
+REFERENCE_CASES["sharp2"] = sharp_family(2)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
-def test_pairs_match_reference_enumeration_on_census_and_sharp3(name):
+def test_pairs_match_reference_enumeration_on_named_cases(name):
     _, gb, decomp, _ = decomposition_for(*REFERENCE_CASES[name])
     assert list(decomp.pairs) == reference_standard_pairs(initial_ideal(gb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_hypothesis_walk_matches_reference_enumeration(rng):
+    inst = zero_heavy_instance(rng)
+    if inst is None:
+        return
+    _, gb, decomp, _ = decomposition_for(*inst)
+    assert list(decomp.pairs) == reference_standard_pairs(initial_ideal(gb)), inst
