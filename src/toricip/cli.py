@@ -281,6 +281,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads "--face=--" as []
+            raise ParseError("an option value cannot be '--'")
         args.func(args)
         return 0
     except ParseError as exc:

@@ -9,11 +9,12 @@ B-row is dropped.  None of it consults the Groebner machinery, which is the
 point: the two routes must agree and the test suite enforces that.
 
 Every lattice-point question about {s . z <= o}, every fiber, and the
-boundedness test go through one exact integer Fourier-Motzkin elimination:
-:func:`lattice_points_boxed`, which lives in :mod:`fibers` (the lowest layer
-that needs it) and is re-exported here, is the library's only enumerator
-(the relaxation solver and the Hilbert-basis parallelepipeds use it too).
-Only :func:`width_along` solves LPs.
+boundedness test go through one exact integer Fourier-Motzkin elimination,
+:class:`fibers.Elimination` (the library's only enumerator; the relaxation
+solver, the fibers and the Hilbert-basis parallelepipeds use it too).  The
+questions here each ask about one system, so they use its one-off form
+:func:`lattice_points_boxed`, re-exported here.  Only :func:`width_along`
+solves LPs.
 """
 
 import math
@@ -24,7 +25,7 @@ from itertools import combinations
 
 from .core import IntMatrix, int_vector, kernel_lattice_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
-from .fibers import _bound_rows, _fm_levels, factor, lattice_points_boxed
+from .fibers import Elimination, factor, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 from .stdpairs import Decomposition, StandardPair
@@ -56,17 +57,8 @@ class IneqPolytope:
 
 @lru_cache(maxsize=4096)
 def _recession_trivial(normals, dim):
-    """Whether {s . z <= 0} is {0}: every elimination level bounds its coordinate.
-
-    The homogeneous Fourier-Motzkin test.  The level over z_1..z_k describes
-    the projection of the cone onto those coordinates, which is {0} exactly
-    when the projection onto z_1..z_(k-1) is {0} and the level has rows of
-    both signs in z_k.
-    """
-    if dim == 0:
-        return True
-    levels = _bound_rows(_fm_levels([(s, 0) for s in normals], dim))
-    return all(upper and lower for upper, lower in levels)
+    """Whether {s . z <= 0} is {0}: the homogeneous Fourier-Motzkin test."""
+    return Elimination(normals, dim).bounded
 
 
 def enumerate_lattice_points(poly: IneqPolytope, limit=None):

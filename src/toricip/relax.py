@@ -6,16 +6,19 @@ feasible u of the fiber, a polytope exactly when tau is a face of the
 triangulation.  It is solved by one first-point sweep in the cost-first
 coordinates z = T w of the subdivision
 (:attr:`~toricip.triangulation.RegularSubdivision.cost_coordinates`), where
-the lex-first lattice point is the (cost, lex z) optimum.  The winner z*
+the lex-first lattice point is the (cost, lex z) optimum.  The elimination
+behind the sweep is planned once per subdivision, over every row
+(:attr:`~toricip.triangulation.RegularSubdivision.relaxation_elimination`);
+a face and a right-hand side only set its offsets.  The winner z*
 lifts to x* = u - B z*, integral by construction; the relaxation solves the
 program iff the lifted tau-part is nonnegative.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import oracle
 from .core import IntMatrix, int_vector, kernel_lattice_basis
 from .errors import Infeasible, NotAFace, ParseError
+from .fibers import Elimination
 from .linalg import dot
 from .stdpairs import Decomposition
 from .triangulation import RegularSubdivision, reduced_cost
@@ -33,6 +36,7 @@ class GroupRelaxation:
     transform: tuple  # T, with z = T w (RegularSubdivision.cost_coordinates)
     kernel_rows: tuple  # B T, the kernel basis in w
     cut: tuple  # (-cB) T = (g, 0, ..., 0)
+    elimination: Elimination = field(compare=False, repr=False)  # of (B T, cut)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> G
         raise Infeasible(f"no lattice point with A x = {b}")
     sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
     ctilde = reduced_cost(delta, sigma)
-    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, *delta.cost_coordinates)
+    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, *delta.cost_coordinates,
+                           delta.relaxation_elimination)
 
 
 def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
@@ -69,15 +74,13 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
 
     The feasible region with the cost cut is a polytope.  In the cost-first
     coordinates w its rows are (B T)_i w <= u_i off the face and
-    (g, 0, ..., 0) w <= 0, and one sweep stopped at the first lattice point
-    finds the (-cB)-minimum with lexicographic tie-break on z = T w.  An
-    unbounded relaxation raises Unbounded.
+    (g, 0, ..., 0) w <= 0; the face rows get no offset.  One sweep stopped at
+    the first lattice point finds the (-cB)-minimum with lexicographic
+    tie-break on z = T w.  An unbounded relaxation raises Unbounded.
     """
     in_face = set(r.face)
-    rows = [(row, ui) for i, (row, ui) in enumerate(zip(r.kernel_rows, r.feasible))
-            if i not in in_face]
-    rows.append((r.cut, 0))
-    pts = oracle.lattice_points_boxed(rows, len(r.cut), limit=1)
+    offsets = [None if i in in_face else ui for i, ui in enumerate(r.feasible)]
+    pts = r.elimination.points(offsets + [0], limit=1)
     if not pts:
         raise AssertionError("relaxation lost the origin")
     w = pts[0]
@@ -95,20 +98,16 @@ def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
     Any pair whose system has a point in N^tau (its fiber) yields the optimum
     (the lifted point lies in the pair's semigroup, hence among the optimal
     points, and fibers meet the optimal set once).  Maximal faces are tried
-    first, then faces by decreasing size.  Each face's system is factored
-    once per decomposition (:attr:`Decomposition.face_fibers`).
+    first, then faces by decreasing size.  The scan order, each A u and each
+    face's factorization are built once per decomposition
+    (:attr:`Decomposition.face_fibers`).
     """
     b = int_vector(b, a.d, "right-hand side")
     if decomp.delta.matrix != a:
         raise ParseError("the decomposition was built for another matrix")
-    maximal = set(decomp.delta.maximal_faces)
-    ordered = sorted(
-        decomp.pairs,
-        key=lambda p: (0 if p.face in maximal else 1, -len(p.face), p.face, p.root),
-    )
-    for pair in ordered:
-        rhs = tuple(bi - vi for bi, vi in zip(b, a.apply(pair.root)))
-        sol = decomp.face_fibers[pair.face].first(rhs)
+    for pair, au, fibers in decomp.face_fibers:
+        rhs = tuple(bi - vi for bi, vi in zip(b, au))
+        sol = fibers.first(rhs)
         if sol is None:
             continue
         x = list(pair.root)

@@ -87,9 +87,15 @@ class Decomposition:
 
     @cached_property
     def face_fibers(self):
-        """The fiber factorization of A_tau per pair face tau, built on first use."""
-        a = self.delta.matrix
-        return {face: factor(a.columns(face)) for face in self.multiplicities}
+        """The pair scan, built on first use: (pair, A u, factorization of A_tau) per pair.
+
+        Pairs on maximal faces come first, then by decreasing face size; the
+        pairs of a face share its factorization.
+        """
+        a, maximal = self.delta.matrix, set(self.delta.maximal_faces)
+        fibers = {face: factor(a.columns(face)) for face in self.multiplicities}
+        ordered = sorted(self.pairs, key=lambda p: (p.face not in maximal, -len(p.face), p.face, p.root))
+        return tuple((p, a.apply(p.root), fibers[p.face]) for p in ordered)
 
 
 def _standard_roots(proj_gens, k):

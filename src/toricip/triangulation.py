@@ -17,7 +17,7 @@ from itertools import combinations
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, int_vector, kernel_lattice_basis
 from .errors import NotAFace, OutsideCone
-from .fibers import factor
+from .fibers import Elimination, factor
 from .linprog import nonneg_feasible
 
 
@@ -96,6 +96,14 @@ class RegularSubdivision:
         t = tuple(zip(*cols))
         bt = tuple(tuple(linalg.dot(row, col) for col in cols) for row in lat.matrix)
         return t, bt, cut
+
+    @cached_property
+    def relaxation_elimination(self):
+        """The :class:`~toricip.fibers.Elimination` of {(B T) w <= u, r T w <= 0}, built on
+        first use over all n rows and the cut: every face shares it, its rows set to None.
+        """
+        _, bt, cut = self.cost_coordinates
+        return Elimination(bt + (cut,), len(cut))
 
     @cached_property
     def simplex_inverses(self):

@@ -38,6 +38,7 @@ PER_OBJECT_MEMOS = {
     ("RegularSubdivision", "simplex_inverses"),
     ("RegularSubdivision", "reduced_costs"),
     ("RegularSubdivision", "cost_coordinates"),
+    ("RegularSubdivision", "relaxation_elimination"),
     ("Decomposition", "face_fibers"),
 }
 PER_OBJECT_HOSTS = {host for host, _ in PER_OBJECT_MEMOS}

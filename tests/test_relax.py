@@ -320,13 +320,15 @@ def test_one_solve_is_one_first_point_sweep(long_chain_pipeline, monkeypatch):
     a, delta, _, _, _ = long_chain_pipeline
     r = build_relaxation(a, LONG_CHAIN_COST, delta, delta.maximal_faces[2], a.apply((2,) * a.n))
     calls = []
-    sweep = oracle.lattice_points_boxed
+    plan = delta.relaxation_elimination
+    assert r.elimination is plan
+    sweep = plan.points
 
-    def counted(rows, dim, limit=None):
+    def counted(offsets, limit=None):
         calls.append(limit)
-        return sweep(rows, dim, limit)
+        return sweep(offsets, limit)
 
-    monkeypatch.setattr(oracle, "lattice_points_boxed", counted)
+    monkeypatch.setattr(plan, "points", counted)
     out = solve_relaxation(r)
     assert calls == [1]
     assert out.value < dot(LONG_CHAIN_COST, (2,) * a.n)
