@@ -111,7 +111,7 @@ class LatticeBasis:
 
     def apply(self, z):
         """B z, as a length-n integer vector."""
-        return tuple(linalg.dot(row, z) for row in self.matrix)
+        return linalg.mat_vec(self.matrix, z)
 
 
 @lru_cache(maxsize=256)

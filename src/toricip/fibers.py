@@ -19,6 +19,7 @@ IntMatrix rules that out) raises Unbounded.
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from . import core  # a module reference: core imports this module
 from .errors import Unbounded
@@ -191,10 +192,7 @@ class Factorization:
         if x0 is None:
             return []
         basis = self.basis
-        return [
-            tuple(x + dot(row, z) for row, x in zip(basis, x0))
-            for z in self.elimination.points(x0, limit)
-        ]
+        return [tuple(map(add, x0, mat_vec(basis, z))) for z in self.elimination.points(x0, limit)]
 
     def first(self, b):
         """Lexicographically first fiber point, or None when the fiber is empty."""

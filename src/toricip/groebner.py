@@ -23,7 +23,7 @@ from operator import le
 
 from .core import IntMatrix, LatticeBasis, int_vector, kernel_lattice_basis
 from .errors import Infeasible, ParseError
-from .linalg import clear_denominators, dot, lll_reduce
+from .linalg import clear_denominators, dot, lll_reduce, mat_vec
 from .linprog import OPTIMAL, solve_lp
 
 
@@ -43,7 +43,7 @@ class CostOrder:
         return self.weights[0]
 
     def key(self, u):
-        return tuple(dot(w, u) for w in self.weights) + u
+        return mat_vec(self.weights, u) + u
 
     def ties_through_weights(self, u, v):
         return all(dot(w, u) == dot(w, v) for w in self.weights)

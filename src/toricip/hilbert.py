@@ -341,7 +341,7 @@ def sharp_family(m: int):
     a = IntMatrix(tuple(tuple(r) for r in amat))
     cost = tuple([11] + [0] * (d - 1) + [10] * m)
     bmat = rows + [[-1 if t == s else 0 for s in range(m)] for t in range(m)]
-    contracted = [sum(cost[i] * bmat[i][t] for i in range(n)) for t in range(m)]
+    contracted = [dot(cost, col) for col in zip(*bmat)]
     if contracted != [1] * m:
         raise AssertionError("cost does not contract the kernel basis to ones")
     return a, cost

@@ -6,6 +6,7 @@ Matrices are sequences of rows; all arithmetic is over Python ints and
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def det_int(rows):
@@ -313,11 +314,18 @@ def gcd_of_minors(rows, k):
 
 
 def mat_vec(rows, x):
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+    """rows @ x: :func:`dot` of each row with x."""
+    return tuple([sum(map(mul, row, x)) for row in rows])
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    """Sum of the pairwise products, left to right, up to the shorter vector.
+
+    The vectors are short, so call overhead dominates: ``map`` runs the loop
+    in C where a generator over ``zip`` resumes a Python frame per term.  This
+    and :func:`mat_vec` are the library's only dot-product loops.
+    """
+    return sum(map(mul, u, v))
 
 
 def clear_denominators(values):

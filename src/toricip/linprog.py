@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import clear_denominators
+from .linalg import clear_denominators, dot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,7 +60,7 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
     for r, b in zip(rows, basis):
         xsplit[b] = Fraction(r[-1], r[b])
     x = tuple(xsplit[j] - xsplit[nx + j] for j in range(nx))
-    value = sum(o * v for o, v in zip(obj, x))
+    value = dot(obj, x)
     return LPResult(OPTIMAL, x, -value if maximize else value)
 
 

@@ -15,11 +15,12 @@ program iff the lifted tau-part is nonnegative.
 """
 
 from dataclasses import dataclass, field
+from operator import sub
 
 from .core import IntMatrix, int_vector, kernel_lattice_basis
 from .errors import Infeasible, NotAFace, ParseError
 from .fibers import Elimination
-from .linalg import dot
+from .linalg import dot, mat_vec
 from .stdpairs import Decomposition
 from .triangulation import RegularSubdivision, reduced_cost
 
@@ -84,8 +85,8 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
     if not pts:
         raise AssertionError("relaxation lost the origin")
     w = pts[0]
-    z = tuple(dot(row, w) for row in r.transform)
-    x = tuple(ui - dot(row, w) for ui, row in zip(r.feasible, r.kernel_rows))
+    z = mat_vec(r.transform, w)
+    x = tuple(map(sub, r.feasible, mat_vec(r.kernel_rows, w)))
     solves = all(x[i] >= 0 for i in range(r.matrix.n) if i in in_face)
     if any(x[i] < 0 for i in range(r.matrix.n) if i not in in_face):
         raise AssertionError("lift broke nonnegativity off the face")

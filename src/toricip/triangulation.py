@@ -16,9 +16,8 @@ from itertools import combinations
 
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, int_vector, kernel_lattice_basis
-from .errors import NotAFace, OutsideCone
+from .errors import Degenerate, NotAFace, OutsideCone
 from .fibers import Elimination, factor
-from .linprog import nonneg_feasible
 
 
 def _as_face(indices):
@@ -90,11 +89,11 @@ class RegularSubdivision:
         if fac.rank:
             sign = 1 if fac.h[0][0] > 0 else -1
             cols.insert(0, tuple(sign * row[0] for row in fac.u))
-        cut = tuple(linalg.dot(r, col) for col in cols)
+        cut = linalg.mat_vec(cols, r)
         if any(cut[1:]) or (fac.rank and cut[0] <= 0):
             raise AssertionError("cost-first coordinates failed r T = (g, 0, ..., 0)")
         t = tuple(zip(*cols))
-        bt = tuple(tuple(linalg.dot(row, col) for col in cols) for row in lat.matrix)
+        bt = tuple(linalg.mat_vec(cols, row) for row in lat.matrix)
         return t, bt, cut
 
     @cached_property
@@ -185,11 +184,6 @@ def _lifted_above(sigma, lam, j):
     return next(v for _, v in sorted([*zip(sigma, lam), (j, -1)]) if v) < 0
 
 
-def in_cone(a: IntMatrix, tau, b) -> bool:
-    """Exact membership b in cone(A_tau) = {A_tau lam : lam >= 0}."""
-    return nonneg_feasible(a.columns(tau), b)
-
-
 def optimal_face(delta: RegularSubdivision, b):
     """The unique smallest face tau of Delta with b in cone(A_tau).
 
@@ -197,19 +191,17 @@ def optimal_face(delta: RegularSubdivision, b):
     right-hand side b.  Raises OutsideCone when b is not in cone(A).  The face
     cones of a triangulation form a fan, so tau is the support of b's
     coordinates in any maximal simplex whose cone holds b, read off the
-    simplex's integer inverse.
+    simplex's integer inverse.  A subdivision with a non-simplicial cell
+    raises Degenerate: there the smallest face need not be unique; refine it
+    with :func:`lex_refinement` first.
     """
-    a = delta.matrix
-    b = int_vector(b, a.d, "right-hand side")
-    if delta.is_triangulation:
-        for sigma, adj, sign in delta.simplex_inverses:
-            lam = [sign * linalg.dot(row, b) for row in adj]
-            if all(v >= 0 for v in lam):
-                return tuple(j for j, v in zip(sigma, lam) if v)
-    else:
-        for face in delta.faces():
-            if in_cone(a, face, b):
-                return face
+    b = int_vector(b, delta.matrix.d, "right-hand side")
+    if not delta.is_triangulation:
+        raise Degenerate("optimal_face needs a triangulation")
+    for sigma, adj, sign in delta.simplex_inverses:
+        lam = [sign * linalg.dot(row, b) for row in adj]
+        if all(v >= 0 for v in lam):
+            return tuple(j for j, v in zip(sigma, lam) if v)
     raise OutsideCone(f"{b} is outside cone(A)")
 
 

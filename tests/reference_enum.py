@@ -22,8 +22,10 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from reference_linalg import dot
+
 from toricip.errors import Unbounded
-from toricip.linalg import det_int, dot, solve_exact
+from toricip.linalg import det_int, solve_exact
 from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 

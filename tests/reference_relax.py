@@ -7,9 +7,10 @@ cost cut) and takes the (-cB)-minimum with lexicographic tie-break on z.
 in cost-first coordinates; the tests hold the two equal.
 """
 
+from reference_linalg import dot
+
 from toricip import oracle
 from toricip.core import kernel_lattice_basis
-from toricip.linalg import dot
 from toricip.relax import RelaxationOutcome
 
 

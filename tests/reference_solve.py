@@ -9,23 +9,25 @@ the factored answers equal to them.
 
 from fractions import Fraction
 
+from reference_linalg import dot
+
 from toricip.errors import OutsideCone
-from toricip.linalg import dot, solve_exact
-from toricip.triangulation import in_cone
+from toricip.linalg import solve_exact
+from toricip.linprog import nonneg_feasible
+
+
+def in_cone(a, tau, b):
+    """Exact membership b in cone(A_tau) = {A_tau lam : lam >= 0}, by phase 1."""
+    return nonneg_feasible(a.columns(tau), b)
 
 
 def reference_optimal_face(delta, b):
-    """The smallest face with b in its cone, by a Fraction solve per simplex."""
+    """The smallest face of a triangulation holding b, by a Fraction solve per simplex."""
     a = delta.matrix
-    if delta.is_triangulation:
-        for sigma in delta.maximal_faces:
-            lam = solve_exact(a.columns(sigma), b)
-            if all(v >= 0 for v in lam):
-                return tuple(j for j, v in zip(sigma, lam) if v)
-    else:
-        for face in delta.faces():
-            if in_cone(a, face, b):
-                return face
+    for sigma in delta.maximal_faces:
+        lam = solve_exact(a.columns(sigma), b)
+        if all(v >= 0 for v in lam):
+            return tuple(j for j, v in zip(sigma, lam) if v)
     raise OutsideCone(f"{tuple(b)} is outside cone(A)")
 
 

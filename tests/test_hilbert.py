@@ -145,6 +145,23 @@ def test_gomory_cost_unimodular_and_graded():
         ((0, 0, 0), face(1, 3)), ((0, 1, 0), face(1, 3))]
 
 
+def test_gomory_cost_needs_the_symbolic_order():
+    # the residue optima are taken under (lifted cost, ray deficit, lex); on
+    # this input the plain lex minimum picks other roots, and no scaling of
+    # the lifted cost realizes those
+    a = IntMatrix(((2, 3, 3, 1), (1, 2, 1, 0)))
+    res = gomory_cost(a, [face(2, 3), face(3, 4)])
+    assert res.cost == (0, 3, -5, -1)
+    e = lambda k: (k, 0, 0, 0)
+    assert res.residue_roots == ((face(2, 3), (e(0), e(1), e(2))), (face(3, 4), (e(0),)))
+    assert sorted((p.root, p.face) for p in res.pairs) == [
+        (e(0), face(2, 3)), (e(0), face(3, 4)), (e(1), face(2, 3)), (e(2), face(2, 3))]
+    delta, _, decomp, refined = decomposition_for(a, res.cost)
+    assert not refined and set(delta.maximal_faces) == {face(2, 3), face(3, 4)}
+    assert is_gomory_family(decomp, delta)
+    assert set(decomp.pairs) == set(res.pairs)
+
+
 def test_gomory_cost_rejections():
     a = IntMatrix(GFAMILY)
     with pytest.raises(NotRegular):

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import reference_linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricip import linalg
 
@@ -206,3 +210,32 @@ def test_lll_reduce_edge_cases():
     for dependent in [[(0, 0)], [(1, 2, 3), (2, 4, 6)], [(1, 0), (0, 0), (0, 1)]]:
         with pytest.raises(ValueError):
             linalg.lll_reduce(dependent)
+
+
+# ints of both signs, past 2**64, Fractions, and the two mixed in one vector
+ENTRIES = st.one_of(st.integers(-2**70, 2**70), st.fractions(max_denominator=10**6))
+VECTORS = st.lists(ENTRIES, max_size=7)
+
+
+def _typed(value):
+    return value, type(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VECTORS, VECTORS, st.lists(VECTORS, max_size=5))
+@example([], [], [])
+@example([2**64 + 1, -(2**65)], [2**64 - 1, 3], [[-(2**70), 2**70 - 1]])
+def test_dot_and_mat_vec_equal_the_naive_loops(u, v, rows):
+    # same terms in the same order, stopping at the shorter vector as zip does
+    assert _typed(linalg.dot(u, v)) == _typed(reference_linalg.dot(u, v))
+    got = linalg.mat_vec(rows, v)
+    want = reference_linalg.mat_vec(rows, v)
+    assert type(got) is tuple and list(map(_typed, got)) == list(map(_typed, want))
+
+
+def test_dot_and_mat_vec_edge_cases():
+    assert _typed(linalg.dot((), ())) == (0, int)
+    assert _typed(linalg.dot((1, 2, 3), (4,))) == (4, int)
+    assert _typed(linalg.dot((1, Fraction(1, 2)), (2, 2))) == (Fraction(3), Fraction)
+    assert linalg.mat_vec((), (1, 2)) == ()
+    assert linalg.mat_vec(((1, 2), ()), (3, 4)) == (11, 0)

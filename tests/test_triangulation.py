@@ -13,10 +13,10 @@ from conftest import (
     faces_1based,
 )
 from reference_refinement import lex_realizing_cost
-from reference_solve import reference_optimal_face, reference_reduced_cost
+from reference_solve import in_cone, reference_optimal_face, reference_reduced_cost
 
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
-from toricip.errors import DomainError, NotAFace, OutsideCone
+from toricip.errors import Degenerate, DomainError, NotAFace, OutsideCone, ParseError
 from toricip.groebner import CostOrder, toric_groebner
 from toricip.linalg import dot
 from toricip.triangulation import (
@@ -82,8 +82,6 @@ def test_optimal_face_support_property():
     rng = random.Random(7)
     a = IntMatrix(LONG_CHAIN)
     d = regular_subdivision(a, LONG_CHAIN_COST)
-    from toricip.triangulation import in_cone
-
     for _ in range(25):
         u = tuple(rng.randint(0, 3) for _ in range(a.n))
         tau = optimal_face(d, a.apply(u))
@@ -139,8 +137,6 @@ def test_indices_are_normalized_volumes():
 
 def test_pairwise_cells_meet_in_common_faces():
     # a point of two maximal cones lies in the cone of their shared columns
-    from toricip.triangulation import in_cone
-
     for rows, cost in [(EX1, EX1_COST), (LONG_CHAIN, LONG_CHAIN_COST)]:
         a = IntMatrix(rows)
         d = regular_subdivision(a, cost)
@@ -179,8 +175,6 @@ def test_optimal_face_matches_lp_face_scan(seed):
     # points of the cone off the lattice ZA
     from conftest import make_instance
 
-    from toricip.triangulation import in_cone
-
     a, c = make_instance(seed)
     d = regular_subdivision(a, c)
     assert d.is_triangulation
@@ -199,14 +193,20 @@ def test_optimal_face_matches_lp_face_scan(seed):
 
 
 def test_optimal_face_on_a_subdivision():
-    # a non-simplicial cell keeps the LP scan over subsets of its columns
+    # the one cell (0, 1, 2, 3) is not a simplex: (2, 3) lies in the cones of
+    # (0, 2) and (1, 2), and neither is a face, so there is no answer to give
     d = regular_subdivision(IntMatrix(EX1), (0, 0, 0, 0))
     assert not d.is_triangulation
-    assert optimal_face(d, (2, 2)) == face(2)
-    assert optimal_face(d, (0, 0)) == ()
-    assert optimal_face(d, (3, 4)) == face(1, 3)
-    with pytest.raises(OutsideCone):
-        optimal_face(d, (1, 4))
+    for b in [(2, 3), (2, 2), (0, 0), (3, 4), (1, 4)]:
+        with pytest.raises(Degenerate):
+            optimal_face(d, b)
+    # a malformed right-hand side is still a parse error first
+    with pytest.raises(ParseError):
+        optimal_face(d, (2, 3, 4))
+    # the lex refinement is a triangulation, where the face is unique
+    refined = lex_refinement(d)
+    assert optimal_face(refined, (2, 3)) == face(2, 3)
+    assert optimal_face(refined, (2, 2)) == face(2)
 
 
 def _degenerate_instance(seed):
