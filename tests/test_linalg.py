@@ -221,7 +221,7 @@ def _typed(value):
     return value, type(value)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(VECTORS, VECTORS, st.lists(VECTORS, max_size=5))
 @example([], [], [])
 @example([2**64 + 1, -(2**65)], [2**64 - 1, 3], [[-(2**70), 2**70 - 1]])
