@@ -10,14 +10,12 @@ import argparse
 import json
 import sys
 
-from . import fileio, hilbert, oracle, relax, stdpairs
-from .core import int_vector
-from .errors import DomainError, ParseError
+# fileio and what it needs load with this module; each command imports the
+# rest of the library it runs, so a command loads only its own code path
+from . import fileio
+from .errors import DomainError, ParseError, int_vector
 from .fileio import face_key, face_out, frac_out
-from .groebner import CostOrder, solve_ip, toric_groebner
 from .linalg import dot
-from .stdpairs import initial_ideal
-from .triangulation import regular_subdivision, unimodularity_report
 
 
 def _emit(args, payload):
@@ -54,6 +52,7 @@ def _triangulation_payload(a, delta, tdi):
 
 
 def cmd_triangulate(args):
+    from .triangulation import regular_subdivision, unimodularity_report
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     delta = regular_subdivision(a, cost)
@@ -62,6 +61,7 @@ def cmd_triangulate(args):
 
 
 def cmd_groebner(args):
+    from .groebner import CostOrder, toric_groebner
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     gb = toric_groebner(a, CostOrder.from_cost(cost))
@@ -72,6 +72,7 @@ def cmd_groebner(args):
 
 
 def cmd_solve(args):
+    from .groebner import CostOrder, solve_ip
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     b = _vector(args.rhs, a.d, "rhs")
@@ -80,6 +81,8 @@ def cmd_solve(args):
 
 
 def cmd_relax(args):
+    from . import relax
+    from .triangulation import regular_subdivision
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     b = _vector(args.rhs, a.d, "rhs")
@@ -97,6 +100,7 @@ def cmd_relax(args):
 
 
 def cmd_solve_sp(args):
+    from . import relax, stdpairs
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     b = _vector(args.rhs, a.d, "rhs")
@@ -110,6 +114,7 @@ def cmd_solve_sp(args):
 
 
 def _decomposition_payload(decomp, delta, a):
+    from . import stdpairs
     report = stdpairs.associated_report(decomp, delta)
     return {
         "pairs": [
@@ -124,11 +129,13 @@ def _decomposition_payload(decomp, delta, a):
 
 
 def cmd_stdpairs(args):
+    from . import stdpairs
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
     if args.oracle:
-        box = [max(e - 1, 0) for e in initial_ideal(gb).max_exponents()]
+        from . import oracle
+        box = [max(e - 1, 0) for e in stdpairs.initial_ideal(gb).max_exponents()]
         decomp = oracle.brute_force_standard_pairs(a, cost, delta, root_box=box, margin=1)
         payload = _decomposition_payload(decomp, delta, a)
         payload["oracle"] = True
@@ -140,6 +147,7 @@ def cmd_stdpairs(args):
 
 
 def cmd_assoc(args):
+    from . import stdpairs
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
@@ -155,6 +163,7 @@ def cmd_assoc(args):
 
 
 def cmd_gomory(args):
+    from . import stdpairs
     a = fileio.read_matrix(args.matrix)
     cost = _vector(args.cost, a.n, "cost")
     delta, _, decomp, _ = stdpairs.decomposition_for(a, cost)
@@ -162,6 +171,7 @@ def cmd_gomory(args):
 
 
 def cmd_hilbert(args):
+    from . import hilbert
     mat = fileio.read_matrix(args.generators)
     gens = [mat.column(j) for j in range(mat.n)]
     basis = hilbert.hilbert_basis(gens)
@@ -169,6 +179,7 @@ def cmd_hilbert(args):
 
 
 def cmd_normality(args):
+    from . import hilbert
     a = fileio.read_matrix(args.matrix)
     delta = fileio.read_faces_json(args.triangulation, a.n) if args.triangulation else None
     report = hilbert.normality_report(a, delta, check_super=args.super)
@@ -185,6 +196,7 @@ def cmd_normality(args):
 
 
 def cmd_gomory_cost(args):
+    from . import hilbert
     a = fileio.read_matrix(args.matrix)
     faces = fileio.read_faces_json(args.triangulation, a.n)
     result = hilbert.gomory_cost(a, faces)
@@ -198,6 +210,7 @@ def cmd_gomory_cost(args):
 
 
 def cmd_sharp_family(args):
+    from . import hilbert
     if args.m < 2:
         raise ParseError(f"--m must be at least 2, got {args.m}")
     a, cost = hilbert.sharp_family(args.m)
@@ -210,6 +223,7 @@ def cmd_sharp_family(args):
 
 
 def cmd_oracle(args):
+    from . import oracle
     if args.oracle_cmd == "points":
         rows, n = fileio.read_raw_matrix(args.rows)
         offs = _vector(args.offsets, len(rows), "offsets")

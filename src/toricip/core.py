@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
-from .errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
+from .errors import BadIndex, RankDeficient, UnboundedFamily, _integer
 from .fibers import Factorization, factor
 from .linprog import nonneg_feasible
 
@@ -61,29 +61,6 @@ class IntMatrix:
 def kernel_meets_orthant(rows):
     """Whether rows x = 0 has a solution x >= 0, x != 0 (scaled to sum x = 1)."""
     return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
-
-
-def _integer(x, name="matrix"):
-    """``x`` as an int; bools and non-integers are malformed entries."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"{name} entry {x!r} is not an integer")
-    return int(x)
-
-
-def int_vector(values, length, name):
-    """``values`` as a tuple of ``length`` ints, or ParseError.
-
-    The library's one check of a caller's vector: a bool, a non-integer or a
-    wrong length is malformed input, never truncated.
-    """
-    vec = tuple(values)
-    for v in vec:
-        if type(v) is not int:  # _integer rejects it, or converts an int subclass
-            vec = tuple(_integer(x, name) for x in vec)
-            break
-    if len(vec) != length:
-        raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
-    return vec
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Domain errors raised by the library.
+"""Domain errors raised by the library, and its one check of a caller's vector.
 
 Every error carries a machine-readable ``kind`` string that the CLI maps to
 exit code 1 and a JSON ``error.kind`` field.  Parse failures use ``ParseError``
-(exit code 2).
+(exit code 2).  :func:`int_vector` lives here, beside the error it raises, so
+every module can import it without importing another.
 """
 
 
@@ -81,3 +82,26 @@ class ParseError(Exception):
     """Malformed input file or CLI argument (exit code 2)."""
 
     kind = "parse"
+
+
+def _integer(x, name="matrix"):
+    """``x`` as an int; bools and non-integers are malformed entries."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"{name} entry {x!r} is not an integer")
+    return int(x)
+
+
+def int_vector(values, length, name):
+    """``values`` as a tuple of ``length`` ints, or ParseError.
+
+    The library's one check of a caller's vector: a bool, a non-integer or a
+    wrong length is malformed input, never truncated.
+    """
+    vec = tuple(values)
+    for v in vec:
+        if type(v) is not int:  # _integer rejects it, or converts an int subclass
+            vec = tuple(_integer(x, name) for x in vec)
+            break
+    if len(vec) != length:
+        raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
+    return vec

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add
 
-from . import core  # a module reference: core imports this module
-from .errors import Unbounded
+from .errors import Unbounded, int_vector
 from .linalg import column_hermite, dot, mat_vec
 
 
@@ -172,7 +171,7 @@ class Factorization:
 
     def particular(self, b):
         """An integer x0 with rows @ x0 = b, or None when there is none."""
-        b = core.int_vector(b, len(self.rows), "right-hand side")
+        b = int_vector(b, len(self.rows), "right-hand side")
         h = self.h
         w = [0] * len(self.u)
         for r, col in enumerate(self.pivots):

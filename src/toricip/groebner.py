@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from .core import IntMatrix, LatticeBasis, int_vector, kernel_lattice_basis
-from .errors import Infeasible, ParseError
+from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
+from .errors import Infeasible, ParseError, int_vector
 from .linalg import clear_denominators, dot, lll_reduce, mat_vec
 from .linprog import OPTIMAL, solve_lp
 

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import oracle, stdpairs
-from .core import IntMatrix, int_vector, kernel_meets_orthant
-from .errors import NotDeltaNormal, NotPointed, NotRegular
-from .fibers import factor
-from .groebner import CostOrder, toric_groebner
+from .core import IntMatrix, kernel_meets_orthant
+from .errors import NotDeltaNormal, NotPointed, NotRegular, int_vector
+from .fibers import factor, lattice_points_boxed
 from .linalg import adjugate, clear_denominators, det_int, dot, kernel_basis, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
-from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
-from .triangulation import regular_subdivision
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ def _parallelepiped_points(gens):
         rows += [(tuple(s), abs(det) - 1), (tuple(-v for v in s), 0)]
     for w in kernel_basis(gens, d)[0]:
         rows += [(w, 0), (tuple(-v for v in w), 0)]
-    return oracle.lattice_points_boxed(rows, d)
+    return lattice_points_boxed(rows, d)
 
 
 def hilbert_basis(generators) -> HilbertBasis:
@@ -248,6 +244,9 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     (lifted cost, then ray deficit, then lex); an integer cost realizing them
     is found by scaling and certified by re-running the whole pipeline.
     """
+    # the pipeline modules load here, so the Hilbert-basis commands skip them
+    from .stdpairs import StandardPair
+    from .triangulation import regular_subdivision
     faces = tuple(tuple(sorted(f)) for f in faces)
     cprime = _certificate_cost(a, faces)
     sub0 = regular_subdivision(a, cprime)
@@ -292,7 +291,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
                 raise NotDeltaNormal(f"residue {b} has an empty fiber")
             root = tuple(0 if j in set(face) else opt[j] for j in range(a.n))
             roots.append(root)
-            expected.add(stdpairs.StandardPair(root, face))
+            expected.add(StandardPair(root, face))
         residue_roots.append((face, tuple(sorted(roots))))
 
     scale = 1
@@ -305,6 +304,9 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
 
 
 def _certify(a, cand, faces, expected):
+    from .groebner import CostOrder, toric_groebner
+    from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
+    from .triangulation import regular_subdivision
     sub = regular_subdivision(a, cand)
     if not sub.is_triangulation or set(sub.maximal_faces) != set(faces):
         return False

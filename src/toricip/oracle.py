@@ -13,8 +13,8 @@ boundedness test go through one exact integer Fourier-Motzkin elimination,
 :class:`fibers.Elimination` (the library's only enumerator; the relaxation
 solver, the fibers and the Hilbert-basis parallelepipeds use it too).  The
 questions here each ask about one system, so they use its one-off form
-:func:`lattice_points_boxed`, re-exported here.  Only :func:`width_along`
-solves LPs.
+:func:`lattice_points_boxed`, re-exported here, or, to test boundedness and
+sweep, one plan.  Only :func:`width_along` solves LPs.
 """
 
 import math
@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .core import IntMatrix, int_vector, kernel_lattice_basis
-from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
+from .core import IntMatrix, kernel_lattice_basis
+from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded, int_vector
 from .fibers import Elimination, factor, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
@@ -65,11 +65,12 @@ def enumerate_lattice_points(poly: IneqPolytope, limit=None):
     """All integer points of a bounded polytope, in ascending lex order.
 
     ``limit`` stops the sweep early once that many points are found.  Raises
-    Unbounded when the recession cone is nontrivial.
+    Unbounded when the recession cone is nontrivial.  One plan answers both.
     """
-    if not poly.is_bounded():
+    plan = Elimination([s for s, _ in poly.rows], poly.dim)
+    if not plan.bounded:
         raise Unbounded("recession cone is nontrivial")
-    return lattice_points_boxed(poly.rows, poly.dim, limit)
+    return plan.points([o for _, o in poly.rows], limit)
 
 
 def cost_row(a: IntMatrix, cost):

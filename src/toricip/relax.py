@@ -17,8 +17,8 @@ program iff the lifted tau-part is nonnegative.
 from dataclasses import dataclass, field
 from operator import sub
 
-from .core import IntMatrix, int_vector, kernel_lattice_basis
-from .errors import Infeasible, NotAFace, ParseError
+from .core import IntMatrix, kernel_lattice_basis
+from .errors import Infeasible, NotAFace, ParseError, int_vector
 from .fibers import Elimination
 from .linalg import dot, mat_vec
 from .stdpairs import Decomposition

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import IntMatrix, int_vector
-from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError
+from .core import IntMatrix
+from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, int_vector
 from .fibers import factor
 from .groebner import CostOrder, GroebnerBasis, toric_groebner
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
-from .core import IntMatrix, gcd_maximal_minors, int_vector, kernel_lattice_basis
-from .errors import Degenerate, NotAFace, OutsideCone
+from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
+from .errors import Degenerate, NotAFace, OutsideCone, int_vector
 from .fibers import Elimination, factor
 
 
