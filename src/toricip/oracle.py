@@ -15,6 +15,14 @@ solver, the fibers and the Hilbert-basis parallelepipeds use it too).  The
 questions here each ask about one system, so they use its one-off form
 :func:`lattice_points_boxed`, re-exported here, or, to test boundedness and
 sweep, one plan.  Only :func:`width_along` solves LPs.
+
+The standard-pair search keeps, per face, the minimal clipped images
+max(Bz, 0) of the nonzero points z within the caps: Q_w cages only the origin
+iff w dominates none.  Roots are swept in lex order; each node carries the
+thresholds its prefix still dominates, and the least next entry among those
+that are zero past it ends the coordinate's loop.  A root must also dominate,
+per bounded dropped row, one of that drop's thresholds lifted with 0 there.
+The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
 import math
@@ -22,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 from .core import IntMatrix, kernel_lattice_basis
-from .errors import BoundUnavailable, Degenerate, NotAFace, Unbounded, int_vector
+from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, int_vector
 from .fibers import Elimination, factor, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
-from .stdpairs import Decomposition, StandardPair
-from .triangulation import RegularSubdivision, regular_subdivision
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,14 @@ def _singleton(rows, dim):
     return pts == [(0,) * dim]
 
 
-def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: RegularSubdivision = None) -> bool:
+def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision" = None) -> bool:
     """Definition test: singleton, and every single B-row drop admits a point.
 
     Unbounded relaxations count as admitting one (integral data puts lattice
     points on any unbounded edge).  Raises NotAFace when tau is not a face.
     """
+    from .triangulation import regular_subdivision
+
     cost = int_vector(cost, a.n, "cost")
     if delta is None:
         delta = regular_subdivision(a, cost)
@@ -176,22 +185,24 @@ def width_along(poly: IneqPolytope, v):
 
 
 def brute_force_standard_pairs(
-    a: IntMatrix, cost, delta: RegularSubdivision, root_box=None, margin=0
-) -> Decomposition:
+    a: IntMatrix, cost, delta: "RegularSubdivision", root_box=None, margin=0
+) -> "Decomposition":
     """All standard pairs by direct standard-polytope search.
 
-    Roots are swept per face in a monotone fashion: growing any coordinate of
-    the right-hand side only grows the polytope, so once the singleton test
-    fails the rest of that branch is dead.  Coordinates are capped by the
-    Kannan bound when no maximal minor of the lifted row system vanishes,
-    intersected with a caller-supplied box (plus ``margin``, so a too-small
-    box shows up as extra pairs rather than silent agreement); with a
-    vanishing minor and no box, the search is refused.
+    Coordinates are capped by the Kannan bound when no maximal minor of the
+    lifted row system vanishes, intersected with a caller-supplied box (plus
+    ``margin``, so a too-small box shows up as extra pairs rather than silent
+    agreement); with a vanishing minor and no box, the search is refused.  A
+    negative box entry or margin is malformed: it would empty the box.
     """
+    from .stdpairs import Decomposition, StandardPair
+
     cost = int_vector(cost, a.n, "cost")
     if root_box is not None:
         root_box = int_vector(root_box, a.n, "root box")
     (margin,) = int_vector((margin,), 1, "margin")
+    if margin < 0 or min(root_box or [0]) < 0:
+        raise ParseError("root box entries and margin must be nonnegative")
     lat = kernel_lattice_basis(a)
     kb = kannan_root_bound(a, cost)
     if kb is None and root_box is None:
@@ -215,39 +226,25 @@ def brute_force_standard_pairs(
             continue
         caps = [box[i] for i in taubar]
         brows = [lat.matrix[i] for i in taubar]
-        # every nonzero lattice point reachable within the box contributes a
-        # clipped threshold vector; Q_w cages only the origin iff no threshold
-        # is dominated by w
-        thresholds = _thresholds(brows, caps, crow, ndim)
-        # per dropped row: the relaxation is unbounded (always admits a point)
-        # or its reachable points give their own threshold antichain
-        drop_info = []
-        for k in range(len(taubar)):
-            kept = [t for t in range(len(taubar)) if t != k]
-            normals = tuple(brows[t] for t in kept) + (crow[0],)
-            if not _recession_trivial(normals, ndim):
-                drop_info.append(None)  # unbounded: admits a point for free
-            else:
-                drop_info.append(
-                    _thresholds([brows[t] for t in kept], [caps[t] for t in kept], crow, ndim)
-                )
-
-        def drops_ok(w):
-            for k, th in enumerate(drop_info):
-                if th is None:
-                    continue
-                rest = w[:k] + w[k + 1 :]
-                if not any(all(e <= x for e, x in zip(t, rest)) for t in th):
-                    return False
-            return True
-
-        for w in _undominated(thresholds, caps):
-            if drops_ok(w):
-                root = [0] * a.n
-                for t, i in enumerate(taubar):
-                    root[i] = w[t]
-                pairs.append(StandardPair(tuple(root), face))
+        for w in _face_roots(brows, caps, crow, ndim):
+            root = [0] * a.n
+            for t, i in enumerate(taubar):
+                root[i] = w[t]
+            pairs.append(StandardPair(tuple(root), face))
     return Decomposition.from_pairs(pairs, delta)
+
+
+def _face_roots(brows, caps, crow, ndim):
+    """The roots w <= caps of one face's standard pairs, in lex order."""
+    thresholds = _thresholds(brows, caps, crow, ndim)
+    drops = []
+    for k in range(len(brows)):
+        kept = brows[:k] + brows[k + 1 :]
+        if not _recession_trivial(tuple(kept) + (crow[0],), ndim):
+            drops.append(None)  # unbounded: admits a point for free
+        else:
+            drops.append(_thresholds(kept, caps[:k] + caps[k + 1 :], crow, ndim))
+    return _roots(thresholds, caps, drops)
 
 
 def _thresholds(brows, caps, crow, ndim):
@@ -261,31 +258,39 @@ def _thresholds(brows, caps, crow, ndim):
         thresh.add(tuple(max(dot(b, z), 0) for b in brows))
     out = []
     for t in sorted(thresh):
-        if not any(all(e <= x for e, x in zip(s, t)) for s in out):
+        if not any(all(map(le, s, t)) for s in out):
             out.append(t)
     return out
 
 
+def _roots(thresholds, caps, drops):
+    """The undominated w that, off k, dominate a threshold of each bounded drop k."""
+    lifted = [[t[:k] + (0,) + t[k:] for t in ths] for k, ths in enumerate(drops) if ths is not None]
+    return [
+        w for w in _undominated(thresholds, caps)
+        if all(any(all(map(le, t, w)) for t in ths) for ths in lifted)
+    ]
+
+
 def _undominated(thresholds, caps):
-    """All w in the cap box dominating no threshold vector, lex order."""
+    """All w in the cap box dominating no threshold vector, in lex order.
+
+    A node carries (threshold, last nonzero index) for each threshold its
+    prefix dominates; the child at v keeps those with th[depth] <= v.
+    """
     k = len(caps)
-    lastnz = [max((t for t in range(k) if th[t] != 0), default=-1) for th in thresholds]
     out = []
 
-    def rec(depth, w):
-        for ti, th in enumerate(thresholds):
-            if lastnz[ti] < depth and all(th[t] <= w[t] for t in range(depth)):
-                return False
-        if depth == k:
-            out.append(tuple(w))
-            return True
-        for v in range(caps[depth] + 1):
-            w.append(v)
-            alive = rec(depth + 1, w)
-            w.pop()
-            if not alive:
-                break  # domination only deepens as the coordinate grows
-        return True
+    def rec(depth, w, live):
+        # a carried threshold zero past depth is dominated once w[depth] reaches th[depth]
+        stop = min((th[depth] for th, last in live if last == depth), default=caps[depth] + 1)
+        values = range(min(stop, caps[depth] + 1))
+        if depth == k - 1:
+            out.extend(w + (v,) for v in values)
+            return
+        for v in values:
+            rec(depth + 1, w + (v,), [x for x in live if x[0][depth] <= v])
 
-    rec(0, [])
+    # each threshold with its last nonzero index; an all-zero one (0) kills the root
+    rec(0, (), [(th, max((t for t in range(k) if th[t]), default=0)) for th in thresholds])
     return out

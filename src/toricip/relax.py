@@ -21,7 +21,6 @@ from .core import IntMatrix, kernel_lattice_basis
 from .errors import Infeasible, NotAFace, ParseError, int_vector
 from .fibers import Elimination
 from .linalg import dot, mat_vec
-from .stdpairs import Decomposition
 from .triangulation import RegularSubdivision, reduced_cost
 
 
@@ -93,7 +92,7 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
     return RelaxationOutcome(z, x, solves, dot(r.cost, x))
 
 
-def solve_via_standard_pairs(decomp: Decomposition, a: IntMatrix, b):
+def solve_via_standard_pairs(decomp: "Decomposition", a: IntMatrix, b):
     """Solve the program by scanning pair linear systems A_tau x = b - A u.
 
     Any pair whose system has a point in N^tau (its fiber) yields the optimum

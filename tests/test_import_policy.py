@@ -56,13 +56,15 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("import_policy")
     texts = {"ex1.mat": "2 4\n1 1 1 1\n0 1 2 3\n", "ex1.cost": "1 0 0 1\n",
              "knap.mat": "1 3\n2 5 8\n", "knap.cost": "10000 100 1\n",
-             "nn.mat": "2 4\n1 1 1 1\n0 1 3 4\n", "gens.mat": "2 2\n1 1\n0 4\n"}
+             "nn.mat": "2 4\n1 1 1 1\n0 1 3 4\n", "gens.mat": "2 2\n1 1\n0 4\n",
+             "sq.mat": "4 2\n1 0\n-1 0\n0 1\n0 -1\n", "sq.off": "1 0 1 0\n"}
     for name, text in texts.items():
         (root / name).write_text(text)
     return {name: str(root / name) for name in texts}
 
 
 # command, its arguments (file names are keys of ``files``), modules it must not load
+KNAP = ["--matrix", "knap.mat", "--cost", "knap.cost"]
 COMMANDS = [
     ("triangulate", ["--matrix", "ex1.mat", "--cost", "ex1.cost"], PIPELINE),
     ("groebner", ["--matrix", "knap.mat", "--cost", "knap.cost"], PIPELINE - {"groebner"}),
@@ -71,12 +73,17 @@ COMMANDS = [
     ("sharp-family", ["--m", "2"], {"groebner", "stdpairs", "oracle"}),
     ("hilbert", ["--generators", "gens.mat"], {"groebner", "stdpairs", "oracle"}),
     ("normality", ["--matrix", "nn.mat"], {"groebner", "stdpairs", "oracle"}),
+    ("relax", KNAP + ["--rhs", "27", "--face", "3"], {"groebner", "stdpairs"}),
+    # the oracle's lattice points and fibers need no algebraic code
+    ("oracle points", ["--rows", "sq.mat", "--offsets", "sq.off"],
+     {"groebner", "stdpairs", "triangulation"}),
+    ("oracle fiber", KNAP + ["--rhs", "27"], {"groebner", "stdpairs", "triangulation"}),
 ]
 
 
 @pytest.mark.parametrize("command, args, forbidden", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_command_loads_only_its_code_path(files, command, args, forbidden):
-    argv = [command] + [files.get(a, a) for a in args]
+    argv = command.split() + [files.get(a, a) for a in args]
     code = ("import contextlib, io\n"
             "from toricip import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

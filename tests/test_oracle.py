@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import GFAMILY_COST, KNAPSACK_COST, face
+from conftest import DEGENERATE, GFAMILY_COST, KNAPSACK_COST, face
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference_enum import reference_boxed, reference_lp_sweep
+from reference_oracle import reference_face_roots, reference_roots, reference_undominated
+from test_stdpairs import REFERENCE_CASES
 
 from toricip import oracle
-from toricip.core import IntMatrix
+from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
 from toricip.linalg import dot
+from toricip.stdpairs import decomposition_for, initial_ideal
 from toricip.oracle import (
     IneqPolytope,
     brute_force_standard_pairs,
@@ -231,3 +236,89 @@ def test_emptypolys_lemma_both_parts(knapsack_pipeline):
                 == [(0, 0)]
             )
             assert out.solves_ip == single3
+
+
+def _assert_face_roots_match_reference(a, cost, delta, caps_of):
+    """oracle._face_roots equals the reference search on every face of delta.
+
+    ``caps_of`` is the full cap box.  A face whose capped polytope is
+    unbounded (a cost that vanishes on the kernel) must raise in both.
+    Returns the number of roots found.
+    """
+    lat = kernel_lattice_basis(a)
+    if lat.corank == 0:
+        return 0
+    crow = (oracle.cost_row(a, cost), 0)
+    found = 0
+    for tau in delta.faces():
+        taubar = [i for i in range(a.n) if i not in tau]
+        caps = [caps_of[i] for i in taubar]
+        brows = [lat.matrix[i] for i in taubar]
+        try:
+            want = reference_face_roots(brows, caps, crow, lat.corank)
+        except Unbounded:
+            with pytest.raises(Unbounded):
+                oracle._face_roots(brows, caps, crow, lat.corank)
+            continue
+        assert oracle._face_roots(brows, caps, crow, lat.corank) == want, (tau, caps)
+        found += len(want)
+    return found
+
+
+def test_face_roots_match_reference_on_acceptance_seeds(acceptance_pipelines):
+    # caps at the algebraic box (the ideal's exponents - 1), which holds every
+    # root, one smaller, which loses some, and one larger (the oracle's margin)
+    found = {-1: 0, 0: 0, 1: 0}
+    for inst in acceptance_pipelines:
+        maxexp = initial_ideal(inst["gb"]).max_exponents()
+        for extra in found:
+            box = [max(m - 1 + extra, 0) for m in maxexp]
+            found[extra] += _assert_face_roots_match_reference(
+                inst["a"], inst["c"], inst["delta"], box)
+    pairs = sum(len(inst["decomp"].pairs) for inst in acceptance_pipelines)
+    assert found[-1] < found[0] == found[1] == pairs
+
+
+# the degenerate costs and the census cases of test_stdpairs, but for the
+# first 7 x 12 cost, which takes 5 s here and adds no wider face
+NAMED_ROOT_CASES = dict(DEGENERATE)
+NAMED_ROOT_CASES.update((name, case) for name, case in REFERENCE_CASES.items()
+                        if name.startswith("census") and name != "census7x12-0")
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ROOT_CASES))
+def test_face_roots_match_reference_on_named_cases(name):
+    a, cost = NAMED_ROOT_CASES[name]
+    delta, gb, decomp, _ = decomposition_for(a, cost)
+    # the algebraic box, which holds every root
+    box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
+    found = _assert_face_roots_match_reference(a, cost, delta, box)
+    assert found > 0 or not any(cost)
+
+
+def _drawn_vectors(draw, length, most):
+    return draw(st.lists(st.tuples(*[st.integers(0, 4)] * length), max_size=most))
+
+
+@st.composite
+def search_inputs(draw):
+    """Threshold sets, caps and drops of any shape the root search takes."""
+    k = draw(st.integers(1, 4))  # with no row left, the threshold sweep is unbounded
+    caps = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    thresholds = _drawn_vectors(draw, k, 8)
+    # per dropped row: unbounded (None) or its thresholds, of length k - 1
+    drops = [None if draw(st.booleans()) else _drawn_vectors(draw, k - 1, 5) for _ in range(k)]
+    return thresholds, caps, drops
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_inputs())
+@example(([], [2, 1], [None, None]))  # no thresholds, unbounded drops
+@example(([(0, 0)], [2, 2], [None, [(1,)]]))  # an all-zero threshold kills every root
+@example(([(1, 0)], [0, 0], [[(0,)], [(0,)]]))  # zero caps
+@example(([(2,)], [3], [[()]]))  # k = 1: the drop keeps only the cost cut
+@example(([(2,)], [3], [[]]))  # k = 1, a bounded drop without thresholds
+def test_root_search_matches_reference(inputs):
+    thresholds, caps, drops = inputs
+    assert oracle._undominated(thresholds, caps) == reference_undominated(thresholds, caps)
+    assert oracle._roots(thresholds, caps, drops) == reference_roots(thresholds, caps, drops)

@@ -168,6 +168,11 @@ INCONSISTENT_CALLS = {
         a, KNAPSACK_COST, delta, root_box=[1, 1]),
     "brute-pairs-margin-float": lambda a, delta, decomp: brute_force_standard_pairs(
         a, KNAPSACK_COST, delta, root_box=[1, 1, 1], margin=0.5),
+    # a negative cap empties the box, which used to report no pairs at all
+    "brute-pairs-root-box-negative": lambda a, delta, decomp: brute_force_standard_pairs(
+        a, KNAPSACK_COST, delta, root_box=[-3, 1, 0]),
+    "brute-pairs-margin-negative": lambda a, delta, decomp: brute_force_standard_pairs(
+        a, KNAPSACK_COST, delta, root_box=[1, 1, 1], margin=-2),
 }
 
 
