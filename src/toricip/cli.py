@@ -2,18 +2,19 @@
 
 Every command prints one JSON document (or TSV with --tsv) with sorted keys
 and sorted face/pair lists, so identical configurations produce byte-identical
-output.  Exit codes: 0 success, 1 domain error (with error.kind), 2 parse
-error.
+output.  Exit codes: 0 success, 1 domain error (with error.kind) or a stdout
+closed early (with nothing on stderr), 2 parse error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 # fileio and what it needs load with this module; each command imports the
 # rest of the library it runs, so a command loads only its own code path
 from . import fileio
-from .errors import DomainError, ParseError, int_vector
+from .errors import Degenerate, DomainError, ParseError, int_vector
 from .fileio import face_key, face_out, frac_out
 from .linalg import dot
 
@@ -39,6 +40,12 @@ def _vector(spec, length, name):
     return int_vector(fileio.read_vector(spec), length, name)
 
 
+def _model(args):
+    """The --matrix of a command and its --cost, of one entry per column."""
+    a = fileio.read_matrix(args.matrix)
+    return a, _vector(args.cost, a.n, "cost")
+
+
 def _triangulation_payload(a, delta, tdi):
     return {
         "maximal_faces": [face_out(f) for f in delta.maximal_faces],
@@ -53,8 +60,7 @@ def _triangulation_payload(a, delta, tdi):
 
 def cmd_triangulate(args):
     from .triangulation import regular_subdivision, unimodularity_report
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     delta = regular_subdivision(a, cost)
     tdi = unimodularity_report(a, delta).tdi if delta.is_triangulation else False
     _emit(args, _triangulation_payload(a, delta, tdi))
@@ -62,8 +68,7 @@ def cmd_triangulate(args):
 
 def cmd_groebner(args):
     from .groebner import CostOrder, toric_groebner
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     gb = toric_groebner(a, CostOrder.from_cost(cost))
     _emit(args, {
         "elements": [{"plus": list(b.head), "minus": list(b.tail)} for b in gb.elements],
@@ -73,8 +78,7 @@ def cmd_groebner(args):
 
 def cmd_solve(args):
     from .groebner import CostOrder, solve_ip
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     b = _vector(args.rhs, a.d, "rhs")
     opt = solve_ip(a, CostOrder.from_cost(cost), b)
     _emit(args, {"optimum": list(opt), "value": dot(cost, opt)})
@@ -83,8 +87,7 @@ def cmd_solve(args):
 def cmd_relax(args):
     from . import relax
     from .triangulation import regular_subdivision
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     b = _vector(args.rhs, a.d, "rhs")
     tau = fileio.read_face(args.face, a.n)
     delta = regular_subdivision(a, cost)
@@ -101,8 +104,7 @@ def cmd_relax(args):
 
 def cmd_solve_sp(args):
     from . import relax, stdpairs
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     b = _vector(args.rhs, a.d, "rhs")
     _, _, decomp, _ = stdpairs.decomposition_for(a, cost)
     opt, pair = relax.solve_via_standard_pairs(decomp, a, b)
@@ -130,17 +132,17 @@ def _decomposition_payload(decomp, delta, a):
 
 def cmd_stdpairs(args):
     from . import stdpairs
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
     if args.oracle:
+        if refined:  # the oracle has no cost that realizes the lex refinement
+            raise Degenerate("the oracle cannot check a lex-refined decomposition")
         from . import oracle
         box = [max(e - 1, 0) for e in stdpairs.initial_ideal(gb).max_exponents()]
         decomp = oracle.brute_force_standard_pairs(a, cost, delta, root_box=box, margin=1)
-        payload = _decomposition_payload(decomp, delta, a)
+    payload = _decomposition_payload(decomp, delta, a)
+    if args.oracle:
         payload["oracle"] = True
-    else:
-        payload = _decomposition_payload(decomp, delta, a)
     if refined:
         payload["refined"] = True
     _emit(args, payload)
@@ -148,8 +150,7 @@ def cmd_stdpairs(args):
 
 def cmd_assoc(args):
     from . import stdpairs
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     delta, gb, decomp, refined = stdpairs.decomposition_for(a, cost)
     report = stdpairs.associated_report(decomp, delta)
     _emit(args, {
@@ -164,8 +165,7 @@ def cmd_assoc(args):
 
 def cmd_gomory(args):
     from . import stdpairs
-    a = fileio.read_matrix(args.matrix)
-    cost = _vector(args.cost, a.n, "cost")
+    a, cost = _model(args)
     delta, _, decomp, _ = stdpairs.decomposition_for(a, cost)
     _emit(args, {"gomory_family": stdpairs.is_gomory_family(decomp, delta)})
 
@@ -232,8 +232,7 @@ def cmd_oracle(args):
         pts = oracle.enumerate_lattice_points(poly)
         _emit(args, {"points": [list(p) for p in pts], "oracle": True})
     elif args.oracle_cmd == "fiber":
-        a = fileio.read_matrix(args.matrix)
-        cost = _vector(args.cost, a.n, "cost")
+        a, cost = _model(args)
         b = _vector(args.rhs, a.d, "rhs")
         opt, fiber = oracle.fiber_solve(a, cost, b, with_fiber=True)
         _emit(args, {
@@ -292,9 +291,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit-time flush
+        return code
+    except BrokenPipeError:  # the reader left: quietly, with stdout on devnull for that flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv):
+    try:
+        args = build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse reads "--face=--" as []
             raise ParseError("an option value cannot be '--'")
         args.func(args)

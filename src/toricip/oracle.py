@@ -18,10 +18,13 @@ sweep, one plan.  Only :func:`width_along` solves LPs.
 
 The standard-pair search keeps, per face, the minimal clipped images
 max(Bz, 0) of the nonzero points z within the caps: Q_w cages only the origin
-iff w dominates none.  Roots are swept in lex order; each node carries the
-thresholds its prefix still dominates, and the least next entry among those
-that are zero past it ends the coordinate's loop.  A root must also dominate,
-per bounded dropped row, one of that drop's thresholds lifted with 0 there.
+iff w dominates none.  A root must also dominate, per bounded dropped row, one
+of that drop's thresholds lifted with 0 there, that is one of the floors: the
+minimal joins of one such threshold per drop.  Those come first, and no floor
+means no root.  Roots are then swept in lex order, each node carrying the
+thresholds its prefix dominates and the floors that still complete it to a
+root, so every node leads to one.  ``fiber_solve`` answers every right-hand
+side from the factorization the cached kernel basis was read from.
 The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
@@ -34,7 +37,7 @@ from operator import le
 
 from .core import IntMatrix, kernel_lattice_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, int_vector
-from .fibers import Elimination, factor, lattice_points_boxed
+from .fibers import Elimination, lattice_points_boxed
 from .linalg import det_int, dot
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 
@@ -102,15 +105,9 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     error).  With ``with_fiber`` the full fiber is returned alongside.
     """
     cost = int_vector(cost, a.n, "cost")
-    fiber = factor(a.entries).points(b)
+    fiber = kernel_lattice_basis(a).fibers.points(b)
     best = min(fiber, key=lambda x: (dot(cost, x), x), default=None)
     return (best, fiber) if with_fiber else best
-
-
-def _singleton(rows, dim):
-    """Whether {rows} cages exactly the origin (assumes 0 feasible, bounded)."""
-    pts = lattice_points_boxed(rows, dim, limit=2)
-    return pts == [(0,) * dim]
 
 
 def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision" = None) -> bool:
@@ -129,7 +126,7 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision"
         raise NotAFace(f"{tau} is not a face of the triangulation")
     ndim = kernel_lattice_basis(a).corank
     rows = q_polytope(a, cost, int_vector(u, a.n, "root"), tau).rows
-    if not _singleton(rows, ndim):
+    if lattice_points_boxed(rows, ndim, limit=2) != [(0,) * ndim]:  # not a singleton
         return False
     for k in range(len(rows) - 1):  # every B-row; the cost cut stays last
         rel = rows[:k] + rows[k + 1 :]
@@ -207,13 +204,8 @@ def brute_force_standard_pairs(
     kb = kannan_root_bound(a, cost)
     if kb is None and root_box is None:
         raise BoundUnavailable("degenerate minors and no caller-supplied root box")
-    box = []
-    for i in range(a.n):
-        cap = kb
-        if root_box is not None:
-            capped = root_box[i] + margin
-            cap = capped if cap is None else min(cap, capped)
-        box.append(cap)
+    box = [kb] * a.n if root_box is None else [r + margin for r in root_box]
+    box = [cap if kb is None else min(cap, kb) for cap in box]
     crow = (cost_row(a, cost), 0)
     ndim = lat.corank
     pairs = []
@@ -227,37 +219,38 @@ def brute_force_standard_pairs(
         caps = [box[i] for i in taubar]
         brows = [lat.matrix[i] for i in taubar]
         for w in _face_roots(brows, caps, crow, ndim):
-            root = [0] * a.n
-            for t, i in enumerate(taubar):
-                root[i] = w[t]
-            pairs.append(StandardPair(tuple(root), face))
+            root = dict(zip(taubar, w))
+            pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(a.n)), face))
     return Decomposition.from_pairs(pairs, delta)
 
 
 def _face_roots(brows, caps, crow, ndim):
     """The roots w <= caps of one face's standard pairs, in lex order."""
     thresholds = _thresholds(brows, caps, crow, ndim)
-    drops = []
-    for k in range(len(brows)):
-        kept = brows[:k] + brows[k + 1 :]
-        if not _recession_trivial(tuple(kept) + (crow[0],), ndim):
-            drops.append(None)  # unbounded: admits a point for free
-        else:
-            drops.append(_thresholds(kept, caps[:k] + caps[k + 1 :], crow, ndim))
-    return _roots(thresholds, caps, drops)
+
+    def drops():  # lazily: a drop is swept only while floors remain
+        for k in range(len(brows)):
+            kept = brows[:k] + brows[k + 1 :]
+            if not _recession_trivial(tuple(kept) + (crow[0],), ndim):
+                yield None  # unbounded: admits a point for free
+            else:
+                yield _thresholds(kept, caps[:k] + caps[k + 1 :], crow, ndim)
+
+    return _roots(thresholds, caps, drops())
 
 
 def _thresholds(brows, caps, crow, ndim):
     """Minimal clipped B-images of the nonzero points reachable within caps."""
     rows = [(brows[t], caps[t]) for t in range(len(brows))] + [crow]
     zero = (0,) * ndim
-    thresh = set()
-    for z in lattice_points_boxed(rows, ndim):
-        if z == zero:
-            continue
-        thresh.add(tuple(max(dot(b, z), 0) for b in brows))
+    return _minimal({tuple(max(dot(b, z), 0) for b in brows)
+                     for z in lattice_points_boxed(rows, ndim) if z != zero})
+
+
+def _minimal(vectors):
+    """The componentwise-minimal vectors, in lex order (a dominated one sorts later)."""
     out = []
-    for t in sorted(thresh):
+    for t in sorted(vectors):
         if not any(all(map(le, s, t)) for s in out):
             out.append(t)
     return out
@@ -265,32 +258,54 @@ def _thresholds(brows, caps, crow, ndim):
 
 def _roots(thresholds, caps, drops):
     """The undominated w that, off k, dominate a threshold of each bounded drop k."""
-    lifted = [[t[:k] + (0,) + t[k:] for t in ths] for k, ths in enumerate(drops) if ths is not None]
-    return [
-        w for w in _undominated(thresholds, caps)
-        if all(any(all(map(le, t, w)) for t in ths) for ths in lifted)
-    ]
+    floors = _floors(thresholds, caps, drops)
+    return _undominated(thresholds, caps, floors) if floors else []
 
 
-def _undominated(thresholds, caps):
-    """All w in the cap box dominating no threshold vector, in lex order.
+def _floors(thresholds, caps, drops):
+    """Minimal joins of one threshold per bounded drop k, lifted with 0 at k.
 
-    A node carries (threshold, last nonzero index) for each threshold its
-    prefix dominates; the child at v keeps those with th[depth] <= v.
+    w dominates such a threshold of every bounded drop iff it dominates a
+    join; a join above the caps or dominating a threshold has no root above
+    it and is dropped, so [] means there are no roots.
+    """
+    floors = [(0,) * len(caps)]
+    for k, ths in enumerate(drops):
+        if ths is not None:
+            joins = {tuple(map(max, f, t[:k] + (0,) + t[k:])) for t in ths for f in floors}
+            floors = _minimal(j for j in joins if all(map(le, j, caps))
+                              and not any(all(map(le, th, j)) for th in thresholds))
+            if not floors:
+                break
+    return floors
+
+
+def _undominated(thresholds, caps, floors=None):
+    """All w in the cap box dominating no threshold but some floor, in lex order.
+
+    A node carries the thresholds its prefix dominates and the floors f whose
+    completion (prefix, f[depth:]) dominates none of them, a w below the node.
+    A floor lives on v from f[depth] to the least th[depth] of a carried th
+    with th[depth+1:] <= f[depth+1:], where it dies for good.
     """
     k = len(caps)
     out = []
 
-    def rec(depth, w, live):
-        # a carried threshold zero past depth is dominated once w[depth] reaches th[depth]
-        stop = min((th[depth] for th, last in live if last == depth), default=caps[depth] + 1)
-        values = range(min(stop, caps[depth] + 1))
-        if depth == k - 1:
-            out.extend(w + (v,) for v in values)
+    def rec(depth, w, live, floors):
+        cap, spans = caps[depth] + 1, []
+        for f in floors:
+            tail = f[depth + 1 :]
+            end = min([th[depth] for th in live if all(map(le, th[depth + 1 :], tail))] + [cap])
+            if f[depth] < end:
+                spans.append((f[depth], end, f))
+        if not spans:
             return
-        for v in values:
-            rec(depth + 1, w + (v,), [x for x in live if x[0][depth] <= v])
+        for v in range(min(s[0] for s in spans), max(s[1] for s in spans)):
+            alive = [f for lo, hi, f in spans if lo <= v < hi]
+            if alive and depth == k - 1:
+                out.append(w + (v,))
+            elif alive:
+                rec(depth + 1, w + (v,), [th for th in live if th[depth] <= v], alive)
 
-    # each threshold with its last nonzero index; an all-zero one (0) kills the root
-    rec(0, (), [(th, max((t for t in range(k) if th[t]), default=0)) for th in thresholds])
+    rec(0, (), thresholds, [(0,) * k] if floors is None else floors)
     return out

@@ -1,0 +1,117 @@
+"""Apply each named source mutant to a copy of the library and run the tests that must catch it.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME [NAME]  # only the named ones
+
+A mutant is a file under ``src/``, a text that occurs exactly once in it, its
+replacement, and the test node ids that must fail once it is made.  For each
+mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, patches the copy, and runs pytest there with the copied
+``src`` first on ``PYTHONPATH``.  A mutant whose tests fail is killed; one
+whose tests pass survived.  The tests are first run once on an unpatched copy,
+where they must pass.  Exits 0 when every mutant is killed and 1 otherwise.
+Not collected by pytest: every mutant starts its own test run.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE = "src/toricip/oracle.py"
+CLI = "src/toricip/cli.py"
+FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
+SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
+REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
+PIPE = "tests/test_cli.py::test_closed_stdout_exits_quietly"
+ONE_FACTOR = "tests/test_oracle.py::test_fiber_solve_factors_each_matrix_once"
+
+# name: (file, old text, new text, tests that must fail)
+MUTANTS = {
+    "floor-join-strict-domination": (
+        ORACLE, "and not any(all(map(le, th, j))", "and not any(all(map(int.__lt__, th, j))",
+        [FLOORS]),
+    "floor-join-cap-check-removed": (
+        ORACLE, "floors = _minimal(j for j in joins if all(map(le, j, caps))",
+        "floors = _minimal(j for j in joins if True", [FLOORS]),
+    "floor-minimality-dropped": (
+        ORACLE, "floors = _minimal(j for j in joins", "floors = sorted(j for j in joins",
+        [FLOORS]),
+    "dead-floor-lives-one-value-longer": (
+        ORACLE, "spans.append((f[depth], end, f))", "spans.append((f[depth], end + 1, f))",
+        [SEARCH]),
+    "live-threshold-kept-one-value-late": (
+        ORACLE, "[th for th in live if th[depth] <= v]", "[th for th in live if th[depth] < v]",
+        [SEARCH]),
+    "fiber-solve-refactors-per-rhs": (
+        ORACLE, "kernel_lattice_basis(a).fibers.points(b)",
+        "kernel_lattice_basis.__wrapped__(a).fibers.points(b)", [ONE_FACTOR]),
+    "refined-oracle-refusal-removed": (
+        CLI, "        if refined:  # the oracle", "        if False:  # the oracle", [REFUSAL]),
+    "broken-pipe-handler-removed": (
+        CLI, """    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit-time flush
+        return code
+    except BrokenPipeError:  # the reader left: quietly, with stdout on devnull for that flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+""", "    return _run(argv)\n", [PIPE]),
+}
+
+
+def _copy(dest):
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _pytest(copy, tests):
+    """pytest's exit code on ``tests`` in ``copy``: 0 passed, 1 some failed, other an error."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    where = subprocess.run([sys.executable, "-c", "import toricip; print(toricip.__file__)"],
+                           cwd=copy, env=env, capture_output=True, text=True).stdout
+    if not where.startswith(str(copy)):
+        raise SystemExit(f"the copy's toricip is shadowed by {where.strip()}")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, capture_output=True).returncode
+
+
+def run(names):
+    """Report each mutant as killed, survived or not applied; True when all are killed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = sorted({t for n in names for t in MUTANTS[n][3]})
+        if _pytest(clean, tests) != 0:
+            raise SystemExit("the tests fail on the unpatched copy")
+    killed = 0
+    for name in names:
+        path, old, new, tests = MUTANTS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp)
+            _copy(copy)
+            source = (copy / path).read_text()
+            if source.count(old) != 1:
+                verdict = "not applied"
+            else:
+                (copy / path).write_text(source.replace(old, new))
+                code = _pytest(copy, tests)
+                verdict = {0: "survived", 1: "killed"}.get(code, f"pytest error {code}")
+        killed += verdict == "killed"
+        print(f"{verdict:12} {name}  ({path}; {', '.join(t.split('::')[-1] for t in tests)})")
+    print(f"{len(names)} mutants: {killed} killed, {len(names) - killed} not")
+    return killed == len(names)
+
+
+if __name__ == "__main__":
+    chosen = sys.argv[1:] or list(MUTANTS)
+    unknown = [n for n in chosen if n not in MUTANTS]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    sys.exit(0 if run(chosen) else 1)

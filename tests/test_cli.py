@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import toricip
 from toricip.cli import main
 
 
@@ -18,6 +23,7 @@ def fixtures(tmp_path):
     write("knap.cost", "10000 100 1\n")
     write("ex1.mat", "2 4\n1 1 1 1\n0 1 2 3\n")
     write("ex1.cost", "1 0 0 1\n")
+    write("ex2.cost", "0 1 0 1\n")
     write("gf.mat", "3 6\n1 0 1 1 1 1\n0 1 1 1 2 2\n0 0 1 2 3 4\n")
     write("gf.tri", "[[1, 2, 6]]\n")
     write("nn.mat", "2 4\n1 1 1 1\n0 1 3 4\n")
@@ -274,3 +280,31 @@ def test_standard_pairs_run_past_sixteen_columns(capsys, tmp_path, command, expe
     assert code == 0
     payload = json.loads(out)
     assert {key: payload[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("command", [["stdpairs", "--oracle"], ["oracle", "stdpairs"]])
+def test_oracle_refuses_a_refined_decomposition(capsys, fixtures, command):
+    # EX1 at (0 1 0 1) ties, so stdpairs refines the subdivision; the oracle
+    # knows only the unrefined cost and would approve other pairs
+    code, out = run(capsys, ["stdpairs", "--matrix", fixtures["ex1.mat"],
+                             "--cost", fixtures["ex2.cost"]])
+    assert code == 0 and json.loads(out)["refined"] is True
+    for cost in (fixtures["ex2.cost"], "0 0 0 0"):
+        code, out = run(capsys, [*command, "--matrix", fixtures["ex1.mat"], "--cost", cost])
+        assert code == 1 and out.count("\n") == 1
+        assert json.loads(out)["error"]["kind"] == "degenerate"
+
+
+def test_closed_stdout_exits_quietly(fixtures):
+    # the child writes into a pipe whose read end is already closed
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(toricip.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "toricip.cli", "stdpairs",
+             "--matrix", fixtures["knap.mat"], "--cost", fixtures["knap.cost"]],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from reference_enum import reference_boxed, reference_lp_sweep
 from reference_oracle import reference_face_roots, reference_roots, reference_undominated
 from test_stdpairs import REFERENCE_CASES
 
-from toricip import oracle
+from toricip import fibers, oracle
 from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
 from toricip.linalg import dot
@@ -318,7 +320,57 @@ def search_inputs(draw):
 @example(([(1, 0)], [0, 0], [[(0,)], [(0,)]]))  # zero caps
 @example(([(2,)], [3], [[()]]))  # k = 1: the drop keeps only the cost cut
 @example(([(2,)], [3], [[]]))  # k = 1, a bounded drop without thresholds
+@example(([(1, 1)], [3, 3], [[(1,)], [(1,)]]))  # the one join (1, 1) is a threshold: no roots
+@example(([(2, 2)], [1, 1], [[(2,), (1,)], None]))  # the lifted (0, 2) is above the caps
+@example(([(2, 2, 2)], [3, 3, 3], [[(1, 0), (0, 1)], [(1, 0), (0, 1)], None]))  # floors
 def test_root_search_matches_reference(inputs):
     thresholds, caps, drops = inputs
     assert oracle._undominated(thresholds, caps) == reference_undominated(thresholds, caps)
     assert oracle._roots(thresholds, caps, drops) == reference_roots(thresholds, caps, drops)
+
+
+def _naive_floors(thresholds, caps, drops):
+    """Minimal joins of one lifted threshold per bounded drop, each join in
+    the box and dominating no threshold; the zero vector with no bounded drop."""
+    lifted = [[t[:k] + (0,) + t[k:] for t in ths] for k, ths in enumerate(drops) if ths is not None]
+    if not lifted:
+        return [(0,) * len(caps)]
+    joins = {tuple(map(max, (0,) * len(caps), *pick)) for pick in itertools.product(*lifted)}
+    kept = [j for j in joins if all(x <= c for x, c in zip(j, caps))
+            and not any(all(e <= x for e, x in zip(th, j)) for th in thresholds)]
+    return sorted(j for j in kept if not any(i != j and all(e <= x for e, x in zip(i, j))
+                                             for i in kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_inputs())
+@example(([(1, 1)], [3, 3], [[(1,)], [(1,)]]))  # the one join (1, 1) is a threshold
+@example(([(2, 2)], [1, 1], [[(2,), (1,)], None]))  # (0, 2) is above the caps
+@example(([(2, 2, 2)], [3, 3, 3], [[(1, 0), (0, 1)], [(1, 0), (0, 1)], None]))
+def test_floors_are_the_minimal_joins(inputs):
+    thresholds, caps, drops = inputs
+    assert oracle._floors(thresholds, caps, drops) == _naive_floors(thresholds, caps, drops)
+
+
+def test_fiber_solve_factors_each_matrix_once(monkeypatch):
+    # from cold caches, twenty right-hand sides of one matrix share one factorization
+    calls = []
+    real = fibers.factor
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricip") and getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", counted)
+    kernel_lattice_basis.cache_clear()
+    oracle._recession_trivial.cache_clear()
+    a = IntMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
+    rhs = [(s, t) for s in range(4) for t in range(5)]
+    got = [fiber_solve(a, (1, 0, 0, 1), b, with_fiber=True) for b in rhs]
+    assert len(calls) == 1
+    fac = real(a.entries)
+    for b, (best, fiber) in zip(rhs, got):
+        assert fiber == fac.points(b)
+        assert best == min(fiber, key=lambda x: (x[0] + x[3], x), default=None)
