@@ -46,7 +46,7 @@ def _model(args):
     return a, _vector(args.cost, a.n, "cost")
 
 
-def _triangulation_payload(a, delta, tdi):
+def _triangulation_payload(delta, tdi):
     return {
         "maximal_faces": [face_out(f) for f in delta.maximal_faces],
         "certificates": {
@@ -63,7 +63,7 @@ def cmd_triangulate(args):
     a, cost = _model(args)
     delta = regular_subdivision(a, cost)
     tdi = unimodularity_report(a, delta).tdi if delta.is_triangulation else False
-    _emit(args, _triangulation_payload(a, delta, tdi))
+    _emit(args, _triangulation_payload(delta, tdi))
 
 
 def cmd_groebner(args):
@@ -115,7 +115,7 @@ def cmd_solve_sp(args):
     })
 
 
-def _decomposition_payload(decomp, delta, a):
+def _decomposition_payload(decomp, delta):
     from . import stdpairs
     report = stdpairs.associated_report(decomp, delta)
     return {
@@ -140,7 +140,7 @@ def cmd_stdpairs(args):
         from . import oracle
         box = [max(e - 1, 0) for e in stdpairs.initial_ideal(gb).max_exponents()]
         decomp = oracle.brute_force_standard_pairs(a, cost, delta, root_box=box, margin=1)
-    payload = _decomposition_payload(decomp, delta, a)
+    payload = _decomposition_payload(decomp, delta)
     if args.oracle:
         payload["oracle"] = True
     if refined:

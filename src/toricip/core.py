@@ -10,6 +10,7 @@ family to be bounded).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 from . import linalg
 from .errors import BadIndex, RankDeficient, UnboundedFamily, _integer
@@ -117,8 +118,14 @@ cached_kernel_basis = kernel_lattice_basis  # the cache, for cache_info() and ca
 
 
 def gcd_maximal_minors(a: IntMatrix) -> int:
-    """gcd of the absolute values of all d x d minors of A (positive)."""
-    return linalg.gcd_of_minors(a.entries, a.d)
+    """gcd of the absolute values of all d x d minors of A (positive).
+
+    A U = [H | 0] with U unimodular keeps that gcd (Cauchy-Binet), and the
+    only nonzero maximal minor of [H | 0] is det H, the product of the
+    pivots of the lower-triangular H: read off the cached kernel basis.
+    """
+    fac = kernel_lattice_basis(a).fibers
+    return abs(prod(h[c] for h, c in zip(fac.h, fac.pivots)))
 
 
 def face_determinant(a: IntMatrix, sigma) -> int:

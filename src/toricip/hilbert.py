@@ -21,7 +21,7 @@ from itertools import combinations
 from .core import IntMatrix, kernel_meets_orthant
 from .errors import NotDeltaNormal, NotPointed, NotRegular, int_vector
 from .fibers import factor, lattice_points_boxed
-from .linalg import adjugate, clear_denominators, det_int, dot, kernel_basis, rank
+from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 
 
@@ -40,16 +40,22 @@ def _pointed(gens):
 
 
 def _parallelepiped_points(gens):
-    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens.
+    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1}, or [] when gens are dependent.
 
-    With M a nonsingular r x r minor of the generators on coordinates I,
+    One column-Hermite reduction gens U = [H | 0] gives both things needed:
+    gens are independent when every row pivots, and the trailing columns
+    of U span the left kernel {w : g . w = 0 for every g}.  With M
+    a nonsingular r x r minor of the generators on coordinates I,
     lam = adj(M) x_I / det(M).  So the points are the integer x with
     0 <= sign(det) adj_t . x_I <= |det| - 1 for every t, and, when r < d,
-    w . x = 0 for every w in the left kernel of the generators; the
-    lattice-point sweep enumerates them.
+    w . x = 0 for every w in the left kernel; the lattice-point sweep
+    enumerates them.
     """
     r = len(gens)
     d = len(gens[0])
+    _, u, pivots = column_hermite(gens, d)
+    if None in pivots:
+        return []
     for coords in combinations(range(d), r):
         m = [[g[i] for g in gens] for i in coords]
         det = det_int(m)
@@ -62,7 +68,7 @@ def _parallelepiped_points(gens):
         for ci, v in zip(coords, adj_t):
             s[ci] = sign * v
         rows += [(tuple(s), abs(det) - 1), (tuple(-v for v in s), 0)]
-    for w in kernel_basis(gens, d)[0]:
+    for w in zip(*(row[r:] for row in u)):
         rows += [(w, 0), (tuple(-v for v in w), 0)]
     return lattice_points_boxed(rows, d)
 
@@ -81,11 +87,8 @@ def hilbert_basis(generators) -> HilbertBasis:
         return HilbertBasis((), ())
     if not _pointed(gens):
         raise NotPointed("cone contains a line")
-    r = rank(gens)
     cands = set(gens)
-    for sub in combinations(gens, r):
-        if rank(sub) < r:
-            continue
+    for sub in combinations(gens, rank(gens)):
         cands.update(_parallelepiped_points(sub))
     cands.discard(tuple([0] * len(gens[0])))
     cands = sorted(cands)

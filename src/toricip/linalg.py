@@ -5,7 +5,7 @@ Matrices are sequences of rows; all arithmetic is over Python ints and
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 
@@ -47,26 +47,9 @@ def adjugate(rows):
 
 
 def rank(rows):
-    """Rank over Q, by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over Q: the number of pivots of :func:`column_hermite`."""
+    pivots = column_hermite(rows, len(rows[0]) if rows else 0)[2]
+    return len(pivots) - pivots.count(None)
 
 
 def solve_exact(rows, rhs):
@@ -142,16 +125,6 @@ def column_hermite(rows, n):
         pivots.append(cc)
         cc += 1
     return a, u, pivots
-
-
-def kernel_basis(rows, n):
-    """Saturated basis of {x in Z^n : rows @ x = 0}: the trailing columns of U.
-
-    Returns (basis_columns, rank).
-    """
-    _, u, pivots = column_hermite(rows, n)
-    rk = len(pivots) - pivots.count(None)
-    return [tuple(u[i][j] for i in range(n)) for j in range(rk, n)], rk
 
 
 def lll_reduce(vectors):
@@ -294,23 +267,6 @@ def smith_invariants(rows):
         invariants.append(abs(a[top][top]))
         top += 1
     return invariants
-
-
-def gcd_of_minors(rows, k):
-    """gcd of the absolute values of all k x k minors."""
-    from itertools import combinations
-
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    g = 0
-    for ri in combinations(range(m), k):
-        sub = [rows[i] for i in ri]
-        for ci in combinations(range(n), k):
-            minor = det_int([[row[j] for j in ci] for row in sub])
-            g = gcd(g, minor)
-            if g == 1:
-                return 1
-    return g
 
 
 def mat_vec(rows, x):

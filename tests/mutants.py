@@ -23,11 +23,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ORACLE = "src/toricip/oracle.py"
 CLI = "src/toricip/cli.py"
+CORE = "src/toricip/core.py"
+LINALG = "src/toricip/linalg.py"
+HILBERT = "src/toricip/hilbert.py"
 FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
 SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
 REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
 PIPE = "tests/test_cli.py::test_closed_stdout_exits_quietly"
 ONE_FACTOR = "tests/test_oracle.py::test_fiber_solve_factors_each_matrix_once"
+RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
+RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
+SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -60,6 +66,14 @@ MUTANTS = {
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 """, "    return _run(argv)\n", [PIPE]),
+    "lattice-index-drops-abs": (
+        CORE, "return abs(prod(h[c] for h, c in zip(fac.h, fac.pivots)))",
+        "return prod(h[c] for h, c in zip(fac.h, fac.pivots))", [RANK_INDEX]),
+    "rank-counts-unpivoted-rows": (
+        LINALG, "    return len(pivots) - pivots.count(None)", "    return len(pivots)",
+        [RANK_INDEX, RANK_DEFICIENT]),
+    "hilbert-keeps-dependent-subsets": (
+        HILBERT, "    if None in pivots:\n        return []\n", "", [SUBSETS]),
 }
 
 

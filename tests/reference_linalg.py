@@ -1,11 +1,21 @@
-"""Naive dot products for the test references.
+"""Naive linear algebra for the test references.
 
 ``linalg.dot`` and ``linalg.mat_vec`` run their loops in C through ``map``.
 The references check code that calls those kernels, so they take their
 products from here instead: a Python generator over ``zip``, the body the
 library used before.  ``tests/test_linalg.py`` holds the kernels equal to
 these loops.
+
+``rank`` and ``gcd_of_minors`` are the Fraction elimination and the minor
+enumeration the library replaced by its one column-Hermite reduction; the
+tests hold ``linalg.rank`` and ``core.gcd_maximal_minors`` equal to them.
 """
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+from toricip.linalg import det_int
 
 
 def dot(u, v):
@@ -14,3 +24,40 @@ def dot(u, v):
 
 def mat_vec(rows, x):
     return tuple(dot(row, x) for row in rows)
+
+
+def rank(rows):
+    """Rank over Q, by fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def gcd_of_minors(rows, k):
+    """gcd of the absolute values of all k x k minors (Bareiss determinants)."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    g = 0
+    for ri in combinations(range(m), k):
+        sub = [rows[i] for i in ri]
+        for ci in combinations(range(n), k):
+            g = gcd(g, det_int([[row[j] for j in ci] for row in sub]))
+            if g == 1:
+                return 1
+    return g

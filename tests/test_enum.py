@@ -18,10 +18,10 @@ from reference_enum import (
     reference_parallelepiped_points,
     reference_recession_trivial,
 )
+from reference_linalg import rank
 
 from toricip.errors import Unbounded
 from toricip.hilbert import _parallelepiped_points
-from toricip.linalg import rank
 from toricip.oracle import (
     IneqPolytope,
     _recession_trivial,

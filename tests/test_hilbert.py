@@ -43,6 +43,25 @@ def test_hilbert_basis_examples():
     assert set(hilbert_basis([(1, 0), (1, 1)]).elements) == {(1, 0), (1, 1)}
 
 
+def test_hilbert_basis_reduces_each_subset_once(monkeypatch):
+    # one column-Hermite reduction per 3-subset tells whether it is independent;
+    # only the independent ones reach the lattice-point sweep
+    from toricip import hilbert
+
+    calls = dict.fromkeys(["column_hermite", "lattice_points_boxed"], 0)
+    for name in calls:
+        def counted(*args, _real=getattr(hilbert, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(hilbert, name, counted)
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+    assert hilbert_basis(gens).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    # 20 subsets; 4 lie in a plane: e1 e2 (1,1,0), e1 e3 (1,0,1),
+    # e3 (1,1,0) (1,1,1) and e2 (1,0,1) (1,1,1)
+    assert calls == {"column_hermite": 20, "lattice_points_boxed": 16}
+    assert hilbert._parallelepiped_points([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == []
+
+
 def test_hilbert_basis_is_minimal_and_generating():
     from toricip.hilbert import _in_cone_of, _semigroup_member
 

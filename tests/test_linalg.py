@@ -4,10 +4,14 @@ from itertools import permutations
 
 import pytest
 import reference_linalg
+from conftest import LONG_CHAIN
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricip import linalg
+from toricip.core import IntMatrix, gcd_maximal_minors
+from toricip.errors import RankDeficient, UnboundedFamily
+from toricip.fibers import factor
 
 
 def det_by_permutations(rows):
@@ -46,14 +50,52 @@ def test_kernel_basis_spans_and_saturates(seed):
     d = rng.randint(1, 3)
     n = rng.randint(d, d + 3)
     rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)]
-    basis, rk = linalg.kernel_basis(rows, n)
-    assert rk == linalg.rank(rows)
+    fac = factor(rows)
+    rk = reference_linalg.rank(rows)
+    assert fac.rank == rk
+    basis = list(zip(*fac.basis))
     assert len(basis) == n - rk
     for col in basis:
         assert all(sum(r[i] * col[i] for i in range(n)) == 0 for r in rows)
     if basis:
-        bmat = [[col[i] for col in basis] for i in range(n)]
-        assert all(s == 1 for s in linalg.smith_invariants(bmat))
+        assert all(s == 1 for s in linalg.smith_invariants(fac.basis))
+
+
+# (-2 0; 0 1) has a negative Hermite pivot; LONG_CHAIN has g = 5
+NAMED_LATTICES = [((-2, 0), (0, 1)), ((1, 0), (0, -3)), ((2, 4, 6),), LONG_CHAIN]
+
+
+def _low_rank(rng, m, n):
+    """An m x n product of an m x k and a k x n matrix, k < min(m, n)."""
+    k = rng.randint(0, min(m, n) - 1)
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rank_and_lattice_index_match_the_references(seed):
+    rng = random.Random(seed)
+    wide = rng.randint(1, 3)
+    shapes = [(0, 0), (rng.randint(1, 3), 0), (rng.randint(4, 6), rng.randint(1, 3)),
+              (wide, rng.randint(wide + 1, wide + 4)), (rng.randint(1, 4), rng.randint(1, 4))]
+    matrices = [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)] for m, n in shapes]
+    matrices += [_low_rank(rng, rng.randint(2, 5), rng.randint(2, 5)) for _ in range(3)]
+    for rows in matrices:
+        assert linalg.rank(rows) == reference_linalg.rank(rows)
+    lattices = list(NAMED_LATTICES)
+    while len(lattices) < len(NAMED_LATTICES) + 5:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, d + 3)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(d)]
+        try:
+            IntMatrix(rows)
+        except (RankDeficient, UnboundedFamily):
+            continue
+        lattices.append(rows)
+    for rows in lattices:
+        a = IntMatrix(rows)
+        assert gcd_maximal_minors(a) == reference_linalg.gcd_of_minors(rows, a.d)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -67,9 +109,9 @@ def test_smith_invariants_match_determinantal_divisors(seed):
     prod = 1
     for k, s in enumerate(inv, start=1):
         prod *= s
-        assert prod == linalg.gcd_of_minors(rows, k)
+        assert prod == reference_linalg.gcd_of_minors(rows, k)
     if len(inv) < min(m, n):
-        assert linalg.gcd_of_minors(rows, len(inv) + 1) == 0
+        assert reference_linalg.gcd_of_minors(rows, len(inv) + 1) == 0
 
 
 def test_smith_divisibility_chain():
@@ -90,7 +132,12 @@ def test_solve_exact_consistency():
 
 
 def fraction_solve(rows, rhs):
-    """Gauss-Jordan over Fractions: the reference for the integer solve_exact."""
+    """A second Fraction Gauss-Jordan, written apart from ``solve_exact``.
+
+    It pivots down the diagonal and raises at the first column without a
+    pivot; the test holds ``solve_exact`` equal to it on solutions, on
+    inconsistent systems (None) and on rank deficiency (ValueError).
+    """
     from fractions import Fraction
 
     m = len(rows)
@@ -180,7 +227,7 @@ def skewed_basis(rng, k, n):
     """k independent vectors in Z^n, mixed by random unimodular steps."""
     while True:
         vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        if linalg.rank(vecs) == k:
+        if reference_linalg.rank(vecs) == k:
             break
     for _ in range(3 * k if k > 1 else 0):
         i, j = rng.sample(range(k), 2)
