@@ -23,8 +23,12 @@ of that drop's thresholds lifted with 0 there, that is one of the floors: the
 minimal joins of one such threshold per drop.  Those come first, and no floor
 means no root.  Roots are then swept in lex order, each node carrying the
 thresholds its prefix dominates and the floors that still complete it to a
-root, so every node leads to one.  ``fiber_solve`` answers every right-hand
-side from the factorization the cached kernel basis was read from.
+root, so every node leads to one.  A face's system is its first bounded
+drop's system plus the dropped row, so one sweep gives both threshold sets:
+the face's points are the drop's within that row's cap.  ``fiber_solve``
+answers every right-hand side from the factorization the cached kernel basis
+was read from, minimizing the cost over the fiber's z-coordinates and lifting
+only the optimum to x.
 The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
@@ -32,13 +36,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import le
+from itertools import chain, combinations
+from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
 from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, int_vector
 from .fibers import Elimination, lattice_points_boxed
-from .linalg import det_int, dot
+from .linalg import det_int, dot, mat_vec
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -85,14 +89,19 @@ def enumerate_lattice_points(poly: IneqPolytope, limit=None):
 
 def cost_row(a: IntMatrix, cost):
     """The objective row -cB of the z-space reformulation."""
-    lat = kernel_lattice_basis(a)
-    return tuple(-dot(cost, col) for col in lat.columns())
+    cost = int_vector(cost, a.n, "cost")
+    return tuple(-dot(cost, col) for col in kernel_lattice_basis(a).columns())
 
 
 def q_polytope(a: IntMatrix, cost, u, tau=()):
-    """Q_u^{tau-bar}: B rows off tau bounded by u, plus the cost cut."""
+    """Q_u^{tau-bar}: B rows off tau bounded by u, plus the cost cut.
+
+    A cost or u not of length n, or a tau index outside 0..n-1, is malformed.
+    """
+    u, tau = int_vector(u, a.n, "u"), int_vector(tau, len(tau), "face")
+    if any(not 0 <= i < a.n for i in tau):
+        raise ParseError(f"face {tau} has an index outside 0..{a.n - 1}")
     lat = kernel_lattice_basis(a)
-    tau = set(tau)
     rows = [(lat.matrix[i], u[i]) for i in range(a.n) if i not in tau]
     rows.append((cost_row(a, cost), 0))
     return IneqPolytope.from_rows(rows)
@@ -102,12 +111,24 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     """Optimal point of the program by exhaustive fiber enumeration.
 
     Lexicographic tie-break; returns None when infeasible (a marker, not an
-    error).  With ``with_fiber`` the full fiber is returned alongside.
+    error).  With ``with_fiber`` the full fiber is returned alongside.  The
+    fiber is x0 + B z over the echelon kernel basis B of the factorization,
+    and cost . x = cost . x0 + r . z with r_j = cost . (column j of B).  The
+    sweep yields z in lex order, which is lex order on x, so the first z of
+    least r . z is the optimum with its tie-break; only that z is lifted.
     """
     cost = int_vector(cost, a.n, "cost")
-    fiber = kernel_lattice_basis(a).fibers.points(b)
-    best = min(fiber, key=lambda x: (dot(cost, x), x), default=None)
-    return (best, fiber) if with_fiber else best
+    fac = kernel_lattice_basis(a).fibers
+    x0 = fac.particular(b)
+    zs = [] if x0 is None else fac.elimination.points(x0)
+    r = [dot(cost, col) for col in zip(*fac.basis)]
+    best = min(zs, key=lambda z: dot(r, z), default=None)
+
+    def lift(z):
+        return tuple(map(add, x0, mat_vec(fac.basis, z)))
+
+    opt = None if best is None else lift(best)
+    return (opt, [lift(z) for z in zs]) if with_fiber else opt
 
 
 def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision" = None) -> bool:
@@ -125,7 +146,7 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision"
     if tau not in delta:
         raise NotAFace(f"{tau} is not a face of the triangulation")
     ndim = kernel_lattice_basis(a).corank
-    rows = q_polytope(a, cost, int_vector(u, a.n, "root"), tau).rows
+    rows = q_polytope(a, cost, u, tau).rows
     if lattice_points_boxed(rows, ndim, limit=2) != [(0,) * ndim]:  # not a singleton
         return False
     for k in range(len(rows) - 1):  # every B-row; the cost cut stays last
@@ -225,26 +246,42 @@ def brute_force_standard_pairs(
 
 
 def _face_roots(brows, caps, crow, ndim):
-    """The roots w <= caps of one face's standard pairs, in lex order."""
-    thresholds = _thresholds(brows, caps, crow, ndim)
+    """The roots w <= caps of one face's standard pairs, in lex order.
 
-    def drops():  # lazily: a drop is swept only while floors remain
-        for k in range(len(brows)):
-            kept = brows[:k] + brows[k + 1 :]
-            if not _recession_trivial(tuple(kept) + (crow[0],), ndim):
-                yield None  # unbounded: admits a point for free
-            else:
-                yield _thresholds(kept, caps[:k] + caps[k + 1 :], crow, ndim)
+    The face's system is a bounded drop's system plus the dropped row, so the
+    first bounded drop's sweep serves both: the face's points are those
+    within that row's cap.  A face without a bounded drop sweeps its own.
+    """
+    rows = list(zip(brows, caps))
 
-    return _roots(thresholds, caps, drops())
+    def sweep(k):  # the points off B-row k, or None when that system is unbounded
+        kept = rows[:k] + rows[k + 1 :]
+        if not _recession_trivial(tuple(s for s, _ in kept) + (crow[0],), ndim):
+            return None  # unbounded: admits a point for free
+        return lattice_points_boxed(kept + [crow], ndim)
+
+    swept = map(sweep, range(len(rows)))  # lazily: a drop is swept only while floors remain
+    head = []
+    for points in swept:
+        head.append(points)
+        if points is not None:  # the first bounded drop: the face keeps B_k z <= cap_k
+            brow, cap = rows[len(head) - 1]
+            points = [z for z in points if dot(brow, z) <= cap]
+            break
+    else:  # no bounded drop: the face's own sweep
+        points = lattice_points_boxed(rows + [crow], ndim)
+    drops = (None if pts is None else _thresholds(brows[:k] + brows[k + 1 :], pts)
+             for k, pts in enumerate(chain(head, swept)))
+    return _roots(_thresholds(brows, points), caps, drops)
 
 
-def _thresholds(brows, caps, crow, ndim):
-    """Minimal clipped B-images of the nonzero points reachable within caps."""
-    rows = [(brows[t], caps[t]) for t in range(len(brows))] + [crow]
-    zero = (0,) * ndim
-    return _minimal({tuple(max(dot(b, z), 0) for b in brows)
-                     for z in lattice_points_boxed(rows, ndim) if z != zero})
+def _thresholds(brows, points):
+    """Minimal clipped B-images max(Bz, 0) of the nonzero points of one sweep.
+
+    The points are those of a face's or a drop's system within the caps;
+    a face with a bounded drop takes them from that drop's sweep.
+    """
+    return _minimal({tuple(max(dot(b, z), 0) for b in brows) for z in points if any(z)})
 
 
 def _minimal(vectors):

@@ -5,8 +5,9 @@
 
 ``record`` runs the set-up and one pass of the ``pipeline``, ``oracle`` and
 ``scale`` workloads of ``perfbench`` at seed 1 and stores the input and the
-output of every ``fibers.lattice_points_boxed``, ``Factorization.points``
-and ``relax.solve_relaxation`` call.  ``replay`` runs each stored input
+output of every ``fibers.lattice_points_boxed``, ``Factorization.points``,
+``oracle.fiber_solve`` (which sweeps the fiber's elimination itself) and
+``relax.solve_relaxation`` call.  ``replay`` runs each stored input
 through the ``toricip`` on the path (for instance a checkout of an earlier
 commit), asserts that every output is identical and prints the counts per
 workload and function.  Not collected by pytest: recording the three
@@ -61,6 +62,9 @@ def record(path):
     fibers.Factorization.points = recorder(
         "Factorization.points", fibers.Factorization.points,
         lambda fac, b, limit=None: (fac.rows, tuple(b), limit))
+    oracle.fiber_solve = workloads.fiber_solve = recorder(
+        "fiber_solve", oracle.fiber_solve,
+        lambda a, cost, b, with_fiber=False: (a.entries, tuple(cost), tuple(b), with_fiber))
     relax.solve_relaxation = workloads.solve_relaxation = recorder(
         "solve_relaxation", relax.solve_relaxation,
         lambda r: (r.matrix.entries, r.cost, r.face, r.rhs), _relaxation_answer)
@@ -94,6 +98,9 @@ def replay(path):
             if rows not in factored:
                 factored[rows] = fibers.factor(rows)
             got = factored[rows].points(b, limit)
+        elif func == "fiber_solve":
+            entries, cost, b, with_fiber = args
+            got = _outcome(lambda: oracle.fiber_solve(IntMatrix(entries), cost, b, with_fiber))
         else:
             entries, cost, face, rhs = args
             a = IntMatrix(entries)

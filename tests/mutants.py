@@ -31,6 +31,9 @@ SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
 REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
 PIPE = "tests/test_cli.py::test_closed_stdout_exits_quietly"
 ONE_FACTOR = "tests/test_oracle.py::test_fiber_solve_factors_each_matrix_once"
+FIBER_MIN = "tests/test_oracle.py::test_fiber_solve_matches_the_lifted_fiber_minimum"
+NAMED_ROOTS = "tests/test_oracle.py::test_face_roots_match_reference_on_named_cases"
+MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_errors"
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
 RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
@@ -53,8 +56,17 @@ MUTANTS = {
         ORACLE, "[th for th in live if th[depth] <= v]", "[th for th in live if th[depth] < v]",
         [SEARCH]),
     "fiber-solve-refactors-per-rhs": (
-        ORACLE, "kernel_lattice_basis(a).fibers.points(b)",
-        "kernel_lattice_basis.__wrapped__(a).fibers.points(b)", [ONE_FACTOR]),
+        ORACLE, "fac = kernel_lattice_basis(a).fibers",
+        "fac = kernel_lattice_basis.__wrapped__(a).fibers", [ONE_FACTOR]),
+    "fiber-solve-last-tie": (
+        ORACLE, "best = min(zs, key=", "best = min(reversed(zs), key=", [FIBER_MIN]),
+    "face-filter-strict": (
+        ORACLE, "if dot(brow, z) <= cap]", "if dot(brow, z) < cap]", [NAMED_ROOTS]),
+    "q-polytope-checks-removed": (
+        ORACLE, """    u, tau = int_vector(u, a.n, "u"), int_vector(tau, len(tau), "face")
+    if any(not 0 <= i < a.n for i in tau):
+        raise ParseError(f"face {tau} has an index outside 0..{a.n - 1}")
+""", "", [MALFORMED]),
     "refined-oracle-refusal-removed": (
         CLI, "        if refined:  # the oracle", "        if False:  # the oracle", [REFUSAL]),
     "broken-pipe-handler-removed": (

@@ -374,3 +374,70 @@ def test_fiber_solve_factors_each_matrix_once(monkeypatch):
     for b, (best, fiber) in zip(rhs, got):
         assert fiber == fac.points(b)
         assert best == min(fiber, key=lambda x: (x[0] + x[3], x), default=None)
+
+
+# corank 1, 2 and 3; EX1's costs include 0 and (2, 3, 4, 5) = 2 (1 1 1 1) + (0 1 2 3)
+# in its row space, on which every fiber point ties and the lex-first must win
+FIBER_CASES = {
+    "corank1": (((1, 1, 1), (0, 1, 2)), [(1, 0, 1), (0, 0, 0), (3, 2, 7)]),
+    "knapsack": (((2, 5, 8),), [(10000, 100, 1), (0, 0, 0), (1, 2, 3)]),
+    "ex1": (((1, 1, 1, 1), (0, 1, 2, 3)),
+            [(1, 0, 0, 1), (0, 0, 0, 0), (2, 3, 4, 5), (-1, 2, 0, 3)]),
+    "corank3": (((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)), [(1, 0, 0, 0, 1), (0,) * 5, (1, 2, 3, 4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CASES))
+def test_fiber_solve_matches_the_lifted_fiber_minimum(name):
+    rows, costs = FIBER_CASES[name]
+    a = IntMatrix(rows)
+    fac = fibers.factor(rows)
+    # the image of every x in {0, 1, 2}^n, and b off the semigroup such as (0, .., 0, 1)
+    rhs = {a.apply(u) for u in itertools.product(range(3), repeat=a.n)}
+    rhs |= {(1,) * a.d, tuple(range(a.d, 2 * a.d)), (0,) * (a.d - 1) + (1,)}
+    ties = 0
+    for cost in costs:
+        for b in sorted(rhs):
+            fiber = fac.points(b)
+            want = min(fiber, key=lambda x: (sum(c * v for c, v in zip(cost, x)), x), default=None)
+            assert fiber_solve(a, cost, b) == want, (cost, b)
+            assert fiber_solve(a, cost, b, with_fiber=True) == (want, fiber), (cost, b)
+            ties += len(fiber) > 1 and not any(cost)
+    assert fiber_solve(a, costs[0], (1,) * (a.d - 1) + (-1,)) is None  # infeasible
+    assert ties > 0
+
+
+def test_face_sweep_serves_its_first_bounded_drop(monkeypatch):
+    # census 4 x 7, second cost: a face with a bounded drop takes its points
+    # from that drop's sweep, so its own system (one row more) is never swept
+    a, cost = REFERENCE_CASES["census4x7-1"]
+    delta, gb, _, _ = decomposition_for(a, cost)
+    box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
+    lat = kernel_lattice_basis(a)
+    crow = oracle.cost_row(a, cost)
+    sweeps = []  # per face: the row count of each of its sweeps
+    real_roots, real_boxed = oracle._face_roots, oracle.lattice_points_boxed
+
+    def face_roots(brows, caps, crow, ndim):
+        sweeps.append((brows, []))
+        return real_roots(brows, caps, crow, ndim)
+
+    def boxed(rows, dim, limit=None):
+        sweeps[-1][1].append(len(rows))
+        return real_boxed(rows, dim, limit)
+
+    monkeypatch.setattr(oracle, "_face_roots", face_roots)
+    monkeypatch.setattr(oracle, "lattice_points_boxed", boxed)
+    brute_force_standard_pairs(a, cost, delta, root_box=box)
+    with_drop = 0
+    for brows, counts in sweeps:
+        has_drop = any(fibers.Elimination(brows[:k] + brows[k + 1 :] + [crow], lat.corank).bounded
+                       for k in range(len(brows)))
+        with_drop += has_drop
+        own = len(brows) + 1  # the face's B-rows and the cost cut
+        assert counts.count(own) == (not has_drop)
+        assert len(counts) >= 1 and set(counts) <= {own, own - 1}
+    # 32 of the 36 faces have a bounded drop; sweeping each face's own system
+    # as well took 80 calls
+    assert (len(sweeps), with_drop) == (36, 32)
+    assert sum(len(counts) for _, counts in sweeps) == 48

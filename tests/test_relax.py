@@ -173,6 +173,23 @@ INCONSISTENT_CALLS = {
         a, KNAPSACK_COST, delta, root_box=[-3, 1, 0]),
     "brute-pairs-margin-negative": lambda a, delta, decomp: brute_force_standard_pairs(
         a, KNAPSACK_COST, delta, root_box=[1, 1, 1], margin=-2),
+    # on EX1, the face (9,) used to give the empty face's five rows, a u of 6
+    # entries was cut short, one of 2 raised IndexError, and the cost (1, 0)
+    # gave the cost row (-1, 0), the dot product stopping at the shorter vector
+    "q-polytope-face-out-of-range": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0), (9,)),
+    "q-polytope-face-negative": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0), (-1,)),
+    "q-polytope-face-bool": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0), (True,)),
+    "q-polytope-u-too-long": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0, 0, 0)),
+    "q-polytope-u-too-short": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0)),
+    "q-polytope-cost-too-short": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0), (0, 0, 0, 0)),
+    "cost-row-too-short": lambda a, delta, decomp: oracle.cost_row(IntMatrix(EX1), (1, 0)),
+    "cost-row-float": lambda a, delta, decomp: oracle.cost_row(a, (10000.5, 100, 1)),
 }
 
 
