@@ -211,8 +211,8 @@ def cmd_gomory_cost(args):
 
 def cmd_sharp_family(args):
     from . import hilbert
-    if args.m < 2:
-        raise ParseError(f"--m must be at least 2, got {args.m}")
+    if not 2 <= args.m <= 10:  # 2^m - 1 rows: m = 10 takes seconds, and each step 4x that
+        raise ParseError(f"--m must be in 2..10, got {args.m}")
     a, cost = hilbert.sharp_family(args.m)
     _emit(args, {
         "matrix": [list(r) for r in a.entries],

@@ -98,8 +98,10 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
 
     The basis comes from a unimodular column reduction of A, so its column
     lattice is saturated by construction; both facts are re-verified before
-    returning (A B = 0 entrywise, Smith invariants of B all 1).  Built once
-    per matrix and kept in a bounded cache.
+    returning.  A B = 0 entrywise, and the gcd of the k x k minors of B is 1:
+    every pivot of the column-Hermite form of B^T is +-1, the reading
+    :func:`gcd_maximal_minors` makes of A.  Built once per matrix and kept in
+    a bounded cache.
     """
     fac = factor(a.entries)
     if fac.rank < a.d:
@@ -109,7 +111,8 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     for col in cols:
         if any(v != 0 for v in a.apply(col)):
             raise AssertionError("kernel basis failed A B = 0")
-    if cols and any(s != 1 for s in linalg.smith_invariants(bmat)):
+    h, _, pivots = linalg.column_hermite(cols, a.n)
+    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):
         raise AssertionError("kernel basis not saturated")
     return LatticeBasis(bmat, a, fac)
 

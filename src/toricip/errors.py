@@ -1,9 +1,9 @@
-"""Domain errors raised by the library, and its one check of a caller's vector.
+"""Domain errors raised by the library, and its one check each of a caller's vector and face.
 
 Every error carries a machine-readable ``kind`` string that the CLI maps to
 exit code 1 and a JSON ``error.kind`` field.  Parse failures use ``ParseError``
-(exit code 2).  :func:`int_vector` lives here, beside the error it raises, so
-every module can import it without importing another.
+(exit code 2).  :func:`int_vector` and :func:`_face` live here, beside the
+error they raise, so every module can import them without importing another.
 """
 
 
@@ -105,3 +105,15 @@ def int_vector(values, length, name):
     if len(vec) != length:
         raise ParseError(f"{name} has {len(vec)} entries, expected {length}")
     return vec
+
+
+def _face(indices, n, base=0):
+    """``indices`` as a sorted 0-based face: distinct ints in base..n-1+base, or ParseError.
+
+    Faces are 0-based in the library and 1-based (``base=1``) in every file and flag.
+    """
+    face = tuple(indices)
+    bad = any(type(i) is not int or not base <= i < n + base for i in face)
+    if bad or len(set(face)) < len(face):
+        raise ParseError(f"face {list(face)} needs distinct int indices in {base}..{n - 1 + base}")
+    return tuple(sorted(i - base for i in face))

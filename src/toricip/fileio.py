@@ -9,7 +9,7 @@ import json
 import os
 
 from .core import IntMatrix
-from .errors import ParseError
+from .errors import ParseError, _face
 
 
 def read_raw_matrix(path):
@@ -45,21 +45,13 @@ def read_vector(spec):
         raise ParseError(f"bad vector {spec!r}: {exc}") from exc
 
 
-def _face(indices, n):
-    """0-based sorted face of 1-based indices: each an int in 1..n, none repeated."""
-    distinct = len(set(indices)) == len(indices)
-    if not distinct or any(type(i) is not int or not 1 <= i <= n for i in indices):
-        raise ParseError(f"face {list(indices)} needs distinct int indices in 1..{n}")
-    return tuple(sorted(i - 1 for i in indices))
-
-
 def read_face(spec, n):
     """1-based comma-separated indices of n columns to a 0-based face; '' is empty."""
     try:
         idx = [int(t) for t in spec.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad face {spec!r}: {exc}") from exc
-    return _face(idx, n)
+    return _face(idx, n, base=1)
 
 
 def read_faces_json(path, n):
@@ -67,7 +59,7 @@ def read_faces_json(path, n):
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return tuple(_face(face, n) for face in data)
+        return tuple(_face(face, n, base=1) for face in data)
     except (OSError, ValueError, TypeError) as exc:
         raise ParseError(f"bad triangulation file {path}: {exc}") from exc
 

@@ -15,11 +15,10 @@ library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .core import IntMatrix, kernel_meets_orthant
-from .errors import NotDeltaNormal, NotPointed, NotRegular, int_vector
+from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, _face, int_vector
 from .fibers import factor, lattice_points_boxed
 from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
@@ -106,12 +105,6 @@ def hilbert_basis(generators) -> HilbertBasis:
     return HilbertBasis(tuple(minimal), tuple(gens))
 
 
-def _semigroup_member(columns, x):
-    """x in N{columns}: integer feasibility by fiber sweep."""
-    rows = [tuple(col[i] for col in columns) for i in range(len(x))]
-    return factor(rows).first(x) is not None
-
-
 @dataclass(frozen=True)
 class NormalityReport:
     normal: bool
@@ -121,19 +114,16 @@ class NormalityReport:
     supernormal: bool | None
 
 
-def _columns_in_cone(a: IntMatrix, gens):
-    return [j for j in range(a.n) if _in_cone_of(gens, a.column(j))]
+def _hilbert_property(cols, cone_gens):
+    """Do the columns cols generate every lattice point of cone(cone_gens)?
 
-
-def _hilbert_property(a: IntMatrix, cone_gens):
-    """Do the columns of A inside cone(cone_gens) generate all its points?
-
-    Returns (flag, witness).
+    Returns (flag, witness), the witness the first Hilbert-basis element of
+    the cone outside the semigroup N{cols}.  One factorization of cols
+    answers the fiber of every element.
     """
-    inside = _columns_in_cone(a, cone_gens)
-    cols = [a.column(j) for j in inside]
+    fac = factor(list(zip(*cols)))
     for h in hilbert_basis(cone_gens).elements:
-        if not _semigroup_member(cols, h):
+        if fac.first(h) is None:
             return False, h
     return True, None
 
@@ -143,24 +133,25 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
 
     The normal flag asks whether every minimal Hilbert basis element of
     cone(A) is reachable as a nonnegative integer combination of columns; the
-    witness is the first unreachable lattice point.
+    witness is the first unreachable lattice point.  A cell's or a subset's
+    cone is generated by the columns of A inside it.  ``delta`` is a
+    subdivision of A or a list of faces, each of distinct indices in 0..n-1.
     """
     all_cols = [a.column(j) for j in range(a.n)]
-    normal = True
-    witness = None
-    for h in hilbert_basis(all_cols).elements:
-        if not _semigroup_member(all_cols, h):
-            normal = False
-            witness = h
-            break
-    per_face = []
-    delta_normal = None
+
+    def holds(sub):
+        gens = [a.column(j) for j in sub]
+        return _hilbert_property([c for c in all_cols if _in_cone_of(gens, c)], gens)[0]
+
+    faces = None
     if delta is not None:
-        faces = delta.maximal_faces if hasattr(delta, "maximal_faces") else tuple(delta)
-        for sigma in faces:
-            flag, _ = _hilbert_property(a, [a.column(j) for j in sigma])
-            per_face.append((tuple(sigma), flag))
-        delta_normal = all(flag for _, flag in per_face)
+        if getattr(delta, "matrix", a) != a:
+            raise ParseError("the subdivision was built for another matrix")
+        faces = (delta.maximal_faces if hasattr(delta, "maximal_faces")
+                 else tuple(_face(f, a.n) for f in delta))
+    normal, witness = _hilbert_property(all_cols, all_cols)
+    per_face = [(sigma, holds(sigma)) for sigma in faces or ()]
+    delta_normal = None if faces is None else all(flag for _, flag in per_face)
     supernormal = None
     if check_super:
         supernormal = True
@@ -171,8 +162,7 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
                 if key in seen:
                     continue
                 seen.add(key)
-                flag, _ = _hilbert_property(a, [a.column(j) for j in sub])
-                if not flag:
+                if not holds(sub):
                     supernormal = False
                     break
             if not supernormal:
@@ -238,11 +228,26 @@ def _certificate_cost(a: IntMatrix, faces):
     return tuple(clear_denominators(res.x[:n])[0])
 
 
+def _lift(sub):
+    """The columns lifted onto the cells of ``sub``: h(a_j) for the cost c of ``sub``.
+
+    h(x) = min{c . lam : A lam = x, lam >= 0} is piecewise linear, y_sigma . x
+    on the cone of each cell sigma.  By LP duality it is max{y . x : y A <= c},
+    reached at a vertex of that polyhedron, and the vertices are the cells'
+    certificates: so h(a_j) is the largest y . a_j over them, which is c_j
+    when column j lies in a cell.
+    """
+    a = sub.matrix
+    return [max(dot(a.column(j), y) for y in sub.certificates) for j in range(a.n)]
+
+
 def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     """A generic integer cost making the triangulation a Gomory family.
 
-    Follows the constructive route: lift interior columns onto the cells of a
-    certifying cost, then pull the ray generators down.  The expected pairs
+    Follows the constructive route: lift the columns onto the cells of a
+    certifying cost (:func:`_lift`, one dot product per column and
+    certificate), then pull the ray generators down.  The faces are index
+    tuples, each of distinct indices in 0..n-1.  The expected pairs
     are the per-cell residue optima under the symbolic two-level order
     (lifted cost, then ray deficit, then lex); an integer cost realizing them
     is found by scaling and certified by re-running the whole pipeline.
@@ -250,7 +255,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     # the pipeline modules load here, so the Hilbert-basis commands skip them
     from .stdpairs import StandardPair
     from .triangulation import regular_subdivision
-    faces = tuple(tuple(sorted(f)) for f in faces)
+    faces = tuple(_face(f, a.n) for f in faces)
     cprime = _certificate_cost(a, faces)
     sub0 = regular_subdivision(a, cprime)
     if set(sub0.maximal_faces) != set(faces):
@@ -261,21 +266,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     if not report.delta_normal:
         raise NotDeltaNormal("some cell's columns are not a Hilbert basis")
     rays = sorted({j for f in faces for j in f})
-    # piecewise-linear lift of the certificate onto the cells
-    lifted = [Fraction(0)] * a.n
-    for j in range(a.n):
-        if j in rays:
-            lifted[j] = Fraction(cprime[j])
-            continue
-        col = a.column(j)
-        for face in faces:
-            if _in_cone_of([a.column(i) for i in face], col):
-                y = sub0.certificate(face)
-                lifted[j] = Fraction(dot(col, y))
-                break
-        else:
-            raise NotRegular(f"column {j} is outside every cell")
-    c0 = tuple(clear_denominators(lifted)[0])
+    c0 = tuple(clear_denominators(_lift(sub0))[0])
     omega = tuple(-1 if j in rays else 0 for j in range(a.n))
 
     # residue optima per cell under the symbolic order (c0, omega, lex)

@@ -204,71 +204,6 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def smith_invariants(rows):
-    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    invariants = []
-    top = 0
-    while top < m and top < n:
-        found = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i0, j0 = found
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            # Euclid down the pivot column
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(top + 1, m):
-                    if a[i][top] != 0:
-                        q = a[i][top] // a[top][top]
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                        if a[i][top] != 0:
-                            a[top], a[i] = a[i], a[top]
-                            dirty = True
-            # Euclid across the pivot row (may dirty the column again)
-            dirty = True
-            while dirty:
-                dirty = False
-                for j in range(top + 1, n):
-                    if a[top][j] != 0:
-                        q = a[top][j] // a[top][top]
-                        for row in a:
-                            row[j] -= q * row[top]
-                        if a[top][j] != 0:
-                            for row in a:
-                                row[top], row[j] = row[j], row[top]
-                            dirty = True
-            if any(a[i][top] for i in range(top + 1, m)):
-                continue
-            if any(a[top][j] for j in range(top + 1, n)):
-                continue
-            # divisibility: the pivot must divide every remaining entry
-            bad = None
-            for i in range(top + 1, m):
-                if any(a[i][j] % a[top][top] != 0 for j in range(top + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            a[top] = [x + y for x, y in zip(a[top], a[bad])]
-        invariants.append(abs(a[top][top]))
-        top += 1
-    return invariants
-
-
 def mat_vec(rows, x):
     """rows @ x: :func:`dot` of each row with x."""
     return tuple([sum(map(mul, row, x)) for row in rows])

@@ -40,7 +40,7 @@ from itertools import chain, combinations
 from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
-from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, int_vector
+from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, _face, int_vector
 from .fibers import Elimination, lattice_points_boxed
 from .linalg import det_int, dot, mat_vec
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
@@ -96,11 +96,10 @@ def cost_row(a: IntMatrix, cost):
 def q_polytope(a: IntMatrix, cost, u, tau=()):
     """Q_u^{tau-bar}: B rows off tau bounded by u, plus the cost cut.
 
-    A cost or u not of length n, or a tau index outside 0..n-1, is malformed.
+    A cost or u not of length n, or a tau that repeats an index or has one
+    outside 0..n-1, is malformed.
     """
-    u, tau = int_vector(u, a.n, "u"), int_vector(tau, len(tau), "face")
-    if any(not 0 <= i < a.n for i in tau):
-        raise ParseError(f"face {tau} has an index outside 0..{a.n - 1}")
+    u, tau = int_vector(u, a.n, "u"), _face(tau, a.n)
     lat = kernel_lattice_basis(a)
     rows = [(lat.matrix[i], u[i]) for i in range(a.n) if i not in tau]
     rows.append((cost_row(a, cost), 0))

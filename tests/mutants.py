@@ -37,6 +37,9 @@ MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_err
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
 RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
+SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
+LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
+ONE_SEMIGROUP = "tests/test_hilbert.py::test_normality_report_factors_each_column_set_once"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -63,10 +66,7 @@ MUTANTS = {
     "face-filter-strict": (
         ORACLE, "if dot(brow, z) <= cap]", "if dot(brow, z) < cap]", [NAMED_ROOTS]),
     "q-polytope-checks-removed": (
-        ORACLE, """    u, tau = int_vector(u, a.n, "u"), int_vector(tau, len(tau), "face")
-    if any(not 0 <= i < a.n for i in tau):
-        raise ParseError(f"face {tau} has an index outside 0..{a.n - 1}")
-""", "", [MALFORMED]),
+        ORACLE, """    u, tau = int_vector(u, a.n, "u"), _face(tau, a.n)\n""", "", [MALFORMED]),
     "refined-oracle-refusal-removed": (
         CLI, "        if refined:  # the oracle", "        if False:  # the oracle", [REFUSAL]),
     "broken-pipe-handler-removed": (
@@ -86,6 +86,15 @@ MUTANTS = {
         [RANK_INDEX, RANK_DEFICIENT]),
     "hilbert-keeps-dependent-subsets": (
         HILBERT, "    if None in pivots:\n        return []\n", "", [SUBSETS]),
+    "saturation-check-removed": (
+        CORE, "    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):",
+        "    if False:", [SATURATED]),
+    "gomory-lift-takes-min": (
+        HILBERT, "max(dot(a.column(j), y) for y in sub.certificates)",
+        "min(dot(a.column(j), y) for y in sub.certificates)", [LIFT]),
+    "semigroup-refactors-per-element": (
+        HILBERT, "        if fac.first(h) is None:",
+        "        if factor(list(zip(*cols))).first(h) is None:", [ONE_SEMIGROUP]),
 }
 
 

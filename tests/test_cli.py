@@ -190,6 +190,9 @@ def test_exit_codes(capsys, fixtures, tmp_path):
     ["oracle", "points", "--rows", "sq.mat", "--offsets", "1 0 1"],
     ["sharp-family", "--m", "1"],
     ["sharp-family", "--m", "-3"],
+    # the family has 2^m - 1 rows: m = 64 would loop over 2^64 sign vectors
+    ["sharp-family", "--m", "11"],
+    ["sharp-family", "--m", "64"],
     # a face flag that repeats an index, or names a column past n = 4
     ["relax", "--matrix", "ex1.mat", "--cost", "ex1.cost", "--rhs", "3 4", "--face", "1,1"],
     ["relax", "--matrix", "ex1.mat", "--cost", "ex1.cost", "--rhs", "3 4", "--face", "1,5"],

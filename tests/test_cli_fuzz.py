@@ -111,7 +111,7 @@ def cases(draw):
     n = d + draw(st.integers(0, 3)) if draw(st.integers(0, 5)) else draw(st.integers(0, 5))
     return (draw(st.sampled_from(COMMANDS)), draw(matrix_files(d, n)), draw(token_lists(n)),
             draw(token_lists(d)), draw(triangulation_files()), draw(face_specs()),
-            draw(st.integers(-3, 3)), draw(st.booleans()))
+            draw(st.one_of(st.integers(-3, 3), st.sampled_from((11, 64)))), draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import reference_linalg
 from conftest import EX1, KNAPSACK, LONG_CHAIN, face
 
 from toricip import linalg
@@ -65,7 +66,24 @@ def test_kernel_verified_by_hermite_oracle():
     assert b.corank == 2
     for col in b.columns():
         assert all(v == 0 for v in a.apply(col))
-    assert all(s == 1 for s in linalg.smith_invariants(b.matrix))
+    assert reference_linalg.gcd_of_minors(b.matrix, b.corank) == 1
+
+
+def test_unsaturated_kernel_basis_is_refused(monkeypatch):
+    # doubling one kernel column of U keeps A B = 0 but spans an index-2
+    # sublattice, which the saturation check must refuse
+    from dataclasses import replace
+
+    from toricip import core
+    from toricip.fibers import factor
+
+    def doubled(rows):
+        fac = factor(rows)
+        k = fac.rank
+        return replace(fac, u=tuple(r[:k] + (2 * r[k],) + r[k + 1 :] for r in fac.u))
+    monkeypatch.setattr(core, "factor", doubled)
+    with pytest.raises(AssertionError, match="not saturated"):
+        kernel_lattice_basis.__wrapped__(IntMatrix(EX1))
 
 
 def test_gcd_maximal_minors():

@@ -1,8 +1,15 @@
-import pytest
-from conftest import GFAMILY, NONNORMAL, face
+import random
+from fractions import Fraction
 
+import pytest
+from conftest import EX1, GFAMILY, NONNORMAL, face, make_instance
+
+from toricip import hilbert
 from toricip.core import IntMatrix
 from toricip.errors import NotDeltaNormal, NotPointed, NotRegular
+from toricip.fibers import factor
+from toricip.linalg import dot
+from toricip.linprog import nonneg_feasible
 from toricip.hilbert import (
     gomory_cost,
     hilbert_basis,
@@ -63,19 +70,37 @@ def test_hilbert_basis_reduces_each_subset_once(monkeypatch):
 
 
 def test_hilbert_basis_is_minimal_and_generating():
-    from toricip.hilbert import _in_cone_of, _semigroup_member
+    from toricip.hilbert import _in_cone_of
 
     gens = [(2, 1), (1, 3)]
     hb = hilbert_basis(gens).elements
     # generating: every small cone point is a combination of basis elements
+    semigroup = factor(list(zip(*hb)))
     for x in range(5):
         for y in range(5):
             if _in_cone_of(gens, (x, y)):
-                assert _semigroup_member(hb, (x, y))
+                assert semigroup.first((x, y)) is not None
     # minimal: no element is a combination of the others
     for i, h in enumerate(hb):
         rest = [x for j, x in enumerate(hb) if j != i]
-        assert not _semigroup_member(rest, h)
+        assert factor(list(zip(*rest))).first(h) is None
+
+
+def test_normality_report_factors_each_column_set_once(monkeypatch):
+    # one factorization per semigroup answers all of its Hilbert-basis
+    # elements: the whole matrix, then one per face
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return factor(rows)
+    monkeypatch.setattr(hilbert, "factor", counted)
+    a = IntMatrix(GFAMILY)
+    faces = [face(1, 2, 6), face(2, 3, 6)]
+    assert normality_report(a, faces).normal
+    assert len(calls) == 1 + len(faces)
+    # the whole matrix alone has several elements, each of which used to refactor
+    assert len(hilbert_basis([a.column(j) for j in range(a.n)]).elements) > 1
 
 
 def test_not_pointed():
@@ -179,6 +204,40 @@ def test_gomory_cost_needs_the_symbolic_order():
     assert not refined and set(delta.maximal_faces) == {face(2, 3), face(3, 4)}
     assert is_gomory_family(decomp, delta)
     assert set(decomp.pairs) == set(res.pairs)
+
+
+def _cell_lift(sub):
+    """The lift column by column: c_j on a cell, else y_sigma . a_j for the first cell holding a_j.
+
+    The search ``gomory_cost`` made before it read the lift off the certificates.
+    """
+    a = sub.matrix
+    in_cells = {j for f in sub.maximal_faces for j in f}
+    lifted = []
+    for j in range(a.n):
+        col = a.column(j)
+        if j in in_cells:
+            lifted.append(Fraction(sub.cost[j]))
+            continue
+        cell = next(f for f in sub.maximal_faces
+                    if nonneg_feasible([[a.column(i)[r] for i in f] for r in range(a.d)], col))
+        lifted.append(Fraction(dot(col, sub.certificate(cell))))
+    return lifted
+
+
+def test_certificate_lift_matches_the_per_cell_search():
+    from toricip.triangulation import regular_subdivision
+
+    rng = random.Random(19)
+    kinds = set()
+    matrices = [make_instance(seed)[0] for seed in range(0, 60, 4)]
+    matrices += [IntMatrix(m) for m in (EX1, GFAMILY, NONNORMAL)]
+    for a in matrices:
+        for _ in range(4):
+            sub = regular_subdivision(a, tuple(rng.randint(-5, 9) for _ in range(a.n)))
+            kinds.add(sub.is_triangulation)
+            assert hilbert._lift(sub) == _cell_lift(sub)
+    assert kinds == {True, False}
 
 
 def test_gomory_cost_rejections():

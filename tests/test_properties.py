@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_linalg import rank
+from reference_linalg import gcd_of_minors, rank
 from test_linalg import assert_lll_reduced
 
 from toricip import linalg
@@ -36,7 +36,7 @@ def test_kernel_basis_properties(rows):
     for col in b.columns():
         assert all(v == 0 for v in a.apply(col))
     if b.corank:
-        assert all(s == 1 for s in linalg.smith_invariants(b.matrix))
+        assert gcd_of_minors(b.matrix, b.corank) == 1
 
 
 boxes = st.lists(st.integers(0, 4), min_size=2, max_size=2)

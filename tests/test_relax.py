@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     DEGENERATE,
     EX1,
+    GFAMILY,
     KNAPSACK_COST,
     LONG_CHAIN,
     LONG_CHAIN_COST,
@@ -21,7 +22,7 @@ from toricip.oracle import IneqPolytope, brute_force_standard_pairs, fiber_solve
 from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.errors import Infeasible, NotAFace, ParseError, Unbounded
 from toricip.groebner import CostOrder, is_generic, solve_ip, toric_groebner
-from toricip.hilbert import sharp_family
+from toricip.hilbert import gomory_cost, normality_report, sharp_family
 from toricip.linalg import det_int, dot
 from toricip.relax import build_relaxation, solve_relaxation, solve_via_standard_pairs
 from toricip.stdpairs import relaxations_solving
@@ -188,6 +189,28 @@ INCONSISTENT_CALLS = {
         IntMatrix(EX1), (1, 0, 0, 1), (0, 0)),
     "q-polytope-cost-too-short": lambda a, delta, decomp: oracle.q_polytope(
         IntMatrix(EX1), (1, 0), (0, 0, 0, 0)),
+    "q-polytope-face-repeated": lambda a, delta, decomp: oracle.q_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0), (1, 1)),
+    # a face passed to the library used to go unchecked: on EX1, (0, 9) raised
+    # IndexError, (-1, 0) read column 3, and on GFAMILY (0, 1, 9) gave NotRegular
+    "normality-face-out-of-range": lambda a, delta, decomp: normality_report(
+        IntMatrix(EX1), [(0, 9)]),
+    "normality-face-negative": lambda a, delta, decomp: normality_report(
+        IntMatrix(EX1), [(-1, 0)]),
+    "normality-face-repeated": lambda a, delta, decomp: normality_report(
+        IntMatrix(EX1), [(0, 0)]),
+    "normality-face-bool": lambda a, delta, decomp: normality_report(
+        IntMatrix(EX1), [(True, 2)]),
+    # a subdivision of EX1 passed with GFAMILY used to report its 2-column
+    # faces Delta-normal, and one of GFAMILY passed with EX1 raised IndexError
+    "normality-other-matrix": lambda a, delta, decomp: normality_report(
+        IntMatrix(GFAMILY), regular_subdivision(IntMatrix(EX1), (1, 0, 0, 1))),
+    "normality-other-wider-matrix": lambda a, delta, decomp: normality_report(
+        IntMatrix(EX1), regular_subdivision(IntMatrix(GFAMILY), (0, 0, 1, 1, 0, 3))),
+    "gomory-cost-face-out-of-range": lambda a, delta, decomp: gomory_cost(
+        IntMatrix(GFAMILY), [(0, 1, 9)]),
+    "gomory-cost-face-negative": lambda a, delta, decomp: gomory_cost(
+        IntMatrix(GFAMILY), [(-1, 0, 1)]),
     "cost-row-too-short": lambda a, delta, decomp: oracle.cost_row(IntMatrix(EX1), (1, 0)),
     "cost-row-float": lambda a, delta, decomp: oracle.cost_row(a, (10000.5, 100, 1)),
 }
