@@ -128,6 +128,12 @@ def _hilbert_property(cols, cone_gens):
     return True, None
 
 
+def _cell_normal(a: IntMatrix, sub):
+    """Do the columns of A in the cone of the columns ``sub`` generate its lattice points?"""
+    gens, cols = [a.column(j) for j in sub], [a.column(j) for j in range(a.n)]
+    return _hilbert_property([c for c in cols if _in_cone_of(gens, c)], gens)[0]
+
+
 def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityReport:
     """Normality of A, per-cell Delta-normality, optional supernormality.
 
@@ -138,11 +144,6 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
     subdivision of A or a list of faces, each of distinct indices in 0..n-1.
     """
     all_cols = [a.column(j) for j in range(a.n)]
-
-    def holds(sub):
-        gens = [a.column(j) for j in sub]
-        return _hilbert_property([c for c in all_cols if _in_cone_of(gens, c)], gens)[0]
-
     faces = None
     if delta is not None:
         if getattr(delta, "matrix", a) != a:
@@ -150,7 +151,7 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
         faces = (delta.maximal_faces if hasattr(delta, "maximal_faces")
                  else tuple(_face(f, a.n) for f in delta))
     normal, witness = _hilbert_property(all_cols, all_cols)
-    per_face = [(sigma, holds(sigma)) for sigma in faces or ()]
+    per_face = [(sigma, _cell_normal(a, sigma)) for sigma in faces or ()]
     delta_normal = None if faces is None else all(flag for _, flag in per_face)
     supernormal = None
     if check_super:
@@ -162,7 +163,7 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
                 if key in seen:
                     continue
                 seen.add(key)
-                if not holds(sub):
+                if not _cell_normal(a, sub):
                     supernormal = False
                     break
             if not supernormal:
@@ -262,8 +263,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
         raise NotRegular(
             f"certificate induces {sub0.maximal_faces}, not the requested cells"
         )
-    report = normality_report(a, sub0)
-    if not report.delta_normal:
+    if not all(_cell_normal(a, sigma) for sigma in sub0.maximal_faces):  # the cells alone
         raise NotDeltaNormal("some cell's columns are not a Hilbert basis")
     rays = sorted({j for f in faces for j in f})
     c0 = tuple(clear_denominators(_lift(sub0))[0])

@@ -23,9 +23,13 @@ of that drop's thresholds lifted with 0 there, that is one of the floors: the
 minimal joins of one such threshold per drop.  Those come first, and no floor
 means no root.  Roots are then swept in lex order, each node carrying the
 thresholds its prefix dominates and the floors that still complete it to a
-root, so every node leads to one.  A face's system is its first bounded
-drop's system plus the dropped row, so one sweep gives both threshold sets:
-the face's points are the drop's within that row's cap.  ``fiber_solve``
+root, so every node leads to one.  One search keeps a memo from each system,
+keyed by its (B-row, cap) pairs, to its thresholds or to "unbounded": a
+face's drops are the systems of the faces one larger, so each system is
+planned, swept and thresholded once per search.  A face's system is its
+first bounded drop's plus the dropped row, so that drop's sweep, made by a
+face of the same size, gives both threshold sets: the face's points are the
+drop's within that row's cap.  ``fiber_solve``
 answers every right-hand side from the factorization the cached kernel basis
 was read from, minimizing the cost over the fiber's z-coordinates and lifting
 only the optimum to x.
@@ -36,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations, groupby
 from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
@@ -150,10 +154,8 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision"
         return False
     for k in range(len(rows) - 1):  # every B-row; the cost cut stays last
         rel = rows[:k] + rows[k + 1 :]
-        normals = tuple(s for s, _ in rel)
-        if not _recession_trivial(normals, ndim):
-            continue  # unbounded: admits a nonzero lattice point
-        if len(lattice_points_boxed(rel, ndim, limit=2)) < 2:
+        plan = Elimination([s for s, _ in rel], ndim)  # unbounded: admits a nonzero point
+        if plan.bounded and len(plan.points([o for _, o in rel], limit=2)) < 2:
             return False
     return True
 
@@ -228,50 +230,64 @@ def brute_force_standard_pairs(
     box = [cap if kb is None else min(cap, kb) for cap in box]
     crow = (cost_row(a, cost), 0)
     ndim = lat.corank
-    pairs = []
-    for face in delta.faces():
-        taubar = [i for i in range(a.n) if i not in set(face)]
-        if ndim == 0:
-            # zero-dimensional z-space: the single full face carries (0, face)
-            if not taubar:
-                pairs.append(StandardPair((0,) * a.n, face))
-            continue
-        caps = [box[i] for i in taubar]
-        brows = [lat.matrix[i] for i in taubar]
-        for w in _face_roots(brows, caps, crow, ndim):
-            root = dict(zip(taubar, w))
-            pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(a.n)), face))
+    pairs, memo = [], {}
+    for _, faces in groupby(delta.faces(), len):  # a first bounded drop is swept at its size
+        swept = {}
+        for face in faces:
+            taubar = [i for i in range(a.n) if i not in set(face)]
+            if ndim == 0:
+                # zero-dimensional z-space: the single full face carries (0, face)
+                if not taubar:
+                    pairs.append(StandardPair((0,) * a.n, face))
+                continue
+            caps = [box[i] for i in taubar]
+            brows = [lat.matrix[i] for i in taubar]
+            for w in _face_roots(brows, caps, crow, ndim, memo, swept):
+                root = dict(zip(taubar, w))
+                pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(a.n)), face))
     return Decomposition.from_pairs(pairs, delta)
 
 
-def _face_roots(brows, caps, crow, ndim):
+def _face_roots(brows, caps, crow, ndim, memo, swept):
     """The roots w <= caps of one face's standard pairs, in lex order.
 
-    The face's system is a bounded drop's system plus the dropped row, so the
-    first bounded drop's sweep serves both: the face's points are those
-    within that row's cap.  A face without a bounded drop sweeps its own.
+    ``memo`` is the search's: it maps each system, keyed by its kept (B-row,
+    cap) pairs, to its thresholds, or to None when it is unbounded, so no
+    system is planned, swept or thresholded twice.  ``swept`` maps the
+    systems swept for the faces of this size to their points.  The face's
+    system is a bounded drop's system plus the dropped row, so it takes its
+    points from its first bounded drop's sweep, those within that row's cap;
+    a drop, one row short, is swept by a face of this size.  A face without
+    a bounded drop sweeps its own.  Raises Unbounded when the face's system
+    is unbounded, also when the memo first met it as a drop.
     """
-    rows = list(zip(brows, caps))
+    n = len(brows)
+    drops = [[i for i in range(n) if i != k] for k in range(n)]
 
-    def sweep(k):  # the points off B-row k, or None when that system is unbounded
-        kept = rows[:k] + rows[k + 1 :]
-        if not _recession_trivial(tuple(s for s, _ in kept) + (crow[0],), ndim):
-            return None  # unbounded: admits a point for free
-        return lattice_points_boxed(kept + [crow], ndim)
+    def key(kept):
+        return tuple((brows[i], caps[i]) for i in kept)
 
-    swept = map(sweep, range(len(rows)))  # lazily: a drop is swept only while floors remain
-    head = []
-    for points in swept:
-        head.append(points)
-        if points is not None:  # the first bounded drop: the face keeps B_k z <= cap_k
-            brow, cap = rows[len(head) - 1]
-            points = [z for z in points if dot(brow, z) <= cap]
-            break
-    else:  # no bounded drop: the face's own sweep
-        points = lattice_points_boxed(rows + [crow], ndim)
-    drops = (None if pts is None else _thresholds(brows[:k] + brows[k + 1 :], pts)
-             for k, pts in enumerate(chain(head, swept)))
-    return _roots(_thresholds(brows, points), caps, drops)
+    def system(kept):  # the thresholds of the B-rows kept and the cost cut, or None when unbounded
+        at = key(kept)
+        if at not in memo:
+            normals = [brows[i] for i in kept]
+            plan = Elimination(normals + [crow[0]], ndim)  # one plan: bounded, then the sweep
+            offsets = [caps[i] for i in kept] + [crow[1]]
+            points = swept[at] = plan.points(offsets) if plan.bounded else None
+            memo[at] = None if points is None else _thresholds(normals, points)
+        return memo[at]
+
+    own = key(range(n))
+    if own not in memo:
+        k = next((k for k in range(n) if system(drops[k]) is not None), None)
+        points = None if k is None else swept.get(key(drops[k]))
+        if points is None:
+            system(range(n))
+        else:
+            memo[own] = _thresholds(brows, [z for z in points if dot(brows[k], z) <= caps[k]])
+    if memo[own] is None:
+        raise Unbounded("the face's capped polytope is unbounded")
+    return _roots(memo[own], caps, map(system, drops))  # lazily: a drop only while floors remain
 
 
 def _thresholds(brows, points):

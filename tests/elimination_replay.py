@@ -2,16 +2,20 @@
 
     PYTHONPATH=src python tests/elimination_replay.py record calls.pickle
     PYTHONPATH=OTHER/src python tests/elimination_replay.py replay calls.pickle
+    PYTHONPATH=src python tests/elimination_replay.py within calls.pickle other.pickle
 
 ``record`` runs the set-up and one pass of the ``pipeline``, ``oracle`` and
 ``scale`` workloads of ``perfbench`` at seed 1 and stores the input and the
-output of every ``fibers.lattice_points_boxed``, ``Factorization.points``,
+output of every ``fibers.lattice_points_boxed``, ``Elimination.points`` (every
+sweep, also one made through a plan or a factorization), ``Factorization.points``,
 ``oracle.fiber_solve`` (which sweeps the fiber's elimination itself) and
 ``relax.solve_relaxation`` call.  ``replay`` runs each stored input
 through the ``toricip`` on the path (for instance a checkout of an earlier
 commit), asserts that every output is identical and prints the counts per
-workload and function.  Not collected by pytest: recording the three
-workloads takes a few minutes.
+workload and function.  ``within`` asserts that every sweep of the first
+recording, input and output, is also one of the second's in the same
+workload, and prints both counts of sweeps and of distinct ones per workload.
+Not collected by pytest: recording the three workloads takes a few minutes.
 """
 
 import collections
@@ -33,6 +37,10 @@ def _outcome(run):
         return run()
     except (DomainError, ParseError) as exc:
         return type(exc).__name__
+
+
+def _rows(rows):
+    return tuple(map(tuple, rows))
 
 
 def _relaxation_answer(out):
@@ -59,6 +67,9 @@ def record(path):
     boxed = recorder("lattice_points_boxed", fibers.lattice_points_boxed,
                      lambda rows, dim, limit=None: (list(rows), dim, limit))
     fibers.lattice_points_boxed = oracle.lattice_points_boxed = boxed
+    fibers.Elimination.points = recorder(
+        "Elimination.points", fibers.Elimination.points,
+        lambda plan, offsets, limit=None: (_rows(plan.normals), plan.dim, tuple(offsets), limit))
     fibers.Factorization.points = recorder(
         "Factorization.points", fibers.Factorization.points,
         lambda fac, b, limit=None: (fac.rows, tuple(b), limit))
@@ -93,6 +104,9 @@ def replay(path):
     for workload, func, args, expected in calls:
         if func == "lattice_points_boxed":
             got = _outcome(lambda: fibers.lattice_points_boxed(*args))
+        elif func == "Elimination.points":
+            normals, dim, offsets, limit = args
+            got = _outcome(lambda: fibers.Elimination(normals, dim).points(offsets, limit))
         elif func == "Factorization.points":
             rows, b, limit = args
             if rows not in factored:
@@ -119,5 +133,31 @@ def replay(path):
     print(f"all {sum(counts.values())} calls identical")
 
 
+def _sweeps(path):
+    """Per workload, the (input, output) of every Elimination.points call, in order."""
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    out = collections.defaultdict(list)
+    for workload, func, args, got in calls:
+        if func == "Elimination.points":
+            out[workload].append((args, got if isinstance(got, str) else _rows(got)))
+    return out
+
+
+def within(path, other):
+    mine, theirs = _sweeps(path), _sweeps(other)
+    for workload in sorted(set(mine) | set(theirs)):
+        known = set(theirs[workload])
+        new = [s for s in mine[workload] if s not in known]
+        if new:
+            raise AssertionError(f"{workload}: {len(new)} sweeps not in {other}, first {new[0]}")
+        print(f"{workload}\tsweeps {len(mine[workload])} ({len(set(mine[workload]))} distinct)"
+              f"\tagainst {len(theirs[workload])} ({len(known)} distinct)")
+    print(f"every sweep of {path} is one of {other}'s")
+
+
 if __name__ == "__main__":
-    {"record": record, "replay": replay}[sys.argv[1]](sys.argv[2])
+    if sys.argv[1] == "within":
+        within(sys.argv[2], sys.argv[3])
+    else:
+        {"record": record, "replay": replay}[sys.argv[1]](sys.argv[2])

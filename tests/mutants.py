@@ -40,6 +40,7 @@ SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
 SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
 ONE_SEMIGROUP = "tests/test_hilbert.py::test_normality_report_factors_each_column_set_once"
+ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -64,7 +65,15 @@ MUTANTS = {
     "fiber-solve-last-tie": (
         ORACLE, "best = min(zs, key=", "best = min(reversed(zs), key=", [FIBER_MIN]),
     "face-filter-strict": (
-        ORACLE, "if dot(brow, z) <= cap]", "if dot(brow, z) < cap]", [NAMED_ROOTS]),
+        ORACLE, "if dot(brows[k], z) <= caps[k]]", "if dot(brows[k], z) < caps[k]]", [NAMED_ROOTS]),
+    "face-filter-dropped": (
+        ORACLE, "[z for z in points if dot(brows[k], z) <= caps[k]]", "points", [ONE_MEMO]),
+    "memo-key-drops-caps": (
+        ORACLE, "return tuple((brows[i], caps[i]) for i in kept)",
+        "return tuple(brows[i] for i in kept)", [ONE_MEMO]),
+    "unbounded-face-returns-no-roots": (
+        ORACLE, """raise Unbounded("the face's capped polytope is unbounded")""", "return []",
+        [NAMED_ROOTS]),
     "q-polytope-checks-removed": (
         ORACLE, """    u, tau = int_vector(u, a.n, "u"), _face(tau, a.n)\n""", "", [MALFORMED]),
     "refined-oracle-refusal-removed": (

@@ -176,6 +176,20 @@ def test_gomory_cost_fixture():
         (p.root, p.face) for p in res.pairs}
 
 
+def test_gomory_cost_tests_the_cells_alone(monkeypatch):
+    # Delta-normality asks for the Hilbert basis of each cell only, not for
+    # the whole matrix's, which normality_report also computes
+    cones = []
+
+    def counted(gens):
+        cones.append(tuple(gens))
+        return hilbert_basis(gens)
+    monkeypatch.setattr(hilbert, "hilbert_basis", counted)
+    a = IntMatrix(GFAMILY)
+    gomory_cost(a, [face(1, 2, 6)])
+    assert cones == [tuple(a.column(j) for j in face(1, 2, 6))]
+
+
 def test_gomory_cost_unimodular_and_graded():
     from conftest import EX1
 

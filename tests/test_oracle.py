@@ -4,11 +4,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import DEGENERATE, GFAMILY_COST, KNAPSACK_COST, face
+from conftest import DEGENERATE, GFAMILY_COST, KNAPSACK_COST, face, make_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_enum import reference_boxed, reference_lp_sweep
-from reference_oracle import reference_face_roots, reference_roots, reference_undominated
+from reference_oracle import (
+    reference_face_roots,
+    reference_roots,
+    reference_thresholds,
+    reference_undominated,
+)
 from test_stdpairs import REFERENCE_CASES
 
 from toricip import fibers, oracle
@@ -240,30 +245,40 @@ def test_emptypolys_lemma_both_parts(knapsack_pipeline):
             assert out.solves_ip == single3
 
 
-def _assert_face_roots_match_reference(a, cost, delta, caps_of):
+def _face_systems(a, delta, caps_of):
+    """Per face of delta, in the search's order: (face, brows, caps), one list per face size."""
+    lat = kernel_lattice_basis(a)
+    for _, faces in itertools.groupby(delta.faces(), len):
+        yield [(tau, [lat.matrix[i] for i in range(a.n) if i not in tau],
+                [caps_of[i] for i in range(a.n) if i not in tau]) for tau in faces]
+
+
+def _assert_face_roots_match_reference(a, cost, delta, caps_of, memo=None):
     """oracle._face_roots equals the reference search on every face of delta.
 
-    ``caps_of`` is the full cap box.  A face whose capped polytope is
-    unbounded (a cost that vanishes on the kernel) must raise in both.
-    Returns the number of roots found.
+    ``caps_of`` is the full cap box.  The faces share one memo, and the faces
+    of one size one map of swept points, as in the search; ``memo`` passes
+    one in.  A face whose capped polytope is unbounded (a cost that vanishes
+    on the kernel) must raise in both.  Returns the number of roots found.
     """
     lat = kernel_lattice_basis(a)
     if lat.corank == 0:
         return 0
     crow = (oracle.cost_row(a, cost), 0)
+    memo = {} if memo is None else memo
     found = 0
-    for tau in delta.faces():
-        taubar = [i for i in range(a.n) if i not in tau]
-        caps = [caps_of[i] for i in taubar]
-        brows = [lat.matrix[i] for i in taubar]
-        try:
-            want = reference_face_roots(brows, caps, crow, lat.corank)
-        except Unbounded:
-            with pytest.raises(Unbounded):
-                oracle._face_roots(brows, caps, crow, lat.corank)
-            continue
-        assert oracle._face_roots(brows, caps, crow, lat.corank) == want, (tau, caps)
-        found += len(want)
+    for faces in _face_systems(a, delta, caps_of):
+        swept = {}
+        for tau, brows, caps in faces:
+            try:
+                want = reference_face_roots(brows, caps, crow, lat.corank)
+            except Unbounded:
+                with pytest.raises(Unbounded):
+                    oracle._face_roots(brows, caps, crow, lat.corank, memo, swept)
+                continue
+            got = oracle._face_roots(brows, caps, crow, lat.corank, memo, swept)
+            assert got == want, (tau, caps)
+            found += len(want)
     return found
 
 
@@ -407,32 +422,51 @@ def test_fiber_solve_matches_the_lifted_fiber_minimum(name):
     assert ties > 0
 
 
-def test_face_sweep_serves_its_first_bounded_drop(monkeypatch):
+class _CountedElimination(fibers.Elimination):
+    """An Elimination that logs its plans and sweeps as (normals, offsets) systems."""
+
+    plans, sweeps = [], []
+
+    def _plan(self):
+        self.plans.append(tuple(map(tuple, self.normals)))
+        super()._plan()
+
+    def points(self, offsets, limit=None):
+        self.sweeps.append((tuple(map(tuple, self.normals)), tuple(offsets)))
+        return super().points(offsets, limit)
+
+
+@pytest.fixture
+def counted_eliminations(monkeypatch):
+    """Log every plan and sweep, also those made through lattice_points_boxed."""
+    monkeypatch.setattr(_CountedElimination, "plans", [])
+    monkeypatch.setattr(_CountedElimination, "sweeps", [])
+    monkeypatch.setattr(fibers, "Elimination", _CountedElimination)
+    monkeypatch.setattr(oracle, "Elimination", _CountedElimination)
+    oracle._recession_trivial.cache_clear()
+    return _CountedElimination
+
+
+def test_face_sweep_serves_its_first_bounded_drop(counted_eliminations):
     # census 4 x 7, second cost: a face with a bounded drop takes its points
-    # from that drop's sweep, so its own system (one row more) is never swept
+    # from that drop's sweep, so its own system (one row more) is never swept;
+    # each face gets a memo of its own here, so nothing is shared
     a, cost = REFERENCE_CASES["census4x7-1"]
     delta, gb, _, _ = decomposition_for(a, cost)
     box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
     lat = kernel_lattice_basis(a)
-    crow = oracle.cost_row(a, cost)
+    crow = (oracle.cost_row(a, cost), 0)
     sweeps = []  # per face: the row count of each of its sweeps
-    real_roots, real_boxed = oracle._face_roots, oracle.lattice_points_boxed
-
-    def face_roots(brows, caps, crow, ndim):
-        sweeps.append((brows, []))
-        return real_roots(brows, caps, crow, ndim)
-
-    def boxed(rows, dim, limit=None):
-        sweeps[-1][1].append(len(rows))
-        return real_boxed(rows, dim, limit)
-
-    monkeypatch.setattr(oracle, "_face_roots", face_roots)
-    monkeypatch.setattr(oracle, "lattice_points_boxed", boxed)
-    brute_force_standard_pairs(a, cost, delta, root_box=box)
+    for faces in _face_systems(a, delta, box):
+        for _, brows, caps in faces:
+            del counted_eliminations.sweeps[:]
+            oracle._face_roots(brows, caps, crow, lat.corank, {}, {})
+            sweeps.append((brows, [len(normals) for normals, _ in counted_eliminations.sweeps]))
     with_drop = 0
     for brows, counts in sweeps:
-        has_drop = any(fibers.Elimination(brows[:k] + brows[k + 1 :] + [crow], lat.corank).bounded
-                       for k in range(len(brows)))
+        has_drop = any(
+            fibers.Elimination(brows[:k] + brows[k + 1 :] + [crow[0]], lat.corank).bounded
+            for k in range(len(brows)))
         with_drop += has_drop
         own = len(brows) + 1  # the face's B-rows and the cost cut
         assert counts.count(own) == (not has_drop)
@@ -441,3 +475,48 @@ def test_face_sweep_serves_its_first_bounded_drop(monkeypatch):
     # as well took 80 calls
     assert (len(sweeps), with_drop) == (36, 32)
     assert sum(len(counts) for _, counts in sweeps) == 48
+
+
+# census 4 x 7 and acceptance seed 5 swept 48 and 27 times, 23 and 12 systems,
+# before one search shared its systems across faces
+ONE_SEARCH_CASES = {"census4x7-1": REFERENCE_CASES["census4x7-1"], "seed5": make_instance(5)}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SEARCH_CASES))
+def test_one_search_plans_and_sweeps_each_system_once(counted_eliminations, name):
+    # a face's drops are the systems of the faces one larger, and the faces of
+    # one size share drops
+    a, cost = ONE_SEARCH_CASES[name]
+    delta, gb, _, _ = decomposition_for(a, cost)
+    box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
+    del counted_eliminations.plans[:], counted_eliminations.sweeps[:]
+    brute_force_standard_pairs(a, cost, delta, root_box=box)
+    plans, sweeps = counted_eliminations.plans, counted_eliminations.sweeps
+    assert len(sweeps) == len(set(sweeps)) > 0
+    assert len(plans) == len(set(plans))
+
+
+def test_one_memo_serves_every_box():
+    # the memo is keyed by the caps as well as the B-rows, so one memo shared
+    # by the searches at three growing boxes gives each box its own roots, and
+    # every entry is the reference's thresholds of its system
+    a, cost = REFERENCE_CASES["census4x7-1"]
+    delta, gb, decomp, _ = decomposition_for(a, cost)
+    crow, ndim = (oracle.cost_row(a, cost), 0), kernel_lattice_basis(a).corank
+    memo, found = {}, {}
+    for extra in (-1, 0, 1):
+        box = [max(m - 1 + extra, 0) for m in initial_ideal(gb).max_exponents()]
+        found[extra] = _assert_face_roots_match_reference(a, cost, delta, box, memo)
+    assert found[-1] < found[0] == found[1] == len(decomp.pairs)
+    for rows, thresholds in memo.items():
+        brows, caps = [s for s, _ in rows], [c for _, c in rows]
+        bounded = fibers.Elimination(brows + [crow[0]], ndim).bounded
+        assert thresholds == (reference_thresholds(brows, caps, crow, ndim) if bounded else None)
+
+
+def test_is_standard_polytope_plans_each_system_once(counted_eliminations, knapsack_pipeline):
+    # one plan per dropped row answers both whether it is bounded and its points
+    a, delta, _, _, _ = knapsack_pipeline
+    assert is_standard_polytope(a, KNAPSACK_COST, (1, 0, 0), (), delta)
+    plans = counted_eliminations.plans
+    assert len(plans) == len(set(plans)) == 4  # the singleton test and the three B-row drops
