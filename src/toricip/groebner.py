@@ -11,6 +11,14 @@ minimal test set of the family.  Any lattice basis gives the same toric ideal
 and so the same reduced basis; short vectors keep the intermediate bases
 small, where the long vectors of a column-Hermite basis can make them grow.
 
+Every completion, pass or final, strips each binomial it takes in (input or
+S-pair remainder) of the monomial its two terms share.  The toric ideal is
+prime and holds no monomial, so a binomial of it stays in it once that factor
+is gone: no completion leaves the toric ideal, and one pass's division by its
+cheapest variable is the next completion's stripping of its inputs (the last
+pass's is the final completion's).  Bigatti, La Scala and Robbiano (JSC 1999)
+saturate the same way.
+
 Orders are weight stacks refined by lex, encoded as sort keys, so every run is
 deterministic even for non-generic costs; genericity is reported, never
 assumed.
@@ -19,7 +27,8 @@ assumed.
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le
+from itertools import count
+from operator import le, sub
 
 from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
 from .errors import Infeasible, ParseError, int_vector
@@ -87,10 +96,10 @@ def _divides(u, v):
 
 
 def _strip(u, v):
-    m = tuple(min(a, b) for a, b in zip(u, v))
+    m = tuple(map(min, u, v))
     if any(m):
-        u = tuple(a - b for a, b in zip(u, m))
-        v = tuple(a - b for a, b in zip(v, m))
+        u = tuple(map(sub, u, m))
+        v = tuple(map(sub, v, m))
     return u, v
 
 
@@ -128,24 +137,24 @@ def _reduce(u, pairs):
             return u
 
 
-def _completion(gens, order, strip_common):
-    """Buchberger completion for binomials; returns the reduced basis."""
+def _completion(gens, order):
+    """Buchberger completion for binomials, each stripped of its common factor; the reduced basis."""
     basis = []
-    for u, v in gens:
-        if strip_common:
-            u, v = _strip(u, v)
-        ov = _orient(u, v, order)
-        if ov and ov not in basis:
-            basis.append(ov)
-
     heap = []
-    counter = 0
-    for i in range(len(basis)):
-        for j in range(i):
-            lcm = tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
-            counter += 1
-            heapq.heappush(heap, (order.key(lcm), counter, i, j))
+    counter = count()
 
+    def add(u, v):
+        """Strip and orient x^u - x^v, and queue its S-pairs with every element before it."""
+        ov = _orient(*_strip(u, v), order)
+        if ov is None or ov in basis:
+            return
+        for j, g in enumerate(basis):
+            lcm = tuple(map(max, ov[0], g[0]))
+            heapq.heappush(heap, (order.key(lcm), next(counter), len(basis), j))
+        basis.append(ov)
+
+    for u, v in gens:
+        add(u, v)
     while heap:
         _, _, i, j = heapq.heappop(heap)
         hi, ti = basis[i]
@@ -157,25 +166,9 @@ def _completion(gens, order, strip_common):
         v = tuple(l - a + b for l, a, b in zip(lcm, hj, tj))
         if u == v:
             continue
-        if strip_common:
-            u, v = _strip(u, v)
-        ov = _orient(u, v, order)
-        red = _reduce_full(ov[0], ov[1], basis, order)
-        if red is None:
-            continue
-        u, v = red
-        if strip_common:
-            u, v = _strip(u, v)
-        ov = _orient(u, v, order)
-        if ov in basis:
-            continue
-        basis.append(ov)
-        k = len(basis) - 1
-        for i2 in range(k):
-            lcm = tuple(max(a, b) for a, b in zip(basis[k][0], basis[i2][0]))
-            counter += 1
-            heapq.heappush(heap, (order.key(lcm), counter, k, i2))
-
+        red = _reduce_full(*_orient(*_strip(u, v), order), basis, order)
+        if red is not None:
+            add(*red)
     return _interreduce(basis, order)
 
 
@@ -221,17 +214,8 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
         return GroebnerBasis((), order, a, lattice, True)
     w = positive_grading(a)
     for i in range(a.n):
-        basis = _completion(basis, _RevlexSat(w, a.n, i), False)
-        stripped = []
-        for head, tail in basis:
-            m = min(head[i], tail[i])
-            if m:
-                head = head[:i] + (head[i] - m,) + head[i + 1 :]
-                tail = tail[:i] + (tail[i] - m,) + tail[i + 1 :]
-            if head != tail:
-                stripped.append((head, tail))
-        basis = stripped
-    basis = _completion(basis, order, True)
+        basis = _completion(basis, _RevlexSat(w, a.n, i))
+    basis = _completion(basis, order)
     elems = tuple(Binomial(h, t) for h, t in basis)
     generic = all(not order.ties_through_weights(b.head, b.tail) for b in elems)
     return GroebnerBasis(elems, order, a, lattice, generic)
@@ -241,8 +225,10 @@ cached_groebner = toric_groebner  # the cache, for cache_info() and cache_clear(
 
 
 def _check_order(a: IntMatrix, order: CostOrder):
-    if order.n != a.n or any(len(w) != a.n for w in order.weights):
+    if order.n != a.n:
         raise ParseError(f"the order is on {order.n} variables, the matrix has {a.n} columns")
+    for k, w in enumerate(order.weights):
+        int_vector(w, a.n, f"weight row {k} of the order")
 
 
 def is_generic(a: IntMatrix, cost):
@@ -260,7 +246,10 @@ def is_generic(a: IntMatrix, cost):
 
 def normal_form(gb: GroebnerBasis, u):
     """Reduce x^u to its normal form, always by the lowest-index element."""
-    return _reduce(int_vector(u, gb.matrix.n, "exponent"), [(b.head, b.tail) for b in gb.elements])
+    u = int_vector(u, gb.matrix.n, "exponent")
+    if min(u, default=0) < 0:
+        raise ParseError(f"exponent {list(u)} has a negative entry")
+    return _reduce(u, [(b.head, b.tail) for b in gb.elements])
 
 
 def solve_ip(a: IntMatrix, order: CostOrder, b):

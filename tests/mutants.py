@@ -26,6 +26,7 @@ CLI = "src/toricip/cli.py"
 CORE = "src/toricip/core.py"
 LINALG = "src/toricip/linalg.py"
 HILBERT = "src/toricip/hilbert.py"
+GROEBNER = "src/toricip/groebner.py"
 FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
 SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
 REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
@@ -41,6 +42,10 @@ SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
 ONE_SEMIGROUP = "tests/test_hilbert.py::test_normality_report_factors_each_column_set_once"
 ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
+GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
+S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_567_s_pairs"
+NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative_exponent"
+WEIGHT_ROW = "tests/test_groebner.py::test_a_short_weight_row_is_named"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -104,6 +109,17 @@ MUTANTS = {
     "semigroup-refactors-per-element": (
         HILBERT, "        if fac.first(h) is None:",
         "        if factor(list(zip(*cols))).first(h) is None:", [ONE_SEMIGROUP]),
+    "coprime-heads-any": (
+        GROEBNER, "if all(a == 0 or b == 0 for a, b in zip(hi, hj)):",
+        "if any(a == 0 or b == 0 for a, b in zip(hi, hj)):", [GB_REFERENCE]),
+    "last-saturation-pass-skipped": (
+        GROEBNER, "    for i in range(a.n):\n", "    for i in range(a.n - 1):\n",
+        [GB_REFERENCE, S_PAIRS]),
+    "negative-exponent-accepted": (
+        GROEBNER, "    if min(u, default=0) < 0:", "    if False:", [NEGATIVE_EXPONENT]),
+    "weight-rows-unchecked": (
+        GROEBNER, """        int_vector(w, a.n, f"weight row {k} of the order")""", "        pass",
+        [WEIGHT_ROW]),
 }
 
 

@@ -15,9 +15,9 @@ from conftest import (
 )
 from reference_groebner import hermite_toric_groebner
 
-from toricip import fibers, oracle
+from toricip import fibers, groebner, oracle
 from toricip.core import IntMatrix
-from toricip.errors import Infeasible
+from toricip.errors import Infeasible, ParseError
 from toricip.groebner import (
     CostOrder,
     is_generic,
@@ -66,6 +66,34 @@ def test_square_matrix_gives_empty_basis():
     a = IntMatrix(((1, 0), (0, 1)))
     gb = toric_groebner(a, CostOrder.from_cost((3, 7)))
     assert gb.elements == () and gb.generic
+
+
+def test_normal_form_refuses_a_negative_exponent():
+    gb = toric_groebner(IntMatrix(KNAPSACK), CostOrder.from_cost(KNAPSACK_COST))
+    with pytest.raises(ParseError, match="negative"):
+        normal_form(gb, (-1, 0, 0))
+
+
+def test_a_short_weight_row_is_named():
+    a = IntMatrix(KNAPSACK)
+    order = CostOrder(((1, 2, 3), (1, 2)), 3)
+    with pytest.raises(ParseError, match="weight row 1 of the order has 2 entries"):
+        toric_groebner(a, order)
+    with pytest.raises(ParseError, match="weight row 1"):
+        solve_ip(a, order, (8,))
+
+
+def test_sharp3_completions_fully_reduce_567_s_pairs(monkeypatch):
+    # every completion strips each input and remainder of its common factor;
+    # unstripped saturation passes, each followed by a division by its
+    # cheapest variable, fully reduced 971 S-pairs for the same basis
+    calls = []
+    reduce_full = groebner._reduce_full
+    monkeypatch.setattr(groebner, "_reduce_full", lambda *args: calls.append(1) or reduce_full(*args))
+    a, cost = sharp_family(3)
+    gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
+    assert (len(gb.elements), gb.generic) == (13, False)
+    assert len(calls) == 567
 
 
 def test_positive_grading():
@@ -172,6 +200,9 @@ NAMED = {
     "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
     "gfamily": (IntMatrix(GFAMILY), GFAMILY_COST),
     "sharp3": sharp_family(3),
+    # skipping the last saturation pass changes this basis
+    "last-pass": (IntMatrix(((1, 4, 1, 3, 2, 1), (4, 4, 0, 2, 3, 1), (4, 3, 1, 2, 0, 1))),
+                  (7, 0, -3, 17, 27, 0)),
 }
 
 
