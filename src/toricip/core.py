@@ -73,12 +73,7 @@ class LatticeBasis:
     """
 
     matrix: tuple  # n rows, n-d columns
-    source: IntMatrix
     fibers: Factorization = field(compare=False, repr=False)
-
-    @property
-    def n(self):
-        return len(self.matrix)
 
     @property
     def corank(self):
@@ -114,7 +109,7 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     h, _, pivots = linalg.column_hermite(cols, a.n)
     if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):
         raise AssertionError("kernel basis not saturated")
-    return LatticeBasis(bmat, a, fac)
+    return LatticeBasis(bmat, fac)
 
 
 cached_kernel_basis = kernel_lattice_basis  # the cache, for cache_info() and cache_clear()

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add
 
-from .errors import Unbounded, int_vector
+from .errors import ParseError, Unbounded, int_vector
 from .linalg import column_hermite, dot, mat_vec
 
 
@@ -86,11 +86,16 @@ class Elimination:
 
         z_1, ..., z_dim are swept in turn, each between the closed-form
         integer bounds its level gives once the earlier coordinates are
-        fixed.  ``limit`` stops the sweep once that many points are found.
-        Returns [] when a constant row is violated and raises Unbounded when
-        a coordinate the sweep reaches has no bound on one side.
+        fixed.  ``limit`` stops the sweep once that many points are found;
+        0 finds none, and a negative limit is a ParseError.  Returns [] when a
+        constant row is violated and raises Unbounded when a coordinate the
+        sweep reaches has no bound on one side.
         """
         dim = self.dim
+        if limit is not None and limit < 1:
+            if limit < 0:
+                raise ParseError(f"limit {limit} is negative")
+            return []
         if dim == 0:
             return [()] if all(o is None or o >= 0 for o in offsets) else []
         if self._steps is None:

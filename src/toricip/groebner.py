@@ -19,7 +19,7 @@ cheapest variable is the next completion's stripping of its inputs (the last
 pass's is the final completion's).  Bigatti, La Scala and Robbiano (JSC 1999)
 saturate the same way.
 
-Orders are weight stacks refined by lex, encoded as sort keys, so every run is
+The order is the cost refined by lex, encoded as a sort key, so every run is
 deterministic even for non-generic costs; genericity is reported, never
 assumed.
 """
@@ -32,30 +32,22 @@ from operator import le, sub
 
 from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
 from .errors import Infeasible, ParseError, int_vector
-from .linalg import clear_denominators, dot, lll_reduce, mat_vec
+from .linalg import clear_denominators, dot, lll_reduce
 from .linprog import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
 class CostOrder:
-    """Total order on monomials: weight rows compared in sequence, then lex."""
+    """Total order on monomials: cost, then lex."""
 
-    weights: tuple
-    n: int
+    cost: tuple
 
     @classmethod
     def from_cost(cls, cost):
-        return cls((int_vector(cost, len(cost), "cost"),), len(cost))
-
-    @property
-    def cost(self):
-        return self.weights[0]
+        return cls(int_vector(cost, len(cost), "cost"))
 
     def key(self, u):
-        return mat_vec(self.weights, u) + u
-
-    def ties_through_weights(self, u, v):
-        return all(dot(w, u) == dot(w, v) for w in self.weights)
+        return (dot(self.cost, u),) + u
 
 
 class _RevlexSat:
@@ -217,7 +209,7 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
         basis = _completion(basis, _RevlexSat(w, a.n, i))
     basis = _completion(basis, order)
     elems = tuple(Binomial(h, t) for h, t in basis)
-    generic = all(not order.ties_through_weights(b.head, b.tail) for b in elems)
+    generic = all(dot(order.cost, b.head) != dot(order.cost, b.tail) for b in elems)
     return GroebnerBasis(elems, order, a, lattice, generic)
 
 
@@ -225,10 +217,7 @@ cached_groebner = toric_groebner  # the cache, for cache_info() and cache_clear(
 
 
 def _check_order(a: IntMatrix, order: CostOrder):
-    if order.n != a.n:
-        raise ParseError(f"the order is on {order.n} variables, the matrix has {a.n} columns")
-    for k, w in enumerate(order.weights):
-        int_vector(w, a.n, f"weight row {k} of the order")
+    int_vector(order.cost, a.n, "cost of the order")
 
 
 def is_generic(a: IntMatrix, cost):

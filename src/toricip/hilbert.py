@@ -174,7 +174,6 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
 @dataclass(frozen=True)
 class GomoryCostResult:
     cost: tuple
-    delta_faces: tuple
     pairs: tuple
     residue_roots: tuple  # (face, roots) pairs from the construction
 
@@ -292,7 +291,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     for _ in range(24):
         cand = tuple(scale * cv + ov for cv, ov in zip(c0, omega))
         if _certify(a, cand, faces, expected):
-            return GomoryCostResult(cand, faces, tuple(sorted(expected)), tuple(residue_roots))
+            return GomoryCostResult(cand, tuple(sorted(expected)), tuple(residue_roots))
         scale *= 4
     raise NotRegular("no scaling realized the symbolic construction")
 

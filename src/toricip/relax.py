@@ -3,8 +3,9 @@
 The relaxation for a face tau drops nonnegativity on the tau-variables.  In
 z-space it reads: minimize (-cB).z over B^{tau-bar} z <= pi_tau(u) for any
 feasible u of the fiber, a polytope exactly when tau is a face of the
-triangulation.  It is solved by one first-point sweep in the cost-first
-coordinates z = T w of the subdivision
+triangulation.  The paper's reduced cost c~ = c - y A (y the certificate of
+a maximal face) has c~ B = c B, so c~ is never formed.  It is solved by one
+first-point sweep in the cost-first coordinates z = T w of the subdivision
 (:attr:`~toricip.triangulation.RegularSubdivision.cost_coordinates`), where
 the lex-first lattice point is the (cost, lex z) optimum.  The elimination
 behind the sweep is planned once per subdivision, over every row
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 from operator import sub
 
 from .core import IntMatrix, kernel_lattice_basis
-from .errors import Infeasible, NotAFace, ParseError, int_vector
+from .errors import Infeasible, NotAFace, ParseError, _face, int_vector
 from .fibers import Elimination
 from .linalg import dot, mat_vec
-from .triangulation import RegularSubdivision, reduced_cost
+from .triangulation import RegularSubdivision
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,6 @@ class GroupRelaxation:
     face: tuple
     rhs: tuple
     feasible: tuple  # a fiber point u
-    sigma: tuple  # the maximal face supplying the reduced cost
-    ctilde: tuple  # full-length rational reduced cost, zero on sigma
     transform: tuple  # T, with z = T w (RegularSubdivision.cost_coordinates)
     kernel_rows: tuple  # B T, the kernel basis in w
     cut: tuple  # (-cB) T = (g, 0, ..., 0)
@@ -50,23 +49,20 @@ class RelaxationOutcome:
 def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> GroupRelaxation:
     """Assemble G^tau(b).  NotAFace when tau is outside the triangulation
     (the relaxation would be unbounded); Infeasible when the fiber is empty.
-    ``delta`` must be the subdivision of (a, cost): the reduced cost is read
-    off its certificate.
+    ``delta`` must be the subdivision of (a, cost): its cost-first
+    coordinates and elimination serve every face and right-hand side.
     """
     cost = int_vector(cost, a.n, "cost")
     b = int_vector(b, a.d, "right-hand side")
     if delta.matrix != a or delta.cost != cost:
         raise ParseError("the subdivision was built for another matrix or cost")
-    tau = tuple(sorted(tau))
+    tau = _face(tau, a.n)
     if tau not in delta:
         raise NotAFace(f"{tau} indexes an unbounded relaxation")
     u = kernel_lattice_basis(a).fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {b}")
-    sigma = next(f for f in sorted(delta.maximal_faces) if set(tau) <= set(f))
-    ctilde = reduced_cost(delta, sigma)
-    return GroupRelaxation(a, cost, tau, b, u, sigma, ctilde, *delta.cost_coordinates,
-                           delta.relaxation_elimination)
+    return GroupRelaxation(a, cost, tau, b, u, *delta.cost_coordinates, delta.relaxation_elimination)
 
 
 def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:

@@ -63,12 +63,11 @@ class StandardPair:
 class Decomposition:
     pairs: tuple
     delta: RegularSubdivision
-    ideal: MonomialIdeal | None = None
 
     @classmethod
-    def from_pairs(cls, pairs, delta, ideal=None):
+    def from_pairs(cls, pairs, delta):
         ordered = tuple(sorted(pairs, key=lambda p: (len(p.face), p.face, p.root)))
-        return cls(ordered, delta, ideal)
+        return cls(ordered, delta)
 
     @property
     def arithmetic_degree(self):
@@ -176,7 +175,7 @@ def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision)
             elif tau in maximal:
                 raise ChainViolation(f"maximal face {tau} is not associated")
         level = below
-    return Decomposition.from_pairs(pairs, delta, ideal)
+    return Decomposition.from_pairs(pairs, delta)
 
 
 def _minimalize(gens):

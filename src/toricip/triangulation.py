@@ -10,7 +10,6 @@ non-generic inputs are never silently perturbed.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -18,10 +17,6 @@ from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
 from .errors import Degenerate, NotAFace, OutsideCone, int_vector
 from .fibers import Elimination, factor
-
-
-def _as_face(indices):
-    return tuple(sorted(indices))
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class RegularSubdivision:
     is_triangulation: bool
 
     def certificate(self, face):
-        face = _as_face(face)
+        face = tuple(sorted(face))
         for f, y in zip(self.maximal_faces, self.certificates):
             if f == face:
                 return y
@@ -57,17 +52,6 @@ class RegularSubdivision:
     def __contains__(self, face):
         face = set(face)
         return any(face <= set(f) for f in self.maximal_faces)
-
-    @cached_property
-    def reduced_costs(self):
-        """c~ = c - y A per maximal face, y its certificate, built on first use.
-
-        y.a_j = c_j on the face pins y down, so this is c - c_sigma A_sigma^{-1} A
-        for any nonsingular d-subset sigma of the face; it vanishes on the face.
-        """
-        a, cost = self.matrix, self.cost
-        return {face: tuple(Fraction(cost[j]) - linalg.dot(a.column(j), y) for j in range(a.n))
-                for face, y in zip(self.maximal_faces, self.certificates)}
 
     @cached_property
     def cost_coordinates(self):
@@ -212,11 +196,14 @@ class UnimodularityReport:
 
 
 def unimodularity_report(a: IntMatrix, delta: RegularSubdivision) -> UnimodularityReport:
-    """Lattice index |det A_sigma| / gcd(maximal minors) per maximal cell.
+    """Lattice index |det A_sigma| / gcd(maximal minors) per maximal simplex.
 
     The system yA <= c is totally dual integral iff every index is 1,
     i.e. the triangulation is unimodular (relative to the column lattice ZA).
+    A non-simplicial cell has no one index: refine it first, or get Degenerate.
     """
+    if not delta.is_triangulation:
+        raise Degenerate("unimodularity_report needs a triangulation")
     g = gcd_maximal_minors(a)
     out = []
     for face in delta.maximal_faces:
@@ -224,14 +211,3 @@ def unimodularity_report(a: IntMatrix, delta: RegularSubdivision) -> Unimodulari
         out.append((face, det // g))
     return UnimodularityReport(tuple(out), all(ix == 1 for _, ix in out))
 
-
-def reduced_cost(delta: RegularSubdivision, sigma):
-    """c~ = c - c_sigma A_sigma^{-1} A as a full-length rational vector.
-
-    sigma must be a maximal face of delta; see
-    :attr:`RegularSubdivision.reduced_costs`.
-    """
-    face = _as_face(sigma)
-    if face not in delta.reduced_costs:
-        raise NotAFace(f"{face} is not a maximal face")
-    return delta.reduced_costs[face]

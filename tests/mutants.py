@@ -27,6 +27,8 @@ CORE = "src/toricip/core.py"
 LINALG = "src/toricip/linalg.py"
 HILBERT = "src/toricip/hilbert.py"
 GROEBNER = "src/toricip/groebner.py"
+RELAX = "src/toricip/relax.py"
+TRIANGULATION = "src/toricip/triangulation.py"
 FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
 SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
 REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
@@ -45,7 +47,9 @@ ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
 S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_567_s_pairs"
 NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative_exponent"
-WEIGHT_ROW = "tests/test_groebner.py::test_a_short_weight_row_is_named"
+ORDER_COST = "tests/test_groebner.py::test_a_malformed_order_cost_is_named"
+NOT_TRIANGULATION = ("tests/test_triangulation.py::"
+                     "test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation")
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -117,9 +121,13 @@ MUTANTS = {
         [GB_REFERENCE, S_PAIRS]),
     "negative-exponent-accepted": (
         GROEBNER, "    if min(u, default=0) < 0:", "    if False:", [NEGATIVE_EXPONENT]),
-    "weight-rows-unchecked": (
-        GROEBNER, """        int_vector(w, a.n, f"weight row {k} of the order")""", "        pass",
-        [WEIGHT_ROW]),
+    "order-cost-unchecked": (
+        GROEBNER, """    int_vector(order.cost, a.n, "cost of the order")""", "    pass", [ORDER_COST]),
+    "relaxation-face-unchecked": (
+        RELAX, "    tau = _face(tau, a.n)\n", "    tau = tuple(sorted(tau))\n", [MALFORMED]),
+    "unimodularity-degenerate-guard-removed": (
+        TRIANGULATION, "    if not delta.is_triangulation:\n        raise Degenerate(\"unimodularity_report",
+        "    if False:\n        raise Degenerate(\"unimodularity_report", [NOT_TRIANGULATION]),
 }
 
 

@@ -32,8 +32,8 @@ def _revlex_sat_key(grading, n, cheapest):
 
 
 def _cost_key(order):
-    """Sort key of a weight stack refined by lex."""
-    return lambda u: tuple(dot(w, u) for w in order.weights) + u
+    """Sort key of the order's cost refined by lex."""
+    return lambda u: (dot(order.cost, u),) + u
 
 
 def _divides(u, v):
@@ -155,5 +155,5 @@ def hermite_toric_groebner(a: IntMatrix, order) -> GroebnerBasis:
         basis = stripped
     basis = _completion(basis, _cost_key(order), True)
     elems = tuple(Binomial(h, t) for h, t in basis)
-    generic = all(any(dot(w, b.head) != dot(w, b.tail) for w in order.weights) for b in elems)
+    generic = all(dot(order.cost, b.head) != dot(order.cost, b.tail) for b in elems)
     return GroebnerBasis(elems, order, a, lattice, generic)

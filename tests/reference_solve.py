@@ -1,7 +1,7 @@
 """Per-call Fraction references for the solves the library now factors once.
 
 ``optimal_face`` reads b's coordinates off each simplex's integer adjugate,
-and ``reduced_cost`` reads y off the subdivision's certificate.  These
+and a reduced cost c - y A takes y from the subdivision's certificate.  These
 references solve the linear systems afresh on every call, in Fraction
 Gauss-Jordan (``linalg.solve_exact``), as the library did before; tests hold
 the factored answers equal to them.

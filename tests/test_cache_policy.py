@@ -36,7 +36,6 @@ BUILDERS = {name for _, name in ALLOWED_CACHES} | {"regular_subdivision"} | set(
 # (class, cached_property): the per-object memos the README lists
 PER_OBJECT_MEMOS = {
     ("RegularSubdivision", "simplex_inverses"),
-    ("RegularSubdivision", "reduced_costs"),
     ("RegularSubdivision", "cost_coordinates"),
     ("RegularSubdivision", "relaxation_elimination"),
     ("Decomposition", "face_fibers"),

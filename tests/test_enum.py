@@ -20,7 +20,7 @@ from reference_enum import (
 )
 from reference_linalg import rank
 
-from toricip.errors import Unbounded
+from toricip.errors import ParseError, Unbounded
 from toricip.hilbert import _parallelepiped_points
 from toricip.oracle import (
     IneqPolytope,
@@ -98,6 +98,15 @@ def test_named_cases():
     square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
     assert lattice_points_boxed(square, 2, limit=1) == [(0, 0)]
     assert lattice_points_boxed(square, 2, limit=2) == [(0, 0), (0, 1)]
+
+
+def test_a_limit_below_one_finds_no_point():
+    # each used to return [(0, 0)]: the sweep checked the limit only after a point
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    assert enumerate_lattice_points(IneqPolytope.from_rows(square), limit=0) == []
+    assert lattice_points_boxed([], 0, limit=0) == []
+    with pytest.raises(ParseError, match="negative"):
+        lattice_points_boxed(square, 2, limit=-3)
 
 
 def test_unbounded_raises_through_enumerate():

@@ -74,13 +74,14 @@ def test_normal_form_refuses_a_negative_exponent():
         normal_form(gb, (-1, 0, 0))
 
 
-def test_a_short_weight_row_is_named():
+def test_a_malformed_order_cost_is_named():
     a = IntMatrix(KNAPSACK)
-    order = CostOrder(((1, 2, 3), (1, 2)), 3)
-    with pytest.raises(ParseError, match="weight row 1 of the order has 2 entries"):
-        toric_groebner(a, order)
-    with pytest.raises(ParseError, match="weight row 1"):
-        solve_ip(a, order, (8,))
+    for cost in [(1, 2), (1, 2, 3, 4), (1, 2.5, 3), (1, True, 3)]:
+        order = CostOrder(cost)
+        with pytest.raises(ParseError, match="cost of the order"):
+            toric_groebner(a, order)
+        with pytest.raises(ParseError, match="cost of the order"):
+            solve_ip(a, order, (8,))
 
 
 def test_sharp3_completions_fully_reduce_567_s_pairs(monkeypatch):

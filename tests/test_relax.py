@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_relax import reference_solve, tie_count
+from reference_solve import reference_reduced_cost
 
 from toricip import oracle
 from toricip.oracle import IneqPolytope, brute_force_standard_pairs, fiber_solve
@@ -41,11 +42,12 @@ def test_build_relaxation_rows(knapsack_pipeline):
     rows = oracle.q_polytope(a, KNAPSACK_COST, r.feasible, r.face).rows
     assert [s for s, _ in rows[:-1]] == [lat.matrix[0], lat.matrix[1]]
     assert rows[-1] == (oracle.cost_row(a, KNAPSACK_COST), 0)
-    # c~ restricted to the kernel basis equals cB regardless of face
-    ctilde_b = tuple(
-        sum(r.ctilde[i] * col[i] for i in range(a.n)) for col in lat.columns()
-    )
-    assert ctilde_b == tuple(dot(KNAPSACK_COST, col) for col in lat.columns())
+    # c~ restricted to the kernel basis equals cB regardless of the maximal
+    # face it is taken from, so the relaxation's cost row -cB needs no c~
+    for sigma in delta.maximal_faces:
+        ctilde = reference_reduced_cost(a, KNAPSACK_COST, sigma)
+        ctilde_b = tuple(dot(ctilde, col) for col in lat.columns())
+        assert ctilde_b == tuple(dot(KNAPSACK_COST, col) for col in lat.columns())
 
 
 def test_empty_face_is_the_full_program(knapsack_pipeline):
@@ -132,6 +134,11 @@ def test_solve_via_standard_pairs(knapsack_pipeline):
 
 OTHER = IntMatrix(((2, 5, 7),))
 
+
+def _build_on_ex1(tau):
+    a = IntMatrix(EX1)
+    return build_relaxation(a, (1, 0, 0, 1), regular_subdivision(a, (1, 0, 0, 1)), tau, (3, 4))
+
 # each call gets the knapsack pipeline (a, delta, gb, ideal, decomp)
 INCONSISTENT_CALLS = {
     "solve-sp-rhs-too-long": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, (27, 5)),
@@ -153,6 +160,11 @@ INCONSISTENT_CALLS = {
     "build-other-matrix": lambda a, delta, decomp: build_relaxation(OTHER, KNAPSACK_COST, delta, (), (27,)),
     "build-other-shape": lambda a, delta, decomp: build_relaxation(
         IntMatrix(EX1), (1, 0, 0, 1), delta, (), (4, 6)),
+    # a face passed to build_relaxation used to be sorted and nothing more: on
+    # EX1 each of these returned a relaxation, with faces (1, 1), (True,) and (1, 1, 2)
+    "build-face-repeated": lambda a, delta, decomp: _build_on_ex1((1, 1)),
+    "build-face-bool": lambda a, delta, decomp: _build_on_ex1((True,)),
+    "build-face-repeated-unsorted": lambda a, delta, decomp: _build_on_ex1((1, 2, 1)),
     # an order on fewer variables than A has columns used to act as if padded with 0
     "groebner-order-too-short": lambda a, delta, decomp: toric_groebner(
         IntMatrix(EX1), CostOrder.from_cost((1, 0))),

@@ -22,7 +22,6 @@ from toricip.linalg import dot
 from toricip.triangulation import (
     lex_refinement,
     optimal_face,
-    reduced_cost,
     regular_subdivision,
     unimodularity_report,
 )
@@ -124,6 +123,18 @@ def test_unimodularity_and_tdi():
     ident = IntMatrix(((1, 0), (0, 1)))
     repi = unimodularity_report(ident, regular_subdivision(ident, (0, 0)))
     assert repi.tdi
+
+
+@pytest.mark.parametrize("name", ["ex1-zero", "long-chain-zero"])
+def test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation(name):
+    # it used to take the determinant of a cell's first d columns: on ex1-zero
+    # index 1 and tdi True for the cell (0, 1, 2, 3), on long-chain-zero index 25
+    a, cost = DEGENERATE[name]
+    delta = regular_subdivision(a, cost)
+    assert not delta.is_triangulation
+    with pytest.raises(Degenerate):
+        unimodularity_report(a, delta)
+    assert unimodularity_report(a, lex_refinement(delta)).indices
 
 
 def test_indices_are_normalized_volumes():
@@ -303,10 +314,12 @@ def test_optimal_face_matches_fraction_scan_on_lex_refinements(seed):
 
 
 def _assert_certificate_reduced_costs(delta):
+    # c~ = c - y A with y the face's certificate, against a Fraction solve per face
     a = delta.matrix
     for sigma in delta.maximal_faces:
-        want = reference_reduced_cost(a, delta.cost, sigma)
-        assert reduced_cost(delta, sigma) == want, sigma
+        y = delta.certificate(sigma)
+        got = tuple(delta.cost[j] - dot(a.column(j), y) for j in range(a.n))
+        assert got == reference_reduced_cost(a, delta.cost, sigma), sigma
     return len(delta.maximal_faces)
 
 
@@ -324,10 +337,10 @@ def test_certificate_reduced_cost_matches_fraction_solve_on_degenerate_costs(nam
     _assert_certificate_reduced_costs(delta)
     _assert_certificate_reduced_costs(refined)
     if not delta.is_triangulation:
-        # a simplex inside a cell is not a face the subdivision carries a cost for
+        # a simplex inside a cell is not a face the subdivision carries a certificate for
         inner = next(s for s in refined.maximal_faces if s not in delta.maximal_faces)
         with pytest.raises(NotAFace):
-            reduced_cost(delta, inner)
+            delta.certificate(inner)
 
 
 @pytest.mark.parametrize("seed", range(20))
