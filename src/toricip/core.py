@@ -8,24 +8,25 @@ the origin (which also forces the cone to be pointed and every program in the
 family to be bounded).
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
 from . import linalg
-from .errors import BadIndex, RankDeficient, UnboundedFamily, _integer
+from .errors import BadIndex, RankDeficient, Record, UnboundedFamily, _integer
 from .fibers import Factorization, factor
 from .linprog import nonneg_feasible
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """A d x n integer matrix of full row rank with pointed column cone."""
 
     entries: tuple
 
-    def __post_init__(self):
-        rows = tuple(tuple(_integer(x) for x in row) for row in self.entries)
+    def __init__(self, entries):
+        self.__post_init__(entries)  # perfbench/tracer.py times the validation by this name
+
+    def __post_init__(self, entries):
+        rows = tuple(tuple(_integer(x) for x in row) for row in entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise RankDeficient("empty matrix")
@@ -64,8 +65,7 @@ def kernel_meets_orthant(rows):
     return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """n x (n-d) integer basis of the saturated kernel lattice of A.
 
     ``fibers`` is the column-Hermite factorization of A the basis was read
@@ -73,7 +73,8 @@ class LatticeBasis:
     """
 
     matrix: tuple  # n rows, n-d columns
-    fibers: Factorization = field(compare=False, repr=False)
+    fibers: Factorization
+    _uncompared = ("fibers",)
 
     @property
     def corank(self):

@@ -1,10 +1,12 @@
-"""Domain errors raised by the library, and its one check each of a caller's vector and face.
+"""Domain errors, the library's one check each of a caller's vector and face,
+and :class:`Record`, the frozen base of its value types.
 
 Every error carries a machine-readable ``kind`` string that the CLI maps to
 exit code 1 and a JSON ``error.kind`` field.  Parse failures use ``ParseError``
-(exit code 2).  :func:`int_vector` and :func:`_face` live here, beside the
-error they raise, so every module can import them without importing another.
+(exit code 2).  Nothing here imports the package, so every module can import it.
 """
+
+from operator import attrgetter
 
 
 class DomainError(Exception):
@@ -117,3 +119,41 @@ def _face(indices, n, base=0):
     if bad or len(set(face)) < len(face):
         raise ParseError(f"face {list(face)} needs distinct int indices in {base}..{n - 1 + base}")
     return tuple(sorted(i - base for i in face))
+
+
+class Record:
+    """A frozen value type whose class annotations name its fields, in order.
+
+    Built positionally; trailing fields may default to a class attribute.  Equality
+    and hash are a frozen dataclass's, over the fields not in ``_uncompared``, which
+    the repr leaves out too.  Assignment and deletion raise AttributeError, but
+    ``functools.cached_property`` writes to ``__dict__``, so it still memoizes.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._required = sum(not hasattr(cls, f) for f in cls._fields)
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        get = attrgetter(*cls._compared)
+        if len(cls._compared) > 1:
+            cls.__hash__ = lambda r: hash(get(r))
+        else:  # attrgetter of one name returns the value; a dataclass hashes its 1-tuple
+            cls.__hash__ = lambda r: hash((get(r),))
+        cls.__eq__ = lambda r, o: get(r) == get(o) if o.__class__ is r.__class__ else NotImplemented
+
+    def __init__(self, *args):
+        if not self._required <= len(args) <= len(self._fields):
+            raise TypeError(f"{type(self).__name__} got {len(args)} of {len(self._fields)} fields")
+        for f, v in zip(self._fields, args):  # kept inline: reading __dict__ would build a dict
+            object.__setattr__(self, f, v)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({fields})"

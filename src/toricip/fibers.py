@@ -18,10 +18,9 @@ IntMatrix rules that out) raises Unbounded.
 """
 
 import math
-from dataclasses import dataclass, field
 from operator import add
 
-from .errors import ParseError, Unbounded, int_vector
+from .errors import ParseError, Record, Unbounded, int_vector
 from .linalg import column_hermite, dot, mat_vec
 
 
@@ -87,14 +86,14 @@ class Elimination:
         z_1, ..., z_dim are swept in turn, each between the closed-form
         integer bounds its level gives once the earlier coordinates are
         fixed.  ``limit`` stops the sweep once that many points are found;
-        0 finds none, and a negative limit is a ParseError.  Returns [] when a
-        constant row is violated and raises Unbounded when a coordinate the
-        sweep reaches has no bound on one side.
+        0 finds none, and a negative or non-int limit is a ParseError.
+        Returns [] when a constant row is violated and raises Unbounded when
+        a coordinate the sweep reaches has no bound on one side.
         """
         dim = self.dim
-        if limit is not None and limit < 1:
-            if limit < 0:
-                raise ParseError(f"limit {limit} is negative")
+        if limit is not None and (type(limit) is not int or limit < 1):
+            if type(limit) is not int or limit < 0:
+                raise ParseError(f"limit {limit!r} is not a nonnegative int")
             return []
         if dim == 0:
             return [()] if all(o is None or o >= 0 for o in offsets) else []
@@ -153,8 +152,7 @@ def lattice_points_boxed(rows, dim, limit=None):
     return Elimination([s for s, _ in rows], dim).points([o for _, o in rows], limit)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """rows U = [H | 0] with U unimodular, an echelon kernel basis B, and the
     elimination of {-B z <= x0}.
 
@@ -168,7 +166,8 @@ class Factorization:
     u: tuple
     pivots: tuple  # pivot column of H per row, or None
     basis: tuple  # n rows, k columns: column echelon with positive pivots
-    elimination: Elimination = field(compare=False, repr=False)  # of the normals -B
+    elimination: Elimination  # of the normals -B
+    _uncompared = ("elimination",)
 
     @property
     def rank(self):

@@ -25,26 +25,25 @@ assumed.
 """
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from operator import le, sub
 
 from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
-from .errors import Infeasible, ParseError, int_vector
+from .errors import Infeasible, ParseError, Record, int_vector
 from .linalg import clear_denominators, dot, lll_reduce
 from .linprog import OPTIMAL, solve_lp
 
 
-@dataclass(frozen=True)
-class CostOrder:
-    """Total order on monomials: cost, then lex."""
+class CostOrder(Record):
+    """Total order on monomials: cost, then lex.  The cost is checked as an int vector."""
 
     cost: tuple
 
-    @classmethod
-    def from_cost(cls, cost):
-        return cls(int_vector(cost, len(cost), "cost"))
+    def __init__(self, cost):
+        object.__setattr__(self, "cost", int_vector(cost, len(cost), "cost of the order"))
+
+    from_cost = classmethod(lambda cls, cost: cls(cost))  # the checking constructor, by name
 
     def key(self, u):
         return (dot(self.cost, u),) + u
@@ -62,8 +61,7 @@ class _RevlexSat:
         return (dot(self.grading, u),) + tuple(-u[j] for j in self.seq)
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Record):
     """x^head - x^tail with head > tail in the working order and A(head-tail)=0."""
 
     head: tuple
@@ -74,8 +72,7 @@ class Binomial:
         return tuple(a - b for a, b in zip(self.head, self.tail))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     elements: tuple  # Binomials sorted by head key
     order: CostOrder
     matrix: IntMatrix

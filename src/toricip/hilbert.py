@@ -14,18 +14,16 @@ each parallelepiped as an integer inequality system and handing it to the
 library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import IntMatrix, kernel_meets_orthant
-from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, _face, int_vector
+from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, _face, int_vector
 from .fibers import factor, lattice_points_boxed
 from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(Record):
     elements: tuple  # sorted integer vectors
     generators: tuple
 
@@ -105,8 +103,7 @@ def hilbert_basis(generators) -> HilbertBasis:
     return HilbertBasis(tuple(minimal), tuple(gens))
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
     normal: bool
     witness: tuple | None
     delta_normal: bool | None
@@ -171,8 +168,7 @@ def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityRe
     return NormalityReport(normal, witness, delta_normal, tuple(per_face), supernormal)
 
 
-@dataclass(frozen=True)
-class GomoryCostResult:
+class GomoryCostResult(Record):
     cost: tuple
     pairs: tuple
     residue_roots: tuple  # (face, roots) pairs from the construction
@@ -291,7 +287,8 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     for _ in range(24):
         cand = tuple(scale * cv + ov for cv, ov in zip(c0, omega))
         if _certify(a, cand, faces, expected):
-            return GomoryCostResult(cand, tuple(sorted(expected)), tuple(residue_roots))
+            pairs = tuple(sorted(expected, key=lambda p: (p.root, p.face)))
+            return GomoryCostResult(cand, pairs, tuple(residue_roots))
         scale *= 4
     raise NotRegular("no scaling realized the symbolic construction")
 

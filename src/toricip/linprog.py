@@ -17,10 +17,10 @@ are tiny (tens of rows/columns), which is the regime this solver is written
 for.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import Record
 from .linalg import clear_denominators, dot
 
 OPTIMAL = "optimal"
@@ -28,8 +28,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     status: str
     x: tuple | None = None
     value: Fraction | None = None

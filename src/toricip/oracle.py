@@ -37,21 +37,19 @@ The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
-from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded, _face, int_vector
+from .errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Record, Unbounded, _face, int_vector
 from .fibers import Elimination, lattice_points_boxed
 from .linalg import det_int, dot, mat_vec
 from .linprog import OPTIMAL, UNBOUNDED, solve_lp
 
 
-@dataclass(frozen=True)
-class IneqPolytope:
+class IneqPolytope(Record):
     """{z : s . z <= offset per row}, with integer data."""
 
     rows: tuple  # ((coeffs), offset) pairs

@@ -15,18 +15,16 @@ lifts to x* = u - B z*, integral by construction; the relaxation solves the
 program iff the lifted tau-part is nonnegative.
 """
 
-from dataclasses import dataclass, field
 from operator import sub
 
 from .core import IntMatrix, kernel_lattice_basis
-from .errors import Infeasible, NotAFace, ParseError, _face, int_vector
+from .errors import Infeasible, NotAFace, ParseError, Record, _face, int_vector
 from .fibers import Elimination
 from .linalg import dot, mat_vec
 from .triangulation import RegularSubdivision
 
 
-@dataclass(frozen=True)
-class GroupRelaxation:
+class GroupRelaxation(Record):
     matrix: IntMatrix
     cost: tuple
     face: tuple
@@ -35,11 +33,11 @@ class GroupRelaxation:
     transform: tuple  # T, with z = T w (RegularSubdivision.cost_coordinates)
     kernel_rows: tuple  # B T, the kernel basis in w
     cut: tuple  # (-cB) T = (g, 0, ..., 0)
-    elimination: Elimination = field(compare=False, repr=False)  # of (B T, cut)
+    elimination: Elimination  # of (B T, cut)
+    _uncompared = ("elimination",)
 
 
-@dataclass(frozen=True)
-class RelaxationOutcome:
+class RelaxationOutcome(Record):
     z: tuple
     x: tuple  # full lifted point, integral
     solves_ip: bool

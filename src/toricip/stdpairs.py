@@ -15,19 +15,17 @@ saturated chains down from its maximal cells (Hosten-Thomas 1999), so the
 decomposition runs the root search only on the faces of a top-down walk.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .core import IntMatrix
-from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, int_vector
+from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, Record, int_vector
 from .fibers import factor
 from .groebner import CostOrder, GroebnerBasis, toric_groebner
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Minimal generating exponents of a monomial ideal (an antichain)."""
 
     generators: tuple
@@ -53,14 +51,12 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal(tuple(heads), gb.matrix.n, gb.generic)
 
 
-@dataclass(frozen=True, order=True)
-class StandardPair:
+class StandardPair(Record):
     root: tuple
     face: tuple
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     pairs: tuple
     delta: RegularSubdivision
 
@@ -188,8 +184,7 @@ def _minimalize(gens):
     return out
 
 
-@dataclass(frozen=True)
-class AssociatedReport:
+class AssociatedReport(Record):
     associated_sets: tuple
     multiplicities: tuple  # (face, count) pairs
     arithmetic_degree: int

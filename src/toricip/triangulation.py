@@ -9,18 +9,16 @@ cell is a d-simplex; the result carries that flag instead of raising, and
 non-generic inputs are never silently perturbed.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
-from .errors import Degenerate, NotAFace, OutsideCone, int_vector
+from .errors import Degenerate, NotAFace, OutsideCone, ParseError, Record, int_vector
 from .fibers import Elimination, factor
 
 
-@dataclass(frozen=True)
-class RegularSubdivision:
+class RegularSubdivision(Record):
     """The subdivision Delta_c: maximal cells, exact dual certificates, flags.
 
     A certificate y has y.a_j = c_j on its cell and y.a_j < c_j off it.  In a
@@ -189,8 +187,7 @@ def optimal_face(delta: RegularSubdivision, b):
     raise OutsideCone(f"{b} is outside cone(A)")
 
 
-@dataclass(frozen=True)
-class UnimodularityReport:
+class UnimodularityReport(Record):
     indices: tuple  # (face, lattice index) pairs, sorted
     tdi: bool
 
@@ -202,6 +199,8 @@ def unimodularity_report(a: IntMatrix, delta: RegularSubdivision) -> Unimodulari
     i.e. the triangulation is unimodular (relative to the column lattice ZA).
     A non-simplicial cell has no one index: refine it first, or get Degenerate.
     """
+    if delta.matrix != a:
+        raise ParseError("the subdivision was built for another matrix")
     if not delta.is_triangulation:
         raise Degenerate("unimodularity_report needs a triangulation")
     g = gcd_maximal_minors(a)

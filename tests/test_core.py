@@ -72,15 +72,14 @@ def test_kernel_verified_by_hermite_oracle():
 def test_unsaturated_kernel_basis_is_refused(monkeypatch):
     # doubling one kernel column of U keeps A B = 0 but spans an index-2
     # sublattice, which the saturation check must refuse
-    from dataclasses import replace
-
     from toricip import core
-    from toricip.fibers import factor
+    from toricip.fibers import Factorization, factor
 
     def doubled(rows):
         fac = factor(rows)
         k = fac.rank
-        return replace(fac, u=tuple(r[:k] + (2 * r[k],) + r[k + 1 :] for r in fac.u))
+        u = tuple(r[:k] + (2 * r[k],) + r[k + 1 :] for r in fac.u)
+        return Factorization(fac.rows, fac.h, u, fac.pivots, fac.basis, fac.elimination)
     monkeypatch.setattr(core, "factor", doubled)
     with pytest.raises(AssertionError, match="not saturated"):
         kernel_lattice_basis.__wrapped__(IntMatrix(EX1))

@@ -109,6 +109,16 @@ def test_a_limit_below_one_finds_no_point():
         lattice_points_boxed(square, 2, limit=-3)
 
 
+@pytest.mark.parametrize("limit", [1.5, True, False, "2"])
+def test_a_limit_that_is_not_an_int_is_refused(limit):
+    # 1.5 used to return two points and True one
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    with pytest.raises(ParseError, match="limit"):
+        lattice_points_boxed(square, 2, limit)
+    with pytest.raises(ParseError, match="limit"):
+        lattice_points_boxed([], 0, limit)
+
+
 def test_unbounded_raises_through_enumerate():
     ray = IneqPolytope.from_rows([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, -1), 0)])
     assert not reference_recession_trivial(tuple(s for s, _ in ray.rows), 3)

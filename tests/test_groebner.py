@@ -76,12 +76,27 @@ def test_normal_form_refuses_a_negative_exponent():
 
 def test_a_malformed_order_cost_is_named():
     a = IntMatrix(KNAPSACK)
-    for cost in [(1, 2), (1, 2, 3, 4), (1, 2.5, 3), (1, True, 3)]:
+    for cost in [(1, 2), (1, 2, 3, 4)]:
         order = CostOrder(cost)
         with pytest.raises(ParseError, match="cost of the order"):
             toric_groebner(a, order)
         with pytest.raises(ParseError, match="cost of the order"):
             solve_ip(a, order, (8,))
+    # an entry that is not an int is refused when the order is built
+    for cost in [(1, 2.5, 3), (1, True, 3), [1, "2", 3]]:
+        with pytest.raises(ParseError, match="cost of the order"):
+            CostOrder(cost)
+        with pytest.raises(ParseError, match="cost of the order"):
+            CostOrder.from_cost(cost)
+
+
+def test_an_order_built_from_a_list_is_checked_and_hashable():
+    # toric_groebner's cache used to raise TypeError: unhashable type: 'list'
+    a = IntMatrix(((1, 2, 3),))
+    order = CostOrder([1, 2, 3])
+    assert order.cost == (1, 2, 3)
+    assert order == CostOrder.from_cost([1, 2, 3]) and hash(order) == hash(((1, 2, 3),))
+    assert toric_groebner(a, order) is toric_groebner(a, CostOrder((1, 2, 3)))
 
 
 def test_sharp3_completions_fully_reduce_567_s_pairs(monkeypatch):

@@ -5,9 +5,12 @@ first access.  The CLI loads ``fileio`` and what it needs up front, and each
 command imports only the modules on its own code path, so a child process
 that runs one command does not compile the rest of the library.  Every
 module can be imported first, so no import cycle hides behind the order in
-which the package used to load its modules.
+which the package used to load its modules.  No child loads ``dataclasses``
+or ``inspect`` beyond what a bare interpreter loads: the value types are
+:class:`toricip.errors.Record` subclasses, and no module imports ``dataclasses``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -27,12 +30,15 @@ PIPELINE = {"groebner", "stdpairs", "relax", "oracle", "hilbert"}
 REPORT = ("import json, sys\n"
           "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
           " if m.startswith('toricip.'))))\n")
+# standard modules whose import costs a CLI child several ms
+HEAVY = ("dataclasses", "inspect")
+HEAVY_REPORT = f"import json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
 
 
-def _child(code):
-    """Run ``code`` then ``REPORT`` in a fresh interpreter; its JSON answer."""
+def _child(code, report=REPORT):
+    """Run ``code`` then ``report`` in a fresh interpreter; its JSON answer."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", code + "\n" + REPORT], env=env,
+    proc = subprocess.run([sys.executable, "-c", code + "\n" + report], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr[-500:]
     return json.loads(proc.stdout.splitlines()[-1])
@@ -81,16 +87,46 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command, args, forbidden", COMMANDS, ids=[c[0] for c in COMMANDS])
-def test_command_loads_only_its_code_path(files, command, args, forbidden):
+def _command_code(files, command, args):
     argv = command.split() + [files.get(a, a) for a in args]
-    code = ("import contextlib, io\n"
+    return ("import contextlib, io\n"
             "from toricip import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
-    loaded = set(_child(code))
+
+
+@pytest.mark.parametrize("command, args, forbidden", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_command_loads_only_its_code_path(files, command, args, forbidden):
+    loaded = set(_child(_command_code(files, command, args)))
     assert CLI_BASE <= loaded
     assert not loaded & forbidden
+
+
+@pytest.fixture(scope="module")
+def bare_heavy():
+    """The heavy modules a bare interpreter loads: a site hook may load some."""
+    return set(_child("pass", HEAVY_REPORT))
+
+
+def test_import_cli_loads_no_heavy_module(bare_heavy):
+    assert set(_child("import toricip.cli", HEAVY_REPORT)) <= bare_heavy
+
+
+@pytest.mark.parametrize("command, args, forbidden", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_command_loads_no_heavy_module(files, bare_heavy, command, args, forbidden):
+    assert set(_child(_command_code(files, command, args), HEAVY_REPORT)) <= bare_heavy
+
+
+def test_no_module_imports_dataclasses():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.stem, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.stem, node.module.split(".")[0]))
+    assert ("core", "functools") in imported  # the scan sees the package's imports
+    assert {(m, name) for m, name in imported if name == "dataclasses"} == set()
 
 
 def test_package_names_resolve_to_their_home_modules():

@@ -137,6 +137,13 @@ def test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation(
     assert unimodularity_report(a, lex_refinement(delta)).indices
 
 
+def test_unimodularity_report_refuses_a_subdivision_of_another_matrix():
+    # it used to read EX3's columns on EX1's cells: indices 1, 4, 4 and tdi False
+    delta = regular_subdivision(IntMatrix(EX1), EX1_COST)
+    with pytest.raises(ParseError, match="built for another matrix"):
+        unimodularity_report(IntMatrix(EX3), delta)
+
+
 def test_indices_are_normalized_volumes():
     a = IntMatrix(LONG_CHAIN)
     d = regular_subdivision(a, LONG_CHAIN_COST)
