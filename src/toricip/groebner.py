@@ -41,6 +41,7 @@ class CostOrder(Record):
     cost: tuple
 
     def __init__(self, cost):
+        cost = tuple(cost)
         object.__setattr__(self, "cost", int_vector(cost, len(cost), "cost of the order"))
 
     from_cost = classmethod(lambda cls, cost: cls(cost))  # the checking constructor, by name

@@ -3,7 +3,10 @@
 A matrix is normal when its columns generate every lattice point of their
 cone; Delta-normal when the columns inside each maximal cell of a
 triangulation form a Hilbert basis of that cell; supernormal when the same
-holds over every column-subset cone.  Delta-normality over a regular
+holds over every column-subset cone.  Each test reads a Hilbert basis: the
+columns inside a pointed cone generate its lattice points exactly when every
+element of its minimal Hilbert basis is a column, since an element is no sum
+of two nonzero lattice points of the cone.  Delta-normality over a regular
 triangulation yields, constructively, a generic cost whose family is solved
 entirely by Gomory relaxations; :func:`gomory_cost` carries out that
 construction and re-verifies its own postcondition before returning.
@@ -16,9 +19,9 @@ library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
 
 from itertools import combinations
 
-from .core import IntMatrix, kernel_meets_orthant
+from .core import IntMatrix, kernel_lattice_basis, kernel_meets_orthant
 from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, _face, int_vector
-from .fibers import factor, lattice_points_boxed
+from .fibers import lattice_points_boxed
 from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 
@@ -111,61 +114,44 @@ class NormalityReport(Record):
     supernormal: bool | None
 
 
-def _hilbert_property(cols, cone_gens):
-    """Do the columns cols generate every lattice point of cone(cone_gens)?
+def _first_missing(a: IntMatrix, gens):
+    """The first Hilbert-basis element of cone(gens) that is not a column of A, or None.
 
-    Returns (flag, witness), the witness the first Hilbert-basis element of
-    the cone outside the semigroup N{cols}.  One factorization of cols
-    answers the fiber of every element.
+    None says that the columns of A inside the cone generate its lattice
+    points (see the module docstring).
     """
-    fac = factor(list(zip(*cols)))
-    for h in hilbert_basis(cone_gens).elements:
-        if fac.first(h) is None:
-            return False, h
-    return True, None
-
-
-def _cell_normal(a: IntMatrix, sub):
-    """Do the columns of A in the cone of the columns ``sub`` generate its lattice points?"""
-    gens, cols = [a.column(j) for j in sub], [a.column(j) for j in range(a.n)]
-    return _hilbert_property([c for c in cols if _in_cone_of(gens, c)], gens)[0]
+    cols = {a.column(j) for j in range(a.n)}
+    return next((h for h in hilbert_basis(gens).elements if h not in cols), None)
 
 
 def normality_report(a: IntMatrix, delta=None, check_super=False) -> NormalityReport:
     """Normality of A, per-cell Delta-normality, optional supernormality.
 
-    The normal flag asks whether every minimal Hilbert basis element of
-    cone(A) is reachable as a nonnegative integer combination of columns; the
-    witness is the first unreachable lattice point.  A cell's or a subset's
-    cone is generated by the columns of A inside it.  ``delta`` is a
-    subdivision of A or a list of faces, each of distinct indices in 0..n-1.
+    A is normal when every element of the minimal Hilbert basis of cone(A)
+    is a column of A, and the witness is the first element, in sorted order,
+    that is not: such an element is no sum of two nonzero lattice points of
+    the cone, so no combination of columns reaches it.  A cell or a column
+    subset is tested the same way against every column of A, which tests
+    the columns of A inside its cone.  ``delta`` is a subdivision of A or a
+    list of faces, each of distinct indices in 0..n-1.
     """
-    all_cols = [a.column(j) for j in range(a.n)]
+    cols = [a.column(j) for j in range(a.n)]
     faces = None
     if delta is not None:
         if getattr(delta, "matrix", a) != a:
             raise ParseError("the subdivision was built for another matrix")
         faces = (delta.maximal_faces if hasattr(delta, "maximal_faces")
                  else tuple(_face(f, a.n) for f in delta))
-    normal, witness = _hilbert_property(all_cols, all_cols)
-    per_face = [(sigma, _cell_normal(a, sigma)) for sigma in faces or ()]
+    witness = _first_missing(a, cols)
+    per_face = [(sigma, _first_missing(a, [cols[j] for j in sigma]) is None)
+                for sigma in faces or ()]
     delta_normal = None if faces is None else all(flag for _, flag in per_face)
     supernormal = None
-    if check_super:
-        supernormal = True
-        seen = set()
-        for size in range(1, a.n + 1):
-            for sub in combinations(range(a.n), size):
-                key = frozenset(a.column(j) for j in sub)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not _cell_normal(a, sub):
-                    supernormal = False
-                    break
-            if not supernormal:
-                break
-    return NormalityReport(normal, witness, delta_normal, tuple(per_face), supernormal)
+    if check_super:  # one cone per distinct set of columns, the smaller sets first
+        distinct = list(dict.fromkeys(cols))
+        supernormal = all(_first_missing(a, sub) is None for size in range(1, len(distinct) + 1)
+                          for sub in combinations(distinct, size))
+    return NormalityReport(witness is None, witness, delta_normal, tuple(per_face), supernormal)
 
 
 class GomoryCostResult(Record):
@@ -258,7 +244,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
         raise NotRegular(
             f"certificate induces {sub0.maximal_faces}, not the requested cells"
         )
-    if not all(_cell_normal(a, sigma) for sigma in sub0.maximal_faces):  # the cells alone
+    if any(_first_missing(a, [a.column(j) for j in sigma]) for sigma in sub0.maximal_faces):
         raise NotDeltaNormal("some cell's columns are not a Hilbert basis")
     rays = sorted({j for f in faces for j in f})
     c0 = tuple(clear_denominators(_lift(sub0))[0])
@@ -268,7 +254,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     def sym_key(x):
         return (dot(c0, x), -sum(x[j] for j in rays), x)
 
-    fac = factor(a.entries)
+    fac = kernel_lattice_basis(a).fibers
     residue_roots = []
     expected = set()
     for face in faces:

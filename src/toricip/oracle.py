@@ -136,14 +136,15 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision"
     """Definition test: singleton, and every single B-row drop admits a point.
 
     Unbounded relaxations count as admitting one (integral data puts lattice
-    points on any unbounded edge).  Raises NotAFace when tau is not a face.
+    points on any unbounded edge).  A malformed tau is a ParseError, and a
+    well-formed one that is not a face of the triangulation raises NotAFace.
     """
     from .triangulation import regular_subdivision
 
     cost = int_vector(cost, a.n, "cost")
     if delta is None:
         delta = regular_subdivision(a, cost)
-    tau = tuple(sorted(tau))
+    tau = _face(tau, a.n)
     if tau not in delta:
         raise NotAFace(f"{tau} is not a face of the triangulation")
     ndim = kernel_lattice_basis(a).corank
@@ -330,7 +331,7 @@ def _floors(thresholds, caps, drops):
     return floors
 
 
-def _undominated(thresholds, caps, floors=None):
+def _undominated(thresholds, caps, floors):
     """All w in the cap box dominating no threshold but some floor, in lex order.
 
     A node carries the thresholds its prefix dominates and the floors f whose
@@ -357,5 +358,5 @@ def _undominated(thresholds, caps, floors=None):
             elif alive:
                 rec(depth + 1, w + (v,), [th for th in live if th[depth] <= v], alive)
 
-    rec(0, (), thresholds, [(0,) * k] if floors is None else floors)
+    rec(0, (), thresholds, floors)
     return out

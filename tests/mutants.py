@@ -42,12 +42,19 @@ RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
 SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
-ONE_SEMIGROUP = "tests/test_hilbert.py::test_normality_report_factors_each_column_set_once"
+NORMALITY_REFERENCE = ("tests/test_hilbert.py::"
+                       "test_normality_report_matches_the_fiber_search_reference")
+DELTA_NORMAL = "tests/test_hilbert.py::test_gfamily_delta_normality"
+SUPERNORMAL = "tests/test_hilbert.py::test_supernormal_graded_chain"
+CELLS_ALONE = "tests/test_hilbert.py::test_gomory_cost_tests_the_cells_alone"
+CACHED_FACTOR = "tests/test_hilbert.py::test_gomory_cost_reads_the_cached_factorization"
 ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
 S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_567_s_pairs"
 NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative_exponent"
 ORDER_COST = "tests/test_groebner.py::test_a_malformed_order_cost_is_named"
+ORDER_ITERABLE = "tests/test_groebner.py::test_an_order_built_from_any_iterable_is_equal"
+STANDARD_FACE = "tests/test_oracle.py::test_is_standard_polytope_refuses_a_malformed_face"
 NOT_TRIANGULATION = ("tests/test_triangulation.py::"
                      "test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation")
 
@@ -110,9 +117,21 @@ MUTANTS = {
     "gomory-lift-takes-min": (
         HILBERT, "max(dot(a.column(j), y) for y in sub.certificates)",
         "min(dot(a.column(j), y) for y in sub.certificates)", [LIFT]),
-    "semigroup-refactors-per-element": (
-        HILBERT, "        if fac.first(h) is None:",
-        "        if factor(list(zip(*cols))).first(h) is None:", [ONE_SEMIGROUP]),
+    "containment-in-the-cone-generators-only": (
+        HILBERT, "    cols = {a.column(j) for j in range(a.n)}\n", "    cols = set(gens)\n",
+        [NORMALITY_REFERENCE, DELTA_NORMAL]),
+    "witness-is-the-last-missing-element": (
+        HILBERT, "for h in hilbert_basis(gens).elements if h not in cols",
+        "for h in reversed(hilbert_basis(gens).elements) if h not in cols", [NORMALITY_REFERENCE]),
+    "supernormality-tries-single-columns-only": (
+        HILBERT, "for size in range(1, len(distinct) + 1)", "for size in range(1, 2)",
+        [NORMALITY_REFERENCE, SUPERNORMAL]),
+    "gomory-cell-check-skipped": (
+        HILBERT, "    if any(_first_missing(a, [a.column(j) for j in sigma])",
+        "    if False and any(_first_missing(a, [a.column(j) for j in sigma])", [CELLS_ALONE]),
+    "gomory-cost-refactors-the-matrix": (
+        HILBERT, "    fac = kernel_lattice_basis(a).fibers\n",
+        "    fac = kernel_lattice_basis.__wrapped__(a).fibers\n", [CACHED_FACTOR]),
     "coprime-heads-any": (
         GROEBNER, "if all(a == 0 or b == 0 for a, b in zip(hi, hj)):",
         "if any(a == 0 or b == 0 for a, b in zip(hi, hj)):", [GB_REFERENCE]),
@@ -121,6 +140,11 @@ MUTANTS = {
         [GB_REFERENCE, S_PAIRS]),
     "negative-exponent-accepted": (
         GROEBNER, "    if min(u, default=0) < 0:", "    if False:", [NEGATIVE_EXPONENT]),
+    "order-cost-length-read-first": (
+        GROEBNER, "        cost = tuple(cost)\n", "", [ORDER_ITERABLE]),
+    "standard-polytope-face-sorted-by-hand": (
+        ORACLE, "    tau = _face(tau, a.n)\n    if tau not in delta:",
+        "    tau = tuple(sorted(tau))\n    if tau not in delta:", [STANDARD_FACE]),
     "order-cost-unchecked": (
         GROEBNER, """    int_vector(order.cost, a.n, "cost of the order")""", "    pass", [ORDER_COST]),
     "relaxation-face-unchecked": (

@@ -99,6 +99,16 @@ def test_an_order_built_from_a_list_is_checked_and_hashable():
     assert toric_groebner(a, order) is toric_groebner(a, CostOrder((1, 2, 3)))
 
 
+def test_an_order_built_from_any_iterable_is_equal():
+    # the cost is converted before its length is read: a generator or a map
+    # used to raise TypeError from len()
+    orders = [CostOrder((x for x in (1, 2, 3))), CostOrder(map(int, "123")), CostOrder((1, 2, 3)),
+              CostOrder.from_cost(x for x in (1, 2, 3)), CostOrder.from_cost(map(int, "123"))]
+    assert all(order == orders[2] and order.cost == (1, 2, 3) for order in orders)
+    with pytest.raises(ParseError, match="cost of the order"):
+        CostOrder(x for x in (1, 2.5, 3))
+
+
 def test_sharp3_completions_fully_reduce_567_s_pairs(monkeypatch):
     # every completion strips each input and remainder of its common factor;
     # unstripped saturation passes, each followed by a division by its

@@ -1,22 +1,40 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from conftest import EX1, GFAMILY, NONNORMAL, face, make_instance
+from conftest import (
+    CENSUS_MATRICES,
+    DEGENERATE,
+    EX1,
+    EX1_COST,
+    EX3,
+    GFAMILY,
+    GFAMILY_COST,
+    KNAPSACK,
+    LONG_CHAIN,
+    LONG_CHAIN_COST,
+    NONNORMAL,
+    face,
+    make_instance,
+)
+from reference_normality import reference_normality
 
-from toricip import hilbert
-from toricip.core import IntMatrix
-from toricip.errors import NotDeltaNormal, NotPointed, NotRegular
+from toricip import fibers, hilbert
+from toricip.core import IntMatrix, kernel_lattice_basis
+from toricip.errors import DomainError, NotDeltaNormal, NotPointed, NotRegular
 from toricip.fibers import factor
 from toricip.linalg import dot
 from toricip.linprog import nonneg_feasible
 from toricip.hilbert import (
+    NormalityReport,
     gomory_cost,
     hilbert_basis,
     normality_report,
     sharp_family,
 )
 from toricip.stdpairs import associated_report, decomposition_for, is_gomory_family
+from toricip.triangulation import regular_subdivision
 
 SHARP3_A = (
     (1, 0, 0, 0, 0, 0, 0, 1, 1, 1),
@@ -86,21 +104,96 @@ def test_hilbert_basis_is_minimal_and_generating():
         assert factor(list(zip(*rest))).first(h) is None
 
 
-def test_normality_report_factors_each_column_set_once(monkeypatch):
-    # one factorization per semigroup answers all of its Hilbert-basis
-    # elements: the whole matrix, then one per face
+def _counted_factor(monkeypatch):
+    """Count every factorization the library makes, from a cold kernel-basis cache."""
     calls = []
+    real = fibers.factor
 
     def counted(rows):
         calls.append(rows)
-        return factor(rows)
-    monkeypatch.setattr(hilbert, "factor", counted)
+        return real(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricip") and getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", counted)
+    kernel_lattice_basis.cache_clear()
+    return calls
+
+
+def test_normality_report_makes_no_factorization(monkeypatch):
+    # every Hilbert-basis element is looked up among the columns: no column
+    # set is factored, and no fiber is searched, for the matrix, a face or a subset
+    calls = _counted_factor(monkeypatch)
     a = IntMatrix(GFAMILY)
-    faces = [face(1, 2, 6), face(2, 3, 6)]
-    assert normality_report(a, faces).normal
-    assert len(calls) == 1 + len(faces)
-    # the whole matrix alone has several elements, each of which used to refactor
-    assert len(hilbert_basis([a.column(j) for j in range(a.n)]).elements) > 1
+    rep = normality_report(a, [face(1, 2, 6), face(2, 3, 6)], check_super=True)
+    assert rep.normal and rep.per_face == ((face(1, 2, 6), True), (face(2, 3, 6), False))
+    assert rep.supernormal is False
+    assert calls == []
+
+
+def test_gomory_cost_reads_the_cached_factorization(monkeypatch):
+    # the residue fibers come from the factorization the kernel basis was
+    # read from, which the certification's Groebner basis builds anyway
+    calls = _counted_factor(monkeypatch)
+    a = IntMatrix(GFAMILY)
+    gomory_cost(a, [face(1, 2, 6)])
+    assert calls.count(a.entries) == 1
+
+
+def _triangulated(a, rng, tries=20):
+    """A regular triangulation of A from a random cost, or None when ``tries`` costs give none."""
+    for _ in range(tries):
+        sub = regular_subdivision(a, tuple(rng.randint(0, 20) for _ in range(a.n)))
+        if sub.is_triangulation:
+            return sub
+    return None
+
+
+def _random_matrices(count, seed=5):
+    """(A, a triangulation or None): d 1-3, n <= 6, entries 0-4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        try:
+            a = IntMatrix([[rng.randint(0, 4) for _ in range(n)] for _ in range(d)])
+        except DomainError:
+            continue
+        out.append((a, _triangulated(a, rng, tries=1)))
+    return out
+
+
+def _assert_matches_reference(a, delta, check_super, as_list=False):
+    faces = None if delta is None else list(delta.maximal_faces)
+    want = NormalityReport(*reference_normality(a, faces, check_super))
+    got = normality_report(a, faces if as_list else delta, check_super)
+    assert got == want and repr(got) == repr(want), (a, faces)
+    return got
+
+
+def test_normality_report_matches_the_fiber_search_reference():
+    # the Hilbert-basis lookup against one cone LP per column and one fiber
+    # search per element, on the fixtures, the census matrices that reach a
+    # Hilbert basis (not the 7 x 12) and 200 random matrices
+    rng = random.Random(7)
+    for a, cost in DEGENERATE.values():
+        _assert_matches_reference(a, regular_subdivision(a, cost), a.n <= 6)
+    for rows, cost in [(EX1, EX1_COST), (EX3, None), (KNAPSACK, None), (NONNORMAL, None),
+                       (GFAMILY, GFAMILY_COST), (LONG_CHAIN, LONG_CHAIN_COST)]:
+        a = IntMatrix(rows)
+        _assert_matches_reference(a, None, True)
+        delta = _triangulated(a, rng) if cost is None else regular_subdivision(a, cost)
+        _assert_matches_reference(a, delta, True)
+        _assert_matches_reference(a, delta, False, as_list=True)
+    for rows in CENSUS_MATRICES[1:]:
+        a = IntMatrix(rows)
+        for _ in range(2):
+            delta = _triangulated(a, rng)
+            assert delta is not None
+            _assert_matches_reference(a, delta, False)
+    kinds = {_assert_matches_reference(a, delta, True).normal for a, delta in _random_matrices(200)}
+    assert kinds == {True, False}
 
 
 def test_not_pointed():

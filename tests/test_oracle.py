@@ -18,7 +18,7 @@ from test_stdpairs import REFERENCE_CASES
 
 from toricip import fibers, oracle
 from toricip.core import IntMatrix, kernel_lattice_basis
-from toricip.errors import BoundUnavailable, Degenerate, NotAFace, Unbounded
+from toricip.errors import BoundUnavailable, Degenerate, NotAFace, ParseError, Unbounded
 from toricip.linalg import dot
 from toricip.stdpairs import decomposition_for, initial_ideal
 from toricip.oracle import (
@@ -109,8 +109,19 @@ def test_is_standard_polytope_examples(knapsack_pipeline):
     assert is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), face(3))
     # the root is alone in its fiber (b = 2): only the cost cut may be dropped
     assert is_standard_polytope(a, KNAPSACK_COST, (1, 0, 0), ())
-    with pytest.raises(NotAFace):
-        is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), face(1))
+    for tau in (face(1), (1, 0)):  # well-formed, in any order, but not faces
+        with pytest.raises(NotAFace):
+            is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), tau)
+
+
+@pytest.mark.parametrize("tau", [(99,), (-1,), ("0",), (1, 1), (True,), (0.0,), (3,), (2.0,)])
+def test_is_standard_polytope_refuses_a_malformed_face(knapsack_pipeline, tau):
+    # the face goes through errors._face, as in build_relaxation; it used to be
+    # sorted by hand, so a malformed face raised NotAFace, or a ParseError from
+    # q_polytope when it compared equal to a face, as (2.0,) does to (2,)
+    a, _, _, _, _ = knapsack_pipeline
+    with pytest.raises(ParseError, match="distinct int indices"):
+        is_standard_polytope(a, KNAPSACK_COST, (0, 0, 0), tau)
 
 
 def test_width_examples():
@@ -340,7 +351,8 @@ def search_inputs(draw):
 @example(([(2, 2, 2)], [3, 3, 3], [[(1, 0), (0, 1)], [(1, 0), (0, 1)], None]))  # floors
 def test_root_search_matches_reference(inputs):
     thresholds, caps, drops = inputs
-    assert oracle._undominated(thresholds, caps) == reference_undominated(thresholds, caps)
+    zero_floor = [(0,) * len(caps)]
+    assert oracle._undominated(thresholds, caps, zero_floor) == reference_undominated(thresholds, caps)
     assert oracle._roots(thresholds, caps, drops) == reference_roots(thresholds, caps, drops)
 
 

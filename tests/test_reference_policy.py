@@ -1,10 +1,12 @@
-"""The Groebner reference's independence from the completion it checks, read off the source with ``ast``.
+"""The references' independence from the code they check, read off the source with ``ast``.
 
 ``tests/reference_groebner.py`` carries its own copy of the library's older
 completion.  From ``groebner`` it imports only the containers its answer is
 built in, ``Binomial`` and ``GroebnerBasis``, and ``positive_grading``, so a
-change to the library's completion cannot change the reference.  Every
-import counts, also one inside a function.
+change to the library's completion cannot change the reference.
+``tests/reference_normality.py`` imports only ``hilbert_basis`` from
+``hilbert``, so its normality tests are its own.  Every import counts, also
+one inside a function.
 """
 
 import ast
@@ -12,10 +14,11 @@ import ast
 from test_oracle_policy import TESTS, _imports, _imports_of
 
 ALLOWED = {"Binomial", "GroebnerBasis", "positive_grading"}
+NORMALITY_ALLOWED = {"hilbert_basis"}
 
 
-def _violations(imports):
-    return [(m, n) for m, n in imports if m == "groebner" and n not in ALLOWED]
+def _violations(imports, module="groebner", allowed=ALLOWED):
+    return [(m, n) for m, n in imports if m == module and n not in allowed]
 
 
 def test_groebner_reference_does_not_import_the_completion():
@@ -35,4 +38,23 @@ def test_the_scan_sees_every_form_of_import():
         ("groebner", "_RevlexSat"),
         ("groebner", None),
         ("groebner", None),
+    ]
+
+
+def test_normality_reference_imports_only_the_hilbert_basis():
+    imports = _imports_of(TESTS / "reference_normality.py")
+    assert ("hilbert", "hilbert_basis") in imports
+    assert ("fibers", "factor") in imports and ("linprog", "nonneg_feasible") in imports
+    assert _violations(imports, "hilbert", NORMALITY_ALLOWED) == []
+
+
+def test_the_scan_sees_every_import_from_hilbert():
+    src = ("from toricip.hilbert import hilbert_basis, _first_missing\n"
+           "def f():\n"
+           "    from toricip.hilbert import normality_report\n"
+           "    from toricip import hilbert\n")
+    assert _violations(_imports(ast.parse(src)), "hilbert", NORMALITY_ALLOWED) == [
+        ("hilbert", "_first_missing"),
+        ("hilbert", "normality_report"),
+        ("hilbert", None),
     ]
