@@ -14,7 +14,7 @@ from math import prod
 from . import linalg
 from .errors import BadIndex, RankDeficient, Record, UnboundedFamily, _integer
 from .fibers import Factorization, factor
-from .linprog import nonneg_feasible
+from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 
 
 class IntMatrix(Record):
@@ -63,6 +63,17 @@ class IntMatrix(Record):
 def kernel_meets_orthant(rows):
     """Whether rows x = 0 has a solution x >= 0, x != 0 (scaled to sum x = 1)."""
     return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
+
+
+def grading(cols):
+    """A rational y with y . g >= 1 for every column g, or None when there is none.
+
+    It exists iff cone(cols) is pointed (Gordan duality).  The LP minimizes
+    the sum of the y . g, so the answer is the same for the same columns.
+    """
+    total = [sum(g[i] for g in cols) for i in range(len(cols[0]))]
+    res = solve_lp(total, [[-v for v in g] for g in cols], [-1] * len(cols))
+    return res.x if res.status == OPTIMAL else None
 
 
 class LatticeBasis(Record):

@@ -29,10 +29,9 @@ from functools import lru_cache
 from itertools import count
 from operator import le, sub
 
-from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
+from .core import IntMatrix, LatticeBasis, grading, kernel_lattice_basis
 from .errors import Infeasible, ParseError, Record, int_vector
 from .linalg import clear_denominators, dot, lll_reduce
-from .linprog import OPTIMAL, solve_lp
 
 
 class CostOrder(Record):
@@ -175,18 +174,16 @@ def _interreduce(basis, order):
 
 
 def positive_grading(a: IntMatrix):
-    """An integer vector w = yA with all entries positive.
+    """An integer vector w = yA with all entries positive, y from :func:`core.grading`.
 
     Exists because the kernel of A misses the orthant (Gordan duality); makes
     every kernel binomial homogeneous, which the saturation passes rely on.
     """
-    n = a.n
-    # variables y in R^d: minimize sum_j (y . a_j) subject to y . a_j >= 1
-    neg_cols = [[-a.entries[i][j] for i in range(a.d)] for j in range(n)]
-    res = solve_lp([sum(row) for row in a.entries], neg_cols, [-1] * n)
-    if res.status != OPTIMAL:
+    cols = [a.column(j) for j in range(a.n)]
+    y = grading(cols)
+    if y is None:
         raise AssertionError("no positive grading; matrix invariants violated")
-    return tuple(clear_denominators([dot(res.x, a.column(j)) for j in range(n)])[0])
+    return tuple(clear_denominators([dot(y, g) for g in cols])[0])
 
 
 @lru_cache(maxsize=128)

@@ -12,16 +12,15 @@ entirely by Gomory relaxations; :func:`gomory_cost` carries out that
 construction and re-verifies its own postcondition before returning.
 
 Hilbert-basis candidates are the lattice points of the half-open
-parallelepipeds spanned by independent generators; they are found by writing
-each parallelepiped as an integer inequality system and handing it to the
-library's one lattice-point sweep (:func:`fibers.lattice_points_boxed`).
+parallelepipeds spanned by independent generators, one per coset of a
+lattice read off a column-Hermite form, with no elimination; minimality is
+tested in the degree order of a positive grading.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from .core import IntMatrix, kernel_lattice_basis, kernel_meets_orthant
+from .core import IntMatrix, grading, kernel_lattice_basis
 from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, _face, int_vector
-from .fibers import lattice_points_boxed
 from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
 from .linprog import OPTIMAL, nonneg_feasible, solve_lp
 
@@ -35,42 +34,35 @@ def _in_cone_of(gens, x):
     return nonneg_feasible([[g[i] for g in gens] for i in range(len(x))], x)
 
 
-def _pointed(gens):
-    return not kernel_meets_orthant([[g[i] for g in gens] for i in range(len(gens[0]))])
-
-
 def _parallelepiped_points(gens):
-    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1}, or [] when gens are dependent.
+    """Lattice points of {sum lam_t g_t : 0 <= lam_t < 1}, sorted; [] when gens are dependent.
 
-    One column-Hermite reduction gens U = [H | 0] gives both things needed:
-    gens are independent when every row pivots, and the trailing columns
-    of U span the left kernel {w : g . w = 0 for every g}.  With M
-    a nonsingular r x r minor of the generators on coordinates I,
-    lam = adj(M) x_I / det(M).  So the points are the integer x with
-    0 <= sign(det) adj_t . x_I <= |det| - 1 for every t, and, when r < d,
-    w . x = 0 for every w in the left kernel; the lattice-point sweep
-    enumerates them.
+    Let M be the first nonsingular r x r minor of the generators, on
+    coordinates I.  A point x is fixed by x_I = M lam, and the points' x_I
+    are one per coset of Z^r / M Z^r.  M's lower-triangular column-Hermite
+    form H spans the same lattice, so the vectors 0 <= y_t < |h_tt| are one
+    representative per coset.  The point of y has lam = (sign(det) adj(M) y
+    mod |det|) / |det|; when r < d it is a lattice point only when it is
+    also integral off I.  No inequality system is eliminated.
     """
     r = len(gens)
-    d = len(gens[0])
-    _, u, pivots = column_hermite(gens, d)
-    if None in pivots:
-        return []
-    for coords in combinations(range(d), r):
+    for coords in combinations(range(len(gens[0])), r):
         m = [[g[i] for g in gens] for i in coords]
         det = det_int(m)
         if det:
             break
-    sign = 1 if det > 0 else -1
-    rows = []
-    for adj_t in adjugate(m):
-        s = [0] * d
-        for ci, v in zip(coords, adj_t):
-            s[ci] = sign * v
-        rows += [(tuple(s), abs(det) - 1), (tuple(-v for v in s), 0)]
-    for w in zip(*(row[r:] for row in u)):
-        rows += [(w, 0), (tuple(-v for v in w), 0)]
-    return lattice_points_boxed(rows, d)
+    else:
+        return []
+    h, _, _ = column_hermite(m, r)
+    size = abs(det)
+    adj = [[v if det > 0 else -v for v in row] for row in adjugate(m)]
+    points = []
+    for y in product(*(range(abs(h[t][t])) for t in range(r))):
+        lam = [dot(row, y) % size for row in adj]
+        x = [dot(row, lam) for row in zip(*gens)]
+        if all(v % size == 0 for v in x):
+            points.append(tuple(v // size for v in x))
+    return sorted(points)
 
 
 def hilbert_basis(generators) -> HilbertBasis:
@@ -78,32 +70,28 @@ def hilbert_basis(generators) -> HilbertBasis:
 
     Candidates are the generators plus the parallelepiped points of every
     independent spanning subset (these generate the full point semigroup of
-    the cone); an element is kept iff subtracting any other candidate leaves
-    the cone.  Raises NotPointed when the cone contains a line.
+    the cone).  In increasing degree y . x for a positive grading y, x is
+    kept iff x - h leaves the cone for every h kept so far: a reducible x is
+    h + z with h a Hilbert-basis element of lower degree.  ``generators`` is
+    any iterable of vectors.  NotPointed when no grading exists (Gordan
+    duality): the cone contains a line.
     """
-    gens = [int_vector(g, len(generators[0]), "generator") for g in generators]
-    gens = [g for g in gens if any(g)]
+    gens = [tuple(g) for g in generators]
+    gens = [v for v in (int_vector(g, len(gens[0]), "generator") for g in gens) if any(v)]
     if not gens:
         return HilbertBasis((), ())
-    if not _pointed(gens):
+    y = grading(gens)
+    if y is None:
         raise NotPointed("cone contains a line")
     cands = set(gens)
     for sub in combinations(gens, rank(gens)):
         cands.update(_parallelepiped_points(sub))
     cands.discard(tuple([0] * len(gens[0])))
-    cands = sorted(cands)
     minimal = []
-    for x in cands:
-        reducible = False
-        for y in cands:
-            if y != x:
-                diff = tuple(a - b for a, b in zip(x, y))
-                if _in_cone_of(gens, diff):
-                    reducible = True
-                    break
-        if not reducible:
+    for x in sorted(cands, key=lambda x: (dot(y, x), x)):
+        if not any(_in_cone_of(gens, tuple(a - b for a, b in zip(x, h))) for h in minimal):
             minimal.append(x)
-    return HilbertBasis(tuple(minimal), tuple(gens))
+    return HilbertBasis(tuple(sorted(minimal)), tuple(gens))
 
 
 class NormalityReport(Record):

@@ -39,7 +39,8 @@ NAMED_ROOTS = "tests/test_oracle.py::test_face_roots_match_reference_on_named_ca
 MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_errors"
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
 RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
-SUBSETS = "tests/test_hilbert.py::test_hilbert_basis_reduces_each_subset_once"
+HILBERT_REFERENCE = "tests/test_hilbert.py::test_hilbert_basis_matches_the_all_subsets_reference"
+PARALLELEPIPED = "tests/test_enum.py::test_parallelepiped_named"
 SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
 NORMALITY_REFERENCE = ("tests/test_hilbert.py::"
@@ -109,8 +110,15 @@ MUTANTS = {
     "rank-counts-unpivoted-rows": (
         LINALG, "    return len(pivots) - pivots.count(None)", "    return len(pivots)",
         [RANK_INDEX, RANK_DEFICIENT]),
-    "hilbert-keeps-dependent-subsets": (
-        HILBERT, "    if None in pivots:\n        return []\n", "", [SUBSETS]),
+    "parallelepiped-integrality-off-the-minor-dropped": (
+        HILBERT, "        if all(v % size == 0 for v in x):\n", "        if True:\n",
+        [PARALLELEPIPED, HILBERT_REFERENCE]),
+    "hilbert-candidates-in-lex-order": (
+        HILBERT, "sorted(cands, key=lambda x: (dot(y, x), x))", "sorted(cands)",
+        [HILBERT_REFERENCE]),
+    "parallelepiped-cosets-from-the-first-pivot": (
+        HILBERT, "range(abs(h[t][t])) for t in range(r)", "range(abs(h[0][0])) for t in range(r)",
+        [PARALLELEPIPED, HILBERT_REFERENCE]),
     "saturation-check-removed": (
         CORE, "    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):",
         "    if False:", [SATURATED]),

@@ -12,7 +12,8 @@ sweep equal to them:
   the maximum of that coordinate over the slice, each found by an LP;
 - ``reference_recession_trivial``: 2·dim LPs, one per signed unit direction;
 - ``reference_parallelepiped_points``: the corner box of the parallelepiped,
-  keeping a point when its exact coordinates in the generators lie in [0, 1).
+  keeping a point when its exact coordinates in the generators, from one
+  Gauss-Jordan pass, lie in [0, 1).
 - ``reference_fiber``: the fiber {x in N^n : A x = b} walked one coordinate
   of x at a time, with integer bounds when A has no negative entry and one
   LP bound per prefix otherwise.
@@ -25,7 +26,7 @@ from itertools import combinations, product
 from reference_linalg import dot
 
 from toricip.errors import Unbounded
-from toricip.linalg import det_int, solve_exact
+from toricip.linalg import det_int
 from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -111,20 +112,36 @@ def reference_recession_trivial(normals, dim):
 
 
 def reference_parallelepiped_points(gens):
-    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens."""
+    """Lattice points of {sum lam_i g_i : 0 <= lam_i < 1} for independent gens.
+
+    One Fraction Gauss-Jordan pass over [G | I] gives rows p_t with
+    lam_t = p_t . x on span(G), and rows k with k . x = 0 exactly on
+    span(G).  Cleared of denominators, they test each point of the corner
+    box in integers.
+    """
     r = len(gens)
     d = len(gens[0])
+    aug = [[Fraction(g[i]) for g in gens] + [Fraction(int(i == j)) for j in range(d)]
+           for i in range(d)]
+    for col in range(r):
+        piv = next(i for i in range(col, d) if aug[i][col] != 0)
+        row = aug.pop(piv)
+        aug.insert(col, [v / row[col] for v in row])
+        for i in range(d):
+            if i != col and aug[i][col] != 0:
+                aug[i] = [a - aug[i][col] * b for a, b in zip(aug[i], aug[col])]
+    scale = math.lcm(*(v.denominator for row in aug for v in row[r:]))
+    ints = [[int(v * scale) for v in row[r:]] for row in aug]
     corners = [
         tuple(sum(gens[t][i] for t in range(r) if mask >> t & 1) for i in range(d))
         for mask in range(1 << r)
     ]
     lo = [min(c[i] for c in corners) for i in range(d)]
     hi = [max(c[i] for c in corners) for i in range(d)]
-    cols = [[g[i] for g in gens] for i in range(d)]
     out = []
     for x in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        lam = solve_exact(cols, x)
-        if lam is not None and all(0 <= v < 1 for v in lam):
+        if (all(0 <= dot(p, x) < scale for p in ints[:r])
+                and not any(dot(k, x) for k in ints[r:])):
             out.append(tuple(x))
     return out
 

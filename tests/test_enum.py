@@ -1,8 +1,9 @@
-"""The Fourier-Motzkin lattice-point sweep against the naive references.
+"""The library's lattice-point enumerators against the naive references.
 
 ``oracle.lattice_points_boxed`` is the only enumerator of {s . z <= o} in
-the library; ``oracle._recession_trivial`` and ``hilbert._parallelepiped_points``
-are built on its elimination.  Each must give exactly what the test-only
+the library, and ``oracle._recession_trivial`` is built on its elimination.
+``hilbert._parallelepiped_points`` eliminates nothing: it reads one point per
+coset off a column-Hermite form.  Each must give exactly what the test-only
 versions in ``reference_enum`` give: the same points in the same order, and
 the same boundedness verdicts.
 """

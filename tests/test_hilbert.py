@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,17 @@ from conftest import (
     face,
     make_instance,
 )
+from reference_hilbert import reference_hilbert_basis
 from reference_normality import reference_normality
 
 from toricip import fibers, hilbert
-from toricip.core import IntMatrix, kernel_lattice_basis
+from toricip.core import IntMatrix, face_determinant, kernel_lattice_basis
 from toricip.errors import DomainError, NotDeltaNormal, NotPointed, NotRegular
 from toricip.fibers import factor
 from toricip.linalg import dot
 from toricip.linprog import nonneg_feasible
 from toricip.hilbert import (
+    HilbertBasis,
     NormalityReport,
     gomory_cost,
     hilbert_basis,
@@ -68,23 +71,73 @@ def test_hilbert_basis_examples():
     assert set(hilbert_basis([(1, 0), (1, 1)]).elements) == {(1, 0), (1, 1)}
 
 
-def test_hilbert_basis_reduces_each_subset_once(monkeypatch):
-    # one column-Hermite reduction per 3-subset tells whether it is independent;
-    # only the independent ones reach the lattice-point sweep
-    from toricip import hilbert
-
-    calls = dict.fromkeys(["column_hermite", "lattice_points_boxed"], 0)
-    for name in calls:
-        def counted(*args, _real=getattr(hilbert, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(hilbert, name, counted)
+def test_hilbert_basis_plans_no_elimination(monkeypatch):
+    # parallelepiped points come from Hermite cosets, not from a Fourier-Motzkin
+    # plan, and each candidate is tested only against the elements kept before it
+    plans, cone_tests = [], []
+    real_plan, real_in_cone = fibers.Elimination._plan, hilbert._in_cone_of
+    monkeypatch.setattr(fibers.Elimination, "_plan",
+                        lambda self: plans.append(self) or real_plan(self))
+    monkeypatch.setattr(hilbert, "_in_cone_of",
+                        lambda gens, x: cone_tests.append(x) or real_in_cone(gens, x))
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     assert hilbert_basis(gens).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    # 20 subsets; 4 lie in a plane: e1 e2 (1,1,0), e1 e3 (1,0,1),
-    # e3 (1,1,0) (1,1,1) and e2 (1,0,1) (1,1,1)
-    assert calls == {"column_hermite": 20, "lattice_points_boxed": 16}
+    cone_tests.clear()
+    # the orthant again, from 6 columns: one cone test per ordered pair of candidates made 1,009
+    assert hilbert_basis(list(zip(*LONG_CHAIN))).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert plans == [] and len(cone_tests) <= 225
     assert hilbert._parallelepiped_points([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == []
+
+
+def test_hilbert_basis_reads_any_iterable_of_generators():
+    want = hilbert_basis([(1, 0), (0, 1)])
+    assert hilbert_basis(iter([(1, 0), (0, 1)])) == want
+    assert hilbert_basis(iter(v) for v in ((1, 0), (0, 1))) == want
+    assert hilbert_basis(map(list, ((1, 0), (0, 1)))) == want
+    assert hilbert_basis(iter([])) == hilbert_basis([]) == HilbertBasis((), ())
+
+
+def _verdict(call):
+    """repr of the HilbertBasis ``call()`` returns, or "NotPointed"."""
+    try:
+        return repr(call())
+    except NotPointed:
+        return "NotPointed"
+
+
+def _assert_hilbert_matches_reference(gens):
+    got = _verdict(lambda: hilbert_basis(gens))
+    assert got == _verdict(lambda: HilbertBasis(*reference_hilbert_basis(gens))), gens
+    return got
+
+
+# rank-deficient and lower-dimensional generator sets, one with a line
+LOWER_DIMENSIONAL = [
+    [(2, 4)],
+    [(1, 0, 1), (0, 2, 1)],
+    [(1, 0, 2), (0, 1, 1), (1, 1, 3), (2, 1, 5)],
+    [(1, 1, 0), (2, 2, 0), (1, 0, 0), (0, 0, 0)],
+    [(3, 0, 0, 1), (0, 2, 2, 0), (3, 2, 2, 1)],
+    [(2, 1, 0, 0), (1, 2, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0)],
+    [(1, 2, 3), (-1, -2, -3), (0, 1, 0)],
+]
+
+
+def test_hilbert_basis_matches_the_all_subsets_reference():
+    # cosets and the grading order against the corner-box sweep of every rank
+    # subset and one cone LP per ordered pair of candidates: the fixtures,
+    # census 4 x 7 and 4 x 8, lower-dimensional sets and 240 random sets
+    for rows in [EX1, EX3, KNAPSACK, NONNORMAL, GFAMILY, LONG_CHAIN, *CENSUS_MATRICES[1:]]:
+        assert _assert_hilbert_matches_reference(list(zip(*rows))) != "NotPointed"
+    assert [_assert_hilbert_matches_reference(g) == "NotPointed"
+            for g in LOWER_DIMENSIONAL] == [False] * 6 + [True]
+    rng = random.Random(26)
+    verdicts = []
+    for _ in range(240):
+        d = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-1, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        verdicts.append(_assert_hilbert_matches_reference(gens) == "NotPointed")
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_hilbert_basis_is_minimal_and_generating():
@@ -194,6 +247,37 @@ def test_normality_report_matches_the_fiber_search_reference():
             _assert_matches_reference(a, delta, False)
     kinds = {_assert_matches_reference(a, delta, True).normal for a, delta in _random_matrices(200)}
     assert kinds == {True, False}
+
+
+# the first five generic costs with a triangulation that random.Random(4242)
+# draws for census 7 x 12, as the census check of the acceptance suite draws them
+CENSUS7X12_COSTS = (
+    (55, 60, 26, 8, 1, 39, 24, 24, 20, 17, 11, 32),
+    (31, 1, 52, 30, 10, 9, 36, 48, 43, 30, 7, 1),
+    (8, 32, 9, 11, 21, 7, 10, 45, 15, 55, 44, 36),
+    (42, 40, 14, 58, 28, 3, 58, 17, 21, 0, 20, 57),
+    (10, 33, 21, 43, 22, 38, 25, 25, 20, 47, 19, 50),
+)
+
+
+def test_census7x12_is_normal_and_delta_normal():
+    # each cost's triangulation has 22 unimodular cells, so every cell's
+    # columns are its Hilbert basis and they cover the cone: the columns
+    # are its Hilbert basis too.  One Fourier-Motzkin system per 7-column
+    # subset ran out of memory here.
+    a = IntMatrix(CENSUS_MATRICES[0])
+    cols = [a.column(j) for j in range(a.n)]
+    cells = []
+    for cost in CENSUS7X12_COSTS:
+        delta = regular_subdivision(a, cost)
+        assert len(delta.maximal_faces) == 22
+        assert all(face_determinant(a, f) == 1 for f in delta.maximal_faces)
+        cells += delta.maximal_faces
+    start = time.process_time()
+    rep = normality_report(a, cells)
+    assert rep.normal and rep.delta_normal and len(rep.per_face) == 110
+    assert hilbert_basis(cols).elements == tuple(sorted(cols))
+    assert time.process_time() - start < 5  # about 1.1 CPU s on one 2-CPU host
 
 
 def test_not_pointed():

@@ -5,8 +5,10 @@ completion.  From ``groebner`` it imports only the containers its answer is
 built in, ``Binomial`` and ``GroebnerBasis``, and ``positive_grading``, so a
 change to the library's completion cannot change the reference.
 ``tests/reference_normality.py`` imports only ``hilbert_basis`` from
-``hilbert``, so its normality tests are its own.  Every import counts, also
-one inside a function.
+``hilbert``, so its normality tests are its own.
+``tests/reference_hilbert.py`` and the parallelepiped sweep it reads
+(``tests/reference_enum.py``) import nothing from ``hilbert``, so its Hilbert
+bases are its own.  Every import counts, also one inside a function.
 """
 
 import ast
@@ -58,3 +60,10 @@ def test_the_scan_sees_every_import_from_hilbert():
         ("hilbert", "normality_report"),
         ("hilbert", None),
     ]
+
+
+def test_hilbert_reference_imports_nothing_from_hilbert():
+    imports = _imports_of(TESTS / "reference_hilbert.py")
+    assert ("linprog", "nonneg_feasible") in imports  # the scan sees the reference's imports
+    assert _violations(imports, "hilbert", set()) == []
+    assert _violations(_imports_of(TESTS / "reference_enum.py"), "hilbert", set()) == []
