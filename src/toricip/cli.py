@@ -172,9 +172,8 @@ def cmd_gomory(args):
 
 def cmd_hilbert(args):
     from . import hilbert
-    mat = fileio.read_matrix(args.generators)
-    gens = [mat.column(j) for j in range(mat.n)]
-    basis = hilbert.hilbert_basis(gens)
+    rows, _ = fileio.read_raw_matrix(args.generators)  # hilbert_basis checks each column
+    basis = hilbert.hilbert_basis(zip(*rows))
     _emit(args, {"basis": [list(h) for h in basis.elements]})
 
 

@@ -11,18 +11,18 @@ triangulation yields, constructively, a generic cost whose family is solved
 entirely by Gomory relaxations; :func:`gomory_cost` carries out that
 construction and re-verifies its own postcondition before returning.
 
-Hilbert-basis candidates are the lattice points of the half-open
-parallelepipeds spanned by independent generators, one per coset of a
-lattice read off a column-Hermite form, with no elimination; minimality is
-tested in the degree order of a positive grading.
+Hilbert-basis candidates are the parallelepiped points of the simplices of one
+triangulation, one per coset read off a column-Hermite form; minimality is tested in
+grading order, and cone membership by the signs of the simplices' integer adjugates.
 """
 
 from itertools import combinations, product
 
 from .core import IntMatrix, grading, kernel_lattice_basis
 from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, _face, int_vector
-from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot, rank
-from .linprog import OPTIMAL, nonneg_feasible, solve_lp
+from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot
+from .linprog import OPTIMAL, solve_lp
+from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
 
 class HilbertBasis(Record):
@@ -30,29 +30,19 @@ class HilbertBasis(Record):
     generators: tuple
 
 
-def _in_cone_of(gens, x):
-    return nonneg_feasible([[g[i] for g in gens] for i in range(len(x))], x)
+def _parallelepiped_points(gens, coords):
+    """Lattice points of {sum lam_t g_t : 0 <= lam_t < 1}, sorted.
 
-
-def _parallelepiped_points(gens):
-    """Lattice points of {sum lam_t g_t : 0 <= lam_t < 1}, sorted; [] when gens are dependent.
-
-    Let M be the first nonsingular r x r minor of the generators, on
-    coordinates I.  A point x is fixed by x_I = M lam, and the points' x_I
-    are one per coset of Z^r / M Z^r.  M's lower-triangular column-Hermite
-    form H spans the same lattice, so the vectors 0 <= y_t < |h_tt| are one
-    representative per coset.  The point of y has lam = (sign(det) adj(M) y
-    mod |det|) / |det|; when r < d it is a lattice point only when it is
-    also integral off I.  No inequality system is eliminated.
+    The r generators form a nonsingular minor M on the coordinates I =
+    ``coords``.  A point x is fixed by x_I = M lam, and the points' x_I are
+    one per coset of Z^r / M Z^r, represented by the vectors 0 <= y_t < |h_tt|
+    of M's lower-triangular column-Hermite form H.  The point of y has
+    lam = (sign(det) adj(M) y mod |det|) / |det|; when r < d it is a lattice
+    point only when it is also integral off I.
     """
     r = len(gens)
-    for coords in combinations(range(len(gens[0])), r):
-        m = [[g[i] for g in gens] for i in coords]
-        det = det_int(m)
-        if det:
-            break
-    else:
-        return []
+    m = [[g[i] for g in gens] for i in coords]
+    det = det_int(m)
     h, _, _ = column_hermite(m, r)
     size = abs(det)
     adj = [[v if det > 0 else -v for v in row] for row in adjugate(m)]
@@ -68,13 +58,13 @@ def _parallelepiped_points(gens):
 def hilbert_basis(generators) -> HilbertBasis:
     """The minimal Hilbert basis of cone(generators) in Z^d.
 
-    Candidates are the generators plus the parallelepiped points of every
-    independent spanning subset (these generate the full point semigroup of
-    the cone).  In increasing degree y . x for a positive grading y, x is
-    kept iff x - h leaves the cone for every h kept so far: a reducible x is
-    h + z with h a Hilbert-basis element of lower degree.  ``generators`` is
-    any iterable of vectors.  NotPointed when no grading exists (Gordan
-    duality): the cone contains a line.
+    Candidates are the generators and the parallelepiped points of the
+    simplices of one triangulation, which generate the cone's point semigroup.
+    In increasing degree y . x for a positive grading y, x is kept iff x - h
+    leaves the cone for every h kept so far: a reducible x is h + z with h a
+    Hilbert-basis element of lower degree.  ``generators`` is any iterable of
+    vectors.  NotPointed when no grading exists (Gordan duality): the cone
+    contains a line.
     """
     gens = [tuple(g) for g in generators]
     gens = [v for v in (int_vector(g, len(gens[0]), "generator") for g in gens) if any(v)]
@@ -83,13 +73,22 @@ def hilbert_basis(generators) -> HilbertBasis:
     y = grading(gens)
     if y is None:
         raise NotPointed("cone contains a line")
+    # on their pivot rows the generators keep their rank: m has full row rank and a pointed
+    # cone, so y = 0 is the only vertex of {y : y m <= 0} and cost 0 gives one cell
+    keep = [i for i, p in enumerate(column_hermite(zip(*gens), len(gens))[2]) if p is not None]
+    m = IntMatrix([[g[i] for g in gens] for i in keep])
+    delta0 = RegularSubdivision(m, (0,) * m.n, (tuple(range(m.n)),), ((0,) * m.d,), m.n == m.d)
+    cells = lex_refinement(delta0).simplex_inverses
     cands = set(gens)
-    for sub in combinations(gens, rank(gens)):
-        cands.update(_parallelepiped_points(sub))
+    for sigma, _, _ in cells:
+        cands.update(_parallelepiped_points([gens[j] for j in sigma], keep))
     cands.discard(tuple([0] * len(gens[0])))
     minimal = []
     for x in sorted(cands, key=lambda x: (dot(y, x), x)):
-        if not any(_in_cone_of(gens, tuple(a - b for a, b in zip(x, h))) for h in minimal):
+        # x - h is in the cone iff its coordinates in some simplex are all >= 0
+        diffs = ([x[i] - h[i] for i in keep] for h in minimal)
+        if not any(all(sign * dot(row, v) >= 0 for row in adj) for v in diffs
+                   for _, adj, sign in cells):
             minimal.append(x)
     return HilbertBasis(tuple(sorted(minimal)), tuple(gens))
 
@@ -224,7 +223,6 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     """
     # the pipeline modules load here, so the Hilbert-basis commands skip them
     from .stdpairs import StandardPair
-    from .triangulation import regular_subdivision
     faces = tuple(_face(f, a.n) for f in faces)
     cprime = _certificate_cost(a, faces)
     sub0 = regular_subdivision(a, cprime)
@@ -248,7 +246,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     for face in faces:
         gens = [a.column(j) for j in face]
         roots = []
-        for b in _parallelepiped_points(gens):
+        for b in _parallelepiped_points(gens, range(a.d)):
             opt = min(fac.points(b), key=sym_key, default=None)
             if opt is None:
                 raise NotDeltaNormal(f"residue {b} has an empty fiber")
@@ -270,7 +268,6 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
 def _certify(a, cand, faces, expected):
     from .groebner import CostOrder, toric_groebner
     from .stdpairs import initial_ideal, is_gomory_family, standard_pair_decomposition
-    from .triangulation import regular_subdivision
     sub = regular_subdivision(a, cand)
     if not sub.is_triangulation or set(sub.maximal_faces) != set(faces):
         return False

@@ -9,6 +9,7 @@ cell is a d-simplex; the result carries that flag instead of raising, and
 non-generic inputs are never silently perturbed.
 """
 
+from bisect import bisect
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -148,22 +149,24 @@ def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
     A nonsingular d-subset sigma of a cell C is a simplex when, for each j in
     C - sigma, the first nonzero entry of (A_sigma^{-1} a_j on sigma, -1 at j)
     is negative, so a_j lifts above sigma.  Columns off C stay strictly slack.
+    The signs are read off integer determinants by Cramer's rule.
     """
     a = delta.matrix
     simplices = {}
     for cell, y in zip(delta.maximal_faces, delta.certificates):
         for sigma in combinations(cell, a.d):
-            sub = a.columns(sigma)
-            if linalg.det_int(sub) and all(
-                    _lifted_above(sigma, linalg.solve_exact(sub, a.column(j)), j)
-                    for j in cell if j not in sigma):
+            det = linalg.det_int(a.columns(sigma))
+            if det and all(_lifted_above(a, sigma, j, det) for j in cell if j not in sigma):
                 simplices[sigma] = y
     faces = sorted(simplices)
     return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
 
 
-def _lifted_above(sigma, lam, j):
-    return next(v for _, v in sorted([*zip(sigma, lam), (j, -1)]) if v) < 0
+def _lifted_above(a, sigma, j, det):
+    for k in range(bisect(sigma, j)):  # det * lam_k by Cramer's rule; the -1 at j comes after
+        if v := linalg.det_int(a.columns(sigma[:k] + (j,) + sigma[k + 1:])):
+            return v * det < 0
+    return True
 
 
 def optimal_face(delta: RegularSubdivision, b):

@@ -40,6 +40,7 @@ MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_err
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
 RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 HILBERT_REFERENCE = "tests/test_hilbert.py::test_hilbert_basis_matches_the_all_subsets_reference"
+DEGREE_ORDER = "tests/test_hilbert.py::test_hilbert_basis_tests_candidates_in_degree_order"
 PARALLELEPIPED = "tests/test_enum.py::test_parallelepiped_named"
 SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
@@ -56,6 +57,7 @@ NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative
 ORDER_COST = "tests/test_groebner.py::test_a_malformed_order_cost_is_named"
 ORDER_ITERABLE = "tests/test_groebner.py::test_an_order_built_from_any_iterable_is_equal"
 STANDARD_FACE = "tests/test_oracle.py::test_is_standard_polytope_refuses_a_malformed_face"
+LEX_SEARCH = "tests/test_triangulation.py::test_lex_refinement_matches_integer_cost_search"
 NOT_TRIANGULATION = ("tests/test_triangulation.py::"
                      "test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation")
 
@@ -115,10 +117,17 @@ MUTANTS = {
         [PARALLELEPIPED, HILBERT_REFERENCE]),
     "hilbert-candidates-in-lex-order": (
         HILBERT, "sorted(cands, key=lambda x: (dot(y, x), x))", "sorted(cands)",
-        [HILBERT_REFERENCE]),
+        [HILBERT_REFERENCE, DEGREE_ORDER]),
     "parallelepiped-cosets-from-the-first-pivot": (
         HILBERT, "range(abs(h[t][t])) for t in range(r)", "range(abs(h[0][0])) for t in range(r)",
         [PARALLELEPIPED, HILBERT_REFERENCE]),
+    "hilbert-cone-test-strict": (
+        HILBERT, "sign * dot(row, v) >= 0", "sign * dot(row, v) > 0", [HILBERT_REFERENCE]),
+    "hilbert-first-simplex-only": (
+        HILBERT, "lex_refinement(delta0).simplex_inverses\n",
+        "lex_refinement(delta0).simplex_inverses[:1]\n", [HILBERT_REFERENCE]),
+    "lex-sign-drops-the-determinant": (
+        TRIANGULATION, "return v * det < 0", "return v < 0", [LEX_SEARCH, HILBERT_REFERENCE]),
     "saturation-check-removed": (
         CORE, "    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):",
         "    if False:", [SATURATED]),

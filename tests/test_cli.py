@@ -147,6 +147,19 @@ def test_hilbert_and_sharp_and_points(capsys, fixtures, tmp_path):
     assert doc["optimum"] == [0, 2, 0] and len(doc["fiber"]) == 3
 
 
+@pytest.mark.parametrize("text, code, expected", [
+    ("1 2\n1 -1\n", 1, {"error": {"kind": "not_pointed", "message": "cone contains a line"}}),
+    ("2 1\n1\n1\n", 0, {"basis": [[1, 1]]}),  # rank 1 in the plane
+    ("0 0\n", 0, {"basis": []}),  # the zero cone
+])
+def test_hilbert_reads_generators_that_are_not_an_int_matrix(capsys, tmp_path, text, code, expected):
+    # the generators need not have full row rank; a line is reported as such
+    gen = tmp_path / "g.mat"
+    gen.write_text(text)
+    got, out = run(capsys, ["hilbert", "--generators", str(gen)])
+    assert (got, json.loads(out)) == (code, expected)
+
+
 def test_oracle_points_with_no_rows_in_the_plane_is_unbounded(capsys, tmp_path):
     # no rows in Z^2: every point is feasible
     plane = tmp_path / "plane.mat"

@@ -2,10 +2,11 @@
 
 ``oracle.lattice_points_boxed`` is the only enumerator of {s . z <= o} in
 the library, and ``oracle._recession_trivial`` is built on its elimination.
-``hilbert._parallelepiped_points`` eliminates nothing: it reads one point per
-coset off a column-Hermite form.  Each must give exactly what the test-only
-versions in ``reference_enum`` give: the same points in the same order, and
-the same boundedness verdicts.
+``hilbert._parallelepiped_points`` eliminates nothing: given coordinates on
+which the generators are nonsingular, it reads one point per coset off a
+column-Hermite form.  Each must give exactly what the test-only versions in
+``reference_enum`` give: the same points in the same order, and the same
+boundedness verdicts.
 """
 
 import random
@@ -133,16 +134,32 @@ def test_unbounded_raises_through_enumerate():
         lattice_points_boxed(slab.rows, 2)
 
 
-@pytest.mark.parametrize("gens", [
-    [(1, 1), (0, 4)],                   # r = d
-    [(2, 0, 1), (0, 3, 1), (1, 1, 5)],  # r = d, det = 25
-    [(3, 1), (1, -2)],                  # det = -7
-    [(2, 4)],                           # r < d: a segment
-    [(1, 0, 1), (0, 2, 1)],             # r < d in Z^3
-    [(3, 0, 0, 1), (0, 2, 2, 0)],       # r < d in Z^4
-])
-def test_parallelepiped_named(gens):
-    assert _parallelepiped_points(gens) == reference_parallelepiped_points(gens)
+# generators and coordinates on which they are nonsingular
+NAMED_PARALLELEPIPEDS = [
+    ([(1, 1), (0, 4)], (0, 1)),                      # r = d
+    ([(2, 0, 1), (0, 3, 1), (1, 1, 5)], (0, 1, 2)),  # r = d, det = 25
+    ([(3, 1), (1, -2)], (0, 1)),                     # det = -7
+    ([(2, 4)], (0,)),                                # r < d: a segment
+    ([(1, 0, 1), (0, 2, 1)], (0, 1)),                # r < d in Z^3
+    ([(3, 0, 0, 1), (0, 2, 2, 0)], (0, 1)),          # r < d in Z^4
+    ([(2, 4)], (1,)),                                # the segment, read on its other coordinate
+    ([(1, 0, 1), (0, 2, 1)], (1, 2)),                # det = -2 on the last two coordinates
+]
+
+
+@pytest.mark.parametrize("gens, coords", NAMED_PARALLELEPIPEDS,
+                         ids=[f"gens{i}" for i in range(len(NAMED_PARALLELEPIPEDS))])
+def test_parallelepiped_named(gens, coords):
+    assert _parallelepiped_points(gens, coords) == reference_parallelepiped_points(gens)
+
+
+def _rank_rows(gens):
+    """The first coordinates on which the generators keep their rank, chosen greedily."""
+    coords = []
+    for i in range(len(gens[0])):
+        if rank([[g[k] for g in gens] for k in [*coords, i]]) > len(coords):
+            coords.append(i)
+    return coords
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -155,5 +172,6 @@ def test_parallelepiped_seeded(seed):
         gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(r)]
         if rank(gens) < r:
             continue
-        assert _parallelepiped_points(gens) == reference_parallelepiped_points(gens)
+        got = _parallelepiped_points(gens, _rank_rows(gens))
+        assert got == reference_parallelepiped_points(gens)
         done += 1

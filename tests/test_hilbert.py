@@ -22,7 +22,7 @@ from conftest import (
 from reference_hilbert import reference_hilbert_basis
 from reference_normality import reference_normality
 
-from toricip import fibers, hilbert
+from toricip import fibers, hilbert, linprog
 from toricip.core import IntMatrix, face_determinant, kernel_lattice_basis
 from toricip.errors import DomainError, NotDeltaNormal, NotPointed, NotRegular
 from toricip.fibers import factor
@@ -71,22 +71,39 @@ def test_hilbert_basis_examples():
     assert set(hilbert_basis([(1, 0), (1, 1)]).elements) == {(1, 0), (1, 1)}
 
 
-def test_hilbert_basis_plans_no_elimination(monkeypatch):
+def _counted_lps(monkeypatch):
+    """Count every solve_lp and nonneg_feasible call the library makes."""
+    calls = []
+    for name in ("solve_lp", "nonneg_feasible"):
+        real = getattr(linprog, name)
+
+        def counted(*args, real=real):
+            calls.append(real)
+            return real(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("toricip") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hilbert_basis_runs_two_lps(monkeypatch):
     # parallelepiped points come from Hermite cosets, not from a Fourier-Motzkin
-    # plan, and each candidate is tested only against the elements kept before it
-    plans, cone_tests = [], []
-    real_plan, real_in_cone = fibers.Elimination._plan, hilbert._in_cone_of
+    # plan, and cone membership from the simplices' adjugates: the only LPs are
+    # the grading and the validation of the generators as an IntMatrix.  One
+    # cone LP per test against a kept element made 226 on LONG_CHAIN and 39 on
+    # census 4 x 8.
+    plans = []
+    real_plan = fibers.Elimination._plan
     monkeypatch.setattr(fibers.Elimination, "_plan",
                         lambda self: plans.append(self) or real_plan(self))
-    monkeypatch.setattr(hilbert, "_in_cone_of",
-                        lambda gens, x: cone_tests.append(x) or real_in_cone(gens, x))
-    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
-    assert hilbert_basis(gens).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    cone_tests.clear()
-    # the orthant again, from 6 columns: one cone test per ordered pair of candidates made 1,009
-    assert hilbert_basis(list(zip(*LONG_CHAIN))).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    assert plans == [] and len(cone_tests) <= 225
-    assert hilbert._parallelepiped_points([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == []
+    calls = _counted_lps(monkeypatch)
+    orthant = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert hilbert_basis(list(zip(*LONG_CHAIN))).elements == orthant
+    assert len(calls) == 2
+    calls.clear()
+    assert hilbert_basis(list(zip(*CENSUS_MATRICES[1]))).elements
+    assert len(calls) == 2 and plans == []
 
 
 def test_hilbert_basis_reads_any_iterable_of_generators():
@@ -140,16 +157,38 @@ def test_hilbert_basis_matches_the_all_subsets_reference():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_hilbert_basis_is_minimal_and_generating():
-    from toricip.hilbert import _in_cone_of
+def test_hilbert_basis_tests_candidates_in_degree_order():
+    # (-2, 4, 1) = 4 (-1, 0, 0) + (0, 2, 1) + 2 (1, 1, 0) comes first in lex
+    # order, before any element that reduces it is kept
+    gens = [(-1, 0, 0), (-1, 3, 2), (-1, 3, 0), (3, 2, 0)]
+    want = ((-1, 0, 0), (-1, 3, 2), (0, 2, 1), (1, 1, 0), (3, 2, 0))
+    assert _assert_hilbert_matches_reference(gens) == repr(HilbertBasis(want, tuple(gens)))
 
+
+def test_hilbert_basis_refines_the_cost_zero_subdivision(monkeypatch):
+    # the one cell with certificate 0, built by hand, is what the scan of
+    # every nonsingular subset finds at cost 0
+    seen = []
+    real = hilbert.lex_refinement
+    monkeypatch.setattr(hilbert, "lex_refinement", lambda delta: seen.append(delta) or real(delta))
+    for rows in [EX1, EX3, KNAPSACK, NONNORMAL, GFAMILY, LONG_CHAIN, *CENSUS_MATRICES]:
+        hilbert_basis(list(zip(*rows)))
+        a = IntMatrix(rows)
+        assert seen.pop() == regular_subdivision(a, (0,) * a.n)
+    for gens in LOWER_DIMENSIONAL[:-1]:
+        hilbert_basis(gens)
+        delta = seen.pop()
+        assert delta == regular_subdivision(delta.matrix, (0,) * delta.matrix.n)
+
+
+def test_hilbert_basis_is_minimal_and_generating():
     gens = [(2, 1), (1, 3)]
     hb = hilbert_basis(gens).elements
     # generating: every small cone point is a combination of basis elements
     semigroup = factor(list(zip(*hb)))
     for x in range(5):
         for y in range(5):
-            if _in_cone_of(gens, (x, y)):
+            if nonneg_feasible(list(zip(*gens)), (x, y)):
                 assert semigroup.first((x, y)) is not None
     # minimal: no element is a combination of the others
     for i, h in enumerate(hb):

@@ -15,6 +15,7 @@ from conftest import (
 from reference_refinement import lex_realizing_cost
 from reference_solve import in_cone, reference_optimal_face, reference_reduced_cost
 
+from toricip import linalg
 from toricip.core import IntMatrix, face_determinant, gcd_maximal_minors
 from toricip.errors import Degenerate, DomainError, NotAFace, OutsideCone, ParseError
 from toricip.groebner import CostOrder, toric_groebner
@@ -278,6 +279,23 @@ def test_lex_refinement_splits_the_zero_cost_cell():
     # a triangulation is its own refinement
     tri = regular_subdivision(IntMatrix(EX1), EX1_COST)
     assert lex_refinement(tri).maximal_faces == tri.maximal_faces
+
+
+def test_lex_refinement_solves_no_rational_system(monkeypatch):
+    # the lex signs are read off integer determinants by Cramer's rule
+    deltas = {name: regular_subdivision(a, c) for name, (a, c) in DEGENERATE.items()}
+
+    def refused(rows, rhs):
+        raise AssertionError("lex_refinement called solve_exact")
+
+    monkeypatch.setattr(linalg, "solve_exact", refused)
+    assert faces_1based(lex_refinement(deltas["ex1-zero"]).maximal_faces) == [(1, 2), (2, 3), (3, 4)]
+    for delta in deltas.values():
+        refined = lex_refinement(delta)
+        assert refined.is_triangulation
+        for sigma, y in zip(refined.maximal_faces, refined.certificates):
+            assert linalg.det_int(delta.matrix.columns(sigma))
+            assert any(set(sigma) <= set(f) and y == delta.certificate(f) for f in delta.maximal_faces)
 
 
 def _same_optimal_face(delta, b):
