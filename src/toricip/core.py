@@ -5,7 +5,9 @@ columns generate the cone and the semigroup behind a family of integer
 programs.  Construction enforces the structural assumptions the whole theory
 rests on: full row rank and a kernel meeting the nonnegative orthant only at
 the origin (which also forces the cone to be pointed and every program in the
-family to be bounded).
+family to be bounded).  By Gordan's alternative the second holds iff some y
+has y . a_j >= 1 for every column; validation finds one with a single phase-1
+LP (:func:`grading`) and keeps it on the matrix.
 """
 
 from functools import lru_cache
@@ -14,13 +16,19 @@ from math import prod
 from . import linalg
 from .errors import BadIndex, RankDeficient, Record, UnboundedFamily, _integer
 from .fibers import Factorization, factor
-from .linprog import OPTIMAL, nonneg_feasible, solve_lp
+from .linprog import gordan_ray
 
 
 class IntMatrix(Record):
-    """A d x n integer matrix of full row rank with pointed column cone."""
+    """A d x n integer matrix of full row rank with pointed column cone.
+
+    ``grading`` is the integer y with y . a_j >= 1 for every column that
+    validation found; it is not compared.
+    """
 
     entries: tuple
+    grading: tuple
+    _uncompared = ("grading",)
 
     def __init__(self, entries):
         self.__post_init__(entries)  # perfbench/tracer.py times the validation by this name
@@ -34,8 +42,10 @@ class IntMatrix(Record):
             raise RankDeficient("ragged rows")
         if linalg.rank(rows) < len(rows):
             raise RankDeficient(f"rank below {len(rows)}")
-        if kernel_meets_orthant(rows):
+        y = grading(tuple(zip(*rows)))
+        if y is None:
             raise UnboundedFamily("kernel of A meets the nonnegative orthant")
+        object.__setattr__(self, "grading", y)
 
     @property
     def d(self):
@@ -60,20 +70,17 @@ class IntMatrix(Record):
         return "\n".join([head] + [" ".join(str(v) for v in r) for r in self.entries])
 
 
-def kernel_meets_orthant(rows):
-    """Whether rows x = 0 has a solution x >= 0, x != 0 (scaled to sum x = 1)."""
-    return nonneg_feasible([*rows, [1] * len(rows[0])], [0] * len(rows) + [1])
-
-
 def grading(cols):
-    """A rational y with y . g >= 1 for every column g, or None when there is none.
+    """An integer y with y . g >= 1 for every column g, or None when there is none.
 
-    It exists iff cone(cols) is pointed (Gordan duality).  The LP minimizes
-    the sum of the y . g, so the answer is the same for the same columns.
+    It exists iff cone(cols) is pointed (Gordan duality).  y is the Farkas ray
+    of phase 1 on {x >= 0 : sum x_j g_j = 0, 1 . x = 1}, read off its final
+    cost row (:func:`linprog.gordan_ray`), and checked here.
     """
-    total = [sum(g[i] for g in cols) for i in range(len(cols[0]))]
-    res = solve_lp(total, [[-v for v in g] for g in cols], [-1] * len(cols))
-    return res.x if res.status == OPTIMAL else None
+    y = gordan_ray(cols)
+    if y is not None and any(linalg.dot(y, g) < 1 for g in cols):
+        raise AssertionError("the Farkas ray of phase 1 is not a grading")
+    return y
 
 
 class LatticeBasis(Record):

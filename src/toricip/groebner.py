@@ -17,7 +17,11 @@ prime and holds no monomial, so a binomial of it stays in it once that factor
 is gone: no completion leaves the toric ideal, and one pass's division by its
 cheapest variable is the next completion's stripping of its inputs (the last
 pass's is the final completion's).  Bigatti, La Scala and Robbiano (JSC 1999)
-saturate the same way.
+saturate the same way.  Each completion runs the Gebauer-Moeller update (JSC
+1988) on every element it adds, so many S-pairs whose reduction would come to
+zero are never queued: the chain criterion on the queued pairs, the lcm
+criteria on the new ones, and the coprime-heads test.  The passes grade by
+the y that ``IntMatrix`` validation found; any positive grading serves.
 
 The order is the cost refined by lex, encoded as a sort key, so every run is
 deterministic even for non-generic costs; genericity is reported, never
@@ -27,11 +31,11 @@ assumed.
 import heapq
 from functools import lru_cache
 from itertools import count
-from operator import le, sub
+from operator import add, itemgetter, le, neg, sub, truth
 
-from .core import IntMatrix, LatticeBasis, grading, kernel_lattice_basis
+from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
 from .errors import Infeasible, ParseError, Record, int_vector
-from .linalg import clear_denominators, dot, lll_reduce
+from .linalg import dot, lll_reduce
 
 
 class CostOrder(Record):
@@ -56,9 +60,10 @@ class _RevlexSat:
         self.grading = grading
         self.seq = [j for j in range(n) if j != cheapest] + [cheapest]
         self.seq.reverse()
+        self._revlex = itemgetter(*self.seq)  # n >= 2: a completion needs a kernel
 
     def key(self, u):
-        return (dot(self.grading, u),) + tuple(-u[j] for j in self.seq)
+        return (dot(self.grading, u), *map(neg, self._revlex(u)))
 
 
 class Binomial(Record):
@@ -80,8 +85,18 @@ class GroebnerBasis(Record):
     generic: bool
 
 
-def _divides(u, v):
-    return all(map(le, u, v))
+def _mask(u):
+    """The support of x^u as an int, one byte per variable, so a subset test is one ``&``."""
+    return int.from_bytes(bytes(map(truth, u)), "little")
+
+
+def _divisor(u, basis):
+    """The first element of ``basis`` whose head divides x^u, or None."""
+    m = _mask(u)
+    for g in basis:
+        if not g[2] & ~m and all(map(le, g[0], u)):
+            return g
+    return None
 
 
 def _strip(u, v):
@@ -92,98 +107,161 @@ def _strip(u, v):
     return u, v
 
 
-def _orient(u, v, order):
-    if u == v:
+def _reduce_full(u, v, basis, key):
+    """Full normal form of x^u - x^v stripped of its common factor; None when it reduces to zero.
+
+    Each monomial's key is taken once: the tail's is carried while the head reduces.
+    """
+    head, tail = _strip(u, v)
+    if head == tail:
         return None
-    return (u, v) if order.key(u) > order.key(v) else (v, u)
-
-
-def _reduce_full(head, tail, basis, order):
-    """Full normal form of x^head - x^tail; None when it reduces to zero."""
-    changed = True
-    while changed:
-        changed = False
-        for g in basis:
-            if _divides(g[0], head):
-                head = tuple(a - b + c for a, b, c in zip(head, g[0], g[1]))
-                if head == tail:
-                    return None
-                if order.key(head) < order.key(tail):
-                    head, tail = tail, head
-                changed = True
-                break
+    kh, kt = key(head), key(tail)
+    if kh < kt:
+        head, tail, kh, kt = tail, head, kt, kh
+    while (g := _divisor(head, basis)) is not None:
+        head = tuple(map(add, head, g[1]))
+        if head == tail:
+            return None
+        kh = key(head)
+        if kh < kt:
+            head, tail, kh, kt = tail, head, kt, kh
     return head, _reduce(tail, basis)
 
 
-def _reduce(u, pairs):
-    """x^u reduced by the first (head, tail) whose head divides it, until none does."""
+def _reduce(u, basis):
+    """x^u reduced by the first (head, tail - head, ...) whose head divides it, until none does."""
     while True:
-        for h, t in pairs:
-            if _divides(h, u):
-                u = tuple(a - b + c for a, b, c in zip(u, h, t))
+        for g in basis:
+            if all(map(le, g[0], u)):
+                u = tuple(map(add, u, g[1]))
                 break
         else:
             return u
 
 
+def _chain(queue, basis, h):
+    """The queued pairs that the new head ``h`` leaves (Gebauer-Moeller criterion B).
+
+    A pair (lcm key, counter, i, j, lcm, its support) goes when h divides
+    its lcm and the lcm differs from both lcm(h, head_i) and lcm(h, head_j):
+    the new element's pairs with i and with j then cover its S-polynomial.
+    """
+    m = _mask(h)
+    kept = [e for e in queue if m & ~e[5] or not all(map(le, h, e[4]))
+            or tuple(map(max, h, basis[e[2]][0])) == e[4]
+            or tuple(map(max, h, basis[e[3]][0])) == e[4]]
+    if len(kept) < len(queue):
+        heapq.heapify(kept)
+    return kept
+
+
+def _new_pairs(h, basis, partners):
+    """The pairs (lcm, i, its support) of the new head ``h`` with partners i that the criteria keep.
+
+    Gebauer-Moeller criteria M and F: in increasing degree, coprime pairs
+    first among equal lcms, a pair goes when the lcm of a pair kept before
+    it divides its own (:func:`_minimal_lcms`).  Then every pair with coprime
+    heads goes, its S-polynomial reducing to zero (Buchberger's first criterion).
+    """
+    m = _mask(h)
+    degree = sum(h)
+    cands = []
+    for i in partners:
+        g = basis[i]
+        lcm = list(h)
+        deg = degree
+        for j, e in g[4]:  # the lcm is h raised to head_i's exponents, where those are larger
+            if e > lcm[j]:
+                deg += e - lcm[j]
+                lcm[j] = e
+        cands.append((2 * deg + bool(m & g[2]), i, tuple(lcm), m | g[2]))
+    cands.sort()
+    return [(lcm, i, lm) for rank, i, lcm, lm in _minimal_lcms(cands) if rank & 1]
+
+
+def _minimal_lcms(cands):
+    """The candidates (2 degree + shared, i, lcm, support), in order, that no kept lcm divides."""
+    kept = []
+    lcms = []  # (support, lcm) of the kept ones
+    for c in cands:
+        _, _, lcm, m = c
+        for km, kl in lcms:
+            if not km & ~m and all(map(le, kl, lcm)):
+                break
+        else:
+            kept.append(c)
+            lcms.append((m, lcm))
+    return kept
+
+
 def _completion(gens, order):
-    """Buchberger completion for binomials, each stripped of its common factor; the reduced basis."""
-    basis = []
-    heap = []
+    """Buchberger completion for binomials, each stripped of its common factor; the reduced basis.
+
+    Each element added runs the Gebauer-Moeller update: its head drops the
+    queued pairs it chains away (:func:`_chain`), and only its pairs with
+    elements whose heads no later head divides pass :func:`_new_pairs`.
+    The queue hands out pairs by lcm in the order.  Each element carries
+    its head's support and key, so a key is taken once per monomial.
+    """
+    key = order.key
+    basis = []  # (head, tail - head, head support, tail, the head's nonzero (j, e), head key)
+    queue = []  # heap of (lcm key, counter, i, j, lcm, support of the lcm)
+    partners = []  # the elements whose heads no later head divides
+    seen = set()
     counter = count()
 
-    def add(u, v):
-        """Strip and orient x^u - x^v, and queue its S-pairs with every element before it."""
-        ov = _orient(*_strip(u, v), order)
-        if ov is None or ov in basis:
+    def insert(u, v):
+        """Strip and orient x^u - x^v, and update the queue with its pairs."""
+        u, v = _strip(u, v)
+        if u == v:
             return
-        for j, g in enumerate(basis):
-            lcm = tuple(map(max, ov[0], g[0]))
-            heapq.heappush(heap, (order.key(lcm), next(counter), len(basis), j))
-        basis.append(ov)
+        ku, kv = key(u), key(v)
+        if ku < kv:
+            u, v, ku = v, u, kv
+        if (u, v) in seen:
+            return
+        seen.add((u, v))
+        k = len(basis)
+        if queue:
+            queue[:] = _chain(queue, basis, u)
+        for lcm, i, support in _new_pairs(u, basis, partners):
+            heapq.heappush(queue, (key(lcm), next(counter), k, i, lcm, support))
+        m = _mask(u)
+        partners[:] = [i for i in partners
+                       if m & ~basis[i][2] or not all(map(le, u, basis[i][0]))]
+        partners.append(k)
+        nonzero = tuple((j, e) for j, e in enumerate(u) if e)
+        basis.append((u, tuple(map(sub, v, u)), m, v, nonzero, ku))
 
     for u, v in gens:
-        add(u, v)
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        hi, ti = basis[i]
-        hj, tj = basis[j]
-        if all(a == 0 or b == 0 for a, b in zip(hi, hj)):
-            continue  # coprime heads: S-pair reduces to zero
-        lcm = tuple(max(a, b) for a, b in zip(hi, hj))
-        u = tuple(l - a + b for l, a, b in zip(lcm, hi, ti))
-        v = tuple(l - a + b for l, a, b in zip(lcm, hj, tj))
-        if u == v:
-            continue
-        red = _reduce_full(*_orient(*_strip(u, v), order), basis, order)
+        insert(u, v)
+    while queue:
+        _, _, i, j, lcm, _ = heapq.heappop(queue)
+        red = _reduce_full(tuple(map(add, lcm, basis[i][1])), tuple(map(add, lcm, basis[j][1])),
+                           basis, key)
         if red is not None:
-            add(*red)
-    return _interreduce(basis, order)
+            insert(*red)
+    return _interreduce(basis)
 
 
-def _interreduce(basis, order):
-    """Minimalize heads, then put every tail in normal form."""
-    basis = sorted(set(basis), key=lambda g: order.key(g[0]))
+def _interreduce(basis):
+    """Minimalize heads, then put every tail in normal form; sorted by head key."""
     kept = []
-    for g in basis:
-        if not any(_divides(h[0], g[0]) for h in kept):
+    for g in sorted(basis, key=itemgetter(5)):
+        if _divisor(g[0], kept) is None:
             kept.append(g)
-    out = [(head, _reduce(tail, kept[:idx] + kept[idx + 1 :]))
-           for idx, (head, tail) in enumerate(kept)]
-    return sorted(out, key=lambda g: order.key(g[0]))
+    return [(g[0], _reduce(g[3], kept[:idx] + kept[idx + 1 :])) for idx, g in enumerate(kept)]
 
 
 def positive_grading(a: IntMatrix):
-    """An integer vector w = yA with all entries positive, y from :func:`core.grading`.
+    """An integer vector w = yA with all entries positive, y the grading kept on A.
 
-    Exists because the kernel of A misses the orthant (Gordan duality); makes
-    every kernel binomial homogeneous, which the saturation passes rely on.
+    Some positive grading, not a particular one: ``IntMatrix`` validation
+    found y (:func:`core.grading`).  It makes every kernel binomial
+    homogeneous, which the saturation passes rely on, and the reduced basis
+    they lead to does not depend on which grading it is.
     """
-    cols = [a.column(j) for j in range(a.n)]
-    y = grading(cols)
-    if y is None:
-        raise AssertionError("no positive grading; matrix invariants violated")
-    return tuple(clear_denominators([dot(y, g) for g in cols])[0])
+    return tuple(dot(a.grading, a.column(j)) for j in range(a.n))
 
 
 @lru_cache(maxsize=128)
@@ -233,7 +311,7 @@ def normal_form(gb: GroebnerBasis, u):
     u = int_vector(u, gb.matrix.n, "exponent")
     if min(u, default=0) < 0:
         raise ParseError(f"exponent {list(u)} has a negative entry")
-    return _reduce(u, [(b.head, b.tail) for b in gb.elements])
+    return _reduce(u, [(b.head, tuple(map(sub, b.tail, b.head))) for b in gb.elements])
 
 
 def solve_ip(a: IntMatrix, order: CostOrder, b):

@@ -17,10 +17,12 @@ grading order, and cone membership by the signs of the simplices' integer adjuga
 """
 
 from itertools import combinations, product
+from math import prod
 
-from .core import IntMatrix, grading, kernel_lattice_basis
-from .errors import NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, _face, int_vector
-from .linalg import adjugate, clear_denominators, column_hermite, det_int, dot
+from .core import IntMatrix, kernel_lattice_basis
+from .errors import (NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, UnboundedFamily,
+                     _face, int_vector)
+from .linalg import clear_denominators, column_hermite, dot
 from .linprog import OPTIMAL, solve_lp
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
@@ -30,24 +32,25 @@ class HilbertBasis(Record):
     generators: tuple
 
 
-def _parallelepiped_points(gens, coords):
+def _parallelepiped_points(gens, coords, adj, sign):
     """Lattice points of {sum lam_t g_t : 0 <= lam_t < 1}, sorted.
 
     The r generators form a nonsingular minor M on the coordinates I =
-    ``coords``.  A point x is fixed by x_I = M lam, and the points' x_I are
-    one per coset of Z^r / M Z^r, represented by the vectors 0 <= y_t < |h_tt|
-    of M's lower-triangular column-Hermite form H.  The point of y has
-    lam = (sign(det) adj(M) y mod |det|) / |det|; when r < d it is a lattice
-    point only when it is also integral off I.
+    ``coords``; ``adj`` is M's integer adjugate and ``sign`` the sign of its
+    determinant, as ``RegularSubdivision.simplex_inverses`` holds them.  A
+    point x is fixed by x_I = M lam, and the points' x_I are one per coset of
+    Z^r / M Z^r, represented by the vectors 0 <= y_t < |h_tt| of M's
+    lower-triangular column-Hermite form H, whose pivots multiply to |det M|.
+    The point of y has lam = (sign adj y mod |det M|) / |det M|; when r < d
+    it is a lattice point only when it is also integral off I.
     """
     r = len(gens)
-    m = [[g[i] for g in gens] for i in coords]
-    det = det_int(m)
-    h, _, _ = column_hermite(m, r)
-    size = abs(det)
-    adj = [[v if det > 0 else -v for v in row] for row in adjugate(m)]
+    h, _, _ = column_hermite([[g[i] for g in gens] for i in coords], r)
+    sizes = [abs(h[t][t]) for t in range(r)]
+    size = prod(sizes)
+    adj = [[sign * v for v in row] for row in adj]
     points = []
-    for y in product(*(range(abs(h[t][t])) for t in range(r))):
+    for y in product(*map(range, sizes)):
         lam = [dot(row, y) % size for row in adj]
         x = [dot(row, lam) for row in zip(*gens)]
         if all(v % size == 0 for v in x):
@@ -60,31 +63,33 @@ def hilbert_basis(generators) -> HilbertBasis:
 
     Candidates are the generators and the parallelepiped points of the
     simplices of one triangulation, which generate the cone's point semigroup.
-    In increasing degree y . x for a positive grading y, x is kept iff x - h
-    leaves the cone for every h kept so far: a reducible x is h + z with h a
+    In increasing degree y . x_I, for the grading y that validating the
+    generators on their pivot rows I finds, x is kept iff x - h leaves the
+    cone for every h kept so far: a reducible x is h + z with h a
     Hilbert-basis element of lower degree.  ``generators`` is any iterable of
     vectors.  NotPointed when no grading exists (Gordan duality): the cone
-    contains a line.
+    contains a line.  The validation is the call's one LP.
     """
     gens = [tuple(g) for g in generators]
     gens = [v for v in (int_vector(g, len(gens[0]), "generator") for g in gens) if any(v)]
     if not gens:
         return HilbertBasis((), ())
-    y = grading(gens)
-    if y is None:
-        raise NotPointed("cone contains a line")
-    # on their pivot rows the generators keep their rank: m has full row rank and a pointed
-    # cone, so y = 0 is the only vertex of {y : y m <= 0} and cost 0 gives one cell
+    # on their pivot rows the generators keep their rank and their cone, linearly: m has
+    # full row rank, its validation finds its grading or proves the cone holds a line, and
+    # y = 0 is the only vertex of {y : y m <= 0}, so cost 0 gives one cell
     keep = [i for i, p in enumerate(column_hermite(zip(*gens), len(gens))[2]) if p is not None]
-    m = IntMatrix([[g[i] for g in gens] for i in keep])
+    try:
+        m = IntMatrix([[g[i] for g in gens] for i in keep])
+    except UnboundedFamily:
+        raise NotPointed("cone contains a line") from None
     delta0 = RegularSubdivision(m, (0,) * m.n, (tuple(range(m.n)),), ((0,) * m.d,), m.n == m.d)
     cells = lex_refinement(delta0).simplex_inverses
     cands = set(gens)
-    for sigma, _, _ in cells:
-        cands.update(_parallelepiped_points([gens[j] for j in sigma], keep))
+    for sigma, adj, sign in cells:
+        cands.update(_parallelepiped_points([gens[j] for j in sigma], keep, adj, sign))
     cands.discard(tuple([0] * len(gens[0])))
     minimal = []
-    for x in sorted(cands, key=lambda x: (dot(y, x), x)):
+    for x in sorted(cands, key=lambda x: (dot(m.grading, [x[i] for i in keep]), x)):
         # x - h is in the cone iff its coordinates in some simplex are all >= 0
         diffs = ([x[i] - h[i] for i in keep] for h in minimal)
         if not any(all(sign * dot(row, v) >= 0 for row in adj) for v in diffs
@@ -241,12 +246,13 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
         return (dot(c0, x), -sum(x[j] for j in rays), x)
 
     fac = kernel_lattice_basis(a).fibers
+    inverses = {sigma: (adj, sign) for sigma, adj, sign in sub0.simplex_inverses}
     residue_roots = []
     expected = set()
     for face in faces:
         gens = [a.column(j) for j in face]
         roots = []
-        for b in _parallelepiped_points(gens, range(a.d)):
+        for b in _parallelepiped_points(gens, range(a.d), *inverses[face]):
             opt = min(fac.points(b), key=sym_key, default=None)
             if opt is None:
                 raise NotDeltaNormal(f"residue {b} has an empty fiber")

@@ -11,8 +11,11 @@ those of the same simplex run on a ``fractions.Fraction`` tableau.
 
 ``solve_lp`` takes free variables and splits each into a difference of
 nonnegative parts.  ``nonneg_feasible`` asks whether {x >= 0 : Gx = b} is
-nonempty and runs phase 1 on x itself, with no split and no slack.  Both
-build their tableau with one phase-1 routine.  Problem sizes in this package
+nonempty and runs phase 1 on x itself, with no split and no slack.
+``gordan_ray`` runs phase 1 on {x >= 0 : Gx = 0, 1 . x = 1}: when it ends
+infeasible, the final phase-1 cost row holds the Farkas ray, an integer y
+with y . g >= 1 for every column g of G.  All three build their tableau
+with one phase-1 routine.  Problem sizes in this package
 are tiny (tens of rows/columns), which is the regime this solver is written
 for.
 """
@@ -46,14 +49,16 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
     # columns: x+ (nx), x- (nx), slacks (nslack)
     std = [[*r, *(-v for v in r), *(int(i == j) for j in range(nslack))]
            for i, r in enumerate([*a_ub, *a_eq])]
-    feasible = _phase1(std, [*b_ub, *b_eq])
-    if feasible is None:
+    rows, basis, z = _phase1(std, [*b_ub, *b_eq])
+    if z[-1]:  # -k times the least sum of the artificials, for some k > 0
         return LPResult(INFEASIBLE)
-    rows, basis = feasible
+    ncols = 2 * nx + nslack  # drop the artificials and any redundant row
+    _drive_out_artificials(rows, basis, ncols)
+    rows = [_primitive(r[:ncols] + r[-1:]) for r in rows]
 
     cost, _ = clear_denominators(obj)
     cost += [-c for c in cost] + [0] * nslack
-    if _simplex(rows, basis, _cost_row(rows, basis, cost)) == UNBOUNDED:
+    if _simplex(rows, basis, _cost_row(rows, basis, cost)) is None:
         return LPResult(UNBOUNDED)
     xsplit = [Fraction(0)] * len(cost)
     for r, b in zip(rows, basis):
@@ -65,15 +70,34 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False):
 
 def nonneg_feasible(rows, b):
     """Exact feasibility of {x >= 0 : rows x = b}; with no columns, of b = 0."""
-    return _phase1(rows, b) is not None
+    return not _phase1(rows, b)[2][-1]
+
+
+def gordan_ray(cols):
+    """An integer y with y . g >= 1 for every g in ``cols``, or None when there is none.
+
+    Gordan's alternative: either some x >= 0, x != 0 has sum x_j g_j = 0, or
+    such a y exists.  Phase 1 runs on {x >= 0 : G x = 0, 1 . x = 1} with G's
+    columns ``cols``.  At an infeasible optimum the cost row is k (c - pi M)
+    for some k > 0, the artificials' entries are k (1 - pi_i) and the rhs
+    entry is -k pi_last < 0.  Then y_i = -pi_i / pi_last, scaled by
+    k pi_last, is z_i - z_last + z_rhs over the artificials' entries, with
+    y . g >= k pi_last >= 1; it is returned divided by the gcd of its entries.
+    """
+    d, n = len(cols[0]), len(cols)
+    _, _, z = _phase1([*zip(*cols), [1] * n], [0] * d + [1])
+    if not z[-1]:
+        return None
+    art = z[n : n + d + 1]
+    return tuple(_primitive([v - art[d] + z[-1] for v in art[:d]]))
 
 
 def _phase1(std, rhs):
-    """A feasible basis of {x >= 0 : std x = rhs} as ``(rows, basis)``, or None.
+    """Rows, basis and cost row of phase 1 on {x >= 0 : std x = rhs}, run to its optimum.
 
     Each row is scaled to integers and signed so its right-hand side is
-    nonnegative; an artificial column per row starts the basis.  The returned
-    rows drop the artificials and any redundant row.
+    nonnegative; an artificial column per row starts the basis, and the
+    cost is their sum.
     """
     m = len(std)
     ncols = len(std[0]) if std else 0
@@ -86,13 +110,10 @@ def _phase1(std, rhs):
         art[i] = scale
         rows.append([sign * v for v in a] + art + [sign * b])
     basis = list(range(ncols, ncols + m))
-
-    if _simplex(rows, basis, _cost_row(rows, basis, [0] * ncols + [1] * m)) != OPTIMAL:
+    z = _simplex(rows, basis, _cost_row(rows, basis, [0] * ncols + [1] * m))
+    if z is None:
         raise RuntimeError("phase 1 cannot be unbounded")
-    if any(r[-1] for r, b in zip(rows, basis) if b >= ncols):
-        return None
-    _drive_out_artificials(rows, basis, ncols)
-    return [_primitive(r[:ncols] + r[-1:]) for r in rows], basis
+    return rows, basis, z
 
 
 def _primitive(row):
@@ -120,11 +141,12 @@ def _simplex(rows, basis, z):
     """Bland-rule simplex on rows already in basic feasible form.
 
     ``z`` is the cost row from :func:`_cost_row`; it is pivoted with the rows.
+    Returns the final cost row at an optimum, None when the LP is unbounded.
     """
     while True:
         enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return z
         leave = None
         for i, r in enumerate(rows):
             a = r[enter]
@@ -136,7 +158,7 @@ def _simplex(rows, basis, z):
                         continue
                 leave, best_rhs, best_a = i, r[-1], a
         if leave is None:
-            return UNBOUNDED
+            return None
         z = _eliminate(z, _pivot(rows, basis, leave, enter), enter)
 
 

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from toricip import linprog
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
 from toricip.groebner import CostOrder, toric_groebner, is_generic
@@ -45,6 +47,12 @@ CENSUS_MATRICES = [
      (0, 1, 2, 2, 1, 1, 0),
      (0, 0, 4, 3, 2, 1, 0)),
 ]
+# the first two generic costs the census check draws for each census matrix
+CENSUS_COSTS = [
+    ((55, 60, 26, 8, 1, 39, 24, 24, 20, 17, 11, 32), (31, 1, 52, 30, 10, 9, 36, 48, 43, 30, 7, 1)),
+    ((55, 60, 26, 8, 1, 39, 24, 24), (20, 17, 11, 32, 31, 1, 52, 30)),
+    ((55, 60, 26, 8, 1, 39, 24), (24, 20, 17, 11, 32, 31, 1)),
+]
 
 
 # named degenerate costs: ties in the Groebner basis, or cells that are not simplices
@@ -58,6 +66,22 @@ DEGENERATE = {
     "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
     "sharp3": sharp_family(3),
 }
+
+
+def counted_lps(monkeypatch):
+    """Count every solve_lp, nonneg_feasible and gordan_ray call the library makes."""
+    calls = []
+    for name in ("solve_lp", "nonneg_feasible", "gordan_ray"):
+        real = getattr(linprog, name)
+
+        def counted(*args, real=real):
+            calls.append(real)
+            return real(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("toricip") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def face(*idx):

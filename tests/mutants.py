@@ -27,6 +27,7 @@ CORE = "src/toricip/core.py"
 LINALG = "src/toricip/linalg.py"
 HILBERT = "src/toricip/hilbert.py"
 GROEBNER = "src/toricip/groebner.py"
+LINPROG = "src/toricip/linprog.py"
 RELAX = "src/toricip/relax.py"
 TRIANGULATION = "src/toricip/triangulation.py"
 FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
@@ -52,7 +53,9 @@ CELLS_ALONE = "tests/test_hilbert.py::test_gomory_cost_tests_the_cells_alone"
 CACHED_FACTOR = "tests/test_hilbert.py::test_gomory_cost_reads_the_cached_factorization"
 ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
-S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_567_s_pairs"
+S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_371_s_pairs"
+LLL_REFERENCE = "tests/test_groebner.py::test_basis_matches_lll_seeded_reference"
+GRADING_REFERENCE = "tests/test_core.py::test_grading_matches_the_minimizing_lp_reference"
 NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative_exponent"
 ORDER_COST = "tests/test_groebner.py::test_a_malformed_order_cost_is_named"
 ORDER_ITERABLE = "tests/test_groebner.py::test_an_order_built_from_any_iterable_is_equal"
@@ -116,10 +119,11 @@ MUTANTS = {
         HILBERT, "        if all(v % size == 0 for v in x):\n", "        if True:\n",
         [PARALLELEPIPED, HILBERT_REFERENCE]),
     "hilbert-candidates-in-lex-order": (
-        HILBERT, "sorted(cands, key=lambda x: (dot(y, x), x))", "sorted(cands)",
+        HILBERT, "sorted(cands, key=lambda x: (dot(m.grading, [x[i] for i in keep]), x))",
+        "sorted(cands)",
         [HILBERT_REFERENCE, DEGREE_ORDER]),
     "parallelepiped-cosets-from-the-first-pivot": (
-        HILBERT, "range(abs(h[t][t])) for t in range(r)", "range(abs(h[0][0])) for t in range(r)",
+        HILBERT, "product(*map(range, sizes))", "product(*(range(sizes[0]) for _ in sizes))",
         [PARALLELEPIPED, HILBERT_REFERENCE]),
     "hilbert-cone-test-strict": (
         HILBERT, "sign * dot(row, v) >= 0", "sign * dot(row, v) > 0", [HILBERT_REFERENCE]),
@@ -150,8 +154,19 @@ MUTANTS = {
         HILBERT, "    fac = kernel_lattice_basis(a).fibers\n",
         "    fac = kernel_lattice_basis.__wrapped__(a).fibers\n", [CACHED_FACTOR]),
     "coprime-heads-any": (
-        GROEBNER, "if all(a == 0 or b == 0 for a, b in zip(hi, hj)):",
-        "if any(a == 0 or b == 0 for a, b in zip(hi, hj)):", [GB_REFERENCE]),
+        GROEBNER, "bool(m & g[2])", "m & g[2] == m | g[2]", [GB_REFERENCE, LLL_REFERENCE]),
+    "chain-ignores-pending-pairs": (
+        GROEBNER, "        if queue:\n            queue[:] = _chain(queue, basis, u)\n", "", [S_PAIRS]),
+    "chain-drops-the-lcm-guards": (
+        GROEBNER, "not all(map(le, h, e[4]))\n            or tuple(map(max, h, basis[e[2]][0])) == e[4]"
+        "\n            or tuple(map(max, h, basis[e[3]][0])) == e[4]]",
+        "not all(map(le, h, e[4]))]", [GB_REFERENCE, LLL_REFERENCE]),
+    "lcm-criterion-keeps-every-pair": (
+        GROEBNER, "for rank, i, lcm, lm in _minimal_lcms(cands) if rank & 1]",
+        "for rank, i, lcm, lm in cands if rank & 1]", [S_PAIRS]),
+    "farkas-ray-rhs-sign-flipped": (
+        LINPROG, "[v - art[d] + z[-1] for v in art[:d]]", "[v - art[d] - z[-1] for v in art[:d]]",
+        [GRADING_REFERENCE]),
     "last-saturation-pass-skipped": (
         GROEBNER, "    for i in range(a.n):\n", "    for i in range(a.n - 1):\n",
         [GB_REFERENCE, S_PAIRS]),

@@ -1,19 +1,22 @@
-"""Reference toric Groebner basis for tests: saturation from the Hermite basis.
+"""Reference toric Groebner bases for tests: the older completion, two starts.
 
 ``groebner.toric_groebner`` seeds the saturation with an LLL-reduced kernel
-basis.  This reference seeds it with the column-Hermite basis itself, as the
-library once did.  Both generate the same lattice ideal after saturation, and
-the reduced basis of an order is unique, so the two must agree element for
-element.  Hermite columns can be long, so the saturation passes can grow large:
-keep the instances small.
+basis.  ``hermite_toric_groebner`` seeds it with the column-Hermite basis
+itself, as the library once did.  Both generate the same lattice ideal after
+saturation, and the reduced basis of an order is unique, so the two must
+agree element for element.  Hermite columns can be long, so the saturation
+passes can grow large: keep its instances small.  ``lll_toric_groebner``
+takes the library's start, so it checks the completion alone, on instances
+where the Hermite start is slow.
 
-It also runs the library's older completion, with its own copy of every step.
-Each saturation pass completes without stripping common factors, then divides
-every element by the highest power of its cheapest variable that both terms
-share; only the final completion strips each binomial it takes in.  The
-library now strips in every completion.  From ``toricip.groebner`` it takes
-only the containers of its answer and the positive grading, so a change to
-the library's completion cannot change the reference.
+Both run the library's older completion, with its own copy of every step and
+no criterion but coprime heads.  Each saturation pass completes without
+stripping common factors, then divides every element by the highest power of
+its cheapest variable that both terms share; only the final completion
+strips each binomial it takes in.  The library now strips in every
+completion.  From ``toricip.groebner`` it takes only the containers of its
+answer and the positive grading, so a change to the library's completion
+cannot change the reference.
 """
 
 import heapq
@@ -23,6 +26,7 @@ from reference_linalg import dot
 
 from toricip.core import IntMatrix, kernel_lattice_basis
 from toricip.groebner import Binomial, GroebnerBasis, positive_grading
+from toricip.linalg import lll_reduce
 
 
 def _revlex_sat_key(grading, n, cheapest):
@@ -137,8 +141,16 @@ def _completion(gens, key, strip_common):
 
 def hermite_toric_groebner(a: IntMatrix, order) -> GroebnerBasis:
     lattice = kernel_lattice_basis(a)
-    basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
-             for col in lattice.columns()]
+    return _saturated(a, order, lattice, lattice.columns())
+
+
+def lll_toric_groebner(a: IntMatrix, order) -> GroebnerBasis:
+    lattice = kernel_lattice_basis(a)
+    return _saturated(a, order, lattice, lll_reduce(lattice.columns()))
+
+
+def _saturated(a, order, lattice, start):
+    basis = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col)) for col in start]
     if not basis:
         return GroebnerBasis((), order, a, lattice, True)
     w = positive_grading(a)

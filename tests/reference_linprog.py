@@ -8,6 +8,8 @@ layout and Bland's rule, so ``solve_lp`` must return an identical
 
 ``reference_nonneg_feasible`` is the x >= 0 feasibility test as the library
 once wrote it: free variables, with x >= 0 spelled out as identity rows.
+``reference_grading`` is the grading LP ``core.grading`` once solved: the
+y with y . g >= 1 for every column g that minimizes the sum of the y . g.
 """
 
 from fractions import Fraction
@@ -85,6 +87,13 @@ def reference_nonneg_feasible(rows, b):
     k = len(rows[0]) if rows else 0
     nonneg = [[-1 if j == i else 0 for j in range(k)] for i in range(k)]
     return reference_solve_lp([0] * k, nonneg, [0] * k, rows, b).status == OPTIMAL
+
+
+def reference_grading(cols):
+    """The rational y with y . g >= 1 for every g in ``cols`` minimizing sum y . g, or None."""
+    total = [sum(g[i] for g in cols) for i in range(len(cols[0]))]
+    res = reference_solve_lp(total, [[-v for v in g] for g in cols], [-1] * len(cols))
+    return res.x if res.status == OPTIMAL else None
 
 
 def _objective_value(tab, basis, cost):

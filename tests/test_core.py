@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 import reference_linalg
 from conftest import EX1, KNAPSACK, LONG_CHAIN, face
+from reference_linprog import reference_grading
 
 from toricip import linalg
 from toricip.core import (
     IntMatrix,
     face_determinant,
     gcd_maximal_minors,
+    grading,
     kernel_lattice_basis,
 )
 from toricip.errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
@@ -32,6 +35,31 @@ def test_rejects_unbounded_family():
     # zero column is the same defect
     with pytest.raises(UnboundedFamily):
         IntMatrix(((1, 0, 0), (0, 1, 0)))
+
+
+def test_a_valid_matrix_keeps_its_grading_uncompared():
+    a = IntMatrix(LONG_CHAIN)
+    assert all(linalg.dot(a.grading, a.column(j)) >= 1 for j in range(a.n))
+    assert a == IntMatrix(LONG_CHAIN) and "grading" not in repr(a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grading_matches_the_minimizing_lp_reference(seed):
+    # the Farkas ray of phase 1 against the minimizing LP it replaced: the
+    # same verdict, and every ray a grading; zero columns and cones with a
+    # line are among the 500 systems of each seed
+    rng = random.Random(seed)
+    pointed = 0
+    for _ in range(500):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        cols = [tuple(rng.randint(-2, 4) for _ in range(d)) for _ in range(n)]
+        y = grading(cols)
+        assert (y is None) == (reference_grading(cols) is None), cols
+        if y is not None:
+            pointed += 1
+            assert all(type(v) is int for v in y)
+            assert all(linalg.dot(y, g) >= 1 for g in cols), (cols, y)
+    assert 200 < pointed < 450
 
 
 def same_lattice(cols_a, cols_b):

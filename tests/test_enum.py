@@ -3,8 +3,8 @@
 ``oracle.lattice_points_boxed`` is the only enumerator of {s . z <= o} in
 the library, and ``oracle._recession_trivial`` is built on its elimination.
 ``hilbert._parallelepiped_points`` eliminates nothing: given coordinates on
-which the generators are nonsingular, it reads one point per coset off a
-column-Hermite form.  Each must give exactly what the test-only versions in
+which the generators are nonsingular, and the adjugate and determinant sign
+of that minor, it reads one point per coset off a column-Hermite form.  Each must give exactly what the test-only versions in
 ``reference_enum`` give: the same points in the same order, and the same
 boundedness verdicts.
 """
@@ -24,6 +24,7 @@ from reference_linalg import rank
 
 from toricip.errors import ParseError, Unbounded
 from toricip.hilbert import _parallelepiped_points
+from toricip.linalg import adjugate, det_int
 from toricip.oracle import (
     IneqPolytope,
     _recession_trivial,
@@ -147,10 +148,16 @@ NAMED_PARALLELEPIPEDS = [
 ]
 
 
+def _points(gens, coords):
+    """The parallelepiped points, with the minor's adjugate and sign taken as a simplex keeps them."""
+    minor = [[g[i] for g in gens] for i in coords]
+    return _parallelepiped_points(gens, coords, adjugate(minor), 1 if det_int(minor) > 0 else -1)
+
+
 @pytest.mark.parametrize("gens, coords", NAMED_PARALLELEPIPEDS,
                          ids=[f"gens{i}" for i in range(len(NAMED_PARALLELEPIPEDS))])
 def test_parallelepiped_named(gens, coords):
-    assert _parallelepiped_points(gens, coords) == reference_parallelepiped_points(gens)
+    assert _points(gens, coords) == reference_parallelepiped_points(gens)
 
 
 def _rank_rows(gens):
@@ -172,6 +179,6 @@ def test_parallelepiped_seeded(seed):
         gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(r)]
         if rank(gens) < r:
             continue
-        got = _parallelepiped_points(gens, _rank_rows(gens))
+        got = _points(gens, _rank_rows(gens))
         assert got == reference_parallelepiped_points(gens)
         done += 1

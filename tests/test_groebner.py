@@ -2,6 +2,9 @@ import random
 
 import pytest
 from conftest import (
+    CENSUS_COSTS,
+    CENSUS_MATRICES,
+    DEGENERATE,
     EX1,
     EX1_COST,
     EX2_COST,
@@ -11,9 +14,10 @@ from conftest import (
     KNAPSACK_COST,
     LONG_CHAIN,
     LONG_CHAIN_COST,
+    counted_lps,
     make_instance,
 )
-from reference_groebner import hermite_toric_groebner
+from reference_groebner import hermite_toric_groebner, lll_toric_groebner
 
 from toricip import fibers, groebner, oracle
 from toricip.core import IntMatrix
@@ -109,17 +113,29 @@ def test_an_order_built_from_any_iterable_is_equal():
         CostOrder(x for x in (1, 2.5, 3))
 
 
-def test_sharp3_completions_fully_reduce_567_s_pairs(monkeypatch):
-    # every completion strips each input and remainder of its common factor;
-    # unstripped saturation passes, each followed by a division by its
-    # cheapest variable, fully reduced 971 S-pairs for the same basis
+def test_sharp3_completions_fully_reduce_371_s_pairs(monkeypatch):
+    # every completion strips each input and remainder of its common factor
+    # and runs the Gebauer-Moeller update on each element it adds.  With the
+    # coprime-heads test alone the completions fully reduced 567 S-pairs for
+    # the same basis; unstripped saturation passes, each followed by a
+    # division by its cheapest variable, reduced 971
     calls = []
     reduce_full = groebner._reduce_full
     monkeypatch.setattr(groebner, "_reduce_full", lambda *args: calls.append(1) or reduce_full(*args))
     a, cost = sharp_family(3)
     gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
     assert (len(gb.elements), gb.generic) == (13, False)
-    assert len(calls) == 567
+    assert len(calls) == 371
+
+
+def test_toric_groebner_on_a_built_matrix_runs_no_lp(monkeypatch):
+    # the saturation passes grade by the y that IntMatrix validation kept
+    matrices = [IntMatrix(rows) for rows in (KNAPSACK, EX1, LONG_CHAIN, GFAMILY)]
+    matrices.append(sharp_family(3)[0])
+    calls = counted_lps(monkeypatch)
+    for a in matrices:
+        assert toric_groebner.__wrapped__(a, CostOrder.from_cost((1,) * a.n)).elements
+    assert calls == []
 
 
 def test_positive_grading():
@@ -127,6 +143,7 @@ def test_positive_grading():
         a = IntMatrix(rows)
         w = positive_grading(a)
         assert all(v > 0 for v in w)
+        assert w == tuple(dot(a.grading, a.column(j)) for j in range(a.n))
 
 
 def test_is_generic_cases():
@@ -250,6 +267,23 @@ def test_basis_matches_hermite_seeded_reference(name):
 def test_basis_matches_hermite_seeded_reference_on_acceptance_seeds(seed):
     # seed 34's Hermite basis has entries up to 92; its saturation grows large
     _assert_matches_hermite_seeded(*make_instance(seed))
+
+
+# the completion alone: the reference's older completion, with no criterion
+# but coprime heads, from the library's LLL start
+LLL_SEEDED = {f"seed-{seed}": (lambda seed=seed: make_instance(seed)) for seed in range(100)}
+LLL_SEEDED.update({name: (lambda case=case: case) for name, case in DEGENERATE.items()})
+LLL_SEEDED.update({
+    f"census{len(rows)}x{len(rows[0])}-{k}": (lambda rows=rows, cost=cost: (IntMatrix(rows), cost))
+    for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)})
+
+
+@pytest.mark.parametrize("name", sorted(LLL_SEEDED))
+def test_basis_matches_lll_seeded_reference(name):
+    a, cost = LLL_SEEDED[name]()
+    order = CostOrder.from_cost(cost)
+    gb, ref = toric_groebner(a, order), lll_toric_groebner(a, order)
+    assert (gb.elements, gb.generic) == (ref.elements, ref.generic)
 
 
 # (instance, basis size, generic): the Hermite-seeded saturation takes

@@ -16,13 +16,14 @@ from conftest import (
     LONG_CHAIN,
     LONG_CHAIN_COST,
     NONNORMAL,
+    counted_lps,
     face,
     make_instance,
 )
 from reference_hilbert import reference_hilbert_basis
 from reference_normality import reference_normality
 
-from toricip import fibers, hilbert, linprog
+from toricip import fibers, hilbert
 from toricip.core import IntMatrix, face_determinant, kernel_lattice_basis
 from toricip.errors import DomainError, NotDeltaNormal, NotPointed, NotRegular
 from toricip.fibers import factor
@@ -71,39 +72,23 @@ def test_hilbert_basis_examples():
     assert set(hilbert_basis([(1, 0), (1, 1)]).elements) == {(1, 0), (1, 1)}
 
 
-def _counted_lps(monkeypatch):
-    """Count every solve_lp and nonneg_feasible call the library makes."""
-    calls = []
-    for name in ("solve_lp", "nonneg_feasible"):
-        real = getattr(linprog, name)
-
-        def counted(*args, real=real):
-            calls.append(real)
-            return real(*args)
-
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("toricip") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_hilbert_basis_runs_two_lps(monkeypatch):
+def test_hilbert_basis_runs_one_lp(monkeypatch):
     # parallelepiped points come from Hermite cosets, not from a Fourier-Motzkin
-    # plan, and cone membership from the simplices' adjugates: the only LPs are
-    # the grading and the validation of the generators as an IntMatrix.  One
-    # cone LP per test against a kept element made 226 on LONG_CHAIN and 39 on
-    # census 4 x 8.
+    # plan, and cone membership from the simplices' adjugates: the only LP is
+    # the validation of the generators as an IntMatrix, whose grading gives the
+    # degree order.  One cone LP per test against a kept element made 226 on
+    # LONG_CHAIN and 39 on census 4 x 8; a separate grading LP made one more.
     plans = []
     real_plan = fibers.Elimination._plan
     monkeypatch.setattr(fibers.Elimination, "_plan",
                         lambda self: plans.append(self) or real_plan(self))
-    calls = _counted_lps(monkeypatch)
+    calls = counted_lps(monkeypatch)
     orthant = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert hilbert_basis(list(zip(*LONG_CHAIN))).elements == orthant
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     assert hilbert_basis(list(zip(*CENSUS_MATRICES[1]))).elements
-    assert len(calls) == 2 and plans == []
+    assert len(calls) == 1 and plans == []
 
 
 def test_hilbert_basis_reads_any_iterable_of_generators():

@@ -1,5 +1,5 @@
 import pytest
-from conftest import CENSUS_MATRICES, DEGENERATE, KNAPSACK, face, zero_heavy_instance
+from conftest import CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE, KNAPSACK, face, zero_heavy_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_stdpairs import reference_standard_pairs
@@ -291,12 +291,6 @@ def test_pairs_match_reference_enumeration_on_acceptance_seeds(acceptance_pipeli
         assert list(inst["decomp"].pairs) == want, inst["seed"]
 
 
-# the first two generic costs the census check draws for each census matrix
-CENSUS_COSTS = [
-    ((55, 60, 26, 8, 1, 39, 24, 24, 20, 17, 11, 32), (31, 1, 52, 30, 10, 9, 36, 48, 43, 30, 7, 1)),
-    ((55, 60, 26, 8, 1, 39, 24, 24), (20, 17, 11, 32, 31, 1, 52, 30)),
-    ((55, 60, 26, 8, 1, 39, 24), (24, 20, 17, 11, 32, 31, 1)),
-]
 REFERENCE_CASES = {
     f"census{IntMatrix(rows).d}x{IntMatrix(rows).n}-{k}": (IntMatrix(rows), cost)
     for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)
