@@ -15,7 +15,7 @@ import sys
 # rest of the library it runs, so a command loads only its own code path
 from . import fileio
 from .errors import Degenerate, DomainError, ParseError, int_vector
-from .fileio import face_key, face_out, frac_out
+from .fileio import face_key, face_out
 from .linalg import dot
 
 
@@ -50,7 +50,7 @@ def _triangulation_payload(delta, tdi):
     return {
         "maximal_faces": [face_out(f) for f in delta.maximal_faces],
         "certificates": {
-            face_key(f): [frac_out(v) for v in y]
+            face_key(f): [str(v) for v in y]
             for f, y in zip(delta.maximal_faces, delta.certificates)
         },
         "triangulation": delta.is_triangulation,

@@ -7,7 +7,9 @@ rests on: full row rank and a kernel meeting the nonnegative orthant only at
 the origin (which also forces the cone to be pointed and every program in the
 family to be bounded).  By Gordan's alternative the second holds iff some y
 has y . a_j >= 1 for every column; validation finds one with a single phase-1
-LP (:func:`grading`) and keeps it on the matrix.
+LP (:func:`grading`) and keeps it on the matrix.  Validation reads the rank
+off the column-Hermite factorization A U = [H | 0] and keeps that too: the
+kernel basis, the lattice index and every fiber are read from it.
 """
 
 from functools import lru_cache
@@ -23,12 +25,15 @@ class IntMatrix(Record):
     """A d x n integer matrix of full row rank with pointed column cone.
 
     ``grading`` is the integer y with y . a_j >= 1 for every column that
-    validation found; it is not compared.
+    validation found, and ``fibers`` the :class:`~toricip.fibers.Factorization`
+    whose pivot count gave the rank; it solves A x = b over the fibers of A
+    for every b.  Neither is compared.
     """
 
     entries: tuple
     grading: tuple
-    _uncompared = ("grading",)
+    fibers: Factorization
+    _uncompared = ("grading", "fibers")
 
     def __init__(self, entries):
         self.__post_init__(entries)  # perfbench/tracer.py times the validation by this name
@@ -40,12 +45,14 @@ class IntMatrix(Record):
             raise RankDeficient("empty matrix")
         if any(len(r) != len(rows[0]) for r in rows):
             raise RankDeficient("ragged rows")
-        if linalg.rank(rows) < len(rows):
+        fac = factor(rows)
+        if fac.rank < len(rows):
             raise RankDeficient(f"rank below {len(rows)}")
         y = grading(tuple(zip(*rows)))
         if y is None:
             raise UnboundedFamily("kernel of A meets the nonnegative orthant")
         object.__setattr__(self, "grading", y)
+        object.__setattr__(self, "fibers", fac)
 
     @property
     def d(self):
@@ -84,15 +91,9 @@ def grading(cols):
 
 
 class LatticeBasis(Record):
-    """n x (n-d) integer basis of the saturated kernel lattice of A.
-
-    ``fibers`` is the column-Hermite factorization of A the basis was read
-    from; it solves A x = b over the fibers of A for every b.
-    """
+    """n x (n-d) integer basis of the saturated kernel lattice of A."""
 
     matrix: tuple  # n rows, n-d columns
-    fibers: Factorization
-    _uncompared = ("fibers",)
 
     @property
     def corank(self):
@@ -110,17 +111,14 @@ class LatticeBasis(Record):
 def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     """Basis B of the saturated lattice {x in Z^n : A x = 0}, A B = 0.
 
-    The basis comes from a unimodular column reduction of A, so its column
-    lattice is saturated by construction; both facts are re-verified before
-    returning.  A B = 0 entrywise, and the gcd of the k x k minors of B is 1:
-    every pivot of the column-Hermite form of B^T is +-1, the reading
-    :func:`gcd_maximal_minors` makes of A.  Built once per matrix and kept in
-    a bounded cache.
+    B is the trailing n - d columns of the unimodular U in the factorization
+    A U = [H | 0] that validation kept, so its column lattice is saturated by
+    construction; both facts are re-verified before returning.  A B = 0
+    entrywise, and the gcd of the k x k minors of B is 1: every pivot of the
+    column-Hermite form of B^T is +-1, the reading :func:`gcd_maximal_minors`
+    makes of A.  Built once per matrix and kept in a bounded cache.
     """
-    fac = factor(a.entries)
-    if fac.rank < a.d:
-        raise RankDeficient("rank below row count")
-    bmat = tuple(row[fac.rank :] for row in fac.u)
+    bmat = tuple(row[a.d :] for row in a.fibers.u)
     cols = list(zip(*bmat))
     for col in cols:
         if any(v != 0 for v in a.apply(col)):
@@ -128,7 +126,7 @@ def kernel_lattice_basis(a: IntMatrix) -> LatticeBasis:
     h, _, pivots = linalg.column_hermite(cols, a.n)
     if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):
         raise AssertionError("kernel basis not saturated")
-    return LatticeBasis(bmat, fac)
+    return LatticeBasis(bmat)
 
 
 cached_kernel_basis = kernel_lattice_basis  # the cache, for cache_info() and cache_clear()
@@ -139,9 +137,9 @@ def gcd_maximal_minors(a: IntMatrix) -> int:
 
     A U = [H | 0] with U unimodular keeps that gcd (Cauchy-Binet), and the
     only nonzero maximal minor of [H | 0] is det H, the product of the
-    pivots of the lower-triangular H: read off the cached kernel basis.
+    pivots of the lower-triangular H: read off the factorization A keeps.
     """
-    fac = kernel_lattice_basis(a).fibers
+    fac = a.fibers
     return abs(prod(h[c] for h, c in zip(fac.h, fac.pivots)))
 
 

@@ -70,7 +70,3 @@ def face_out(face):
 
 def face_key(face):
     return ",".join(str(i + 1) for i in face)
-
-
-def frac_out(value):
-    return str(value)

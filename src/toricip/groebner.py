@@ -207,20 +207,14 @@ def _completion(gens, order):
     basis = []  # (head, tail - head, head support, tail, the head's nonzero (j, e), head key)
     queue = []  # heap of (lcm key, counter, i, j, lcm, support of the lcm)
     partners = []  # the elements whose heads no later head divides
-    seen = set()
     counter = count()
 
     def insert(u, v):
         """Strip and orient x^u - x^v, and update the queue with its pairs."""
         u, v = _strip(u, v)
-        if u == v:
-            return
         ku, kv = key(u), key(v)
         if ku < kv:
             u, v, ku = v, u, kv
-        if (u, v) in seen:
-            return
-        seen.add((u, v))
         k = len(basis)
         if queue:
             queue[:] = _chain(queue, basis, u)
@@ -318,12 +312,11 @@ def solve_ip(a: IntMatrix, order: CostOrder, b):
     """Optimal point of min {cost . x : Ax = b, x in N^n} via normal form.
 
     A feasible point is taken from the fiber sweep (lex-first, cost-blind),
-    through the factorization of A its kernel basis carries, and reduced by
-    the basis; by the test-set property the result is the unique optimum
-    under the order.
+    through the factorization A keeps, and reduced by the basis; by the
+    test-set property the result is the unique optimum under the order.
     """
     _check_order(a, order)
-    u = kernel_lattice_basis(a).fibers.first(b)
+    u = a.fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {tuple(b)}")
     return normal_form(toric_groebner(a, order), u)

@@ -19,7 +19,7 @@ grading order, and cone membership by the signs of the simplices' integer adjuga
 from itertools import combinations, product
 from math import prod
 
-from .core import IntMatrix, kernel_lattice_basis
+from .core import IntMatrix
 from .errors import (NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, UnboundedFamily,
                      _face, int_vector)
 from .linalg import clear_denominators, column_hermite, dot
@@ -245,7 +245,7 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     def sym_key(x):
         return (dot(c0, x), -sum(x[j] for j in rays), x)
 
-    fac = kernel_lattice_basis(a).fibers
+    fac = a.fibers
     inverses = {sigma: (adj, sign) for sigma, adj, sign in sub0.simplex_inverses}
     residue_roots = []
     expected = set()

@@ -46,12 +46,6 @@ def adjugate(rows):
         for i in range(n))
 
 
-def rank(rows):
-    """Rank over Q: the number of pivots of :func:`column_hermite`."""
-    pivots = column_hermite(rows, len(rows[0]) if rows else 0)[2]
-    return len(pivots) - pivots.count(None)
-
-
 def solve_exact(rows, rhs):
     """Solve ``rows @ x = rhs`` over Q.
 

@@ -30,9 +30,9 @@ planned, swept and thresholded once per search.  A face's system is its
 first bounded drop's plus the dropped row, so that drop's sweep, made by a
 face of the same size, gives both threshold sets: the face's points are the
 drop's within that row's cap.  ``fiber_solve``
-answers every right-hand side from the factorization the cached kernel basis
-was read from, minimizing the cost over the fiber's z-coordinates and lifting
-only the optimum to x.
+answers every right-hand side from the factorization the matrix keeps,
+minimizing the cost over the fiber's z-coordinates and lifting only the
+optimum to x.
 The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
@@ -119,7 +119,7 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     least r . z is the optimum with its tie-break; only that z is lifted.
     """
     cost = int_vector(cost, a.n, "cost")
-    fac = kernel_lattice_basis(a).fibers
+    fac = a.fibers
     x0 = fac.particular(b)
     zs = [] if x0 is None else fac.elimination.points(x0)
     r = [dot(cost, col) for col in zip(*fac.basis)]

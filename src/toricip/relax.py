@@ -17,7 +17,7 @@ program iff the lifted tau-part is nonnegative.
 
 from operator import sub
 
-from .core import IntMatrix, kernel_lattice_basis
+from .core import IntMatrix
 from .errors import Infeasible, NotAFace, ParseError, Record, _face, int_vector
 from .fibers import Elimination
 from .linalg import dot, mat_vec
@@ -57,7 +57,7 @@ def build_relaxation(a: IntMatrix, cost, delta: RegularSubdivision, tau, b) -> G
     tau = _face(tau, a.n)
     if tau not in delta:
         raise NotAFace(f"{tau} indexes an unbounded relaxation")
-    u = kernel_lattice_basis(a).fibers.first(b)
+    u = a.fibers.first(b)
     if u is None:
         raise Infeasible(f"no lattice point with A x = {b}")
     return GroupRelaxation(a, cost, tau, b, u, *delta.cost_coordinates, delta.relaxation_elimination)

@@ -121,8 +121,6 @@ def _subdivision(a, cost):
         if linalg.det_int(sub) == 0:
             continue
         y = linalg.solve_exact(sub, [cost[j] for j in sigma])
-        if y is None:
-            continue
         eq = []
         ok = True
         for j in range(a.n):

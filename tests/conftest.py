@@ -1,5 +1,6 @@
 import random
 import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -55,17 +56,39 @@ CENSUS_COSTS = [
 ]
 
 
+class _BuiltOnUse(Mapping):
+    """name -> (IntMatrix, cost), each built on first lookup, not at import.
+
+    A library change that breaks every IntMatrix then fails the tests that
+    use a case instead of stopping the collection of every test module.
+    """
+
+    def __init__(self, makers):
+        self._makers, self._built = makers, {}
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self._makers[name]()
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._makers)
+
+    def __len__(self):
+        return len(self._makers)
+
+
 # named degenerate costs: ties in the Groebner basis, or cells that are not simplices
-DEGENERATE = {
-    "ex1-zero": (IntMatrix(EX1), (0, 0, 0, 0)),
-    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
-    "ex3-zero": (IntMatrix(EX3), (0, 0, 0, 0)),
-    "knapsack-zero": (IntMatrix(KNAPSACK), (0, 0, 0)),
-    "nonnormal-zero": (IntMatrix(NONNORMAL), (0, 0, 0, 0)),
-    "gfamily-zero": (IntMatrix(GFAMILY), (0,) * 6),
-    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
-    "sharp3": sharp_family(3),
-}
+DEGENERATE = _BuiltOnUse({
+    "ex1-zero": lambda: (IntMatrix(EX1), (0, 0, 0, 0)),
+    "ex1-ex2": lambda: (IntMatrix(EX1), EX2_COST),
+    "ex3-zero": lambda: (IntMatrix(EX3), (0, 0, 0, 0)),
+    "knapsack-zero": lambda: (IntMatrix(KNAPSACK), (0, 0, 0)),
+    "nonnormal-zero": lambda: (IntMatrix(NONNORMAL), (0, 0, 0, 0)),
+    "gfamily-zero": lambda: (IntMatrix(GFAMILY), (0,) * 6),
+    "long-chain-zero": lambda: (IntMatrix(LONG_CHAIN), (0,) * 6),
+    "sharp3": lambda: sharp_family(3),
+})
 
 
 def counted_lps(monkeypatch):

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLE = "src/toricip/oracle.py"
 CLI = "src/toricip/cli.py"
 CORE = "src/toricip/core.py"
-LINALG = "src/toricip/linalg.py"
+FIBERS = "src/toricip/fibers.py"
 HILBERT = "src/toricip/hilbert.py"
 GROEBNER = "src/toricip/groebner.py"
 LINPROG = "src/toricip/linprog.py"
@@ -39,6 +39,7 @@ FIBER_MIN = "tests/test_oracle.py::test_fiber_solve_matches_the_lifted_fiber_min
 NAMED_ROOTS = "tests/test_oracle.py::test_face_roots_match_reference_on_named_cases"
 MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_errors"
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
+ONE_REDUCTION = "tests/test_core.py::test_one_column_hermite_reduction_serves_every_reader"
 RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 HILBERT_REFERENCE = "tests/test_hilbert.py::test_hilbert_basis_matches_the_all_subsets_reference"
 DEGREE_ORDER = "tests/test_hilbert.py::test_hilbert_basis_tests_candidates_in_degree_order"
@@ -82,8 +83,7 @@ MUTANTS = {
         ORACLE, "[th for th in live if th[depth] <= v]", "[th for th in live if th[depth] < v]",
         [SEARCH]),
     "fiber-solve-refactors-per-rhs": (
-        ORACLE, "fac = kernel_lattice_basis(a).fibers",
-        "fac = kernel_lattice_basis.__wrapped__(a).fibers", [ONE_FACTOR]),
+        ORACLE, "    fac = a.fibers\n", "    fac = IntMatrix(a.entries).fibers\n", [ONE_FACTOR]),
     "fiber-solve-last-tie": (
         ORACLE, "best = min(zs, key=", "best = min(reversed(zs), key=", [FIBER_MIN]),
     "face-filter-strict": (
@@ -113,8 +113,10 @@ MUTANTS = {
         CORE, "return abs(prod(h[c] for h, c in zip(fac.h, fac.pivots)))",
         "return prod(h[c] for h, c in zip(fac.h, fac.pivots))", [RANK_INDEX]),
     "rank-counts-unpivoted-rows": (
-        LINALG, "    return len(pivots) - pivots.count(None)", "    return len(pivots)",
+        FIBERS, "return len(self.pivots) - self.pivots.count(None)", "return len(self.pivots)",
         [RANK_INDEX, RANK_DEFICIENT]),
+    "kernel-basis-refactors-the-matrix": (
+        CORE, "for row in a.fibers.u)", "for row in factor(a.entries).u)", [ONE_REDUCTION]),
     "parallelepiped-integrality-off-the-minor-dropped": (
         HILBERT, "        if all(v % size == 0 for v in x):\n", "        if True:\n",
         [PARALLELEPIPED, HILBERT_REFERENCE]),
@@ -151,8 +153,7 @@ MUTANTS = {
         HILBERT, "    if any(_first_missing(a, [a.column(j) for j in sigma])",
         "    if False and any(_first_missing(a, [a.column(j) for j in sigma])", [CELLS_ALONE]),
     "gomory-cost-refactors-the-matrix": (
-        HILBERT, "    fac = kernel_lattice_basis(a).fibers\n",
-        "    fac = kernel_lattice_basis.__wrapped__(a).fibers\n", [CACHED_FACTOR]),
+        HILBERT, "    fac = a.fibers\n", "    fac = IntMatrix(a.entries).fibers\n", [CACHED_FACTOR]),
     "coprime-heads-any": (
         GROEBNER, "bool(m & g[2])", "m & g[2] == m | g[2]", [GB_REFERENCE, LLL_REFERENCE]),
     "chain-ignores-pending-pairs": (
@@ -166,6 +167,9 @@ MUTANTS = {
         "for rank, i, lcm, lm in cands if rank & 1]", [S_PAIRS]),
     "farkas-ray-rhs-sign-flipped": (
         LINPROG, "[v - art[d] + z[-1] for v in art[:d]]", "[v - art[d] - z[-1] for v in art[:d]]",
+        [GRADING_REFERENCE]),
+    "farkas-ray-negated": (
+        LINPROG, "[v - art[d] + z[-1] for v in art[:d]]", "[art[d] - z[-1] - v for v in art[:d]]",
         [GRADING_REFERENCE]),
     "last-saturation-pass-skipped": (
         GROEBNER, "    for i in range(a.n):\n", "    for i in range(a.n - 1):\n",

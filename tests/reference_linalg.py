@@ -8,7 +8,8 @@ these loops.
 
 ``rank`` and ``gcd_of_minors`` are the Fraction elimination and the minor
 enumeration the library replaced by its one column-Hermite reduction; the
-tests hold ``linalg.rank`` and ``core.gcd_maximal_minors`` equal to them.
+tests hold the pivot count of ``fibers.factor`` and
+``core.gcd_maximal_minors`` equal to them.
 """
 
 from fractions import Fraction

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import reference_linalg
-from conftest import EX1, KNAPSACK, LONG_CHAIN, face
+from conftest import EX1, EX1_COST, KNAPSACK, LONG_CHAIN, face
 from reference_linprog import reference_grading
 
 from toricip import linalg
@@ -15,6 +16,11 @@ from toricip.core import (
     kernel_lattice_basis,
 )
 from toricip.errors import BadIndex, ParseError, RankDeficient, UnboundedFamily
+from toricip.fibers import factor
+from toricip.groebner import CostOrder, solve_ip
+from toricip.oracle import fiber_solve
+from toricip.relax import build_relaxation
+from toricip.triangulation import regular_subdivision
 
 
 def test_rejects_rank_deficient():
@@ -38,9 +44,12 @@ def test_rejects_unbounded_family():
 
 
 def test_a_valid_matrix_keeps_its_grading_uncompared():
+    # and the factorization whose pivot count gave the rank, kept the same way
     a = IntMatrix(LONG_CHAIN)
     assert all(linalg.dot(a.grading, a.column(j)) >= 1 for j in range(a.n))
-    assert a == IntMatrix(LONG_CHAIN) and "grading" not in repr(a)
+    assert a.fibers == factor(a.entries) and a.fibers.rank == a.d
+    assert a == IntMatrix(LONG_CHAIN) and hash(a) == hash((a.entries,))
+    assert "grading" not in repr(a) and "fibers" not in repr(a)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -111,6 +120,32 @@ def test_unsaturated_kernel_basis_is_refused(monkeypatch):
     monkeypatch.setattr(core, "factor", doubled)
     with pytest.raises(AssertionError, match="not saturated"):
         kernel_lattice_basis.__wrapped__(IntMatrix(EX1))
+
+
+def test_one_column_hermite_reduction_serves_every_reader(monkeypatch):
+    # validation reduces A's rows once; the kernel basis, the lattice index
+    # and the fibers of the oracle, the normal-form solve and the relaxation
+    # all read that reduction, from a cold kernel-basis cache
+    real = linalg.column_hermite
+    calls = []
+
+    def counted(rows, n):
+        calls.append(tuple(map(tuple, rows)))
+        return real(rows, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricip") and getattr(module, "column_hermite", None) is real:
+            monkeypatch.setattr(module, "column_hermite", counted)
+    kernel_lattice_basis.cache_clear()
+    a = IntMatrix(EX1)
+    kernel_lattice_basis(a)
+    assert gcd_maximal_minors(a) == 1
+    delta = regular_subdivision(a, EX1_COST)
+    b = a.apply((1, 0, 2, 1))
+    x = fiber_solve(a, EX1_COST, b)
+    assert solve_ip(a, CostOrder.from_cost(EX1_COST), b) == x
+    build_relaxation(a, EX1_COST, delta, delta.maximal_faces[0], b)
+    assert calls.count(a.entries) == 1
 
 
 def test_gcd_maximal_minors():

@@ -17,7 +17,7 @@ from conftest import KNAPSACK, KNAPSACK_COST
 from reference_enum import reference_fiber
 from reference_linprog import reference_nonneg_feasible
 
-from toricip.core import IntMatrix, kernel_lattice_basis
+from toricip.core import IntMatrix
 from toricip.errors import ParseError, Unbounded
 from toricip.fibers import factor
 from toricip.groebner import CostOrder, solve_ip
@@ -163,12 +163,12 @@ def test_rhs_of_wrong_length_is_a_parse_error(b):
 
 
 def test_one_factorization_serves_every_acceptance_rhs(acceptance_pipelines):
-    # the factorization the kernel basis carries, reused for all twenty b of
-    # each acceptance seed, against the per-call walk over x
+    # the factorization the matrix keeps, reused for all twenty b of each
+    # acceptance seed, against the per-call walk over x
     checked = 0
     for inst in acceptance_pipelines:
         a = inst["a"]
-        shared = kernel_lattice_basis(a).fibers
+        shared = a.fibers
         assert shared == factor(a.entries)
         for b in inst["rhs"]:
             want = reference_fiber(a.entries, b)

@@ -272,7 +272,7 @@ def test_basis_matches_hermite_seeded_reference_on_acceptance_seeds(seed):
 # the completion alone: the reference's older completion, with no criterion
 # but coprime heads, from the library's LLL start
 LLL_SEEDED = {f"seed-{seed}": (lambda seed=seed: make_instance(seed)) for seed in range(100)}
-LLL_SEEDED.update({name: (lambda case=case: case) for name, case in DEGENERATE.items()})
+LLL_SEEDED.update({name: (lambda name=name: DEGENERATE[name]) for name in DEGENERATE})
 LLL_SEEDED.update({
     f"census{len(rows)}x{len(rows[0])}-{k}": (lambda rows=rows, cost=cost: (IntMatrix(rows), cost))
     for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)})

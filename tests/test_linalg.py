@@ -83,7 +83,7 @@ def test_rank_and_lattice_index_match_the_references(seed):
     matrices = [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)] for m, n in shapes]
     matrices += [_low_rank(rng, rng.randint(2, 5), rng.randint(2, 5)) for _ in range(3)]
     for rows in matrices:
-        assert linalg.rank(rows) == reference_linalg.rank(rows)
+        assert factor(rows).rank == reference_linalg.rank(rows)
     lattices = list(NAMED_LATTICES)
     while len(lattices) < len(NAMED_LATTICES) + 5:
         d = rng.randint(1, 3)

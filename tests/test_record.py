@@ -26,12 +26,11 @@ from toricip.triangulation import regular_subdivision, unimodularity_report
 
 def _records():
     a = IntMatrix(EX1)
-    lattice = kernel_lattice_basis(a)
     delta = regular_subdivision(a, EX1_COST)
     gb = toric_groebner(a, CostOrder.from_cost(EX1_COST))
     ideal = initial_ideal(gb)
     decomp = standard_pair_decomposition(ideal, delta)
-    return [a, lattice, lattice.fibers, delta, gb, gb.order, gb.elements[0], ideal, decomp,
+    return [a, kernel_lattice_basis(a), a.fibers, delta, gb, gb.order, gb.elements[0], ideal, decomp,
             decomp.pairs[0], associated_report(decomp, delta), unimodularity_report(a, delta),
             LPResult("infeasible")]
 
@@ -74,11 +73,12 @@ def test_assignment_and_deletion_raise_attribute_error():
 
 
 def test_uncompared_fields_stay_out_of_equality_hash_and_repr():
-    lattice = kernel_lattice_basis(IntMatrix(EX1))
-    bare = type(lattice)(lattice.matrix, None)
-    assert bare == lattice and hash(bare) == hash(lattice) == hash((lattice.matrix,))
-    assert repr(bare) == repr(lattice) == f"LatticeBasis(matrix={lattice.matrix!r})"
-    assert bare != type(lattice)(lattice.matrix[:-1], lattice.fibers)
+    fac = IntMatrix(EX1).fibers
+    compared = (fac.rows, fac.h, fac.u, fac.pivots, fac.basis)
+    bare = type(fac)(*compared, None)
+    assert bare == fac and hash(bare) == hash(fac) == hash(compared)
+    assert repr(bare) == repr(fac) and "elimination" not in repr(fac)
+    assert bare != type(fac)(fac.rows[:-1], *compared[1:], fac.elimination)
 
 
 def test_trailing_defaults_fill_in():
