@@ -46,41 +46,6 @@ def adjugate(rows):
         for i in range(n))
 
 
-def solve_exact(rows, rhs):
-    """Solve ``rows @ x = rhs`` over Q.
-
-    The matrix must have full column rank.  Returns the unique solution as a
-    tuple of Fractions, or None when the system is inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    if r < n:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return tuple(x)
-
-
 def _colop_combine(mat, j0, j1, x, y, z, w):
     """Columns (j0, j1) <- (x*j0 + y*j1, z*j0 + w*j1), in place."""
     for row in mat:
@@ -216,5 +181,5 @@ def dot(u, v):
 def clear_denominators(values):
     """Integers ``ints`` and a positive ``scale`` with values == ints / scale."""
     values = [v if type(v) is int else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
+    scale = lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -128,7 +128,7 @@ def _cost_row(rows, basis, cost):
     The simplex reads only signs, so the multiple is not tracked.  The entry
     under the rhs column keeps the row as long as the tableau rows.
     """
-    scale = lcm(*(r[b] for r, b in zip(rows, basis) if cost[b]))
+    scale = lcm(*[r[b] for r, b in zip(rows, basis) if cost[b]])
     z = [scale * c for c in cost] + [0]
     for r, b in zip(rows, basis):
         if cost[b]:

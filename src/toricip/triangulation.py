@@ -2,14 +2,17 @@
 
 A subset sigma of column indices is a face of the regular subdivision for cost
 c exactly when some y satisfies y.a_j = c_j on sigma and y.a_j < c_j off it.
-Maximal cells correspond to vertices of the dual polyhedron {y : yA <= c}, so
-they are found by enumerating nonsingular d-subsets, solving for the unique y,
-and recording its exact equality set.  A cost is generic when every maximal
-cell is a d-simplex; the result carries that flag instead of raising, and
-non-generic inputs are never silently perturbed.
+Maximal cells correspond to vertices of the dual polyhedron {y : yA <= c}.
+They are found by a walk in integers: for c + eps (1, t, t^2, ...) the
+polyhedron is simple, its vertices are the simplices of the lex refinement,
+adjacent ones are one dual simplex pivot apart, and each simplex's cell is its
+equality set under c itself.  A cost is generic when every maximal cell is a
+d-simplex; the result carries that flag instead of raising, and non-generic
+inputs are never silently perturbed: the perturbation only orders the walk.
 """
 
 from bisect import bisect
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -17,6 +20,7 @@ from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
 from .errors import Degenerate, NotAFace, OutsideCone, ParseError, Record, int_vector
 from .fibers import Elimination, factor
+from .linprog import _cost_row, _drive_out_artificials, _eliminate, _phase1, _pivot, _primitive, _simplex
 
 
 class RegularSubdivision(Record):
@@ -106,36 +110,129 @@ def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     """Compute Delta_c with exact certificates.
 
     Maximal cells are the equality sets of the vertices of {y : yA <= c};
-    the subdivision is a triangulation iff they all have size d.  The cost is
-    checked first, so the bounded cache behind this is keyed on its ints.
+    the subdivision is a triangulation iff they all have size d.  They are
+    found by walking the simplices of :func:`lex_refinement` (see
+    :func:`_lex_feasible_bases`), not by scanning all C(n, d) bases.  The cost
+    is checked first, so the bounded cache behind this is keyed on its ints.
     """
     return _subdivision(a, int_vector(cost, a.n, "cost"))
 
 
 @lru_cache(maxsize=256)
 def _subdivision(a, cost):
-    at = [list(a.column(j)) for j in range(a.n)]  # row j is a_j
+    """Each visited basis's cell is its columns with zero reduced cost.
+
+    The cost row is s (c - yA | -y | 1) for some s > 0, so a new cell's
+    certificate is read off it; Fractions are built only for kept cells.
+    """
+    n = a.n
     cells = {}
-    for sigma in combinations(range(a.n), a.d):
-        sub = [at[j] for j in sigma]
-        if linalg.det_int(sub) == 0:
-            continue
-        y = linalg.solve_exact(sub, [cost[j] for j in sigma])
-        eq = []
-        ok = True
-        for j in range(a.n):
-            v = linalg.dot(at[j], y)
-            if v == cost[j]:
-                eq.append(j)
-            elif v > cost[j]:
-                ok = False
-                break
-        if ok:
-            cells.setdefault(tuple(eq), y)
+    for _, z in _lex_feasible_bases(a, cost):
+        cell = tuple(j for j in range(n) if not z[j])
+        if cell not in cells:
+            cells[cell] = tuple(Fraction(-v, z[-1]) for v in z[n:-1])
     faces = sorted(cells, key=lambda f: (len(f), f))
     certs = tuple(cells[f] for f in faces)
     is_tri = all(len(f) == a.d for f in faces)
     return RegularSubdivision(a, cost, tuple(faces), certs, is_tri)
+
+
+def _lex_feasible_bases(a, cost):
+    """Yield (sigma, cost row) for each simplex sigma of the lex refinement of Delta_c.
+
+    These are the bases whose reduced costs are lexicographically positive
+    for the perturbed cost c + eps (1, t, t^2, ...): the vertices of a simple
+    polyhedron, so every basis is reached from one start by pivots across
+    edges.  The integer tableau of :mod:`linprog` runs over [A | I | 0], so
+    its identity block carries A_sigma^{-1} and the cost row ends in its own
+    positive scale.  The walk is depth-first and pivots back on return, so a
+    pending basis holds no tableau of its own.
+    """
+    n, d = a.n, a.d
+    rows = [[*r, *(int(i == k) for k in range(d)), 0] for i, r in enumerate(a.entries)]
+    basis = list(range(n, n + d))
+    z = [*cost, *[0] * d, 1]
+    # a lex-feasible start: the cell's independent columns, taken greedily from the last
+    for j in reversed(_start_cell(a, cost)):
+        i = next((i for i, b in enumerate(basis) if b >= n and rows[i][j]), None)
+        if i is not None:
+            z = _eliminate(z, _pivot(rows, basis, i, j), j)
+    mask = sum(1 << b for b in basis)
+    seen = {mask}
+    yield tuple(sorted(basis)), z
+    tried, undo = [0], []  # rows tried per basis on the path; pivots to undo
+    while tried:
+        k = tried[-1]
+        if k == d:
+            tried.pop()
+            if undo:
+                i, j = undo.pop()
+                mask ^= 1 << basis[i] | 1 << j
+                z = _eliminate(z, _pivot(rows, basis, i, j), j)
+            continue
+        tried[-1] = k + 1
+        j = _entering(rows, basis, z, k, n)
+        if j is None:  # an unbounded edge
+            continue
+        step = 1 << basis[k] | 1 << j
+        if mask ^ step in seen:
+            continue
+        mask ^= step
+        seen.add(mask)
+        undo.append((k, basis[k]))
+        z = _eliminate(z, _pivot(rows, basis, k, j), j)
+        yield tuple(sorted(basis)), z
+        tried.append(0)
+
+
+def _start_cell(a, cost):
+    """The cell of a dual-feasible basis: Bland's simplex on {x >= 0 : Ax = A 1} with cost c."""
+    n = a.n
+    rows, basis, _ = _phase1([list(r) for r in a.entries], [sum(r) for r in a.entries])
+    _drive_out_artificials(rows, basis, n)
+    rows = [_primitive(r[:n] + r[-1:]) for r in rows]
+    z = _simplex(rows, basis, _cost_row(rows, basis, cost))
+    return [j for j in range(n) if not z[j]]
+
+
+def _entering(rows, basis, z, k, n):
+    """The column that enters when row k's basic column leaves; None on an unbounded edge.
+
+    A lexicographic dual ratio test over the columns with negative entries in
+    row k.  Ties in z_j / -T_kj are broken column by column from 0 by the
+    eps-coefficients of the perturbed reduced costs divided by -T_kj: at a
+    basic column sigma_l that is T_lj / T_kj, at a nonbasic one it is
+    positive for that column alone, so that column loses.
+    """
+    row = rows[k]
+    tied = _least_ratios([j for j in range(n) if row[j] < 0], z, row)
+    if len(tied) < 2:
+        return tied[0] if tied else None
+    where = {b: l for l, b in enumerate(basis)}
+    for i in range(n):
+        l = where.get(i)
+        if l is None:
+            if i in tied:
+                tied.remove(i)
+        elif l != k:
+            tied = _least_ratios(tied, [-v for v in rows[l]], row)
+        if len(tied) == 1:
+            break
+    return tied[0]
+
+
+def _least_ratios(cands, num, den):
+    """The j in ``cands`` with the least num_j / -den_j; every den_j < 0."""
+    out = []
+    for j in cands:
+        if out:
+            diff = num[j] * den[out[0]] - num[out[0]] * den[j]
+            if diff < 0:
+                continue
+            if diff:
+                out = []
+        out.append(j)
+    return out
 
 
 cached_subdivision = _subdivision  # the cache, for cache_info() and cache_clear()

@@ -57,7 +57,7 @@ CENSUS_COSTS = [
 
 
 class _BuiltOnUse(Mapping):
-    """name -> (IntMatrix, cost), each built on first lookup, not at import.
+    """name -> case, such as (IntMatrix, cost), each built on first lookup, not at import.
 
     A library change that breaks every IntMatrix then fails the tests that
     use a case instead of stopping the collection of every test module.
@@ -73,6 +73,9 @@ class _BuiltOnUse(Mapping):
 
     def __iter__(self):
         return iter(self._makers)
+
+    def __contains__(self, name):  # Mapping's own would build the case
+        return name in self._makers
 
     def __len__(self):
         return len(self._makers)

@@ -64,6 +64,9 @@ STANDARD_FACE = "tests/test_oracle.py::test_is_standard_polytope_refuses_a_malfo
 LEX_SEARCH = "tests/test_triangulation.py::test_lex_refinement_matches_integer_cost_search"
 NOT_TRIANGULATION = ("tests/test_triangulation.py::"
                      "test_unimodularity_report_refuses_a_subdivision_that_is_not_a_triangulation")
+WALK_SEEDED = "tests/test_subdivision.py::test_walk_matches_the_scan_on_seeded_costs"
+WALK_DEGENERATE = "tests/test_subdivision.py::test_walk_matches_the_scan_on_degenerate_costs"
+WALK_SHARP = "tests/test_subdivision.py::test_walk_matches_the_scan_on_the_sharp_family"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -185,6 +188,17 @@ MUTANTS = {
         GROEBNER, """    int_vector(order.cost, a.n, "cost of the order")""", "    pass", [ORDER_COST]),
     "relaxation-face-unchecked": (
         RELAX, "    tau = _face(tau, a.n)\n", "    tau = tuple(sorted(tau))\n", [MALFORMED]),
+    "walk-ties-broken-by-the-lowest-index": (
+        TRIANGULATION, "    if len(tied) < 2:\n", "    if True:\n", [WALK_SEEDED, WALK_DEGENERATE]),
+    "walk-start-greedy-from-the-lowest-index": (
+        TRIANGULATION, "for j in reversed(_start_cell(a, cost)):", "for j in _start_cell(a, cost):",
+        [WALK_SEEDED, WALK_DEGENERATE]),
+    "walk-ratio-test-keeps-the-largest-ratio": (
+        TRIANGULATION, "            if diff < 0:\n                continue\n",
+        "            if diff > 0:\n                continue\n", [WALK_SEEDED, WALK_SHARP]),
+    "walk-unbounded-edge-check-dropped": (
+        TRIANGULATION, "        if j is None:  # an unbounded edge\n            continue\n", "",
+        [WALK_SEEDED, WALK_SHARP]),
     "unimodularity-degenerate-guard-removed": (
         TRIANGULATION, "    if not delta.is_triangulation:\n        raise Degenerate(\"unimodularity_report",
         "    if False:\n        raise Degenerate(\"unimodularity_report", [NOT_TRIANGULATION]),

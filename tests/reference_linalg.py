@@ -10,6 +10,10 @@ these loops.
 enumeration the library replaced by its one column-Hermite reduction; the
 tests hold the pivot count of ``fibers.factor`` and
 ``core.gcd_maximal_minors`` equal to them.
+
+``solve_exact`` is the Fraction Gauss-Jordan the library used for each
+candidate basis of a subdivision before it walked the bases in integers; the
+references that solve a linear system afresh per call take it from here.
 """
 
 from fractions import Fraction
@@ -62,3 +66,38 @@ def gcd_of_minors(rows, k):
             if g == 1:
                 return 1
     return g
+
+
+def solve_exact(rows, rhs):
+    """Solve ``rows @ x = rhs`` over Q.
+
+    The matrix must have full column rank.  Returns the unique solution as a
+    tuple of Fractions, or None when the system is inconsistent.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    if r < n:
+        raise ValueError("matrix does not have full column rank")
+    for i in range(r, m):
+        if a[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = a[i][n]
+    return tuple(x)

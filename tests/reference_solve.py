@@ -3,16 +3,15 @@
 ``optimal_face`` reads b's coordinates off each simplex's integer adjugate,
 and a reduced cost c - y A takes y from the subdivision's certificate.  These
 references solve the linear systems afresh on every call, in Fraction
-Gauss-Jordan (``linalg.solve_exact``), as the library did before; tests hold
+Gauss-Jordan (``reference_linalg.solve_exact``), as the library did before; tests hold
 the factored answers equal to them.
 """
 
 from fractions import Fraction
 
-from reference_linalg import dot
+from reference_linalg import dot, solve_exact
 
 from toricip.errors import OutsideCone
-from toricip.linalg import solve_exact
 from toricip.linprog import nonneg_feasible
 
 

@@ -1,13 +1,16 @@
 """Standard pairs of the corank-4 sharp family (d = 15, n = 19), end to end.
 
 Too slow for the test suite (about a minute on one core), so pytest does
-not collect it; run it as ``python tests/sharp4_walk.py``.  It builds the
+not collect it; run it as ``python tests/sharp4_walk.py``.  It holds the
+walked subdivision (16 cells) equal to the scan over all C(19, 15) = 3,876
+bases in ``tests/reference_subdivision.py`` (about 7 s), builds the
 refined triangulation and the Groebner basis (72 elements, not generic),
 decomposes the initial ideal by the top-down walk, and asserts 3,723 pairs on
-1,760 associated sets with a longest chain of 11, the bound 2^4 - 5.  The walk never looks at a face
-outside the chains below the maximal cells, so the script also runs the
-root search on 2,000 faces of the triangulation drawn with a fixed seed
-from those that are not associated, and asserts that none has a root.
+1,760 associated sets with a longest chain of 11, the bound 2^4 - 5.  The
+top-down walk never looks at a face outside the chains below the maximal
+cells, so the script also runs the root search on 2,000 faces of the
+triangulation drawn with a fixed seed from those that are not associated,
+and asserts that none has a root.
 """
 
 import random
@@ -26,6 +29,7 @@ from toricip.stdpairs import (  # noqa: E402
     standard_pair_decomposition,
 )
 from toricip.triangulation import lex_refinement, regular_subdivision  # noqa: E402
+from reference_subdivision import reference_subdivision  # noqa: E402
 
 SAMPLE = 2000
 SEED = 4
@@ -42,6 +46,8 @@ def main():
     a, cost = sharp_family(4)
     # the steps of stdpairs.decomposition_for, timed one by one
     delta = timed("regular_subdivision", regular_subdivision, a, cost)
+    scan = timed("the scan over all 3,876 bases", reference_subdivision, a, cost)
+    assert delta == scan and len(delta.maximal_faces) == 16
     gb = timed("toric_groebner", toric_groebner, a, CostOrder.from_cost(cost))
     assert (len(gb.elements), gb.generic) == (72, False)
     delta = timed("lex_refinement", lex_refinement, delta)

@@ -77,7 +77,7 @@ def same_lattice(cols_a, cols_b):
     def contained(xs, ys):
         rows = [[y[i] for y in ys] for i in range(len(xs[0]))]
         for x in xs:
-            sol = linalg.solve_exact(rows, x)
+            sol = reference_linalg.solve_exact(rows, x)
             if sol is None or any(v.denominator != 1 for v in sol):
                 return False
         return True

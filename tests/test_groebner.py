@@ -14,6 +14,7 @@ from conftest import (
     KNAPSACK_COST,
     LONG_CHAIN,
     LONG_CHAIN_COST,
+    _BuiltOnUse,
     counted_lps,
     make_instance,
 )
@@ -235,18 +236,18 @@ def test_phi_bijectivity_on_box():
         images.add(img)
 
 
-NAMED = {
-    "knapsack": (IntMatrix(KNAPSACK), KNAPSACK_COST),
-    "ex1": (IntMatrix(EX1), EX1_COST),
-    "ex1-ex2": (IntMatrix(EX1), EX2_COST),
-    "long-chain": (IntMatrix(LONG_CHAIN), LONG_CHAIN_COST),
-    "long-chain-zero": (IntMatrix(LONG_CHAIN), (0,) * 6),
-    "gfamily": (IntMatrix(GFAMILY), GFAMILY_COST),
-    "sharp3": sharp_family(3),
+NAMED = _BuiltOnUse({
+    "knapsack": lambda: (IntMatrix(KNAPSACK), KNAPSACK_COST),
+    "ex1": lambda: (IntMatrix(EX1), EX1_COST),
+    "ex1-ex2": lambda: (IntMatrix(EX1), EX2_COST),
+    "long-chain": lambda: (IntMatrix(LONG_CHAIN), LONG_CHAIN_COST),
+    "long-chain-zero": lambda: (IntMatrix(LONG_CHAIN), (0,) * 6),
+    "gfamily": lambda: (IntMatrix(GFAMILY), GFAMILY_COST),
+    "sharp3": lambda: sharp_family(3),
     # skipping the last saturation pass changes this basis
-    "last-pass": (IntMatrix(((1, 4, 1, 3, 2, 1), (4, 4, 0, 2, 3, 1), (4, 3, 1, 2, 0, 1))),
-                  (7, 0, -3, 17, 27, 0)),
-}
+    "last-pass": lambda: (IntMatrix(((1, 4, 1, 3, 2, 1), (4, 4, 0, 2, 3, 1), (4, 3, 1, 2, 0, 1))),
+                          (7, 0, -3, 17, 27, 0)),
+})
 
 
 def _assert_matches_hermite_seeded(a, cost):

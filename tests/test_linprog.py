@@ -6,10 +6,11 @@ import pytest
 import reference_linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_linalg import solve_exact
 from reference_linprog import reference_nonneg_feasible, reference_solve_lp
 
 import toricip.linprog
-from toricip.linalg import dot, solve_exact
+from toricip.linalg import dot
 from toricip.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, nonneg_feasible, solve_lp
 
 

@@ -2,9 +2,10 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from conftest import DEGENERATE, GFAMILY_COST, KNAPSACK_COST, face, make_instance
+from conftest import DEGENERATE, GFAMILY_COST, KNAPSACK_COST, _BuiltOnUse, face, make_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_enum import reference_boxed, reference_lp_sweep
@@ -309,9 +310,9 @@ def test_face_roots_match_reference_on_acceptance_seeds(acceptance_pipelines):
 
 # the degenerate costs and the census cases of test_stdpairs, but for the
 # first 7 x 12 cost, which takes 5 s here and adds no wider face
-NAMED_ROOT_CASES = dict(DEGENERATE)
-NAMED_ROOT_CASES.update((name, case) for name, case in REFERENCE_CASES.items()
-                        if name.startswith("census") and name != "census7x12-0")
+NAMED_ROOT_CASES = _BuiltOnUse({
+    name: partial(REFERENCE_CASES.__getitem__, name) for name in REFERENCE_CASES
+    if name in DEGENERATE or (name.startswith("census") and name != "census7x12-0")})
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_ROOT_CASES))
@@ -491,7 +492,8 @@ def test_face_sweep_serves_its_first_bounded_drop(counted_eliminations):
 
 # census 4 x 7 and acceptance seed 5 swept 48 and 27 times, 23 and 12 systems,
 # before one search shared its systems across faces
-ONE_SEARCH_CASES = {"census4x7-1": REFERENCE_CASES["census4x7-1"], "seed5": make_instance(5)}
+ONE_SEARCH_CASES = _BuiltOnUse({"census4x7-1": partial(REFERENCE_CASES.__getitem__, "census4x7-1"),
+                                "seed5": partial(make_instance, 5)})
 
 
 @pytest.mark.parametrize("name", sorted(ONE_SEARCH_CASES))

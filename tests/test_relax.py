@@ -10,6 +10,7 @@ from conftest import (
     KNAPSACK_COST,
     LONG_CHAIN,
     LONG_CHAIN_COST,
+    _BuiltOnUse,
     face,
     zero_heavy_instance,
 )
@@ -132,7 +133,7 @@ def test_solve_via_standard_pairs(knapsack_pipeline):
         solve_via_standard_pairs(decomp, a, (3,))
 
 
-OTHER = IntMatrix(((2, 5, 7),))
+OTHER = _BuiltOnUse({"matrix": lambda: IntMatrix(((2, 5, 7),))})  # another 1 x 3 matrix
 
 
 def _build_on_ex1(tau):
@@ -143,7 +144,8 @@ def _build_on_ex1(tau):
 INCONSISTENT_CALLS = {
     "solve-sp-rhs-too-long": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, (27, 5)),
     "solve-sp-rhs-empty": lambda a, delta, decomp: solve_via_standard_pairs(decomp, a, ()),
-    "solve-sp-other-matrix": lambda a, delta, decomp: solve_via_standard_pairs(decomp, OTHER, (27,)),
+    "solve-sp-other-matrix": lambda a, delta, decomp: solve_via_standard_pairs(
+        decomp, OTHER["matrix"], (27,)),
     "subdivision-cost-too-short": lambda a, delta, decomp: regular_subdivision(a, (1, 2)),
     "subdivision-cost-too-long": lambda a, delta, decomp: regular_subdivision(a, (1, 2, 3, 4)),
     "subdivision-cost-float": lambda a, delta, decomp: regular_subdivision(a, (1.5, 2, 3)),
@@ -157,7 +159,8 @@ INCONSISTENT_CALLS = {
     "build-rhs-too-long": lambda a, delta, decomp: build_relaxation(a, KNAPSACK_COST, delta, (), (27, 5)),
     "build-rhs-float": lambda a, delta, decomp: build_relaxation(a, KNAPSACK_COST, delta, (), (27.9,)),
     "build-other-cost": lambda a, delta, decomp: build_relaxation(a, (1, 100, 10000), delta, (), (27,)),
-    "build-other-matrix": lambda a, delta, decomp: build_relaxation(OTHER, KNAPSACK_COST, delta, (), (27,)),
+    "build-other-matrix": lambda a, delta, decomp: build_relaxation(
+        OTHER["matrix"], KNAPSACK_COST, delta, (), (27,)),
     "build-other-shape": lambda a, delta, decomp: build_relaxation(
         IntMatrix(EX1), (1, 0, 0, 1), delta, (), (4, 6)),
     # a face passed to build_relaxation used to be sorted and nothing more: on
@@ -415,7 +418,7 @@ def test_solving_matches_pair_cover(long_chain_pipeline):
 
 def square_system_scan(decomp, a, b):
     """The pair scan with each system solved by rational elimination."""
-    from toricip.linalg import solve_exact
+    from reference_linalg import solve_exact
 
     maximal = set(decomp.delta.maximal_faces)
     ordered = sorted(

@@ -1,5 +1,15 @@
+from functools import partial
+
 import pytest
-from conftest import CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE, KNAPSACK, face, zero_heavy_instance
+from conftest import (
+    CENSUS_COSTS,
+    CENSUS_MATRICES,
+    DEGENERATE,
+    KNAPSACK,
+    _BuiltOnUse,
+    face,
+    zero_heavy_instance,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_stdpairs import reference_standard_pairs
@@ -291,12 +301,16 @@ def test_pairs_match_reference_enumeration_on_acceptance_seeds(acceptance_pipeli
         assert list(inst["decomp"].pairs) == want, inst["seed"]
 
 
-REFERENCE_CASES = {
-    f"census{IntMatrix(rows).d}x{IntMatrix(rows).n}-{k}": (IntMatrix(rows), cost)
-    for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)
-}
-REFERENCE_CASES.update(DEGENERATE)  # sharp m=3 among them
-REFERENCE_CASES["sharp2"] = sharp_family(2)
+def _census_case(rows, cost):
+    return IntMatrix(rows), cost
+
+
+REFERENCE_CASES = _BuiltOnUse({
+    **{f"census{len(rows)}x{len(rows[0])}-{k}": partial(_census_case, rows, cost)
+       for rows, costs in zip(CENSUS_MATRICES, CENSUS_COSTS) for k, cost in enumerate(costs)},
+    **{name: partial(DEGENERATE.__getitem__, name) for name in DEGENERATE},  # sharp m=3 among them
+    "sharp2": partial(sharp_family, 2),
+})
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))

@@ -1,0 +1,87 @@
+"""The subdivision walk against the scan over every candidate basis.
+
+``regular_subdivision`` walks the lex-feasible bases of the perturbed cost
+c + eps (1, t, t^2, ...) in integers.  Every test here holds the whole
+:class:`~toricip.triangulation.RegularSubdivision` (faces, certificates and
+flag) equal to ``tests/reference_subdivision.py``, which solves all C(n, d)
+bases in Fractions, and the visited bases equal to the simplices of
+``lex_refinement``.  Sharp m=4 is compared with the scan (about 7 s) only in
+``python tests/sharp4_walk.py``.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from conftest import CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE
+from reference_subdivision import reference_subdivision
+
+from toricip.core import IntMatrix
+from toricip.errors import DomainError
+from toricip.hilbert import sharp_family
+from toricip.linalg import dot
+from toricip.triangulation import _lex_feasible_bases, _subdivision, lex_refinement, regular_subdivision
+
+
+def _assert_walk_matches_scan(a, cost):
+    delta = regular_subdivision(a, cost)
+    want = reference_subdivision(a, cost)
+    assert delta == want, (a, cost)
+    assert all(type(v) is Fraction for y in delta.certificates for v in y)
+    visited = sorted(sigma for sigma, _ in _lex_feasible_bases(a, delta.cost))
+    assert visited == list(lex_refinement(delta).maximal_faces), (a, cost)
+    return delta
+
+
+def test_walk_matches_the_scan_on_acceptance_seeds(acceptance_pipelines):
+    for inst in acceptance_pipelines:
+        assert inst["delta"] == _assert_walk_matches_scan(inst["a"], inst["c"]), inst["seed"]
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_walk_matches_the_scan_on_degenerate_costs(name):
+    _assert_walk_matches_scan(*DEGENERATE[name])
+
+
+@pytest.mark.parametrize("k", range(len(CENSUS_MATRICES)))
+def test_walk_matches_the_scan_on_census_costs(k):
+    a = IntMatrix(CENSUS_MATRICES[k])
+    for cost in CENSUS_COSTS[k]:
+        assert _assert_walk_matches_scan(a, cost).is_triangulation
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_walk_matches_the_scan_on_the_sharp_family(m):
+    _assert_walk_matches_scan(*sharp_family(m))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_walk_matches_the_scan_on_seeded_costs(seed):
+    # small entries and costs in -2..3, so ratio tests tie and some cells are not simplices
+    rng = random.Random(seed)
+    cases = fat = 0
+    while cases < 32:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, 7)
+        try:
+            a = IntMatrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(d)])
+        except DomainError:
+            continue
+        delta = _assert_walk_matches_scan(a, [rng.randint(-2, 3) for _ in range(n)])
+        cases += 1
+        fat += not delta.is_triangulation
+    assert fat >= 3  # 4-6 of each 32 have a cell that is not a simplex
+
+
+def test_sharp4_walk_is_fast_and_exact():
+    # 16 cells from 3,876 candidate bases, which the scan solves in about 7 s
+    a, cost = sharp_family(4)
+    start = time.process_time()
+    delta = _subdivision.__wrapped__(a, cost)
+    assert time.process_time() - start < 2.0
+    assert len(delta.maximal_faces) == 16 and not delta.is_triangulation
+    for cell, y in zip(delta.maximal_faces, delta.certificates):
+        slack = [cost[j] - dot(a.column(j), y) for j in range(a.n)]
+        assert [j for j, s in enumerate(slack) if s == 0] == list(cell)
+        assert min(slack) == 0

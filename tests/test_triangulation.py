@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import (
@@ -282,16 +283,19 @@ def test_lex_refinement_splits_the_zero_cost_cell():
 
 
 def test_lex_refinement_solves_no_rational_system(monkeypatch):
-    # the lex signs are read off integer determinants by Cramer's rule
+    # the lex signs are read off integer determinants by Cramer's rule, so
+    # refining builds no Fraction, as a rational solve per basis would
     deltas = {name: regular_subdivision(a, c) for name, (a, c) in DEGENERATE.items()}
 
-    def refused(rows, rhs):
-        raise AssertionError("lex_refinement called solve_exact")
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("lex_refinement built a Fraction")
 
-    monkeypatch.setattr(linalg, "solve_exact", refused)
-    assert faces_1based(lex_refinement(deltas["ex1-zero"]).maximal_faces) == [(1, 2), (2, 3), (3, 4)]
-    for delta in deltas.values():
-        refined = lex_refinement(delta)
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", refused)
+        refinements = {name: lex_refinement(delta) for name, delta in deltas.items()}
+    assert faces_1based(refinements["ex1-zero"].maximal_faces) == [(1, 2), (2, 3), (3, 4)]
+    for name, delta in deltas.items():
+        refined = refinements[name]
         assert refined.is_triangulation
         for sigma, y in zip(refined.maximal_faces, refined.certificates):
             assert linalg.det_int(delta.matrix.columns(sigma))
