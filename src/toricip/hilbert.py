@@ -13,7 +13,8 @@ construction and re-verifies its own postcondition before returning.
 
 Hilbert-basis candidates are the parallelepiped points of the simplices of one
 triangulation, one per coset read off a column-Hermite form; minimality is tested in
-grading order, and cone membership by the signs of the simplices' integer adjugates.
+grading order, and cone membership by the signs of the simplices' inverse rows, which
+the triangulation's walk leaves scaled by positive factors.
 """
 
 from itertools import combinations, product
@@ -32,23 +33,27 @@ class HilbertBasis(Record):
     generators: tuple
 
 
-def _parallelepiped_points(gens, coords, adj, sign):
+def _parallelepiped_points(gens, coords, rows):
     """Lattice points of {sum lam_t g_t : 0 <= lam_t < 1}, sorted.
 
     The r generators form a nonsingular minor M on the coordinates I =
-    ``coords``; ``adj`` is M's integer adjugate and ``sign`` the sign of its
-    determinant, as ``RegularSubdivision.simplex_inverses`` holds them.  A
-    point x is fixed by x_I = M lam, and the points' x_I are one per coset of
-    Z^r / M Z^r, represented by the vectors 0 <= y_t < |h_tt| of M's
-    lower-triangular column-Hermite form H, whose pivots multiply to |det M|.
-    The point of y has lam = (sign adj y mod |det M|) / |det M|; when r < d
-    it is a lattice point only when it is also integral off I.
+    ``coords``; ``rows[t]`` is a positive multiple of row t of M^{-1}, as
+    ``RegularSubdivision.simplex_inverses`` holds them, and the multiple is
+    rows[t] . (g_t on I).  A point x is fixed by x_I = M lam, and the points'
+    x_I are one per coset of Z^r / M Z^r, represented by the vectors
+    0 <= y_t < |h_tt| of M's lower-triangular column-Hermite form H, whose
+    pivots multiply to |det M|.  The point of y has lam = (adj y mod |det M|)
+    / |det M|, where adj = |det M| M^{-1} is integral; when r < d it is a
+    lattice point only when it is also integral off I.
     """
     r = len(gens)
     h, _, _ = column_hermite([[g[i] for g in gens] for i in coords], r)
     sizes = [abs(h[t][t]) for t in range(r)]
     size = prod(sizes)
-    adj = [[sign * v for v in row] for row in adj]
+    adj = []
+    for g, row in zip(gens, rows):
+        scale = dot(row, [g[i] for i in coords])
+        adj.append([size * v // scale for v in row])
     points = []
     for y in product(*map(range, sizes)):
         lam = [dot(row, y) % size for row in adj]
@@ -85,15 +90,14 @@ def hilbert_basis(generators) -> HilbertBasis:
     delta0 = RegularSubdivision(m, (0,) * m.n, (tuple(range(m.n)),), ((0,) * m.d,), m.n == m.d)
     cells = lex_refinement(delta0).simplex_inverses
     cands = set(gens)
-    for sigma, adj, sign in cells:
-        cands.update(_parallelepiped_points([gens[j] for j in sigma], keep, adj, sign))
+    for sigma, rows in cells:
+        cands.update(_parallelepiped_points([gens[j] for j in sigma], keep, rows))
     cands.discard(tuple([0] * len(gens[0])))
     minimal = []
     for x in sorted(cands, key=lambda x: (dot(m.grading, [x[i] for i in keep]), x)):
         # x - h is in the cone iff its coordinates in some simplex are all >= 0
         diffs = ([x[i] - h[i] for i in keep] for h in minimal)
-        if not any(all(sign * dot(row, v) >= 0 for row in adj) for v in diffs
-                   for _, adj, sign in cells):
+        if not any(all(dot(row, v) >= 0 for row in rows) for v in diffs for _, rows in cells):
             minimal.append(x)
     return HilbertBasis(tuple(sorted(minimal)), tuple(gens))
 
@@ -246,13 +250,13 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
         return (dot(c0, x), -sum(x[j] for j in rays), x)
 
     fac = a.fibers
-    inverses = {sigma: (adj, sign) for sigma, adj, sign in sub0.simplex_inverses}
+    inverses = dict(sub0.simplex_inverses)
     residue_roots = []
     expected = set()
     for face in faces:
         gens = [a.column(j) for j in face]
         roots = []
-        for b in _parallelepiped_points(gens, range(a.d), *inverses[face]):
+        for b in _parallelepiped_points(gens, range(a.d), inverses[face]):
             opt = min(fac.points(b), key=sym_key, default=None)
             if opt is None:
                 raise NotDeltaNormal(f"residue {b} has an empty fiber")

@@ -34,18 +34,6 @@ def det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(rows):
-    """The integer adjugate of a square matrix, so rows @ adj = det(rows) I.
-
-    Entry (i, j) is the (j, i) cofactor, a Bareiss determinant of size n - 1.
-    """
-    n = len(rows)
-    return tuple(
-        tuple((-1) ** (i + j) * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
-              for j in range(n))
-        for i in range(n))
-
-
 def _colop_combine(mat, j0, j1, x, y, z, w):
     """Columns (j0, j1) <- (x*j0 + y*j1, z*j0 + w*j1), in place."""
     for row in mat:

@@ -9,9 +9,10 @@ adjacent ones are one dual simplex pivot apart, and each simplex's cell is its
 equality set under c itself.  A cost is generic when every maximal cell is a
 d-simplex; the result carries that flag instead of raising, and non-generic
 inputs are never silently perturbed: the perturbation only orders the walk.
+The same walk, started from any cell, gives the lex refinement and each
+simplex's inverse, which its tableau carries.
 """
 
-from bisect import bisect
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -93,17 +94,16 @@ class RegularSubdivision(Record):
 
     @cached_property
     def simplex_inverses(self):
-        """(sigma, adj A_sigma, sign of det A_sigma) per maximal simplex.
+        """(sigma, rows) per simplex of the lex refinement, from one walk from the first cell.
 
-        A_sigma^{-1} b = adj A_sigma b / det A_sigma, so the signs of
-        sign * (adj A_sigma b) are those of b's coordinates in sigma.  Built
-        on first use and kept for the life of the subdivision.
+        rows[t] is a positive multiple of row t of A_sigma^{-1}, so the signs
+        of rows[t] . b are those of b's coordinates in sigma (see
+        :func:`_lex_feasible_bases`).  On a triangulation the simplices are
+        its maximal faces.  Built on first use and kept for the life of the
+        subdivision.
         """
-        out = []
-        for sigma in self.maximal_faces:
-            sub = self.matrix.columns(sigma)
-            out.append((sigma, linalg.adjugate(sub), 1 if linalg.det_int(sub) > 0 else -1))
-        return tuple(out)
+        walk = _lex_feasible_bases(self.matrix, self.cost, self.maximal_faces[0])
+        return tuple((sigma, rows) for sigma, rows, _ in walk)
 
 
 def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
@@ -127,7 +127,7 @@ def _subdivision(a, cost):
     """
     n = a.n
     cells = {}
-    for _, z in _lex_feasible_bases(a, cost):
+    for _, _, z in _lex_feasible_bases(a, cost, _start_cell(a, cost)):
         cell = tuple(j for j in range(n) if not z[j])
         if cell not in cells:
             cells[cell] = tuple(Fraction(-v, z[-1]) for v in z[n:-1])
@@ -137,29 +137,31 @@ def _subdivision(a, cost):
     return RegularSubdivision(a, cost, tuple(faces), certs, is_tri)
 
 
-def _lex_feasible_bases(a, cost):
-    """Yield (sigma, cost row) for each simplex sigma of the lex refinement of Delta_c.
+def _lex_feasible_bases(a, cost, start):
+    """Yield (sigma, rows, cost row) for each simplex sigma of the lex refinement of Delta_c.
 
     These are the bases whose reduced costs are lexicographically positive
     for the perturbed cost c + eps (1, t, t^2, ...): the vertices of a simple
     polyhedron, so every basis is reached from one start by pivots across
-    edges.  The integer tableau of :mod:`linprog` runs over [A | I | 0], so
-    its identity block carries A_sigma^{-1} and the cost row ends in its own
-    positive scale.  The walk is depth-first and pivots back on return, so a
-    pending basis holds no tableau of its own.
+    edges.  ``start`` is any cell of Delta_c; its independent columns, taken
+    greedily from the last, are such a basis.  The integer tableau of
+    :mod:`linprog` runs over [A | I | 0], so the cost row ends in its own
+    positive scale, and the identity block carries A_sigma^{-1}: sigma comes
+    sorted, and rows[t], the block's row of column sigma_t, is row t of
+    A_sigma^{-1} times rows[t] . a_{sigma_t} > 0.  The walk is depth-first
+    and pivots back on return, so a pending basis holds no tableau of its own.
     """
     n, d = a.n, a.d
     rows = [[*r, *(int(i == k) for k in range(d)), 0] for i, r in enumerate(a.entries)]
     basis = list(range(n, n + d))
     z = [*cost, *[0] * d, 1]
-    # a lex-feasible start: the cell's independent columns, taken greedily from the last
-    for j in reversed(_start_cell(a, cost)):
+    for j in reversed(start):
         i = next((i for i, b in enumerate(basis) if b >= n and rows[i][j]), None)
         if i is not None:
             z = _eliminate(z, _pivot(rows, basis, i, j), j)
     mask = sum(1 << b for b in basis)
     seen = {mask}
-    yield tuple(sorted(basis)), z
+    yield (*_inverse_rows(rows, basis, n), z)
     tried, undo = [0], []  # rows tried per basis on the path; pivots to undo
     while tried:
         k = tried[-1]
@@ -181,8 +183,15 @@ def _lex_feasible_bases(a, cost):
         seen.add(mask)
         undo.append((k, basis[k]))
         z = _eliminate(z, _pivot(rows, basis, k, j), j)
-        yield tuple(sorted(basis)), z
+        yield (*_inverse_rows(rows, basis, n), z)
         tried.append(0)
+
+
+def _inverse_rows(rows, basis, n):
+    """(sigma, rows): the basis sorted, and the identity block's rows in sigma's order."""
+    order = sorted(range(len(basis)), key=basis.__getitem__)
+    sigma = tuple(basis[i] for i in order)
+    return sigma, tuple(tuple(rows[i][n:n + len(basis)]) for i in order)
 
 
 def _start_cell(a, cost):
@@ -241,27 +250,19 @@ cached_subdivision = _subdivision  # the cache, for cache_info() and cache_clear
 def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
     """The lex refinement of Delta_c: the triangulation for c + eps (1, t, t^2, ...).
 
-    A nonsingular d-subset sigma of a cell C is a simplex when, for each j in
-    C - sigma, the first nonzero entry of (A_sigma^{-1} a_j on sigma, -1 at j)
-    is negative, so a_j lifts above sigma.  Columns off C stay strictly slack.
-    The signs are read off integer determinants by Cramer's rule.
+    Its simplices are the bases :func:`_lex_feasible_bases` visits, walking
+    from the first cell of ``delta``.  Each carries the certificate of the
+    cell it refines: the basis's columns with zero reduced cost under c.  A
+    triangulation, a lex refinement among them, is its own refinement.
     """
+    if delta.is_triangulation:
+        return delta
     a = delta.matrix
     simplices = {}
-    for cell, y in zip(delta.maximal_faces, delta.certificates):
-        for sigma in combinations(cell, a.d):
-            det = linalg.det_int(a.columns(sigma))
-            if det and all(_lifted_above(a, sigma, j, det) for j in cell if j not in sigma):
-                simplices[sigma] = y
+    for sigma, _, z in _lex_feasible_bases(a, delta.cost, delta.maximal_faces[0]):
+        simplices[sigma] = delta.certificate([j for j in range(a.n) if not z[j]])
     faces = sorted(simplices)
     return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
-
-
-def _lifted_above(a, sigma, j, det):
-    for k in range(bisect(sigma, j)):  # det * lam_k by Cramer's rule; the -1 at j comes after
-        if v := linalg.det_int(a.columns(sigma[:k] + (j,) + sigma[k + 1:])):
-            return v * det < 0
-    return True
 
 
 def optimal_face(delta: RegularSubdivision, b):
@@ -270,16 +271,16 @@ def optimal_face(delta: RegularSubdivision, b):
     This is the support of an optimal solution of the linear relaxation for
     right-hand side b.  Raises OutsideCone when b is not in cone(A).  The face
     cones of a triangulation form a fan, so tau is the support of b's
-    coordinates in any maximal simplex whose cone holds b, read off the
-    simplex's integer inverse.  A subdivision with a non-simplicial cell
-    raises Degenerate: there the smallest face need not be unique; refine it
-    with :func:`lex_refinement` first.
+    coordinates in any maximal simplex whose cone holds b, read off the signs
+    of the simplex's scaled inverse rows.  A subdivision with a non-simplicial
+    cell raises Degenerate: there the smallest face need not be unique; refine
+    it with :func:`lex_refinement` first.
     """
     b = int_vector(b, delta.matrix.d, "right-hand side")
     if not delta.is_triangulation:
         raise Degenerate("optimal_face needs a triangulation")
-    for sigma, adj, sign in delta.simplex_inverses:
-        lam = [sign * linalg.dot(row, b) for row in adj]
+    for sigma, rows in delta.simplex_inverses:
+        lam = [linalg.dot(row, b) for row in rows]
         if all(v >= 0 for v in lam):
             return tuple(j for j, v in zip(sigma, lam) if v)
     raise OutsideCone(f"{b} is outside cone(A)")

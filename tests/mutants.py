@@ -44,6 +44,7 @@ RANK_DEFICIENT = "tests/test_core.py::test_rejects_rank_deficient"
 HILBERT_REFERENCE = "tests/test_hilbert.py::test_hilbert_basis_matches_the_all_subsets_reference"
 DEGREE_ORDER = "tests/test_hilbert.py::test_hilbert_basis_tests_candidates_in_degree_order"
 PARALLELEPIPED = "tests/test_enum.py::test_parallelepiped_named"
+ROW_FACTORS = "tests/test_enum.py::test_parallelepiped_rows_may_carry_any_positive_factor"
 SATURATED = "tests/test_core.py::test_unsaturated_kernel_basis_is_refused"
 LIFT = "tests/test_hilbert.py::test_certificate_lift_matches_the_per_cell_search"
 NORMALITY_REFERENCE = ("tests/test_hilbert.py::"
@@ -67,6 +68,7 @@ NOT_TRIANGULATION = ("tests/test_triangulation.py::"
 WALK_SEEDED = "tests/test_subdivision.py::test_walk_matches_the_scan_on_seeded_costs"
 WALK_DEGENERATE = "tests/test_subdivision.py::test_walk_matches_the_scan_on_degenerate_costs"
 WALK_SHARP = "tests/test_subdivision.py::test_walk_matches_the_scan_on_the_sharp_family"
+INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -131,12 +133,19 @@ MUTANTS = {
         HILBERT, "product(*map(range, sizes))", "product(*(range(sizes[0]) for _ in sizes))",
         [PARALLELEPIPED, HILBERT_REFERENCE]),
     "hilbert-cone-test-strict": (
-        HILBERT, "sign * dot(row, v) >= 0", "sign * dot(row, v) > 0", [HILBERT_REFERENCE]),
+        HILBERT, "dot(row, v) >= 0", "dot(row, v) > 0", [HILBERT_REFERENCE]),
     "hilbert-first-simplex-only": (
         HILBERT, "lex_refinement(delta0).simplex_inverses\n",
         "lex_refinement(delta0).simplex_inverses[:1]\n", [HILBERT_REFERENCE]),
-    "lex-sign-drops-the-determinant": (
-        TRIANGULATION, "return v * det < 0", "return v < 0", [LEX_SEARCH, HILBERT_REFERENCE]),
+    "parallelepiped-rows-read-as-the-adjugate": (
+        HILBERT, "size * v // scale", "v", [ROW_FACTORS, HILBERT_REFERENCE]),
+    "walk-inverse-rows-in-basis-order": (
+        TRIANGULATION, "[n:n + len(basis)]) for i in order)",
+        "[n:n + len(basis)]) for i in range(len(basis)))",
+        [INVERSE_ROWS, HILBERT_REFERENCE]),
+    "refinement-takes-the-first-cell-certificate": (
+        TRIANGULATION, "delta.certificate([j for j in range(a.n) if not z[j]])",
+        "delta.certificates[0]", [LEX_SEARCH, WALK_DEGENERATE]),
     "saturation-check-removed": (
         CORE, "    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):",
         "    if False:", [SATURATED]),
@@ -191,7 +200,7 @@ MUTANTS = {
     "walk-ties-broken-by-the-lowest-index": (
         TRIANGULATION, "    if len(tied) < 2:\n", "    if True:\n", [WALK_SEEDED, WALK_DEGENERATE]),
     "walk-start-greedy-from-the-lowest-index": (
-        TRIANGULATION, "for j in reversed(_start_cell(a, cost)):", "for j in _start_cell(a, cost):",
+        TRIANGULATION, "for j in reversed(start):", "for j in start:",
         [WALK_SEEDED, WALK_DEGENERATE]),
     "walk-ratio-test-keeps-the-largest-ratio": (
         TRIANGULATION, "            if diff < 0:\n                continue\n",

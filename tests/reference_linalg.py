@@ -14,6 +14,10 @@ tests hold the pivot count of ``fibers.factor`` and
 ``solve_exact`` is the Fraction Gauss-Jordan the library used for each
 candidate basis of a subdivision before it walked the bases in integers; the
 references that solve a linear system afresh per call take it from here.
+
+``adjugate`` is the cofactor adjugate the library built per simplex before
+the subdivision walk handed it each simplex's inverse rows; the tests hold
+those rows equal to it up to positive factors.
 """
 
 from fractions import Fraction
@@ -66,6 +70,18 @@ def gcd_of_minors(rows, k):
             if g == 1:
                 return 1
     return g
+
+
+def adjugate(rows):
+    """The integer adjugate of a square matrix, so rows @ adj = det(rows) I.
+
+    Entry (i, j) is the (j, i) cofactor, a Bareiss determinant of size n - 1.
+    """
+    n = len(rows)
+    return tuple(
+        tuple((-1) ** (i + j) * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+              for j in range(n))
+        for i in range(n))
 
 
 def solve_exact(rows, rhs):

@@ -1,6 +1,7 @@
 """Per-call Fraction references for the solves the library now factors once.
 
-``optimal_face`` reads b's coordinates off each simplex's integer adjugate,
+``optimal_face`` reads the signs of b's coordinates off each simplex's
+inverse rows, which the subdivision walk leaves scaled by positive factors,
 and a reduced cost c - y A takes y from the subdivision's certificate.  These
 references solve the linear systems afresh on every call, in Fraction
 Gauss-Jordan (``reference_linalg.solve_exact``), as the library did before; tests hold

@@ -3,8 +3,9 @@
 ``oracle.lattice_points_boxed`` is the only enumerator of {s . z <= o} in
 the library, and ``oracle._recession_trivial`` is built on its elimination.
 ``hilbert._parallelepiped_points`` eliminates nothing: given coordinates on
-which the generators are nonsingular, and the adjugate and determinant sign
-of that minor, it reads one point per coset off a column-Hermite form.  Each must give exactly what the test-only versions in
+which the generators are nonsingular, and rows that are positive multiples of
+the rows of that minor's inverse, it reads one point per coset off a
+column-Hermite form.  Each must give exactly what the test-only versions in
 ``reference_enum`` give: the same points in the same order, and the same
 boundedness verdicts.
 """
@@ -20,11 +21,11 @@ from reference_enum import (
     reference_parallelepiped_points,
     reference_recession_trivial,
 )
-from reference_linalg import rank
+from reference_linalg import adjugate, rank
 
 from toricip.errors import ParseError, Unbounded
 from toricip.hilbert import _parallelepiped_points
-from toricip.linalg import adjugate, det_int
+from toricip.linalg import det_int
 from toricip.oracle import (
     IneqPolytope,
     _recession_trivial,
@@ -148,16 +149,30 @@ NAMED_PARALLELEPIPEDS = [
 ]
 
 
-def _points(gens, coords):
-    """The parallelepiped points, with the minor's adjugate and sign taken as a simplex keeps them."""
+def _points(gens, coords, factors=None):
+    """The parallelepiped points, with inverse rows from the reference adjugate times the sign.
+
+    Those rows are |det| M^{-1}; ``factors`` scales row t by a further factors[t] > 0.
+    """
     minor = [[g[i] for g in gens] for i in coords]
-    return _parallelepiped_points(gens, coords, adjugate(minor), 1 if det_int(minor) > 0 else -1)
+    sign = 1 if det_int(minor) > 0 else -1
+    factors = factors or [1] * len(gens)
+    rows = [[sign * f * v for v in row] for f, row in zip(factors, adjugate(minor))]
+    return _parallelepiped_points(gens, coords, rows)
 
 
 @pytest.mark.parametrize("gens, coords", NAMED_PARALLELEPIPEDS,
                          ids=[f"gens{i}" for i in range(len(NAMED_PARALLELEPIPEDS))])
 def test_parallelepiped_named(gens, coords):
     assert _points(gens, coords) == reference_parallelepiped_points(gens)
+
+
+@pytest.mark.parametrize("gens, coords", NAMED_PARALLELEPIPEDS,
+                         ids=[f"gens{i}" for i in range(len(NAMED_PARALLELEPIPEDS))])
+def test_parallelepiped_rows_may_carry_any_positive_factor(gens, coords):
+    # the subdivision walk scales each inverse row by its own positive factor
+    factors = [t + 2 for t in range(len(gens))]
+    assert _points(gens, coords, factors) == reference_parallelepiped_points(gens)
 
 
 def _rank_rows(gens):

@@ -74,7 +74,8 @@ def test_hilbert_basis_examples():
 
 def test_hilbert_basis_runs_one_lp(monkeypatch):
     # parallelepiped points come from Hermite cosets, not from a Fourier-Motzkin
-    # plan, and cone membership from the simplices' adjugates: the only LP is
+    # plan, and cone membership from the signs of the simplices' inverse rows,
+    # which the subdivision walk hands over: the only LP is
     # the validation of the generators as an IntMatrix, whose grading gives the
     # degree order.  One cone LP per test against a kept element made 226 on
     # LONG_CHAIN and 39 on census 4 x 8; a separate grading LP made one more.
@@ -516,3 +517,25 @@ def test_sharp_family_m4_shape():
     assert a.d == 15 and a.n == 19
     assert all(v >= 0 for row in a.entries for v in row)
     assert len(cost) == 19
+
+
+# the ten Hilbert-basis elements of sharp m=4's cone that are not among its 19 columns
+SHARP4_HILBERT_EXTRA = (
+    (1, 1, 1, 2, 2, 0, 1, 1, 1, 1, 2, 0, 0, 1, 1), (1, 1, 2, 1, 2, 1, 0, 1, 1, 2, 1, 0, 1, 0, 1),
+    (1, 1, 2, 2, 1, 1, 1, 0, 2, 1, 1, 1, 0, 0, 1), (1, 2, 1, 1, 2, 1, 1, 2, 0, 1, 1, 0, 1, 1, 0),
+    (1, 2, 1, 2, 1, 1, 2, 1, 1, 0, 1, 1, 0, 1, 0), (1, 2, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 1, 0, 0),
+    (2, 2, 3, 3, 3, 2, 2, 2, 3, 3, 3, 1, 1, 1, 2), (2, 3, 2, 3, 3, 2, 3, 3, 2, 2, 3, 1, 1, 2, 1),
+    (2, 3, 3, 2, 3, 3, 2, 3, 2, 3, 2, 1, 2, 1, 1), (2, 3, 3, 3, 2, 3, 3, 2, 3, 2, 2, 2, 1, 1, 1),
+)
+
+
+def test_sharp4_hilbert_basis_is_fast():
+    # the lex refinement of the one cost-0 cell and its 100 simplices' inverse
+    # rows come from one walk each: about 0.3 CPU s on one 2-CPU host
+    a, _ = sharp_family(4)
+    cols = [a.column(j) for j in range(a.n)]
+    start = time.process_time()
+    elements = hilbert_basis(cols).elements
+    assert time.process_time() - start < 1.5
+    assert len(elements) == 29
+    assert elements == tuple(sorted({*cols, *SHARP4_HILBERT_EXTRA}))

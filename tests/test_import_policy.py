@@ -144,3 +144,17 @@ def test_package_names_resolve_to_their_home_modules():
 def test_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         toricip.no_such_name  # noqa: B018
+
+
+def test_importing_the_test_modules_builds_no_matrix():
+    # fixtures and cases build on first use, so a library change that breaks
+    # every IntMatrix fails the tests that use one, not a module's collection
+    tests = Path(__file__).parent
+    names = sorted(p.stem for p in tests.glob("test_*.py"))
+    code = (f"import sys\nsys.path.insert(0, {str(tests)!r})\n"
+            "from toricip import core\n"
+            "built, real = [], core.IntMatrix.__init__\n"
+            "core.IntMatrix.__init__ = lambda self, *a: built.append(a) or real(self, *a)\n"
+            f"for name in {names!r}:\n    __import__(name)\n"
+            "print(len(built))\n")
+    assert _child(code, report="") == 0

@@ -4,9 +4,12 @@ A record compares and hashes as the frozen dataclass with the same fields
 would, so set and dict orders, and with them every output, do not depend on
 which of the two builds the class.  Each record of one pipeline run on EX1 is
 checked against a dataclass twin made with ``dataclasses.make_dataclass``.
+The pipeline runs on first use, not at collection, so a library change that
+breaks every IntMatrix fails those tests instead of this module's collection.
 """
 
 from dataclasses import field, make_dataclass
+from functools import cache
 
 import pytest
 from conftest import EX1, EX1_COST
@@ -24,15 +27,23 @@ from toricip.stdpairs import (
 from toricip.triangulation import regular_subdivision, unimodularity_report
 
 
+RECORDS = ["IntMatrix", "LatticeBasis", "Factorization", "RegularSubdivision", "GroebnerBasis",
+           "CostOrder", "Binomial", "MonomialIdeal", "Decomposition", "StandardPair",
+           "AssociatedReport", "UnimodularityReport", "LPResult"]
+
+
+@cache
 def _records():
+    """Class name -> one record of that class, from one pipeline run on EX1."""
     a = IntMatrix(EX1)
     delta = regular_subdivision(a, EX1_COST)
     gb = toric_groebner(a, CostOrder.from_cost(EX1_COST))
     ideal = initial_ideal(gb)
     decomp = standard_pair_decomposition(ideal, delta)
-    return [a, kernel_lattice_basis(a), a.fibers, delta, gb, gb.order, gb.elements[0], ideal, decomp,
-            decomp.pairs[0], associated_report(decomp, delta), unimodularity_report(a, delta),
-            LPResult("infeasible")]
+    records = [a, kernel_lattice_basis(a), a.fibers, delta, gb, gb.order, gb.elements[0], ideal,
+               decomp, decomp.pairs[0], associated_report(decomp, delta),
+               unimodularity_report(a, delta), LPResult("infeasible")]
+    return {type(r).__name__: r for r in records}
 
 
 def _twin(record):
@@ -42,8 +53,10 @@ def _twin(record):
     return make_dataclass(cls.__name__, fields, frozen=True)(*(getattr(record, f) for f in cls._fields))
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
-def test_hash_equality_and_repr_are_the_frozen_dataclass_s(record):
+@pytest.mark.parametrize("name", RECORDS)
+def test_hash_equality_and_repr_are_the_frozen_dataclass_s(name):
+    assert list(_records()) == RECORDS
+    record = _records()[name]
     twin = _twin(record)
     compared = tuple(getattr(record, f) for f in record._compared)
     assert hash(record) == hash(twin) == hash(compared)

@@ -4,9 +4,14 @@
 c + eps (1, t, t^2, ...) in integers.  Every test here holds the whole
 :class:`~toricip.triangulation.RegularSubdivision` (faces, certificates and
 flag) equal to ``tests/reference_subdivision.py``, which solves all C(n, d)
-bases in Fractions, and the visited bases equal to the simplices of
-``lex_refinement``.  Sharp m=4 is compared with the scan (about 7 s) only in
-``python tests/sharp4_walk.py``.
+bases in Fractions.  ``lex_refinement`` is the same walk from another start,
+so the bases visited from every cell, and the whole refinement, are held
+equal to the Cramer scan of ``tests/reference_refinement.py``.  Sharp m=4 is
+compared with the scan (about 7 s) only in ``python tests/sharp4_walk.py``.
+
+The walk also hands each simplex its inverse rows.  Those are checked with no
+reference, as A_sigma^{-1} up to a positive factor per row, and against the
+cofactor adjugate of ``tests/reference_linalg.py``.
 """
 
 import random
@@ -15,12 +20,14 @@ from fractions import Fraction
 
 import pytest
 from conftest import CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE
+from reference_linalg import adjugate
+from reference_refinement import reference_lex_refinement
 from reference_subdivision import reference_subdivision
 
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
 from toricip.hilbert import sharp_family
-from toricip.linalg import dot
+from toricip.linalg import det_int, dot
 from toricip.triangulation import _lex_feasible_bases, _subdivision, lex_refinement, regular_subdivision
 
 
@@ -29,8 +36,11 @@ def _assert_walk_matches_scan(a, cost):
     want = reference_subdivision(a, cost)
     assert delta == want, (a, cost)
     assert all(type(v) is Fraction for y in delta.certificates for v in y)
-    visited = sorted(sigma for sigma, _ in _lex_feasible_bases(a, delta.cost))
-    assert visited == list(lex_refinement(delta).maximal_faces), (a, cost)
+    refined = reference_lex_refinement(delta)
+    assert lex_refinement(delta) == refined, (a, cost)
+    for start in delta.maximal_faces:  # the walk from any cell of Delta_c visits the same bases
+        visited = sorted(sigma for sigma, _, _ in _lex_feasible_bases(a, delta.cost, start))
+        assert visited == list(refined.maximal_faces), (a, cost, start)
     return delta
 
 
@@ -85,3 +95,45 @@ def test_sharp4_walk_is_fast_and_exact():
         slack = [cost[j] - dot(a.column(j), y) for j in range(a.n)]
         assert [j for j, s in enumerate(slack) if s == 0] == list(cell)
         assert min(slack) == 0
+
+
+def _assert_inverse_rows(delta):
+    """Each (sigma, rows) of ``delta`` and of its refinement is A_sigma^{-1} up to row factors."""
+    a = delta.matrix
+    refined = lex_refinement(delta)
+    for sub in (delta, refined):
+        assert sorted(sigma for sigma, _ in sub.simplex_inverses) == list(refined.maximal_faces)
+        for sigma, rows in sub.simplex_inverses:
+            minor = a.columns(sigma)
+            det = det_int(minor)
+            # |det| A_sigma^{-1}, the adjugate times the sign of the determinant
+            signed = [[v if det > 0 else -v for v in row] for row in adjugate(minor)]
+            for t, row in enumerate(rows):
+                products = [dot(row, a.column(j)) for j in sigma]
+                scale = products[t]
+                assert scale > 0 and not any(products[:t] + products[t + 1:]), (sigma, t)
+                assert [abs(det) * v for v in row] == [scale * v for v in signed[t]], (sigma, t)
+    return len(refined.maximal_faces)
+
+
+def test_inverse_rows_on_acceptance_seeds(acceptance_pipelines):
+    assert sum(_assert_inverse_rows(inst["delta"]) for inst in acceptance_pipelines) > 150
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_inverse_rows_on_degenerate_costs(name):
+    _assert_inverse_rows(regular_subdivision(*DEGENERATE[name]))
+
+
+@pytest.mark.parametrize("k", range(len(CENSUS_MATRICES)))
+def test_inverse_rows_on_census_costs(k):
+    a = IntMatrix(CENSUS_MATRICES[k])
+    for cost in CENSUS_COSTS[k]:
+        _assert_inverse_rows(regular_subdivision(a, cost))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_inverse_rows_on_the_sharp_family(m):
+    a, cost = sharp_family(m)
+    _assert_inverse_rows(regular_subdivision(a, cost))
+    _assert_inverse_rows(regular_subdivision(a, (0,) * a.n))

@@ -282,9 +282,18 @@ def test_lex_refinement_splits_the_zero_cost_cell():
     assert lex_refinement(tri).maximal_faces == tri.maximal_faces
 
 
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_lex_refinement_of_a_lex_refinement_is_itself(name):
+    # a refined simplex carries its cell's certificate, not one of its own
+    refined = lex_refinement(regular_subdivision(*DEGENERATE[name]))
+    assert lex_refinement(refined) == refined
+    assert sorted(sigma for sigma, _ in refined.simplex_inverses) == list(refined.maximal_faces)
+
+
 def test_lex_refinement_solves_no_rational_system(monkeypatch):
-    # the lex signs are read off integer determinants by Cramer's rule, so
-    # refining builds no Fraction, as a rational solve per basis would
+    # the simplices are the bases of an integer tableau walk and each takes its
+    # cell's certificate as it stands, so refining builds no Fraction, as a
+    # rational solve per basis would
     deltas = {name: regular_subdivision(a, c) for name, (a, c) in DEGENERATE.items()}
 
     def refused(cls, *args, **kwargs):
