@@ -21,8 +21,8 @@ from itertools import combinations, product
 from math import prod
 
 from .core import IntMatrix
-from .errors import (NotDeltaNormal, NotPointed, NotRegular, ParseError, Record, UnboundedFamily,
-                     _face, int_vector)
+from .errors import (Degenerate, NotDeltaNormal, NotPointed, NotRegular, ParseError, Record,
+                     UnboundedFamily, _face, int_vector)
 from .linalg import clear_denominators, column_hermite, dot
 from .linprog import OPTIMAL, solve_lp
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
@@ -233,6 +233,8 @@ def gomory_cost(a: IntMatrix, faces) -> GomoryCostResult:
     # the pipeline modules load here, so the Hilbert-basis commands skip them
     from .stdpairs import StandardPair
     faces = tuple(_face(f, a.n) for f in faces)
+    if any(len(f) > a.d for f in faces):
+        raise Degenerate("gomory_cost needs the cells of a triangulation")
     cprime = _certificate_cost(a, faces)
     sub0 = regular_subdivision(a, cprime)
     if set(sub0.maximal_faces) != set(faces):

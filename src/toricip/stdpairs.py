@@ -4,15 +4,14 @@ The optimal solutions of the whole family form a down set whose complement is
 generated by the initial-ideal exponents.  A pair (root u, face tau) is
 admissible when the shifted coordinate semigroup u + N^tau avoids the ideal,
 and standard when no admissible pair properly contains it; the decomposition
-by standard pairs is unique.  Roots of standard pairs are bounded coordinate-
-wise by the generator exponents (a consequence of admissibility plus the
-single-step maximality test), which makes the root search finite.
+by standard pairs is unique.  It belongs to the monomial ideal alone, and one
+recursion finds it: split on a variable x, take the pairs with x in the face
+from (J : x^inf) and the others from the slices (J : x^j) below the largest
+x-exponent (:func:`_standard_pairs`).
 
 Faces of standard pairs are the associated sets of the family; they carry the
 multiplicities, the arithmetic degree and the chain structure audited by
-:func:`associated_report`.  They are faces of the triangulation and form
-saturated chains down from its maximal cells (Hosten-Thomas 1999), so the
-decomposition runs the root search only on the faces of a top-down walk.
+:func:`associated_report`.  Every maximal cell of the triangulation is one.
 """
 
 from functools import cached_property
@@ -93,85 +92,55 @@ class Decomposition(Record):
         return tuple((p, a.apply(p.root), fibers[p.face]) for p in ordered)
 
 
-def _standard_roots(proj_gens, k):
-    """Roots u over the k taubar coordinates for which (u, tau) is a standard pair.
+def _standard_pairs(gens, free, n, memo):
+    """The standard pairs (root, face) of the ideal of ``gens`` in the variables ``free``.
 
-    proj_gens are the minimal generators projected to taubar.  The search
-    fixes u_1, u_2, ... in turn, and each generator g keeps where it exceeds
-    u so far: nowhere (-1), at the one coordinate t (t), or at two or more
-    (-2).  The pair is admissible iff every g exceeds u somewhere; g
-    vanishes past its last nonzero coordinate, so that is settled at that
-    depth (at once for a g that projects to zero).  It is maximal iff every
-    coordinate t is the lone excess of some g (such a g keeps t out of the
-    face).  Excess sets only grow, so a coordinate left without such a g
-    prunes the subtree, and since a lone excess needs g_t > u_t, the
-    generators' box bounds the search.
+    ``gens`` is a sorted antichain of n-vectors supported on ``free``, and
+    ``memo`` maps each (gens, free) already split to its pairs.  The split is
+    on the first variable x a generator uses.  The pairs with x in the face
+    are those of (J : x^inf), which sets x to 0, with x added to the face.
+    Every other pair has x^j in its root for some j below the largest
+    x-exponent, and the rest of it is a pair of (J : x^j) without x, which
+    keeps the generators with g_x <= j; it is standard iff it meets
+    (J : x^inf), for otherwise the pair with x added to its face covers it.
+    (J : x^j) changes only at the x-exponents, so each one is split once.
     """
-    bounds = [max((g[t] for g in proj_gens), default=0) for t in range(k)]
-    due = [[] for _ in range(k + 1)]
-    for i, g in enumerate(proj_gens):
-        due[max((t for t in range(k) if g[t] != 0), default=-1) + 1].append(i)
-    out = []
-
-    def rec(depth, u, over):
-        if any(over[i] == -1 for i in due[depth]):
-            return  # g divides x^u
-        if len({t for t in over if t >= 0}) < depth:
-            return  # a coordinate fixed so far could join the face
-        if depth == k:
-            out.append(tuple(u))
-            return
-        for v in range(bounds[depth]):
-            u.append(v)
-            rec(depth + 1, u, [t if g[depth] <= v else depth if t == -1 else -2
-                               for g, t in zip(proj_gens, over)])
-            u.pop()
-
-    rec(0, [], [-1] * len(proj_gens))
+    key = (gens, free)
+    if key in memo:
+        return memo[key]
+    x = next((i for i in free if any(g[i] for g in gens)), None)
+    if x is None:  # the zero ideal has every monomial standard, the unit ideal none
+        out = [] if gens else [((0,) * n, free)]
+    else:
+        rest = tuple(i for i in free if i != x)
+        colon = _minimalize(g[:x] + (0,) + g[x + 1:] for g in gens)
+        out = [(u, tuple(sorted(f + (x,)))) for u, f in _standard_pairs(colon, rest, n, memo)]
+        levels = sorted({0} | {g[x] for g in gens})
+        for lo, hi in zip(levels, levels[1:]):
+            below = _minimalize(g[:x] + (0,) + g[x + 1:] for g in gens if g[x] <= lo)
+            for u, f in _standard_pairs(below, rest, n, memo):
+                if any(all(g[i] <= u[i] for i in rest if i not in f) for g in colon):
+                    out += [(u[:x] + (j,) + u[x + 1:], f) for j in range(lo, hi)]
+    memo[key] = out
     return out
-
-
-def _face_pairs(ideal: MonomialIdeal, tau):
-    """The standard pairs of the ideal on the face tau."""
-    taubar = [i for i in range(ideal.nvars) if i not in tau]
-    proj = _minimalize(tuple(g[i] for i in taubar) for g in ideal.generators)
-    pairs = []
-    for u in _standard_roots(proj, len(taubar)):
-        root = dict(zip(taubar, u))
-        pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(ideal.nvars)), tau))
-    return pairs
 
 
 def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision) -> Decomposition:
     """The unique standard-pair decomposition of the standard monomials.
 
-    ``delta`` is the triangulation of the order that gave the ideal.  The
-    pair faces (the associated sets) include every maximal cell, and each
-    one below full size lies in one a size larger (Hosten-Thomas, The
-    associated primes of initial ideals of lattice ideals, Math. Res. Lett.
-    1999).  So a walk by size from the top finds them all: the candidates of
-    a size are the maximal cells and the subsets of the associated sets one
-    size larger, and a candidate is associated iff it has a root.  A
-    maximal cell without one means the ideal and delta do not belong
-    together and raises ChainViolation.
+    ``delta`` is the triangulation of the order that gave the ideal, so every
+    maximal cell is a pair face (an associated set); one that is not means
+    the ideal and delta do not belong together and raises ChainViolation.
     """
     n = ideal.nvars
     if n != delta.matrix.n:
         raise ParseError(f"the ideal has {n} variables, the subdivision {delta.matrix.n}")
-    maximal = set(delta.maximal_faces)
-    pairs = []
-    level = set()
-    for size in range(n, -1, -1):
-        below = set()
-        for tau in sorted(level | {f for f in maximal if len(f) == size}):
-            found = _face_pairs(ideal, tau)
-            if found:
-                pairs += found
-                below.update(tau[:i] + tau[i + 1:] for i in range(size))
-            elif tau in maximal:
-                raise ChainViolation(f"maximal face {tau} is not associated")
-        level = below
-    return Decomposition.from_pairs(pairs, delta)
+    pairs = _standard_pairs(_minimalize(ideal.generators), tuple(range(n)), n, {})
+    faces = {f for _, f in pairs}
+    for tau in delta.maximal_faces:
+        if tau not in faces:
+            raise ChainViolation(f"maximal face {tau} is not associated")
+    return Decomposition.from_pairs([StandardPair(u, f) for u, f in pairs], delta)
 
 
 def _minimalize(gens):
@@ -181,7 +150,7 @@ def _minimalize(gens):
     for g in gens:
         if not any(all(e <= x for e, x in zip(h, g)) for h in out):
             out.append(g)
-    return out
+    return tuple(out)
 
 
 class AssociatedReport(Record):

@@ -258,9 +258,10 @@ def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
     if delta.is_triangulation:
         return delta
     a = delta.matrix
+    certificates = dict(zip(delta.maximal_faces, delta.certificates))
     simplices = {}
     for sigma, _, z in _lex_feasible_bases(a, delta.cost, delta.maximal_faces[0]):
-        simplices[sigma] = delta.certificate([j for j in range(a.n) if not z[j]])
+        simplices[sigma] = certificates[tuple(j for j in range(a.n) if not z[j])]
     faces = sorted(simplices)
     return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
 

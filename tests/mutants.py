@@ -29,6 +29,7 @@ HILBERT = "src/toricip/hilbert.py"
 GROEBNER = "src/toricip/groebner.py"
 LINPROG = "src/toricip/linprog.py"
 RELAX = "src/toricip/relax.py"
+STDPAIRS = "src/toricip/stdpairs.py"
 TRIANGULATION = "src/toricip/triangulation.py"
 FLOORS = "tests/test_oracle.py::test_floors_are_the_minimal_joins"
 SEARCH = "tests/test_oracle.py::test_root_search_matches_reference"
@@ -69,6 +70,9 @@ WALK_SEEDED = "tests/test_subdivision.py::test_walk_matches_the_scan_on_seeded_c
 WALK_DEGENERATE = "tests/test_subdivision.py::test_walk_matches_the_scan_on_degenerate_costs"
 WALK_SHARP = "tests/test_subdivision.py::test_walk_matches_the_scan_on_the_sharp_family"
 INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
+RECURSION_RANDOM = "tests/test_stdpairs.py::test_recursion_matches_reference_on_random_antichains"
+PAIRS_SEEDS = ("tests/test_stdpairs.py::"
+               "test_pairs_match_reference_enumeration_on_acceptance_seeds")
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -144,8 +148,17 @@ MUTANTS = {
         "[n:n + len(basis)]) for i in range(len(basis)))",
         [INVERSE_ROWS, HILBERT_REFERENCE]),
     "refinement-takes-the-first-cell-certificate": (
-        TRIANGULATION, "delta.certificate([j for j in range(a.n) if not z[j]])",
+        TRIANGULATION, "certificates[tuple(j for j in range(a.n) if not z[j])]",
         "delta.certificates[0]", [LEX_SEARCH, WALK_DEGENERATE]),
+    "standard-pairs-keep-every-slice-pair": (
+        STDPAIRS, "if any(all(g[i] <= u[i] for i in rest if i not in f) for g in colon):",
+        "if True:",
+        [RECURSION_RANDOM, PAIRS_SEEDS]),
+    "standard-pairs-slice-skips-its-lowest-exponent": (
+        STDPAIRS, "for j in range(lo, hi)]", "for j in range(lo + 1, hi)]",
+        [RECURSION_RANDOM, PAIRS_SEEDS]),
+    "standard-pairs-colon-face-drops-x": (
+        STDPAIRS, "(u, tuple(sorted(f + (x,))))", "(u, f)", [RECURSION_RANDOM, PAIRS_SEEDS]),
     "saturation-check-removed": (
         CORE, "    if None in pivots or any(abs(row[c]) != 1 for row, c in zip(h, pivots)):",
         "    if False:", [SATURATED]),

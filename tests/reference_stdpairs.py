@@ -1,10 +1,9 @@
 """Reference standard-pair enumeration: admissible roots first, maximality after.
 
-This is the enumeration ``stdpairs.standard_pair_decomposition`` used before
-its root search carried the maximality test.  It sweeps the same candidate
-faces, lists every admissible root in the box of the ideal's largest
-exponents (re-testing, at every depth, each generator whose support is
-assigned), and then tests each root for maximality coordinate by
+It shares no step with the recursion of ``stdpairs._standard_pairs``: for
+every one of the 2^n faces it lists each admissible root in the box of the
+ideal's largest exponents (re-testing, at every depth, each generator whose
+support is assigned), and then tests each root for maximality coordinate by
 coordinate.  Tests hold the library's pairs equal to it.
 """
 

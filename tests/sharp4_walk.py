@@ -1,19 +1,18 @@
 """Standard pairs of the corank-4 sharp family (d = 15, n = 19), end to end.
 
-Too slow for the test suite (about a minute on one core), so pytest does
-not collect it; run it as ``python tests/sharp4_walk.py``.  It holds the
-walked subdivision (16 cells) equal to the scan over all C(19, 15) = 3,876
-bases in ``tests/reference_subdivision.py`` (about 7 s), builds the
-refined triangulation and the Groebner basis (72 elements, not generic),
-decomposes the initial ideal by the top-down walk, and asserts 3,723 pairs on
-1,760 associated sets with a longest chain of 11, the bound 2^4 - 5.  The
-top-down walk never looks at a face outside the chains below the maximal
-cells, so the script also runs the root search on 2,000 faces of the
-triangulation drawn with a fixed seed from those that are not associated,
-and asserts that none has a root.
+Too slow for the test suite (about 10 s on one core, most of it the
+reference scan), so pytest does not collect it; run it as
+``python tests/sharp4_walk.py``.  It holds the walked subdivision (16 cells)
+equal to the scan over all C(19, 15) = 3,876 bases in
+``tests/reference_subdivision.py`` (about 6 s), builds the refined
+triangulation and the Groebner basis (72 elements, not generic), decomposes
+the initial ideal (about 2 s), and asserts 3,723 pairs on 1,760 associated
+sets with a longest chain of 11, the bound 2^4 - 5.  It then checks every
+pair against the per-face helpers of ``tests/reference_stdpairs.py``: no
+generator, projected off the pair's face, divides the root, and the root is
+maximal there.
 """
 
-import random
 import sys
 import time
 from pathlib import Path
@@ -23,16 +22,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from toricip.groebner import CostOrder, toric_groebner  # noqa: E402
 from toricip.hilbert import sharp_family  # noqa: E402
 from toricip.stdpairs import (  # noqa: E402
-    _face_pairs,
     associated_report,
     initial_ideal,
     standard_pair_decomposition,
 )
 from toricip.triangulation import lex_refinement, regular_subdivision  # noqa: E402
+from reference_stdpairs import _is_maximal, _minimalize  # noqa: E402
 from reference_subdivision import reference_subdivision  # noqa: E402
-
-SAMPLE = 2000
-SEED = 4
 
 
 def timed(label, fn, *args):
@@ -60,13 +56,20 @@ def main():
     assert len(report.associated_sets) == 1760
     assert report.max_chain_length == 11 == report.length_bound
 
-    assoc = set(report.associated_sets)
-    skipped = [f for f in delta.faces() if f not in assoc]
-    sample = random.Random(SEED).sample(skipped, SAMPLE)
-    rooted = timed(f"root search on {SAMPLE} of the {len(skipped)} faces that are not associated",
-                   lambda: [f for f in sample if _face_pairs(ideal, f)])
-    print(f"faces with a root: {len(rooted)}")
-    assert not rooted, rooted[:5]
+    timed("the per-face check of every pair", check_pairs, ideal, decomp.pairs)
+
+
+def check_pairs(ideal, pairs):
+    """Assert that each pair is admissible and maximal on its face, as the reference tests it."""
+    projected = {}
+    for p in pairs:
+        taubar = [i for i in range(ideal.nvars) if i not in p.face]
+        if p.face not in projected:
+            projected[p.face] = _minimalize(tuple(g[i] for i in taubar) for g in ideal.generators)
+        proj, u = projected[p.face], tuple(p.root[i] for i in taubar)
+        assert not any(all(e <= v for e, v in zip(g, u)) for g in proj), p
+        assert _is_maximal(u, proj), p
+    print(f"pairs checked: {len(pairs)} on {len(projected)} faces")
 
 
 if __name__ == "__main__":

@@ -258,6 +258,18 @@ def test_triangulation_indices_out_of_range_are_parse_errors(capsys, tmp_path, c
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("faces", ["[[1, 2, 3, 4]]", "[[1, 2], [2, 3, 4]]"])
+def test_gomory_cost_refuses_a_cell_larger_than_d(capsys, fixtures, tmp_path, faces):
+    # EX1 has d = 2: a cell of 3 or 4 columns is not a simplex of a triangulation
+    tri = tmp_path / "big.tri"
+    tri.write_text(faces)
+    code, out = run(capsys, ["gomory-cost", "--matrix", fixtures["ex1.mat"],
+                             "--triangulation", str(tri)])
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["kind"] == "degenerate"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--matrix", "knap.mat", "--cost", "knap.cost"],
     ["sharp-family", "--m", "abc"],

@@ -1,3 +1,5 @@
+import random
+import time
 from functools import partial
 
 import pytest
@@ -18,6 +20,9 @@ from toricip.core import IntMatrix
 from toricip.errors import ChainViolation, NotOptimal, ParseError
 from toricip.stdpairs import (
     MonomialIdeal,
+    StandardPair,
+    _minimalize,
+    _standard_pairs,
     associated_report,
     decomposition_for,
     initial_ideal,
@@ -327,3 +332,55 @@ def test_hypothesis_walk_matches_reference_enumeration(rng):
         return
     _, gb, decomp, _ = decomposition_for(*inst)
     assert list(decomp.pairs) == reference_standard_pairs(initial_ideal(gb)), inst
+
+
+def _recursion_pairs(gens, n):
+    gens = _minimalize(gens)
+    pairs = _standard_pairs(gens, tuple(range(n)), n, {})
+    assert len(set(pairs)) == len(pairs)
+    return sorted((StandardPair(u, f) for u, f in pairs),
+                  key=lambda p: (len(p.face), p.face, p.root))
+
+
+@pytest.mark.parametrize("name, gens, n", [
+    ("zero ideal", (), 3),
+    ("unit ideal", ((0, 0, 0),), 3),
+    ("unit ideal among others", ((0, 0, 0, 0), (1, 2, 0, 0), (0, 0, 3, 1)), 4),
+    ("unused variables", ((2, 0, 1, 0, 0), (0, 0, 3, 0, 1), (1, 0, 0, 0, 2)), 5),
+    ("one variable", ((3,),), 1),
+    ("no variables", (), 0),
+])
+def test_recursion_matches_reference_on_named_ideals(name, gens, n):
+    got = _recursion_pairs(gens, n)
+    assert got == reference_standard_pairs(MonomialIdeal(_minimalize(gens), n))
+    if name.startswith("unit"):
+        assert got == []
+    if name == "zero ideal":
+        assert got == [StandardPair((0, 0, 0), (0, 1, 2))]
+    if name == "unused variables":  # x_2 and x_4 lie in every face
+        assert got and all({1, 3} <= set(p.face) for p in got)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_recursion_matches_reference_on_random_antichains(seed):
+    # antichains that come from no toric basis: n <= 5, exponents 0..3
+    # (the unit ideal has a named case, so no generator is drawn zero)
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    unused = set(rng.sample(range(n), rng.randint(0, n // 2)))
+    draws = (tuple(0 if i in unused else rng.randint(0, 3) for i in range(n)) for _ in range(99))
+    gens = [g for g in draws if any(g)][:rng.randint(1, 7)]
+    ideal = MonomialIdeal(_minimalize(gens), n)
+    assert _recursion_pairs(gens, n) == reference_standard_pairs(ideal), gens
+
+
+def test_sharp4_standard_pairs_are_fast():
+    # the recursion splits each ideal once: about 2.7 CPU s on one 2-CPU host
+    start = time.process_time()
+    delta, _, decomp, refined = decomposition_for(*sharp_family(4))
+    assert time.process_time() - start < 8
+    report = associated_report(decomp, delta)
+    assert refined
+    assert decomp.arithmetic_degree == 3723
+    assert len(report.associated_sets) == 1760
+    assert report.max_chain_length == 11 == report.length_bound
