@@ -2,14 +2,19 @@
 
 The toric ideal of A is the binomial ideal of its kernel relations.  We start
 from the binomials of an LLL-reduced basis of the saturated kernel lattice,
-run a binomial Buchberger completion, and saturate by each variable in turn
-with a graded reverse-lexicographic pass (the lattice-ideal saturation trick:
-for positively graded ideals, dividing every reduced-basis element by the
-variable made cheapest computes the quotient by that variable's powers).  A
-final completion under the cost order yields the reduced basis, the unique
-minimal test set of the family.  Any lattice basis gives the same toric ideal
-and so the same reduced basis; short vectors keep the intermediate bases
-small, where the long vectors of a column-Hermite basis can make them grow.
+run a binomial Buchberger completion, and saturate by each variable of a set
+S in turn with a graded reverse-lexicographic pass (the lattice-ideal
+saturation trick: for positively graded ideals, dividing every reduced-basis
+element by the variable made cheapest computes the quotient by that
+variable's powers).  S need not hold every variable: once the variables of S
+are units, each start binomial whose one side is made of units makes its
+other side's variables units too, and when that reaches every variable,
+saturating by S alone gives the toric ideal (:func:`_saturating_variables`,
+as in Hosten and Sturmfels' GRIN, IPCO 1995).  A final completion under the
+cost order yields the reduced basis, the unique minimal test set of the
+family.  Any lattice basis gives the same toric ideal and so the same reduced
+basis; short vectors keep the intermediate bases small, where the long
+vectors of a column-Hermite basis can make them grow.
 
 Every completion, pass or final, strips each binomial it takes in (input or
 S-pair remainder) of the monomial its two terms share.  The toric ideal is
@@ -239,12 +244,51 @@ def _completion(gens, order):
 
 
 def _interreduce(basis):
-    """Minimalize heads, then put every tail in normal form; sorted by head key."""
+    """Minimalize heads, then put every tail in normal form; sorted by head key.
+
+    Heads are minimalized in (total degree, key) order, where a divisor
+    always comes before its multiples: with a negative cost entry a multiple
+    can have the smaller key.
+    """
     kept = []
-    for g in sorted(basis, key=itemgetter(5)):
+    for g in sorted(basis, key=lambda g: (sum(g[0]), g[5])):
         if _divisor(g[0], kept) is None:
             kept.append(g)
-    return [(g[0], _reduce(g[3], kept[:idx] + kept[idx + 1 :])) for idx, g in enumerate(kept)]
+    out = [(g[5], g[0], _reduce(g[3], kept[:idx] + kept[idx + 1 :])) for idx, g in enumerate(kept)]
+    return [(h, t) for _, h, t in sorted(out)]
+
+
+def _saturating_variables(gens, n):
+    """The variables S to saturate by, in pass order: often fewer than all n.
+
+    Lemma: let U be the closure of S under the rule that when one side of a
+    start binomial x^p - x^q has its support inside U, the other side's
+    support joins U.  If U holds every variable, then I_B : (prod_S x_s)^inf
+    = I_A.  In k[x][x_S^-1]/I_B, x^p = x^q, so when x^q is a unit so is x^p
+    and every variable dividing it; every variable is then a unit, and
+    saturating I_B by x_S saturates it by x_1...x_n.  Each pass's ideal
+    contains the saturation of the one before, so passes over S alone end
+    in I_A.  S is grown greedily: each step adds the variable that grows U
+    most, the lowest index among ties.
+    """
+    sides = [(_mask(u), _mask(v)) for u, v in gens]
+
+    def closure(reach):
+        before = None
+        while reach != before:
+            before = reach
+            for p, q in sides:
+                if not p & ~reach or not q & ~reach:
+                    reach |= p | q
+        return reach
+
+    chosen, reach, full = [], 0, _mask((1,) * n)
+    while reach != full:
+        grown = {j: closure(reach | 1 << 8 * j) for j in range(n) if not reach >> 8 * j & 1}
+        j = max(grown, key=lambda j: (grown[j].bit_count(), -j))
+        chosen.append(j)
+        reach = grown[j]
+    return chosen
 
 
 def positive_grading(a: IntMatrix):
@@ -272,7 +316,7 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
     if not basis:
         return GroebnerBasis((), order, a, lattice, True)
     w = positive_grading(a)
-    for i in range(a.n):
+    for i in _saturating_variables(basis, a.n):
         basis = _completion(basis, _RevlexSat(w, a.n, i))
     basis = _completion(basis, order)
     elems = tuple(Binomial(h, t) for h, t in basis)

@@ -56,7 +56,11 @@ CELLS_ALONE = "tests/test_hilbert.py::test_gomory_cost_tests_the_cells_alone"
 CACHED_FACTOR = "tests/test_hilbert.py::test_gomory_cost_reads_the_cached_factorization"
 ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
-S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_371_s_pairs"
+S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_143_s_pairs"
+FEWER_PASSES = "tests/test_groebner.py::test_sharp_saturates_by_fewer_variables"
+REACH = "tests/test_groebner.py::test_saturating_variables_reach_every_variable"
+NEGATIVE_REDUCED = "tests/test_groebner.py::test_a_negative_cost_basis_is_reduced"
+NEGATIVE_SHIFTED = "tests/test_groebner.py::test_negative_costs_give_the_basis_of_the_shifted_cost"
 LLL_REFERENCE = "tests/test_groebner.py::test_basis_matches_lll_seeded_reference"
 GRADING_REFERENCE = "tests/test_core.py::test_grading_matches_the_minimizing_lp_reference"
 NEGATIVE_EXPONENT = "tests/test_groebner.py::test_normal_form_refuses_a_negative_exponent"
@@ -196,9 +200,15 @@ MUTANTS = {
     "farkas-ray-negated": (
         LINPROG, "[v - art[d] + z[-1] for v in art[:d]]", "[art[d] - z[-1] - v for v in art[:d]]",
         [GRADING_REFERENCE]),
-    "last-saturation-pass-skipped": (
-        GROEBNER, "    for i in range(a.n):\n", "    for i in range(a.n - 1):\n",
-        [GB_REFERENCE, S_PAIRS]),
+    "saturation-closure-on-overlap": (
+        GROEBNER, "if not p & ~reach or not q & ~reach:", "if p & reach or q & reach:",
+        [GB_REFERENCE, LLL_REFERENCE, REACH]),
+    "saturation-drops-last-variable": (
+        GROEBNER, "    return chosen\n", "    return chosen[:-1]\n",
+        [GB_REFERENCE, LLL_REFERENCE, REACH, FEWER_PASSES]),
+    "interreduce-minimalizes-in-key-order": (
+        GROEBNER, "key=lambda g: (sum(g[0]), g[5])", "key=itemgetter(5)",
+        [NEGATIVE_REDUCED, NEGATIVE_SHIFTED]),
     "negative-exponent-accepted": (
         GROEBNER, "    if min(u, default=0) < 0:", "    if False:", [NEGATIVE_EXPONENT]),
     "order-cost-length-read-first": (

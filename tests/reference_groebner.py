@@ -82,7 +82,9 @@ def _reduce_full(head, tail, basis, key):
 
 
 def _interreduce(basis, key):
-    basis = sorted(set(basis), key=lambda g: key(g[0]))
+    # a divisor has the lower total degree; with a negative cost entry it
+    # can have the larger key
+    basis = sorted(set(basis), key=lambda g: (sum(g[0]), key(g[0])))
     kept = []
     for g in basis:
         if not any(_divides(h[0], g[0]) for h in kept):

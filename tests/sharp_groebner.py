@@ -5,20 +5,24 @@
     python tests/sharp_groebner.py --seconds 0     # m = 4 only
     python tests/sharp_groebner.py --reference     # also hold m = 4 equal to the reference
 
-``toric_groebner`` runs one completion per variable (the saturation passes)
-and a final one under the cost order.  For each completion this prints the
-S-pairs popped from the queue, the pairs skipped by each criterion, the
-popped pairs that reduced to zero, the basis size and the CPU time.  The
-counts come from wrapping the completion's helpers in ``toricip.groebner``:
-every popped pair is one ``_reduce_full`` call, ``_chain`` drops queued
-pairs (criterion B), ``_minimal_lcms`` drops new pairs whose lcm another
-divides (criteria M and F), and ``_new_pairs`` then drops the coprime ones.
-m = 4 must give 72 elements, not generic; with ``--reference`` it must also
-equal ``tests/reference_groebner.py``'s basis from the same LLL start (about
-a minute: that completion has no criterion but coprime heads).  The m = 5
-run starts no completion once its CPU budget is spent, a wall-clock alarm at
-twice the budget interrupts a running one, and it reports how many
-completions finished.  Not collected by pytest.
+``toric_groebner`` runs one completion per variable in S (the saturation
+passes), S the variables its start binomials cannot reach, and a final one
+under the cost order.  This prints S, 1-based, and the passes it skips.  For
+each completion it prints the S-pairs popped from the queue, the pairs
+skipped by each criterion, the popped pairs that reduced to zero, the basis
+size and the CPU time.  The counts come from wrapping the completion's
+helpers in ``toricip.groebner``: every popped pair is one ``_reduce_full``
+call, ``_chain`` drops queued pairs (criterion B), ``_minimal_lcms`` drops
+new pairs whose lcm another divides (criteria M and F), and ``_new_pairs``
+then drops the coprime ones.  Every finished basis is checked without a
+reference: each element lies in the kernel, A(head - tail) = 0, and the
+basis is reduced.  m = 4 must give 72 elements, not generic; with
+``--reference`` it must also equal ``tests/reference_groebner.py``'s basis
+from the same LLL start, which saturates by every variable (about 30 CPU s:
+that completion has no criterion but coprime heads).  The m = 5 run starts
+no completion once its CPU budget is spent, a wall-clock alarm at twice the
+budget interrupts a running one, and it reports how many completions
+finished.  Not collected by pytest.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import signal
 import sys
 import time
 from collections import Counter
+from operator import le
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,12 +82,32 @@ def _count_coprime(args, out):
     COUNTS["coprime"] += COUNTS.pop("kept_lcm") - len(out)
 
 
+def _check(m, gb):
+    """Assert that every element lies in the kernel and that the basis is reduced."""
+    start = time.process_time()
+    a = gb.matrix
+    for b in gb.elements:
+        assert a.apply(b.vector) == (0,) * a.d, b
+        for other in gb.elements:
+            assert other is b or not all(map(le, other.head, b.head)), (other, b)
+            assert not all(map(le, other.head, b.tail)), (other, b)
+    print(f"m={m}: {len(gb.elements):,} elements, each in the kernel; the basis is reduced"
+          f" ({time.process_time() - start:.1f} CPU s)", flush=True)
+
+
 def run(m, budget, deadline):
-    """toric_groebner on sharp m, one line per completion; the completions finished."""
+    """toric_groebner on sharp m, one line per completion; the basis, or None when out of time."""
     a, cost = sharp_family(m)
+    passes = []
     done = []
     start = time.process_time()
-    real = groebner._completion
+    real, choose = groebner._completion, groebner._saturating_variables
+
+    def saturating_variables(gens, n):
+        passes[:] = choose(gens, n)
+        print(f"m={m} saturates by {len(passes)} of {n} variables, skipping {n - len(passes)}"
+              f" passes: {', '.join(str(j + 1) for j in passes)}", flush=True)
+        return passes
 
     def completion(gens, order):
         if done and time.process_time() - start > budget:
@@ -98,7 +123,7 @@ def run(m, budget, deadline):
               f"  {time.process_time() - t:7.2f} CPU s", flush=True)
         return out
 
-    groebner._completion = completion
+    groebner._completion, groebner._saturating_variables = completion, saturating_variables
     signal.signal(signal.SIGALRM, _out_of_time)
     if deadline:
         signal.alarm(deadline)
@@ -108,9 +133,11 @@ def run(m, budget, deadline):
         gb = None
     finally:
         signal.alarm(0)
-        groebner._completion = real
+        groebner._completion, groebner._saturating_variables = real, choose
     total = time.process_time() - start
-    print(f"m={m}: {len(done)} of {a.n + 1} completions in {total:.1f} CPU s", flush=True)
+    print(f"m={m}: {len(done)} of {len(passes) + 1} completions in {total:.1f} CPU s", flush=True)
+    if gb is not None:
+        _check(m, gb)
     return gb
 
 

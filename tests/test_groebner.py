@@ -21,8 +21,8 @@ from conftest import (
 from reference_groebner import hermite_toric_groebner, lll_toric_groebner
 
 from toricip import fibers, groebner, oracle
-from toricip.core import IntMatrix
-from toricip.errors import Infeasible, ParseError
+from toricip.core import IntMatrix, kernel_lattice_basis
+from toricip.errors import DomainError, Infeasible, ParseError
 from toricip.groebner import (
     CostOrder,
     is_generic,
@@ -32,7 +32,7 @@ from toricip.groebner import (
     toric_groebner,
 )
 from toricip.hilbert import sharp_family
-from toricip.linalg import dot
+from toricip.linalg import dot, lll_reduce
 
 
 def test_knapsack_reduced_basis():
@@ -56,15 +56,17 @@ def test_basis_elements_are_kernel_binomials_with_disjoint_support():
         assert dot(KNAPSACK_COST, b.head) > dot(KNAPSACK_COST, b.tail)
 
 
-def test_reducedness():
-    a = IntMatrix(KNAPSACK)
-    gb = toric_groebner(a, CostOrder.from_cost(KNAPSACK_COST))
+def _assert_reduced(gb):
     for i, b in enumerate(gb.elements):
+        assert gb.order.key(b.head) > gb.order.key(b.tail)
         for j, other in enumerate(gb.elements):
-            if i == j:
-                continue
-            assert not all(x <= y for x, y in zip(other.head, b.head))
-            assert not all(x <= y for x, y in zip(other.head, b.tail))
+            if i != j:
+                assert not all(x <= y for x, y in zip(other.head, b.head))
+                assert not all(x <= y for x, y in zip(other.head, b.tail))
+
+
+def test_reducedness():
+    _assert_reduced(toric_groebner(IntMatrix(KNAPSACK), CostOrder.from_cost(KNAPSACK_COST)))
 
 
 def test_square_matrix_gives_empty_basis():
@@ -114,19 +116,109 @@ def test_an_order_built_from_any_iterable_is_equal():
         CostOrder(x for x in (1, 2.5, 3))
 
 
-def test_sharp3_completions_fully_reduce_371_s_pairs(monkeypatch):
+def test_sharp3_completions_fully_reduce_143_s_pairs(monkeypatch):
     # every completion strips each input and remainder of its common factor
-    # and runs the Gebauer-Moeller update on each element it adds.  With the
-    # coprime-heads test alone the completions fully reduced 567 S-pairs for
-    # the same basis; unstripped saturation passes, each followed by a
-    # division by its cheapest variable, reduced 971
+    # and runs the Gebauer-Moeller update on each element it adds, and only
+    # the variables the start binomials cannot reach get a saturation pass.
+    # With a pass for each of the 10 variables the completions fully reduced
+    # 371 S-pairs for the same basis; with the coprime-heads test alone, 567;
+    # unstripped passes, each followed by a division by its cheapest
+    # variable, 971
     calls = []
     reduce_full = groebner._reduce_full
     monkeypatch.setattr(groebner, "_reduce_full", lambda *args: calls.append(1) or reduce_full(*args))
     a, cost = sharp_family(3)
     gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
     assert (len(gb.elements), gb.generic) == (13, False)
-    assert len(calls) == 371
+    assert len(calls) == 143
+
+
+@pytest.mark.parametrize("m, completions, size", [(3, 5, 13), (4, 11, 72)])
+def test_sharp_saturates_by_fewer_variables(monkeypatch, m, completions, size):
+    # 4 of 10 and 10 of 19 saturation passes, then the final completion
+    calls = []
+    completion = groebner._completion
+    monkeypatch.setattr(groebner, "_completion", lambda *args: calls.append(1) or completion(*args))
+    a, cost = sharp_family(m)
+    gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
+    assert (len(calls), len(gb.elements)) == (completions, size)
+
+
+def _support(u):
+    return {j for j, e in enumerate(u) if e}
+
+
+def _reach(gens, chosen):
+    """The variables made units by the chosen ones: a side inside the units adds the other side."""
+    reach = set(chosen)
+    grown = True
+    while grown:
+        grown = False
+        for u, v in gens:
+            for p, q in ((u, v), (v, u)):
+                if _support(p) <= reach and not _support(q) <= reach:
+                    reach |= _support(q)
+                    grown = True
+    return reach
+
+
+LEMMA_CASES = {f"seed-{seed}": (lambda seed=seed: make_instance(seed)[0]) for seed in range(100)}
+LEMMA_CASES.update({f"census{len(rows)}x{len(rows[0])}": (lambda rows=rows: IntMatrix(rows))
+                    for rows in CENSUS_MATRICES})
+LEMMA_CASES.update({f"sharp{m}": (lambda m=m: sharp_family(m)[0]) for m in (3, 4)})
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_CASES))
+def test_saturating_variables_reach_every_variable(name):
+    # the lemma's hypothesis, checked without a reference basis: once the
+    # chosen variables are units, the start binomials make every variable one
+    a = LEMMA_CASES[name]()
+    gens = [(tuple(max(v, 0) for v in col), tuple(max(-v, 0) for v in col))
+            for col in lll_reduce(kernel_lattice_basis(a).columns())]
+    chosen = groebner._saturating_variables(gens, a.n)
+    assert len(set(chosen)) == len(chosen) and set(chosen) <= set(range(a.n))
+    assert _reach(gens, chosen) == set(range(a.n))
+    # no chosen variable was already reached by the ones before it
+    assert all(j not in _reach(gens, chosen[:k]) for k, j in enumerate(chosen))
+    if name.startswith("sharp"):
+        assert len(chosen) == {"sharp3": 4, "sharp4": 10}[name]
+
+
+def test_a_negative_cost_basis_is_reduced():
+    # x2 x3 - x1 x3 was kept next to x2 - x1: its key, 2, sorts before x2's, 5,
+    # so the head minimalization met the multiple before its divisor
+    gb = toric_groebner(IntMatrix(((1, 1, 3, 4),)), CostOrder((-1, 5, -3, 0)))
+    assert [(b.head, b.tail) for b in gb.elements] == [
+        ((3, 0, 0, 0), (0, 0, 1, 0)), ((0, 0, 0, 1), (1, 0, 1, 0)), ((0, 1, 0, 0), (1, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_negative_costs_give_the_basis_of_the_shifted_cost(seed):
+    # every kernel binomial is homogeneous in w, so c and c + lambda w order
+    # each fiber alike and have the same reduced basis
+    rng = random.Random(seed)
+    done = 0
+    while done < 3:
+        d = rng.randint(1, 3)
+        n = d + rng.randint(1, 3)
+        try:
+            a = IntMatrix(tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d)))
+        except DomainError:
+            continue
+        cost = tuple(rng.randint(-6, 4) for _ in range(n))
+        if min(cost) >= 0:
+            continue
+        w = positive_grading(a)
+        lam = max(-(c // g) for c, g in zip(cost, w))
+        shifted = tuple(c + lam * g for c, g in zip(cost, w))
+        assert min(shifted) >= 0
+        gb = toric_groebner(a, CostOrder(cost))
+        ref = toric_groebner(a, CostOrder(shifted))
+        _assert_reduced(gb)
+        assert {(b.head, b.tail) for b in gb.elements} == {(b.head, b.tail) for b in ref.elements}
+        assert gb.generic == ref.generic
+        assert gb.elements == lll_toric_groebner(a, gb.order).elements
+        done += 1
 
 
 def test_toric_groebner_on_a_built_matrix_runs_no_lp(monkeypatch):
@@ -305,14 +397,10 @@ def test_bases_beyond_the_reference(name):
     order = CostOrder.from_cost(cost)
     gb = toric_groebner(a, order)
     assert (len(gb.elements), gb.generic) == (size, generic)
-    for i, b in enumerate(gb.elements):
+    for b in gb.elements:
         assert a.apply(b.vector) == (0,) * a.d
         assert all(p == 0 or m == 0 for p, m in zip(b.head, b.tail))
-        assert order.key(b.head) > order.key(b.tail)
-        for j, other in enumerate(gb.elements):
-            if i != j:
-                assert not all(x <= y for x, y in zip(other.head, b.head))
-                assert not all(x <= y for x, y in zip(other.head, b.tail))
+    _assert_reduced(gb)
     rng = random.Random(7)
     for _ in range(4):
         rhs = a.apply(tuple(rng.randint(0, 2) for _ in range(a.n)))
