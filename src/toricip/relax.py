@@ -13,6 +13,9 @@ behind the sweep is planned once per subdivision, over every row
 a face and a right-hand side only set its offsets.  The winner z*
 lifts to x* = u - B z*, integral by construction; the relaxation solves the
 program iff the lifted tau-part is nonnegative.
+
+The standard-pair solver tests each pair in the integer inverse rows of a
+simplex that holds its face, with no sweep (:func:`solve_via_standard_pairs`).
 """
 
 from operator import sub
@@ -87,25 +90,32 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
 
 
 def solve_via_standard_pairs(decomp: "Decomposition", a: IntMatrix, b):
-    """Solve the program by scanning pair linear systems A_tau x = b - A u.
+    """Solve the program by Gomory's group test on each pair in scan order.
 
-    Any pair whose system has a point in N^tau (its fiber) yields the optimum
-    (the lifted point lies in the pair's semigroup, hence among the optimal
-    points, and fibers meet the optimal set once).  Maximal faces are tried
-    first, then faces by decreasing size.  The scan order, each A u and each
-    face's factorization are built once per decomposition
-    (:attr:`Decomposition.face_fibers`).
+    A pair (u, tau) with tau in a simplex sigma covers b iff A_sigma^{-1} (b - A u)
+    is zero off tau and natural on it.  rows_t . (b - A u) = lambda_t - shift_t,
+    with lambda = rows . b formed once per simplex reached, is that coordinate
+    times rows_t . a_{sigma_t} > 0 (:attr:`Decomposition.pair_scan`).  The
+    first pair that passes, maximal faces first and then faces by decreasing
+    size, gives the optimum: its point is optimal, and fibers meet the optimal
+    set once.
     """
     b = int_vector(b, a.d, "right-hand side")
     if decomp.delta.matrix != a:
         raise ParseError("the decomposition was built for another matrix")
-    for pair, au, fibers in decomp.face_fibers:
-        rhs = tuple(bi - vi for bi, vi in zip(b, au))
-        sol = fibers.first(rhs)
-        if sol is None:
-            continue
+    lams = {}
+    for pair, k, sigma, rows, shifts, dens in decomp.pair_scan:
+        if k not in lams:
+            lams[k] = mat_vec(rows, b)
         x = list(pair.root)
-        for t, i in enumerate(pair.face):
-            x[i] = sol[t]
-        return tuple(x), pair
+        for j, v, den in zip(sigma, map(sub, lams[k], shifts), dens):
+            if not den:
+                if v:  # b - A u has a part off the face
+                    break
+            elif v < 0 or v % den:  # x_j = v / den is not a natural number
+                break
+            else:
+                x[j] = v // den
+        else:
+            return tuple(x), pair
     raise Infeasible(f"no standard pair solves A x = {b}; the fiber is empty")

@@ -19,8 +19,8 @@ from itertools import combinations
 
 from .core import IntMatrix
 from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, Record, int_vector
-from .fibers import factor
 from .groebner import CostOrder, GroebnerBasis, toric_groebner
+from .linalg import dot, mat_vec
 from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
 
 
@@ -80,16 +80,29 @@ class Decomposition(Record):
         return sorted(self.multiplicities, key=lambda f: (len(f), f))
 
     @cached_property
-    def face_fibers(self):
-        """The pair scan, built on first use: (pair, A u, factorization of A_tau) per pair.
+    def pair_scan(self):
+        """The scan of :func:`~toricip.relax.solve_via_standard_pairs`, built on first use.
 
-        Pairs on maximal faces come first, then by decreasing face size; the
-        pairs of a face share its factorization.
+        Per pair, maximal faces first, then by decreasing face size: (pair, k,
+        sigma, rows, the shifts rows . (A u), the denominators), where (sigma,
+        rows) is the k-th of the subdivision's ``simplex_inverses``, the first
+        that holds the face (a face in none raises ChainViolation), and the
+        denominator at t is rows_t . a_{sigma_t} > 0 on the face and 0 off it.
         """
         a, maximal = self.delta.matrix, set(self.delta.maximal_faces)
-        fibers = {face: factor(a.columns(face)) for face in self.multiplicities}
-        ordered = sorted(self.pairs, key=lambda p: (p.face not in maximal, -len(p.face), p.face, p.root))
-        return tuple((p, a.apply(p.root), fibers[p.face]) for p in ordered)
+        inverses, home = self.delta.simplex_inverses, {}
+        for face in self.multiplicities:
+            k = next((k for k, (sigma, _) in enumerate(inverses) if set(face) <= set(sigma)), None)
+            if k is None:
+                raise ChainViolation(f"face {face} lies in no simplex of the subdivision")
+            sigma, rows = inverses[k]
+            dens = tuple(dot(r, a.column(j)) if j in face else 0 for r, j in zip(rows, sigma))
+            home[face] = k, sigma, rows, dens
+        pairs = []
+        for p in sorted(self.pairs, key=lambda p: (p.face not in maximal, -len(p.face), p.face, p.root)):
+            k, sigma, rows, dens = home[p.face]
+            pairs.append((p, k, sigma, rows, mat_vec(rows, a.apply(p.root)), dens))
+        return tuple(pairs)
 
 
 def _standard_pairs(gens, free, n, memo):
@@ -172,42 +185,23 @@ def associated_report(decomp: Decomposition, delta: RegularSubdivision) -> Assoc
     """
     a = delta.matrix
     assoc = decomp.associated_sets
-    assoc_set = set(assoc)
+    sets = {t: set(t) for t in assoc}
     for sigma in delta.maximal_faces:
-        if sigma not in assoc_set:
+        if sigma not in sets:
             raise ChainViolation(f"maximal face {sigma} is not associated")
     d = a.d
-    for tau in assoc:
-        if len(tau) < d:
-            stau = set(tau)
-            if not any(
-                len(t2) == len(tau) + 1 and stau < set(t2) for t2 in assoc_set
-            ):
-                raise ChainViolation(f"no one-step extension for associated set {tau}")
-    # longest chain in the inclusion poset
-    order = sorted(assoc, key=len)
-    best_len = {}
-    best_pred = {}
-    for t in order:
-        st = set(t)
-        best = 0
-        pred = None
-        for t2 in order:
-            if len(t2) >= len(t):
-                break
-            if set(t2) < st and best_len[t2] + 1 > best:
-                best = best_len[t2] + 1
-                pred = t2
-        best_len[t] = best
-        best_pred[t] = pred
-    top = max(order, key=lambda t: best_len[t])
-    chain = [top]
-    while best_pred[chain[-1]] is not None:
-        chain.append(best_pred[chain[-1]])
-    chain.reverse()
+    for tau, s in sets.items():
+        if len(tau) < d and not any(len(t2) == len(tau) + 1 and s < s2 for t2, s2 in sets.items()):
+            raise ChainViolation(f"no one-step extension for associated set {tau}")
+    # longest chain in the inclusion poset: the first longest one below each set, in size order
+    chains = {}
+    for t, s in sets.items():
+        below = [c for t2, c in chains.items() if len(t2) < len(t) and sets[t2] < s]
+        chains[t] = max(below, key=len, default=()) + (t,)
+    chain = max(chains.values(), key=len)
     corank = a.n - a.d
     bound = min(d, 2**corank - (corank + 1)) if corank > 0 else 0
-    length = best_len[top]
+    length = len(chain) - 1
     if length > bound:
         raise LengthViolation(f"chain of length {length} exceeds bound {bound}")
     mults = tuple(sorted(decomp.multiplicities.items(), key=lambda kv: (len(kv[0]), kv[0])))
@@ -249,13 +243,8 @@ def relaxations_solving(v, decomp: Decomposition):
     NotOptimal when v is not an optimal point (it is covered by no pair).
     """
     v = int_vector(v, decomp.delta.matrix.n, "point")
-    covering = []
-    for p in decomp.pairs:
-        face = set(p.face)
-        if all(v[i] == p.root[i] for i in range(len(v)) if i not in face) and all(
-            v[i] >= 0 for i in range(len(v))
-        ):
-            covering.append(p.face)
+    covering = [p.face for p in decomp.pairs if min(v) >= 0
+                and all(v[i] == p.root[i] for i in range(len(v)) if i not in p.face)]
     if not covering:
         raise NotOptimal(f"{v} is not covered by any standard pair")
     out = set()

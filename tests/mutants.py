@@ -75,6 +75,7 @@ WALK_DEGENERATE = "tests/test_subdivision.py::test_walk_matches_the_scan_on_dege
 WALK_SHARP = "tests/test_subdivision.py::test_walk_matches_the_scan_on_the_sharp_family"
 INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
 RECURSION_RANDOM = "tests/test_stdpairs.py::test_recursion_matches_reference_on_random_antichains"
+SQUARE_SCAN = "tests/test_relax.py::test_solve_via_pairs_matches_square_system_scan"
 PAIRS_SEEDS = ("tests/test_stdpairs.py::"
                "test_pairs_match_reference_enumeration_on_acceptance_seeds")
 
@@ -218,6 +219,11 @@ MUTANTS = {
         "    tau = tuple(sorted(tau))\n    if tau not in delta:", [STANDARD_FACE]),
     "order-cost-unchecked": (
         GROEBNER, """    int_vector(order.cost, a.n, "cost of the order")""", "    pass", [ORDER_COST]),
+    "pair-scan-off-face-zero-test-dropped": (
+        RELAX, "                if v:  # b - A u has a part off the face", "                if False:",
+        [SQUARE_SCAN]),
+    "pair-scan-divisibility-test-dropped": (
+        RELAX, "            elif v < 0 or v % den:", "            elif v < 0:", [SQUARE_SCAN]),
     "relaxation-face-unchecked": (
         RELAX, "    tau = _face(tau, a.n)\n", "    tau = tuple(sorted(tau))\n", [MALFORMED]),
     "walk-ties-broken-by-the-lowest-index": (

@@ -38,7 +38,7 @@ PER_OBJECT_MEMOS = {
     ("RegularSubdivision", "simplex_inverses"),
     ("RegularSubdivision", "cost_coordinates"),
     ("RegularSubdivision", "relaxation_elimination"),
-    ("Decomposition", "face_fibers"),
+    ("Decomposition", "pair_scan"),
 }
 PER_OBJECT_HOSTS = {host for host, _ in PER_OBJECT_MEMOS}
 

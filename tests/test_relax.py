@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -22,12 +23,12 @@ from reference_solve import reference_reduced_cost
 from toricip import oracle
 from toricip.oracle import IneqPolytope, brute_force_standard_pairs, fiber_solve
 from toricip.core import IntMatrix, kernel_lattice_basis
-from toricip.errors import Infeasible, NotAFace, ParseError, Unbounded
+from toricip.errors import ChainViolation, Infeasible, NotAFace, ParseError, Unbounded
 from toricip.groebner import CostOrder, is_generic, solve_ip, toric_groebner
 from toricip.hilbert import gomory_cost, normality_report, sharp_family
 from toricip.linalg import det_int, dot
 from toricip.relax import build_relaxation, solve_relaxation, solve_via_standard_pairs
-from toricip.stdpairs import relaxations_solving
+from toricip.stdpairs import Decomposition, relaxations_solving
 from toricip.triangulation import (
     cached_subdivision,
     lex_refinement,
@@ -437,17 +438,32 @@ def square_system_scan(decomp, a, b):
     return None
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_solve_via_pairs_matches_square_system_scan(seed):
-    # the fiber of each pair's system against its rational solution, on
+# decompositions beyond the seeded generic ones: refined ones from degenerate
+# costs (sharp m=3, d = 7, among them) and corank 0, where the one pair's
+# face is every column and a right-hand side off the column lattice fails
+SCAN_CASES = _BuiltOnUse({
+    **{f"refined-{name}": (lambda name=name: DEGENERATE[name]) for name in DEGENERATE},
+    "corank0": lambda: (IntMatrix(((1, 1), (0, 2))), (3, 1)),
+    "corank0-det5": lambda: (IntMatrix(((2, 1), (1, 3))), (0, 0)),
+    "d1-non-unit": lambda: (IntMatrix(((2,),)), (1,)),
+})
+# cases where some of the arbitrary right-hand sides are checked to fail
+LEAVE_THE_SEMIGROUP = {"refined-sharp3", "corank0", "corank0-det5", "d1-non-unit"}
+
+
+@pytest.mark.parametrize("case", [*range(25), *sorted(SCAN_CASES)])
+def test_solve_via_pairs_matches_square_system_scan(case):
+    # the group test of each pair against its rational solution, on
     # right-hand sides in the semigroup and arbitrary ones (often infeasible)
     from conftest import make_instance
 
     from toricip.stdpairs import decomposition_for
 
-    a, c = make_instance(seed)
-    _, _, decomp, _ = decomposition_for(a, c)
-    rng = random.Random(seed)
+    a, c = SCAN_CASES[case] if case in SCAN_CASES else make_instance(case)
+    _, _, decomp, refined = decomposition_for(a, c)
+    assert refined == str(case).startswith("refined-")
+    rng = random.Random(case)
+    solved = 0
     for k in range(10):
         if k % 2:
             b = tuple(rng.randint(0, 12) for _ in range(a.d))
@@ -459,3 +475,34 @@ def test_solve_via_pairs_matches_square_system_scan(seed):
                 solve_via_standard_pairs(decomp, a, b)
         else:
             assert solve_via_standard_pairs(decomp, a, b) == want
+            solved += 1
+    assert solved >= 5
+    if case in LEAVE_THE_SEMIGROUP:
+        assert solved < 10
+
+
+def test_sharp4_solves_match_solve_ip():
+    # d = 15: the pair scan finds each face's simplex with no subset listing;
+    # the scan and 20 solves take about 0.17 CPU s on one 2-CPU host
+    from toricip.stdpairs import decomposition_for
+
+    a, c = sharp_family(4)
+    _, _, decomp, _ = decomposition_for(a, c)
+    rng = random.Random(4)
+    rhs = [a.apply(tuple(rng.randint(0, 2) for _ in range(a.n))) for _ in range(20)]
+    start = time.process_time()
+    got = [solve_via_standard_pairs(decomp, a, b)[0] for b in rhs]
+    assert time.process_time() - start < 2
+    order = CostOrder.from_cost(c)
+    assert got == [solve_ip(a, order, b) for b in rhs]
+
+
+def test_a_pair_face_outside_every_simplex_is_a_chain_violation(knapsack_pipeline):
+    # the knapsack's pairs over the subdivision of another cost: its one cell
+    # is {1}, so the pairs on face {3} lie in no simplex of it
+    a, _, _, _, decomp = knapsack_pipeline
+    other = regular_subdivision(a, (1, 100, 100))
+    assert other.maximal_faces == (face(1),)
+    assert any(p.face == face(3) for p in decomp.pairs)
+    with pytest.raises(ChainViolation):
+        solve_via_standard_pairs(Decomposition.from_pairs(decomp.pairs, other), a, (16,))
