@@ -25,7 +25,7 @@ from .errors import (Degenerate, NotDeltaNormal, NotPointed, NotRegular, ParseEr
                      UnboundedFamily, _face, int_vector)
 from .linalg import clear_denominators, column_hermite, dot
 from .linprog import OPTIMAL, solve_lp
-from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
+from .triangulation import _lex_feasible_bases, regular_subdivision
 
 
 class HilbertBasis(Record):
@@ -81,14 +81,14 @@ def hilbert_basis(generators) -> HilbertBasis:
         return HilbertBasis((), ())
     # on their pivot rows the generators keep their rank and their cone, linearly: m has
     # full row rank, its validation finds its grading or proves the cone holds a line, and
-    # y = 0 is the only vertex of {y : y m <= 0}, so cost 0 gives one cell
+    # y = 0 is the only vertex of {y : y m <= 0}, so cost 0 gives one cell, all of m, and
+    # the walk from it visits the simplices of its lex refinement
     keep = [i for i, p in enumerate(column_hermite(zip(*gens), len(gens))[2]) if p is not None]
     try:
         m = IntMatrix([[g[i] for g in gens] for i in keep])
     except UnboundedFamily:
         raise NotPointed("cone contains a line") from None
-    delta0 = RegularSubdivision(m, (0,) * m.n, (tuple(range(m.n)),), ((0,) * m.d,), m.n == m.d)
-    cells = lex_refinement(delta0).simplex_inverses
+    cells = [(sigma, rows) for sigma, rows, _ in _lex_feasible_bases(m, (0,) * m.n, range(m.n))]
     cands = set(gens)
     for sigma, rows in cells:
         cands.update(_parallelepiped_points([gens[j] for j in sigma], keep, rows))

@@ -9,8 +9,8 @@ adjacent ones are one dual simplex pivot apart, and each simplex's cell is its
 equality set under c itself.  A cost is generic when every maximal cell is a
 d-simplex; the result carries that flag instead of raising, and non-generic
 inputs are never silently perturbed: the perturbation only orders the walk.
-The same walk, started from any cell, gives the lex refinement and each
-simplex's inverse, which its tableau carries.
+The one walk also gives the lex refinement and each simplex's inverse, which
+its tableau carries; the subdivision keeps both.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
-from .errors import Degenerate, NotAFace, OutsideCone, ParseError, Record, int_vector
+from .errors import Degenerate, OutsideCone, ParseError, Record, int_vector
 from .fibers import Elimination, factor
 from .linprog import _cost_row, _drive_out_artificials, _eliminate, _phase1, _pivot, _primitive, _simplex
 
@@ -30,6 +30,14 @@ class RegularSubdivision(Record):
     A certificate y has y.a_j = c_j on its cell and y.a_j < c_j off it.  In a
     lex refinement a simplex carries the certificate of the cell it refines, so
     y.a_j = c_j holds on that whole cell, not only on the simplex.
+
+    ``simplex_inverses`` holds (sigma, rows) for each simplex sigma of the lex
+    refinement, sorted by sigma, as the walk of :func:`_lex_feasible_bases`
+    leaves them: rows[t] is a positive multiple of row t of A_sigma^{-1}, so
+    the signs of rows[t] . b are those of b's coordinates in sigma.
+    ``simplex_cells`` holds the cell of this subdivision that holds each
+    sigma, in the same order.  On a triangulation the simplices are its
+    maximal faces.  Neither is compared.
     """
 
     matrix: IntMatrix
@@ -37,13 +45,9 @@ class RegularSubdivision(Record):
     maximal_faces: tuple  # sorted tuple of faces (0-based index tuples)
     certificates: tuple  # parallel tuple of rational y vectors
     is_triangulation: bool
-
-    def certificate(self, face):
-        face = tuple(sorted(face))
-        for f, y in zip(self.maximal_faces, self.certificates):
-            if f == face:
-                return y
-        raise NotAFace(f"{face} is not a maximal face")
+    simplex_inverses: tuple  # (sigma, rows) per simplex of the lex refinement
+    simplex_cells: tuple  # parallel tuple: the cell holding each sigma
+    _uncompared = ("simplex_inverses", "simplex_cells")
 
     def faces(self):
         """All faces, by subset closure of the maximal ones (triangulations)."""
@@ -92,19 +96,6 @@ class RegularSubdivision(Record):
         _, bt, cut = self.cost_coordinates
         return Elimination(bt + (cut,), len(cut))
 
-    @cached_property
-    def simplex_inverses(self):
-        """(sigma, rows) per simplex of the lex refinement, from one walk from the first cell.
-
-        rows[t] is a positive multiple of row t of A_sigma^{-1}, so the signs
-        of rows[t] . b are those of b's coordinates in sigma (see
-        :func:`_lex_feasible_bases`).  On a triangulation the simplices are
-        its maximal faces.  Built on first use and kept for the life of the
-        subdivision.
-        """
-        walk = _lex_feasible_bases(self.matrix, self.cost, self.maximal_faces[0])
-        return tuple((sigma, rows) for sigma, rows, _ in walk)
-
 
 def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:
     """Compute Delta_c with exact certificates.
@@ -124,17 +115,20 @@ def _subdivision(a, cost):
 
     The cost row is s (c - yA | -y | 1) for some s > 0, so a new cell's
     certificate is read off it; Fractions are built only for kept cells.
+    Every simplex keeps its inverse rows and its cell.
     """
     n = a.n
-    cells = {}
-    for _, _, z in _lex_feasible_bases(a, cost, _start_cell(a, cost)):
+    cells, simplices = {}, []
+    for sigma, rows, z in _lex_feasible_bases(a, cost, _start_cell(a, cost)):
         cell = tuple(j for j in range(n) if not z[j])
         if cell not in cells:
             cells[cell] = tuple(Fraction(-v, z[-1]) for v in z[n:-1])
+        simplices.append(((sigma, rows), cell))
+    simplices.sort()  # by sigma: the walk visits each basis once
     faces = sorted(cells, key=lambda f: (len(f), f))
     certs = tuple(cells[f] for f in faces)
     is_tri = all(len(f) == a.d for f in faces)
-    return RegularSubdivision(a, cost, tuple(faces), certs, is_tri)
+    return RegularSubdivision(a, cost, tuple(faces), certs, is_tri, *zip(*simplices))
 
 
 def _lex_feasible_bases(a, cost, start):
@@ -250,20 +244,19 @@ cached_subdivision = _subdivision  # the cache, for cache_info() and cache_clear
 def lex_refinement(delta: RegularSubdivision) -> RegularSubdivision:
     """The lex refinement of Delta_c: the triangulation for c + eps (1, t, t^2, ...).
 
-    Its simplices are the bases :func:`_lex_feasible_bases` visits, walking
-    from the first cell of ``delta``.  Each carries the certificate of the
-    cell it refines: the basis's columns with zero reduced cost under c.  A
-    triangulation, a lex refinement among them, is its own refinement.
+    Its simplices are the ones ``delta`` keeps from its walk (see
+    :func:`_lex_feasible_bases`), with their inverse rows.  Each carries the
+    certificate of the cell it refines: the basis's columns with zero reduced
+    cost under c.  A triangulation, a lex refinement among them, is its own
+    refinement.
     """
     if delta.is_triangulation:
         return delta
-    a = delta.matrix
     certificates = dict(zip(delta.maximal_faces, delta.certificates))
-    simplices = {}
-    for sigma, _, z in _lex_feasible_bases(a, delta.cost, delta.maximal_faces[0]):
-        simplices[sigma] = certificates[tuple(j for j in range(a.n) if not z[j])]
-    faces = sorted(simplices)
-    return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
+    simplices = tuple(sigma for sigma, _ in delta.simplex_inverses)
+    certs = tuple(map(certificates.get, delta.simplex_cells))
+    return RegularSubdivision(delta.matrix, delta.cost, simplices, certs, True,
+                              delta.simplex_inverses, simplices)
 
 
 def optimal_face(delta: RegularSubdivision, b):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections.abc import Mapping
 
 import pytest
@@ -166,6 +167,18 @@ def acceptance_pipelines():
         out.append({"seed": seed, "a": a, "c": c, "delta": delta, "gb": gb,
                     "decomp": decomp, "rhs": rhs, "taus": taus})
     return out
+
+
+@pytest.fixture(scope="session")
+def sharp4_pipeline():
+    """Sharp m=4's ``decomposition_for``, built once, and the CPU seconds the build took.
+
+    Returns (a, c, delta, gb, decomp, refined, seconds).
+    """
+    start = time.process_time()
+    a, c = sharp_family(4)
+    delta, gb, decomp, refined = decomposition_for(a, c)
+    return a, c, delta, gb, decomp, refined, time.process_time() - start
 
 
 @pytest.fixture(scope="session")

@@ -144,8 +144,8 @@ MUTANTS = {
     "hilbert-cone-test-strict": (
         HILBERT, "dot(row, v) >= 0", "dot(row, v) > 0", [HILBERT_REFERENCE]),
     "hilbert-first-simplex-only": (
-        HILBERT, "lex_refinement(delta0).simplex_inverses\n",
-        "lex_refinement(delta0).simplex_inverses[:1]\n", [HILBERT_REFERENCE]),
+        HILBERT, "_lex_feasible_bases(m, (0,) * m.n, range(m.n))]\n",
+        "_lex_feasible_bases(m, (0,) * m.n, range(m.n))][:1]\n", [HILBERT_REFERENCE]),
     "parallelepiped-rows-read-as-the-adjugate": (
         HILBERT, "size * v // scale", "v", [ROW_FACTORS, HILBERT_REFERENCE]),
     "walk-inverse-rows-in-basis-order": (
@@ -153,8 +153,11 @@ MUTANTS = {
         "[n:n + len(basis)]) for i in range(len(basis)))",
         [INVERSE_ROWS, HILBERT_REFERENCE]),
     "refinement-takes-the-first-cell-certificate": (
-        TRIANGULATION, "certificates[tuple(j for j in range(a.n) if not z[j])]",
-        "delta.certificates[0]", [LEX_SEARCH, WALK_DEGENERATE]),
+        TRIANGULATION, "tuple(map(certificates.get, delta.simplex_cells))",
+        "(delta.certificates[0],) * len(simplices)", [LEX_SEARCH, WALK_DEGENERATE]),
+    "subdivision-keeps-the-start-cell-for-every-simplex": (
+        TRIANGULATION, "simplices.append(((sigma, rows), cell))",
+        "simplices.append(((sigma, rows), next(iter(cells))))", [LEX_SEARCH, WALK_DEGENERATE]),
     "standard-pairs-keep-every-slice-pair": (
         STDPAIRS, "if any(all(g[i] <= u[i] for i in rest if i not in f) for g in colon):",
         "if True:",

@@ -25,7 +25,8 @@ def reference_lex_refinement(delta):
     A nonsingular d-subset sigma of a cell C is a simplex when, for each j in
     C - sigma, the first nonzero entry of (A_sigma^{-1} a_j on sigma, -1 at j)
     is negative, so a_j lifts above sigma.  Columns off C stay strictly slack.
-    The signs are read off integer determinants by Cramer's rule.
+    The signs are read off integer determinants by Cramer's rule.  The result
+    keeps no simplex inverses: tests only compare it.
     """
     a = delta.matrix
     simplices = {}
@@ -35,7 +36,8 @@ def reference_lex_refinement(delta):
             if det and all(_lifted_above(a, sigma, j, det) for j in cell if j not in sigma):
                 simplices[sigma] = y
     faces = sorted(simplices)
-    return RegularSubdivision(a, delta.cost, tuple(faces), tuple(map(simplices.get, faces)), True)
+    certs = tuple(map(simplices.get, faces))
+    return RegularSubdivision(a, delta.cost, tuple(faces), certs, True, (), ())
 
 
 def _lifted_above(a, sigma, j, det):

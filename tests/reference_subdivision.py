@@ -4,7 +4,8 @@ Each of the C(n, d) d-subsets sigma with det A_sigma != 0 is solved for the y
 with y.a_j = c_j on sigma, in Fraction Gauss-Jordan
 (``reference_linalg.solve_exact``); sigma's equality set is a maximal cell
 when y.a_j <= c_j holds for every column.  The library walks the bases of the
-lex refinement in integers instead; tests hold the two equal.
+lex refinement in integers instead; tests hold the two equal.  The result
+keeps no simplex inverses: tests only compare it.
 """
 
 from itertools import combinations
@@ -34,4 +35,5 @@ def reference_subdivision(a, cost):
             cells.setdefault(tuple(eq), y)
     faces = sorted(cells, key=lambda f: (len(f), f))
     is_tri = all(len(f) == a.d for f in faces)
-    return RegularSubdivision(a, tuple(cost), tuple(faces), tuple(cells[f] for f in faces), is_tri)
+    certs = tuple(cells[f] for f in faces)
+    return RegularSubdivision(a, tuple(cost), tuple(faces), certs, is_tri, (), ())

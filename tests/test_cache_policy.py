@@ -35,7 +35,6 @@ HANDLES = {
 BUILDERS = {name for _, name in ALLOWED_CACHES} | {"regular_subdivision"} | set(HANDLES)
 # (class, cached_property): the per-object memos the README lists
 PER_OBJECT_MEMOS = {
-    ("RegularSubdivision", "simplex_inverses"),
     ("RegularSubdivision", "cost_coordinates"),
     ("RegularSubdivision", "relaxation_elimination"),
     ("Decomposition", "pair_scan"),

@@ -38,7 +38,7 @@ from toricip.hilbert import (
     sharp_family,
 )
 from toricip.stdpairs import associated_report, decomposition_for, is_gomory_family
-from toricip.triangulation import regular_subdivision
+from toricip.triangulation import lex_refinement, regular_subdivision
 
 SHARP3_A = (
     (1, 0, 0, 0, 0, 0, 0, 1, 1, 1),
@@ -152,19 +152,30 @@ def test_hilbert_basis_tests_candidates_in_degree_order():
 
 
 def test_hilbert_basis_refines_the_cost_zero_subdivision(monkeypatch):
-    # the one cell with certificate 0, built by hand, is what the scan of
-    # every nonsingular subset finds at cost 0
-    seen = []
-    real = hilbert.lex_refinement
-    monkeypatch.setattr(hilbert, "lex_refinement", lambda delta: seen.append(delta) or real(delta))
-    for rows in [EX1, EX3, KNAPSACK, NONNORMAL, GFAMILY, LONG_CHAIN, *CENSUS_MATRICES]:
-        hilbert_basis(list(zip(*rows)))
-        a = IntMatrix(rows)
-        assert seen.pop() == regular_subdivision(a, (0,) * a.n)
-    for gens in LOWER_DIMENSIONAL[:-1]:
+    # the simplices and inverse rows hilbert_basis walks from its one cost-0
+    # cell are those of the lex refinement of the subdivision at cost 0
+    walked = []
+    real = hilbert._lex_feasible_bases
+
+    def recorded(m, cost, start):
+        walk = list(real(m, cost, start))
+        walked.append((m, {(sigma, rows) for sigma, rows, _ in walk}))
+        return iter(walk)
+
+    monkeypatch.setattr(hilbert, "_lex_feasible_bases", recorded)
+
+    def assert_walks_the_refinement(gens):
         hilbert_basis(gens)
-        delta = seen.pop()
-        assert delta == regular_subdivision(delta.matrix, (0,) * delta.matrix.n)
+        (m, cells), = walked
+        walked.clear()
+        refined = lex_refinement(regular_subdivision(m, (0,) * m.n))
+        assert cells == set(refined.simplex_inverses), gens
+        return m
+
+    for rows in [EX1, EX3, KNAPSACK, NONNORMAL, GFAMILY, LONG_CHAIN, *CENSUS_MATRICES]:
+        assert assert_walks_the_refinement(list(zip(*rows))) == IntMatrix(rows)
+    for gens in LOWER_DIMENSIONAL[:-1]:
+        assert_walks_the_refinement(gens)
 
 
 def test_hilbert_basis_is_minimal_and_generating():
@@ -441,6 +452,7 @@ def _cell_lift(sub):
     """
     a = sub.matrix
     in_cells = {j for f in sub.maximal_faces for j in f}
+    certificates = dict(zip(sub.maximal_faces, sub.certificates))
     lifted = []
     for j in range(a.n):
         col = a.column(j)
@@ -449,7 +461,7 @@ def _cell_lift(sub):
             continue
         cell = next(f for f in sub.maximal_faces
                     if nonneg_feasible([[a.column(i)[r] for i in f] for r in range(a.d)], col))
-        lifted.append(Fraction(dot(col, sub.certificate(cell))))
+        lifted.append(Fraction(dot(col, certificates[cell])))
     return lifted
 
 

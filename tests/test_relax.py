@@ -481,13 +481,10 @@ def test_solve_via_pairs_matches_square_system_scan(case):
         assert solved < 10
 
 
-def test_sharp4_solves_match_solve_ip():
+def test_sharp4_solves_match_solve_ip(sharp4_pipeline):
     # d = 15: the pair scan finds each face's simplex with no subset listing;
     # the scan and 20 solves take about 0.17 CPU s on one 2-CPU host
-    from toricip.stdpairs import decomposition_for
-
-    a, c = sharp_family(4)
-    _, _, decomp, _ = decomposition_for(a, c)
+    a, c, _, _, decomp, _, _ = sharp4_pipeline
     rng = random.Random(4)
     rhs = [a.apply(tuple(rng.randint(0, 2) for _ in range(a.n))) for _ in range(20)]
     start = time.process_time()

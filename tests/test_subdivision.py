@@ -4,9 +4,10 @@
 c + eps (1, t, t^2, ...) in integers.  Every test here holds the whole
 :class:`~toricip.triangulation.RegularSubdivision` (faces, certificates and
 flag) equal to ``tests/reference_subdivision.py``, which solves all C(n, d)
-bases in Fractions.  ``lex_refinement`` is the same walk from another start,
-so the bases visited from every cell, and the whole refinement, are held
-equal to the Cramer scan of ``tests/reference_refinement.py``.  Sharp m=4 is
+bases in Fractions.  ``lex_refinement`` keeps the simplices of that walk, so
+the bases visited from every cell, and the whole refinement, are held equal to
+the Cramer scan of ``tests/reference_refinement.py``.  The walk runs once per
+subdivision and once per Hilbert basis, and nothing walks again.  Sharp m=4 is
 compared with the scan (about 7 s) only in ``python tests/sharp4_walk.py``.
 
 The walk also hands each simplex its inverse rows.  Those are checked with no
@@ -15,20 +16,26 @@ cofactor adjugate of ``tests/reference_linalg.py``.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from conftest import CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE
+from conftest import (CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE, EX1, EX1_COST, GFAMILY, LONG_CHAIN,
+                      LONG_CHAIN_COST, NONNORMAL)
 from reference_linalg import adjugate
 from reference_refinement import reference_lex_refinement
 from reference_subdivision import reference_subdivision
 
+from toricip import triangulation
 from toricip.core import IntMatrix
 from toricip.errors import DomainError
-from toricip.hilbert import sharp_family
+from toricip.hilbert import hilbert_basis, sharp_family
 from toricip.linalg import det_int, dot
-from toricip.triangulation import _lex_feasible_bases, _subdivision, lex_refinement, regular_subdivision
+from toricip.relax import solve_via_standard_pairs
+from toricip.stdpairs import decomposition_for
+from toricip.triangulation import (_lex_feasible_bases, _subdivision, cached_subdivision, lex_refinement,
+                                   optimal_face, regular_subdivision)
 
 
 def _assert_walk_matches_scan(a, cost):
@@ -137,3 +144,39 @@ def test_inverse_rows_on_the_sharp_family(m):
     a, cost = sharp_family(m)
     _assert_inverse_rows(regular_subdivision(a, cost))
     _assert_inverse_rows(regular_subdivision(a, (0,) * a.n))
+
+
+def test_the_walk_runs_once_per_subdivision_and_per_hilbert_basis(monkeypatch):
+    # a subdivision keeps its walk's simplices, so refining it, reading its
+    # inverses, its optimal faces and its pair scan walk nothing more
+    walks = []
+    real = triangulation._lex_feasible_bases
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):  # every module that imports the walk
+        if name.startswith("toricip") and getattr(module, "_lex_feasible_bases", None) is real:
+            monkeypatch.setattr(module, "_lex_feasible_bases", counted)
+    cached_subdivision.cache_clear()
+    cases = [DEGENERATE[name] for name in sorted(DEGENERATE)]
+    cases += [(IntMatrix(EX1), EX1_COST), (IntMatrix(LONG_CHAIN), LONG_CHAIN_COST)]
+    for a, c in cases:
+        misses = cached_subdivision.cache_info().misses
+        delta = regular_subdivision(a, c)
+        assert regular_subdivision(a, c) is delta
+        assert len(walks) == 1 == cached_subdivision.cache_info().misses - misses, (a, c)
+        refined = lex_refinement(delta)
+        assert delta.simplex_inverses and refined.simplex_inverses
+        _, _, decomp, _ = decomposition_for(a, c)
+        b = a.apply((1,) * a.n)
+        optimal_face(refined, b)
+        solve_via_standard_pairs(decomp, a, b)
+        assert decomp.pair_scan
+        assert len(walks) == 1, (a, c)
+        walks.clear()
+    for rows in [EX1, NONNORMAL, GFAMILY, LONG_CHAIN, CENSUS_MATRICES[2]]:
+        hilbert_basis(list(zip(*rows)))
+        assert len(walks) == 1, rows
+        walks.clear()
