@@ -81,14 +81,14 @@ def hilbert_basis(generators) -> HilbertBasis:
         return HilbertBasis((), ())
     # on their pivot rows the generators keep their rank and their cone, linearly: m has
     # full row rank, its validation finds its grading or proves the cone holds a line, and
-    # y = 0 is the only vertex of {y : y m <= 0}, so cost 0 gives one cell, all of m, and
-    # the walk from it visits the simplices of its lex refinement
+    # y = 0 is the only vertex of {y : y m <= 0}, so cost 0 gives one cell, all of m; the
+    # walk starts at y = 0 and visits the simplices of its lex refinement
     keep = [i for i, p in enumerate(column_hermite(zip(*gens), len(gens))[2]) if p is not None]
     try:
         m = IntMatrix([[g[i] for g in gens] for i in keep])
     except UnboundedFamily:
         raise NotPointed("cone contains a line") from None
-    cells = [(sigma, rows) for sigma, rows, _ in _lex_feasible_bases(m, (0,) * m.n, range(m.n))]
+    cells = [(sigma, rows) for sigma, rows, _ in _lex_feasible_bases(m, (0,) * m.n)]
     cands = set(gens)
     for sigma, rows in cells:
         cands.update(_parallelepiped_points([gens[j] for j in sigma], keep, rows))

@@ -6,9 +6,11 @@ Maximal cells correspond to vertices of the dual polyhedron {y : yA <= c}.
 They are found by a walk in integers: for c + eps (1, t, t^2, ...) the
 polyhedron is simple, its vertices are the simplices of the lex refinement,
 adjacent ones are one dual simplex pivot apart, and each simplex's cell is its
-equality set under c itself.  A cost is generic when every maximal cell is a
-d-simplex; the result carries that flag instead of raising, and non-generic
-inputs are never silently perturbed: the perturbation only orders the walk.
+equality set under c itself.  The walk starts from the slack basis, which the
+matrix's grading makes dual feasible, so it needs no LP of its own.  A cost is
+generic when every maximal cell is a d-simplex; the result carries that flag
+instead of raising, and non-generic inputs are never silently perturbed: the
+perturbation only orders the walk.
 The one walk also gives the lex refinement and each simplex's inverse, which
 its tableau carries; the subdivision keeps both.
 """
@@ -21,7 +23,7 @@ from . import linalg
 from .core import IntMatrix, gcd_maximal_minors, kernel_lattice_basis
 from .errors import Degenerate, OutsideCone, ParseError, Record, int_vector
 from .fibers import Elimination, factor
-from .linprog import _cost_row, _drive_out_artificials, _eliminate, _phase1, _pivot, _primitive, _simplex
+from .linprog import _eliminate, _pivot
 
 
 class RegularSubdivision(Record):
@@ -119,7 +121,7 @@ def _subdivision(a, cost):
     """
     n = a.n
     cells, simplices = {}, []
-    for sigma, rows, z in _lex_feasible_bases(a, cost, _start_cell(a, cost)):
+    for sigma, rows, z in _lex_feasible_bases(a, cost):
         cell = tuple(j for j in range(n) if not z[j])
         if cell not in cells:
             cells[cell] = tuple(Fraction(-v, z[-1]) for v in z[n:-1])
@@ -131,28 +133,32 @@ def _subdivision(a, cost):
     return RegularSubdivision(a, cost, tuple(faces), certs, is_tri, *zip(*simplices))
 
 
-def _lex_feasible_bases(a, cost, start):
+def _lex_feasible_bases(a, cost):
     """Yield (sigma, rows, cost row) for each simplex sigma of the lex refinement of Delta_c.
 
     These are the bases whose reduced costs are lexicographically positive
     for the perturbed cost c + eps (1, t, t^2, ...): the vertices of a simple
     polyhedron, so every basis is reached from one start by pivots across
-    edges.  ``start`` is any cell of Delta_c; its independent columns, taken
-    greedily from the last, are such a basis.  The integer tableau of
-    :mod:`linprog` runs over [A | I | 0], so the cost row ends in its own
-    positive scale, and the identity block carries A_sigma^{-1}: sigma comes
-    sorted, and rows[t], the block's row of column sigma_t, is row t of
-    A_sigma^{-1} times rows[t] . a_{sigma_t} > 0.  The walk is depth-first
-    and pivots back on return, so a pending basis holds no tableau of its own.
+    edges.  The integer tableau of :mod:`linprog` runs over [A | I | 0], so
+    the cost row is s (c - yA | -y | 1) for some s > 0.  The walk starts at
+    the slack basis with y = min(0, min c) g for the grading g: g . a_j >= 1,
+    so c - yA >= 0, and each slack leaves through the ratio test that walks
+    on.  A slack row's sign is free, as the walk carries no right-hand side.
+    The identity block carries A_sigma^{-1}: sigma comes sorted, and rows[t],
+    the block's row of column sigma_t, is row t of A_sigma^{-1} times
+    rows[t] . a_{sigma_t} > 0.  The walk is depth-first and pivots back on
+    return, so a pending basis holds no tableau of its own.
     """
     n, d = a.n, a.d
     rows = [[*r, *(int(i == k) for k in range(d)), 0] for i, r in enumerate(a.entries)]
     basis = list(range(n, n + d))
-    z = [*cost, *[0] * d, 1]
-    for j in reversed(start):
-        i = next((i for i, b in enumerate(basis) if b >= n and rows[i][j]), None)
-        if i is not None:
-            z = _eliminate(z, _pivot(rows, basis, i, j), j)
+    y = [min((*cost, 0)) * g for g in a.grading]
+    z = [*(c - linalg.dot(y, a.column(j)) for j, c in enumerate(cost)), *(-v for v in y), 1]
+    for i in range(d):
+        if min(rows[i][:n]) >= 0:  # a row with no negative entry leaves on its other side
+            rows[i] = [-v for v in rows[i]]
+        j = _entering(rows, basis, z, i, n)
+        z = _eliminate(z, _pivot(rows, basis, i, j), j)
     mask = sum(1 << b for b in basis)
     seen = {mask}
     yield (*_inverse_rows(rows, basis, n), z)
@@ -186,16 +192,6 @@ def _inverse_rows(rows, basis, n):
     order = sorted(range(len(basis)), key=basis.__getitem__)
     sigma = tuple(basis[i] for i in order)
     return sigma, tuple(tuple(rows[i][n:n + len(basis)]) for i in order)
-
-
-def _start_cell(a, cost):
-    """The cell of a dual-feasible basis: Bland's simplex on {x >= 0 : Ax = A 1} with cost c."""
-    n = a.n
-    rows, basis, _ = _phase1([list(r) for r in a.entries], [sum(r) for r in a.entries])
-    _drive_out_artificials(rows, basis, n)
-    rows = [_primitive(r[:n] + r[-1:]) for r in rows]
-    z = _simplex(rows, basis, _cost_row(rows, basis, cost))
-    return [j for j in range(n) if not z[j]]
 
 
 def _entering(rows, basis, z, k, n):

@@ -95,10 +95,10 @@ DEGENERATE = _BuiltOnUse({
 })
 
 
-def counted_lps(monkeypatch):
-    """Count every solve_lp, nonneg_feasible and gordan_ray call the library makes."""
+def counted_lps(monkeypatch, names=("solve_lp", "nonneg_feasible", "gordan_ray")):
+    """Count every call the library makes to the ``linprog`` functions ``names``, at every binding."""
     calls = []
-    for name in ("solve_lp", "nonneg_feasible", "gordan_ray"):
+    for name in names:
         real = getattr(linprog, name)
 
         def counted(*args, real=real):

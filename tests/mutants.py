@@ -73,6 +73,8 @@ NOT_TRIANGULATION = ("tests/test_triangulation.py::"
 WALK_SEEDED = "tests/test_subdivision.py::test_walk_matches_the_scan_on_seeded_costs"
 WALK_DEGENERATE = "tests/test_subdivision.py::test_walk_matches_the_scan_on_degenerate_costs"
 WALK_SHARP = "tests/test_subdivision.py::test_walk_matches_the_scan_on_the_sharp_family"
+SHIFTED_COSTS = ("tests/test_subdivision.py::"
+                 "test_subdivision_is_invariant_under_cost_shifts_on_acceptance_seeds")
 INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
 RECURSION_RANDOM = "tests/test_stdpairs.py::test_recursion_matches_reference_on_random_antichains"
 SQUARE_SCAN = "tests/test_relax.py::test_solve_via_pairs_matches_square_system_scan"
@@ -144,8 +146,8 @@ MUTANTS = {
     "hilbert-cone-test-strict": (
         HILBERT, "dot(row, v) >= 0", "dot(row, v) > 0", [HILBERT_REFERENCE]),
     "hilbert-first-simplex-only": (
-        HILBERT, "_lex_feasible_bases(m, (0,) * m.n, range(m.n))]\n",
-        "_lex_feasible_bases(m, (0,) * m.n, range(m.n))][:1]\n", [HILBERT_REFERENCE]),
+        HILBERT, "_lex_feasible_bases(m, (0,) * m.n)]\n",
+        "_lex_feasible_bases(m, (0,) * m.n)][:1]\n", [HILBERT_REFERENCE]),
     "parallelepiped-rows-read-as-the-adjugate": (
         HILBERT, "size * v // scale", "v", [ROW_FACTORS, HILBERT_REFERENCE]),
     "walk-inverse-rows-in-basis-order": (
@@ -231,9 +233,11 @@ MUTANTS = {
         RELAX, "    tau = _face(tau, a.n)\n", "    tau = tuple(sorted(tau))\n", [MALFORMED]),
     "walk-ties-broken-by-the-lowest-index": (
         TRIANGULATION, "    if len(tied) < 2:\n", "    if True:\n", [WALK_SEEDED, WALK_DEGENERATE]),
-    "walk-start-greedy-from-the-lowest-index": (
-        TRIANGULATION, "for j in reversed(start):", "for j in start:",
-        [WALK_SEEDED, WALK_DEGENERATE]),
+    "walk-start-dual-point-dropped": (
+        TRIANGULATION, "    y = [min((*cost, 0)) * g for g in a.grading]\n",
+        "    y = [0 for g in a.grading]\n", [WALK_SEEDED, SHIFTED_COSTS]),
+    "walk-start-cost-row-loses-y": (
+        TRIANGULATION, "*(-v for v in y), 1]", "*(0 for v in y), 1]", [WALK_SEEDED]),
     "walk-ratio-test-keeps-the-largest-ratio": (
         TRIANGULATION, "            if diff < 0:\n                continue\n",
         "            if diff > 0:\n                continue\n", [WALK_SEEDED, WALK_SHARP]),

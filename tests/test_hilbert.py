@@ -152,13 +152,13 @@ def test_hilbert_basis_tests_candidates_in_degree_order():
 
 
 def test_hilbert_basis_refines_the_cost_zero_subdivision(monkeypatch):
-    # the simplices and inverse rows hilbert_basis walks from its one cost-0
-    # cell are those of the lex refinement of the subdivision at cost 0
+    # the simplices and inverse rows hilbert_basis walks at cost 0 are those
+    # of the lex refinement of the subdivision at cost 0
     walked = []
     real = hilbert._lex_feasible_bases
 
-    def recorded(m, cost, start):
-        walk = list(real(m, cost, start))
+    def recorded(m, cost):
+        walk = list(real(m, cost))
         walked.append((m, {(sigma, rows) for sigma, rows, _ in walk}))
         return iter(walk)
 

@@ -5,8 +5,8 @@ c + eps (1, t, t^2, ...) in integers.  Every test here holds the whole
 :class:`~toricip.triangulation.RegularSubdivision` (faces, certificates and
 flag) equal to ``tests/reference_subdivision.py``, which solves all C(n, d)
 bases in Fractions.  ``lex_refinement`` keeps the simplices of that walk, so
-the bases visited from every cell, and the whole refinement, are held equal to
-the Cramer scan of ``tests/reference_refinement.py``.  The walk runs once per
+the bases one walk visits, and the whole refinement, are held equal to the
+Cramer scan of ``tests/reference_refinement.py``.  The walk runs once per
 subdivision and once per Hilbert basis, and nothing walks again.  Sharp m=4 is
 compared with the scan (about 7 s) only in ``python tests/sharp4_walk.py``.
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (CENSUS_COSTS, CENSUS_MATRICES, DEGENERATE, EX1, EX1_COST, GFAMILY, LONG_CHAIN,
-                      LONG_CHAIN_COST, NONNORMAL)
+                      LONG_CHAIN_COST, NONNORMAL, counted_lps)
 from reference_linalg import adjugate
 from reference_refinement import reference_lex_refinement
 from reference_subdivision import reference_subdivision
@@ -45,9 +45,8 @@ def _assert_walk_matches_scan(a, cost):
     assert all(type(v) is Fraction for y in delta.certificates for v in y)
     refined = reference_lex_refinement(delta)
     assert lex_refinement(delta) == refined, (a, cost)
-    for start in delta.maximal_faces:  # the walk from any cell of Delta_c visits the same bases
-        visited = sorted(sigma for sigma, _, _ in _lex_feasible_bases(a, delta.cost, start))
-        assert visited == list(refined.maximal_faces), (a, cost, start)
+    visited = sorted(sigma for sigma, _, _ in _lex_feasible_bases(a, delta.cost))
+    assert visited == list(refined.maximal_faces), (a, cost)
     return delta
 
 
@@ -102,6 +101,44 @@ def test_sharp4_walk_is_fast_and_exact():
         slack = [cost[j] - dot(a.column(j), y) for j in range(a.n)]
         assert [j for j, s in enumerate(slack) if s == 0] == list(cell)
         assert min(slack) == 0
+
+
+def test_a_subdivision_runs_no_simplex(acceptance_pipelines, monkeypatch):
+    # the walk starts from the slack basis at a dual point on the grading, so
+    # past the matrix's validation a subdivision runs no phase 1 and no simplex
+    cases = [(inst["a"], inst["c"]) for inst in acceptance_pipelines]
+    a, _ = DEGENERATE["long-chain-zero"]
+    cases.append((a, (-7, 3, -1, 0, -12, 5)))
+    calls = counted_lps(monkeypatch, ("_phase1", "_simplex"))
+    cached_subdivision.cache_clear()
+    for a, c in cases:
+        regular_subdivision(a, c)
+        assert not calls, (a, c)
+
+
+def _assert_shift_invariant(a, cost, rng):
+    """Delta_c = Delta_{c + wA} for random w, with every certificate moved by exactly w."""
+    delta = regular_subdivision(a, cost)
+    for _ in range(3):
+        w = [rng.randint(-5, 5) for _ in range(a.d)]
+        shifted = regular_subdivision(a, [c + dot(w, a.column(j)) for j, c in enumerate(cost)])
+        assert shifted.maximal_faces == delta.maximal_faces, (a, cost, w)
+        assert shifted.is_triangulation == delta.is_triangulation, (a, cost, w)
+        assert shifted.simplex_inverses == delta.simplex_inverses, (a, cost, w)
+        assert shifted.simplex_cells == delta.simplex_cells, (a, cost, w)
+        for y, moved in zip(delta.certificates, shifted.certificates):
+            assert [u - v for u, v in zip(moved, y)] == w, (a, cost, w)
+
+
+def test_subdivision_is_invariant_under_cost_shifts_on_acceptance_seeds(acceptance_pipelines):
+    rng = random.Random(0)
+    for inst in acceptance_pipelines:
+        _assert_shift_invariant(inst["a"], inst["c"], rng)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_subdivision_is_invariant_under_cost_shifts_on_degenerate_costs(name):
+    _assert_shift_invariant(*DEGENERATE[name], random.Random(name))
 
 
 def _assert_inverse_rows(delta):
