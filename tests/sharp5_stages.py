@@ -101,7 +101,7 @@ def main():
         except EOFError:
             break
     proc.join()
-    if proc.exitcode and proc.exitcode < 0:
+    if proc.exitcode < 0:
         print(f"{stage}: the child died by signal {-proc.exitcode}", flush=True)
     if stage is None and proc.exitcode == 0:
         print("every stage finished")
