@@ -83,17 +83,20 @@ class Elimination:
     def points(self, offsets, limit=None):
         """Integer points of {s . z <= o} in ascending lex order, by one exact sweep.
 
-        z_1, ..., z_dim are swept in turn, each between the closed-form
-        integer bounds its level gives once the earlier coordinates are
-        fixed.  ``limit`` stops the sweep once that many points are found;
-        0 finds none, and a negative or non-int limit is a ParseError.
-        Returns [] when a constant row is violated and raises Unbounded when
-        a coordinate the sweep reaches has no bound on one side.
+        The sweep is one iterative depth-first loop over a fixed-length
+        prefix z_1, ..., z_k: each coordinate runs between the closed-form
+        integer bounds its level's rows with an offset give once the earlier
+        coordinates are fixed, and the loop backtracks to the deepest
+        coordinate still below its upper bound.  The last coordinate's range
+        is emitted whole.  ``limit`` stops the sweep once that many points
+        are found; 0 finds none, and a negative or non-int limit is a
+        ParseError.  Returns [] when a constant row is violated and raises
+        Unbounded when a coordinate the sweep reaches has no bound on one
+        side; a dead end before it returns [].
         """
         dim = self.dim
         if limit is not None and (type(limit) is not int or limit < 1):
-            if type(limit) is not int or limit < 0:
-                raise ParseError(f"limit {limit!r} is not a nonnegative int")
+            _check_limit(limit)
             return []
         if dim == 0:
             return [()] if all(o is None or o >= 0 for o in offsets) else []
@@ -113,30 +116,50 @@ class Elimination:
             offsets = cur
         if self._zero is not None and (o := offsets[self._zero]) is not None and o < 0:
             return []
-        bounds = [([(p, c, o) for d, p, c in upper if (o := offs[d]) is not None],
-                   [(p, c, o) for d, p, c in lower if (o := offs[d]) is not None])
-                  for offs, (upper, lower) in zip(reversed(levels), self._bounds)]
-        out = []
-
-        def sweep(prefix):
-            k = len(prefix)
+        levels.reverse()
+        bounds, out, last = self._bounds, [], dim - 1
+        prefix, tops = [0] * dim, [0] * dim  # dot stops at len(p) == k: deeper entries go unread
+        k = 0
+        while True:
             upper, lower = bounds[k]
-            if not upper or not lower:
+            offs = levels[k]
+            hi = neg_lo = None
+            for d, p, c in upper:  # z_k <= floor((o - p . z) / c)
+                if (o := offs[d]) is not None:
+                    v = (o - dot(p, prefix)) // c
+                    if hi is None or v < hi:
+                        hi = v
+            for d, p, c in lower:  # c < 0: z_k >= ceil((o - p . z) / c) = -floor((p . z - o) / c)
+                if (o := offs[d]) is not None:
+                    v = (dot(p, prefix) - o) // c
+                    if neg_lo is None or v < neg_lo:
+                        neg_lo = v
+            if hi is None or neg_lo is None:
                 raise Unbounded(f"coordinate {k + 1} is unbounded")
-            hi = min((o - dot(p, prefix)) // c for p, c, o in upper)
-            lo = max(-((o - dot(p, prefix)) // -c) for p, c, o in lower)
-            for v in range(lo, hi + 1):
-                if k + 1 < dim:
-                    if sweep(prefix + (v,)):
-                        return True
-                else:
-                    out.append(prefix + (v,))
-                    if limit is not None and len(out) >= limit:
-                        return True
-            return False
+            lo = -neg_lo
+            if lo <= hi:
+                if k < last:  # descend
+                    prefix[k], tops[k] = lo, hi
+                    k += 1
+                    continue
+                head = tuple(prefix[:last])
+                if limit is not None and hi - lo >= limit - len(out) - 1:  # the limit falls here
+                    out += [(*head, v) for v in range(lo, lo + limit - len(out))]
+                    return out
+                out += [(*head, v) for v in range(lo, hi + 1)]
+            k -= 1  # backtrack to the deepest coordinate below its top
+            while k >= 0 and prefix[k] == tops[k]:
+                k -= 1
+            if k < 0:
+                return out
+            prefix[k] += 1
+            k += 1
 
-        sweep(())
-        return out
+
+def _check_limit(limit):
+    """ParseError unless ``limit`` is None or an int >= 0."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ParseError(f"limit {limit!r} is not a nonnegative int")
 
 
 def _add(level, sources, s, i, j, mi, mj):
@@ -148,8 +171,12 @@ def _add(level, sources, s, i, j, mi, mj):
 
 
 def lattice_points_boxed(rows, dim, limit=None):
-    """Integer points of {s . z <= o} in ascending lex order: a one-off :class:`Elimination`."""
-    return Elimination([s for s, _ in rows], dim).points([o for _, o in rows], limit)
+    """Integer points of {s . z <= o} in ascending lex order: a one-off :class:`Elimination`.
+
+    Each row (s, o) is checked as the int vector (*s, o) of width dim + 1.
+    """
+    rows = [int_vector((*s, o), dim + 1, "inequality row") for s, o in rows]
+    return Elimination([r[:-1] for r in rows], dim).points([r[-1] for r in rows], limit)
 
 
 class Factorization(Record):
@@ -191,6 +218,7 @@ class Factorization(Record):
 
     def points(self, b, limit=None):
         """The fiber {x in N^n : rows @ x = b} in lex order, at most ``limit`` points."""
+        _check_limit(limit)
         x0 = self.particular(b)
         if x0 is None:
             return []

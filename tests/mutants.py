@@ -78,6 +78,11 @@ SHIFTED_COSTS = ("tests/test_subdivision.py::"
 INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
 RECURSION_RANDOM = "tests/test_stdpairs.py::test_recursion_matches_reference_on_random_antichains"
 SQUARE_SCAN = "tests/test_relax.py::test_solve_via_pairs_matches_square_system_scan"
+SWEEP_SEEDED = "tests/test_elimination.py::test_seeded_reuse"
+SWEEP_BACKTRACK = "tests/test_elimination.py::test_backtracking_after_an_inner_dead_end"
+SWEEP_LIMIT = "tests/test_elimination.py::test_a_limit_inside_the_last_coordinates_range"
+SWEEP_DEAD_END = ("tests/test_elimination.py::"
+                  "test_a_dead_end_before_an_unbounded_coordinate_is_empty")
 PAIRS_SEEDS = ("tests/test_stdpairs.py::"
                "test_pairs_match_reference_enumeration_on_acceptance_seeds")
 
@@ -131,6 +136,16 @@ MUTANTS = {
     "rank-counts-unpivoted-rows": (
         FIBERS, "return len(self.pivots) - self.pivots.count(None)", "return len(self.pivots)",
         [RANK_INDEX, RANK_DEFICIENT]),
+    "sweep-backtrack-one-past-the-top": (
+        FIBERS, "while k >= 0 and prefix[k] == tops[k]:", "while k >= 0 and prefix[k] > tops[k]:",
+        [SWEEP_BACKTRACK, SWEEP_SEEDED]),
+    "sweep-last-level-ignores-the-limit": (
+        FIBERS, "for v in range(lo, lo + limit - len(out))]", "for v in range(lo, hi + 1)]",
+        [SWEEP_LIMIT, SWEEP_SEEDED]),
+    "sweep-raises-on-any-unbounded-level": (
+        FIBERS, "        levels.reverse()\n",
+        "        levels.reverse()\n        if not self.bounded:\n            raise Unbounded('')\n",
+        [SWEEP_DEAD_END]),
     "kernel-basis-refactors-the-matrix": (
         CORE, "for row in a.fibers.u)", "for row in factor(a.entries).u)", [ONE_REDUCTION]),
     "parallelepiped-integrality-off-the-minor-dropped": (

@@ -11,6 +11,9 @@ sweep equal to them:
 - ``reference_lp_sweep``: one coordinate at a time, between the minimum and
   the maximum of that coordinate over the slice, each found by an LP;
 - ``reference_recession_trivial``: 2·dim LPs, one per signed unit direction;
+- ``reference_plan_sweep``: the recursive sweep ``fibers.Elimination.points``
+  ran before its one flat loop, over the levels of the same plan, so where it
+  returns [] and where it raises Unbounded are pinned as well as its points;
 - ``reference_parallelepiped_points``: the corner box of the parallelepiped,
   keeping a point when its exact coordinates in the generators, from one
   Gauss-Jordan pass, lie in [0, 1).
@@ -93,6 +96,57 @@ def _sweep(rows, dim, prefix, out, limit):
         if _sweep(sub, dim - 1, prefix + (v,), out, limit):
             return True
     return False
+
+
+def reference_plan_sweep(plan, offsets, limit=None):
+    """Integer points of {s . z <= o} for an ``Elimination`` plan, by a recursive sweep.
+
+    Its own offset pass fills the plan's levels; then one call per prefix
+    bounds the next coordinate by its level's rows with an offset.  Raises
+    Unbounded on reaching a coordinate that lacks a bound on one side.
+    """
+    dim = plan.dim
+    if limit == 0:
+        return []
+    if dim == 0:
+        return [()] if all(o is None or o >= 0 for o in offsets) else []
+    plan.bounded  # makes the plan
+    levels = []
+    for size, sources in plan._steps:
+        cur = [None] * size
+        for dst, i, j, mi, mj, g in sources:
+            if offsets[i] is not None and offsets[j] is not None:
+                v = (mi * offsets[i] + mj * offsets[j]) // g
+                if cur[dst] is None or v < cur[dst]:
+                    cur[dst] = v
+        levels.append(cur)
+        offsets = cur
+    if plan._zero is not None and offsets[plan._zero] is not None and offsets[plan._zero] < 0:
+        return []
+    bounds = [([(p, c, offs[d]) for d, p, c in upper if offs[d] is not None],
+               [(p, c, offs[d]) for d, p, c in lower if offs[d] is not None])
+              for offs, (upper, lower) in zip(reversed(levels), plan._bounds)]
+    out = []
+
+    def sweep(prefix):
+        k = len(prefix)
+        upper, lower = bounds[k]
+        if not upper or not lower:
+            raise Unbounded(f"coordinate {k + 1} is unbounded")
+        hi = min((o - dot(p, prefix)) // c for p, c, o in upper)
+        lo = max(-((o - dot(p, prefix)) // -c) for p, c, o in lower)
+        for v in range(lo, hi + 1):
+            if k + 1 < dim:
+                if sweep(prefix + (v,)):
+                    return True
+            else:
+                out.append(prefix + (v,))
+                if limit is not None and len(out) >= limit:
+                    return True
+        return False
+
+    sweep(())
+    return out
 
 
 def reference_recession_trivial(normals, dim):

@@ -123,6 +123,20 @@ def test_a_limit_that_is_not_an_int_is_refused(limit):
         lattice_points_boxed([], 0, limit)
 
 
+UNIT_SQUARE = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+
+
+@pytest.mark.parametrize("rows, dim", [
+    (UNIT_SQUARE, 1),  # a longer normal: used to be cut, giving [(0,), (1,)]
+    (UNIT_SQUARE, 3),  # a shorter normal: used to raise IndexError
+    ([((1,), 1), ((-1,), 0.5)], 1),  # a float offset: used to raise TypeError
+    ([((1,), True), ((-1,), 0)], 1),  # a bool offset: used to be read as 1
+], ids=["longer-normal", "shorter-normal", "float-offset", "bool-offset"])
+def test_a_malformed_row_is_refused(rows, dim):
+    with pytest.raises(ParseError, match="inequality row"):
+        lattice_points_boxed(rows, dim)
+
+
 def test_unbounded_raises_through_enumerate():
     ray = IneqPolytope.from_rows([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, -1), 0)])
     assert not reference_recession_trivial(tuple(s for s, _ in ray.rows), 3)

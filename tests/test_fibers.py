@@ -71,6 +71,14 @@ def test_iter_is_lazy():
     assert factor(((1, 1),)).points((50,), limit=2) == [(0, 50), (1, 49)]
 
 
+@pytest.mark.parametrize("limit", [-1, True, "x"])
+@pytest.mark.parametrize("b", [(1,), (2,)])
+def test_a_bad_limit_is_refused_whether_or_not_the_fiber_is_empty(b, limit):
+    # with b = (1,), which 2 x_1 + 4 x_2 + 6 x_3 cannot reach, each used to return []
+    with pytest.raises(ParseError, match="limit"):
+        IntMatrix(((2, 4, 6),)).fibers.points(b, limit)
+
+
 def _kernel_meets_orthant(rows, n):
     """Whether some x >= 0 with sum 1 has rows @ x = 0, exactly."""
     return reference_nonneg_feasible([*rows, [1] * n], [0] * len(rows) + [1])
