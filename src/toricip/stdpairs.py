@@ -16,6 +16,7 @@ multiplicities, the arithmetic degree and the chain structure audited by
 
 from functools import cached_property
 from itertools import combinations
+from operator import le
 
 from .core import IntMatrix
 from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, Record, int_vector
@@ -32,7 +33,10 @@ class MonomialIdeal(Record):
     from_generic_order: bool = True
 
     def contains(self, u):
-        return any(all(e <= x for e, x in zip(g, u)) for g in self.generators)
+        u = int_vector(u, self.nvars, "exponent")
+        if min(u, default=0) < 0:
+            raise ParseError(f"exponent {list(u)} has a negative entry")
+        return any(all(map(le, g, u)) for g in self.generators)
 
     def max_exponents(self):
         if not self.generators:
@@ -91,8 +95,10 @@ class Decomposition(Record):
         """
         a, maximal = self.delta.matrix, set(self.delta.maximal_faces)
         inverses, home = self.delta.simplex_inverses, {}
+        masks = [sum(1 << j for j in sigma) for sigma, _ in inverses]
         for face in self.multiplicities:
-            k = next((k for k, (sigma, _) in enumerate(inverses) if set(face) <= set(sigma)), None)
+            m = sum(1 << j for j in face)
+            k = next((k for k, s in enumerate(masks) if m & s == m), None)
             if k is None:
                 raise ChainViolation(f"face {face} lies in no simplex of the subdivision")
             sigma, rows = inverses[k]
@@ -114,28 +120,58 @@ def _standard_pairs(gens, free, n, memo):
     are those of (J : x^inf), which sets x to 0, with x added to the face.
     Every other pair has x^j in its root for some j below the largest
     x-exponent, and the rest of it is a pair of (J : x^j) without x, which
-    keeps the generators with g_x <= j; it is standard iff it meets
-    (J : x^inf), for otherwise the pair with x added to its face covers it.
-    (J : x^j) changes only at the x-exponents, so each one is split once.
+    keeps the generators with g_x <= j (:func:`_slices`); it is standard iff
+    it meets (J : x^inf), for otherwise the pair with x added to its face
+    covers it.  A pair (u, f) meets it iff some generator of (J : x^inf)
+    divides u lifted to ``top`` on f: those generators are 0 off ``rest``
+    and no entry of theirs exceeds ``top``, so the lift drops exactly the
+    face's coordinates from the test.  (J : x^j) changes only at the
+    x-exponents, so each one is split once.
     """
     key = (gens, free)
     if key in memo:
         return memo[key]
-    x = next((i for i in free if any(g[i] for g in gens)), None)
-    if x is None:  # the zero ideal has every monomial standard, the unit ideal none
+    used = list(map(any, zip(*gens)))
+    if True not in used:  # the zero ideal has every monomial standard, the unit ideal none
         out = [] if gens else [((0,) * n, free)]
     else:
+        x = used.index(True)
         rest = tuple(i for i in free if i != x)
-        colon = _minimalize(g[:x] + (0,) + g[x + 1:] for g in gens)
+        levels, slices = _slices(gens, x)
+        colon = slices[-1]
         out = [(u, tuple(sorted(f + (x,)))) for u, f in _standard_pairs(colon, rest, n, memo)]
-        levels = sorted({0} | {g[x] for g in gens})
-        for lo, hi in zip(levels, levels[1:]):
-            below = _minimalize(g[:x] + (0,) + g[x + 1:] for g in gens if g[x] <= lo)
+        top = 1 + max(map(max, gens))
+        for lo, hi, below in zip(levels, levels[1:], slices):
             for u, f in _standard_pairs(below, rest, n, memo):
-                if any(all(g[i] <= u[i] for i in rest if i not in f) for g in colon):
+                lifted = list(u)
+                for i in f:
+                    lifted[i] = top
+                if any(all(map(le, g, lifted)) for g in colon):
                     out += [(u[:x] + (j,) + u[x + 1:], f) for j in range(lo, hi)]
     memo[key] = out
     return out
+
+
+def _slices(gens, x):
+    """The x-exponents of the antichain ``gens``, with 0, and the slice (J : x^j) at each.
+
+    A slice is the sorted antichain of the generators with g_x <= j, x set to
+    0; the last one is (J : x^inf).  With x set to 0, a generator can divide
+    another only if its x-exponent is strictly larger, for otherwise it
+    divided the other already.  So walking the x-exponents upward, each
+    level's generators are never dominated and only drop the earlier ones
+    they divide.
+    """
+    by_level = {0: []}
+    for g in gens:
+        by_level.setdefault(g[x], []).append(g[:x] + (0,) + g[x + 1:])
+    levels = sorted(by_level)
+    slices, kept = [], []
+    for e in levels:
+        new = by_level[e]
+        kept = [h for h in kept if not any(all(map(le, g, h)) for g in new)] + new
+        slices.append(tuple(sorted(kept)))
+    return levels, slices
 
 
 def standard_pair_decomposition(ideal: MonomialIdeal, delta: RegularSubdivision) -> Decomposition:
@@ -161,7 +197,7 @@ def _minimalize(gens):
     gens = sorted(set(gens))
     out = []
     for g in gens:
-        if not any(all(e <= x for e, x in zip(h, g)) for h in out):
+        if not any(all(map(le, h, g)) for h in out):
             out.append(g)
     return tuple(out)
 

@@ -85,6 +85,10 @@ SWEEP_DEAD_END = ("tests/test_elimination.py::"
                   "test_a_dead_end_before_an_unbounded_coordinate_is_empty")
 PAIRS_SEEDS = ("tests/test_stdpairs.py::"
                "test_pairs_match_reference_enumeration_on_acceptance_seeds")
+SLICES = "tests/test_stdpairs.py::test_slices_equal_the_minimalized_slices_on_random_antichains"
+PAIR_HOMES = ("tests/test_stdpairs.py::"
+              "test_pair_scan_homes_each_face_on_the_first_simplex_that_holds_it")
+CONTAINS = "tests/test_stdpairs.py::test_contains_refuses_a_malformed_exponent"
 
 # name: (file, old text, new text, tests that must fail)
 MUTANTS = {
@@ -176,9 +180,17 @@ MUTANTS = {
         TRIANGULATION, "simplices.append(((sigma, rows), cell))",
         "simplices.append(((sigma, rows), next(iter(cells))))", [LEX_SEARCH, WALK_DEGENERATE]),
     "standard-pairs-keep-every-slice-pair": (
-        STDPAIRS, "if any(all(g[i] <= u[i] for i in rest if i not in f) for g in colon):",
-        "if True:",
+        STDPAIRS, "if any(all(map(le, g, lifted)) for g in colon):", "if True:",
         [RECURSION_RANDOM, PAIRS_SEEDS]),
+    "slice-keeps-a-dominated-generator": (
+        STDPAIRS, "kept = [h for h in kept if not any(all(map(le, g, h)) for g in new)] + new",
+        "kept = kept + new", [SLICES]),
+    "meet-test-drops-the-face-lift": (
+        STDPAIRS, "lifted[i] = top", "lifted[i] = 0", [RECURSION_RANDOM, PAIRS_SEEDS]),
+    "pair-scan-face-only-meets-its-simplex": (
+        STDPAIRS, "if m & s == m)", "if m & s)", [PAIR_HOMES]),
+    "contains-truncates-the-exponent": (
+        STDPAIRS, 'u = int_vector(u, self.nvars, "exponent")', "u = tuple(u)", [CONTAINS]),
     "standard-pairs-slice-skips-its-lowest-exponent": (
         STDPAIRS, "for j in range(lo, hi)]", "for j in range(lo + 1, hi)]",
         [RECURSION_RANDOM, PAIRS_SEEDS]),

@@ -18,13 +18,15 @@ sweep equal to them:
   keeping a point when its exact coordinates in the generators, from one
   Gauss-Jordan pass, lie in [0, 1).
 - ``reference_fiber``: the fiber {x in N^n : A x = b} walked one coordinate
-  of x at a time, with integer bounds when A has no negative entry and one
-  LP bound per prefix otherwise.
+  of x at a time: when A has no negative entry, by integer bounds from the
+  remaining residual, with the last coordinate solved from it; otherwise by
+  one LP bound per prefix.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 
 from reference_linalg import dot
 
@@ -210,28 +212,34 @@ def reference_fiber(rows, b):
     n = len(rows[0]) if d else 0
     b = tuple(int(v) for v in b)
     if all(v >= 0 for row in rows for v in row):
-        return list(_iter_nonneg(rows, d, n, 0, b, ()))
+        if min(b, default=0) < 0:
+            return []
+        cols = [tuple(row[k] for row in rows) for k in range(n)]
+        if not all(map(any, cols)):
+            raise ValueError("zero column makes the fiber infinite")
+        if n == 0:
+            return [] if any(b) else [()]
+        out = []
+        _walk_nonneg(cols, b, (), out)
+        return out
     return list(_iter_lp(rows, d, n, 0, b, ()))
 
 
-def _iter_nonneg(rows, d, n, k, residual, prefix):
-    if any(r < 0 for r in residual):
+def _walk_nonneg(cols, residual, prefix, out):
+    """Append each x >= 0 with sum_k x_k cols[k] == residual to ``out``, in lex order.
+
+    The residual is nonnegative.  Each coordinate but the last runs from 0 to
+    its integer bound; the last one is solved from the residual.
+    """
+    col = cols[0]
+    top = min(r // c for r, c in zip(residual, col) if c > 0)
+    if len(cols) == 1:
+        if residual == tuple(top * c for c in col):
+            out.append(prefix + (top,))
         return
-    if k == n:
-        if all(r == 0 for r in residual):
-            yield prefix
-        return
-    ub = None
-    for i in range(d):
-        a = rows[i][k]
-        if a > 0:
-            q = residual[i] // a
-            ub = q if ub is None else min(ub, q)
-    if ub is None:
-        raise ValueError("zero column makes the fiber infinite")
-    for v in range(ub + 1):
-        nres = tuple(residual[i] - v * rows[i][k] for i in range(d))
-        yield from _iter_nonneg(rows, d, n, k + 1, nres, prefix + (v,))
+    for v in range(top + 1):
+        _walk_nonneg(cols[1:], residual, prefix + (v,), out)
+        residual = tuple(map(sub, residual, col))
 
 
 def _iter_lp(rows, d, n, k, residual, prefix):

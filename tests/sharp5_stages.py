@@ -9,8 +9,12 @@ gets CPU_BUDGET seconds of CPU time, kept by a profiling interval timer.  For
 each stage it prints the CPU seconds, the child's peak RSS so far and the
 stage's counts.  The first stage that runs out of CPU time or memory is named,
 and the run stops there; if the child dies instead, the stage it was in is
-named.  Exits 0 when every stage finished and 1 otherwise.  Not collected by
-pytest.
+named.  The standard pairs come from ``stdpairs._standard_pairs`` with a memo
+this script keeps, so a run that ends in that stage still prints how far it
+got: the sub-ideals whose split finished and the pairs their memo entries
+hold.  The decomposition is built as ``standard_pair_decomposition`` builds
+it; ``associated_report`` checks that every maximal cell is associated.
+Exits 0 when every stage finished and 1 otherwise.  Not collected by pytest.
 """
 
 import multiprocessing
@@ -24,11 +28,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from toricip.groebner import CostOrder, toric_groebner  # noqa: E402
 from toricip.hilbert import sharp_family  # noqa: E402
-from toricip.stdpairs import associated_report, initial_ideal, standard_pair_decomposition  # noqa: E402
+from toricip.stdpairs import (  # noqa: E402
+    Decomposition,
+    StandardPair,
+    _minimalize,
+    _standard_pairs,
+    associated_report,
+    initial_ideal,
+)
 from toricip.triangulation import lex_refinement, regular_subdivision  # noqa: E402
 
 ADDRESS_SPACE = 2 << 30  # bytes, for the child
 CPU_BUDGET = 300  # CPU seconds per stage
+MEMO = {}  # the standard-pair recursion's memo: (generators, free variables) -> pairs
+
+
+def _standard_pair_decomposition(ideal, delta):
+    n = ideal.nvars
+    pairs = _standard_pairs(_minimalize(ideal.generators), tuple(range(n)), n, MEMO)
+    return Decomposition.from_pairs([StandardPair(u, f) for u, f in pairs], delta)
+
+
+def _memo_progress():
+    return f"sub-ideals split {len(MEMO)}, pairs stored {sum(map(len, MEMO.values()))}"
+
 
 # (name, run on (a, cost, results so far), counts of its result)
 STAGES = (
@@ -39,9 +62,9 @@ STAGES = (
     ("lex_refinement", lambda a, c, got: lex_refinement(got["regular_subdivision"]),
      lambda delta: f"simplices {len(delta.maximal_faces)}"),
     ("standard_pair_decomposition",
-     lambda a, c, got: standard_pair_decomposition(initial_ideal(got["toric_groebner"]),
-                                                   got["lex_refinement"]),
-     lambda decomp: f"pairs {decomp.arithmetic_degree}"),
+     lambda a, c, got: _standard_pair_decomposition(initial_ideal(got["toric_groebner"]),
+                                                    got["lex_refinement"]),
+     lambda decomp: f"pairs {decomp.arithmetic_degree}, {_memo_progress()}"),
     ("associated_report",
      lambda a, c, got: associated_report(got["standard_pair_decomposition"], got["lex_refinement"]),
      lambda rep: (f"sets {len(rep.associated_sets)}, chain {rep.max_chain_length}, "
@@ -76,9 +99,11 @@ def _child(conn):
         except (OutOfCpu, MemoryError) as exc:
             signal.setitimer(signal.ITIMER_PROF, 0)
             got.clear()
+            progress = f", {_memo_progress()}" if MEMO else ""
+            MEMO.clear()
             what = "CPU time" if isinstance(exc, OutOfCpu) else "memory"
             print(f"{name}: ran out of {what} after {time.process_time() - start:.1f} CPU s, "
-                  f"peak RSS {_peak_rss_mib()} MiB", flush=True)
+                  f"peak RSS {_peak_rss_mib()} MiB{progress}", flush=True)
             sys.exit(1)
         signal.setitimer(signal.ITIMER_PROF, 0)
         print(f"{name}: {time.process_time() - start:.1f} CPU s, peak RSS {_peak_rss_mib()} MiB, "

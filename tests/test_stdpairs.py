@@ -21,6 +21,7 @@ from toricip.stdpairs import (
     MonomialIdeal,
     StandardPair,
     _minimalize,
+    _slices,
     _standard_pairs,
     associated_report,
     decomposition_for,
@@ -265,6 +266,13 @@ def test_monomial_ideal_minimality():
     assert ideal.max_exponents() == (1, 2)
 
 
+@pytest.mark.parametrize("u", [(1,), (1, 0, 0), (1.5, 0), (True, 0), ("1", 0), (-1, 3), (1, -2)])
+def test_contains_refuses_a_malformed_exponent(u):
+    # a short, long, float, bool, str or negative exponent is refused, never truncated
+    with pytest.raises(ParseError):
+        MonomialIdeal(((1, 0), (0, 2)), 2).contains(u)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_tdi_implies_gomory_family_on_random_instances(seed):
     from conftest import make_instance
@@ -373,9 +381,34 @@ def test_recursion_matches_reference_on_random_antichains(seed):
     assert _recursion_pairs(gens, n) == reference_standard_pairs(ideal), gens
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_slices_equal_the_minimalized_slices_on_random_antichains(seed):
+    # the incremental slices against minimalizing each filtered, x-zeroed set anew
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    draws = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 25))]
+    gens = _minimalize(g for g in draws if any(g))
+    for x in range(n):
+        levels, slices = _slices(gens, x)
+        assert levels == sorted({0} | {g[x] for g in gens})
+        assert len(slices) == len(levels)
+        for j, got in zip(levels, slices):
+            assert got == _minimalize(g[:x] + (0,) + g[x + 1:] for g in gens if g[x] <= j), (gens, x)
+
+
+def test_pair_scan_homes_each_face_on_the_first_simplex_that_holds_it(acceptance_pipelines):
+    cases = [inst["decomp"] for inst in acceptance_pipelines]
+    cases += [decomposition_for(*DEGENERATE[name])[2] for name in sorted(DEGENERATE)]
+    for decomp in cases:
+        inverses = decomp.delta.simplex_inverses
+        for p, k, sigma, rows, _, _ in decomp.pair_scan:
+            assert k == next(k for k, (s, _) in enumerate(inverses) if set(p.face) <= set(s))
+            assert (sigma, rows) == inverses[k]
+
+
 def test_sharp4_standard_pairs_are_fast(sharp4_pipeline):
     # the recursion splits each ideal once: the fixture's build takes about
-    # 2.7 CPU s on one 2-CPU host
+    # 1.3 CPU s on one 2-CPU host
     _, _, delta, _, decomp, refined, seconds = sharp4_pipeline
     assert seconds < 8
     report = associated_report(decomp, delta)
