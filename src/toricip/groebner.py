@@ -10,11 +10,11 @@ variable's powers).  S need not hold every variable: once the variables of S
 are units, each start binomial whose one side is made of units makes its
 other side's variables units too, and when that reaches every variable,
 saturating by S alone gives the toric ideal (:func:`_saturating_variables`,
-as in Hosten and Sturmfels' GRIN, IPCO 1995).  A final completion under the
-cost order yields the reduced basis, the unique minimal test set of the
-family.  Any lattice basis gives the same toric ideal and so the same reduced
-basis; short vectors keep the intermediate bases small, where the long
-vectors of a column-Hermite basis can make them grow.
+as in Hosten and Sturmfels' GRIN, IPCO 1995; planned again after each pass).
+A final completion under the cost order yields the reduced basis, the unique
+minimal test set of the family.  Any lattice basis gives the same toric ideal
+and so the same reduced basis; short vectors keep the intermediate bases
+small, where the long vectors of a column-Hermite basis can make them grow.
 
 Every completion, pass or final, strips each binomial it takes in (input or
 S-pair remainder) of the monomial its two terms share.  The toric ideal is
@@ -34,7 +34,7 @@ assumed.
 """
 
 import heapq
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 from operator import add, itemgetter, le, neg, sub, truth
 
@@ -88,6 +88,11 @@ class GroebnerBasis(Record):
     matrix: IntMatrix
     lattice: LatticeBasis
     generic: bool
+
+    @cached_property
+    def reducers(self):
+        """(head, tail - head) per element, in order: the table :func:`normal_form` reduces by."""
+        return tuple((b.head, tuple(map(sub, b.tail, b.head))) for b in self.elements)
 
 
 def _mask(u):
@@ -258,18 +263,27 @@ def _interreduce(basis):
     return [(h, t) for _, h, t in sorted(out)]
 
 
-def _saturating_variables(gens, n):
+def _saturating_variables(gens, n, seed=()):
     """The variables S to saturate by, in pass order: often fewer than all n.
 
     Lemma: let U be the closure of S under the rule that when one side of a
-    start binomial x^p - x^q has its support inside U, the other side's
-    support joins U.  If U holds every variable, then I_B : (prod_S x_s)^inf
-    = I_A.  In k[x][x_S^-1]/I_B, x^p = x^q, so when x^q is a unit so is x^p
-    and every variable dividing it; every variable is then a unit, and
-    saturating I_B by x_S saturates it by x_1...x_n.  Each pass's ideal
-    contains the saturation of the one before, so passes over S alone end
-    in I_A.  S is grown greedily: each step adds the variable that grows U
-    most, the lowest index among ties.
+    generator x^p - x^q has its support inside U, the other side's support
+    joins U.  Let J be the ideal of the generators, I_B inside J inside I_A.
+    If U holds every variable, then J : (prod_S x_s)^inf = I_A.  In
+    k[x][x_S^-1]/J, x^p = x^q, so when x^q is a unit so is x^p and every
+    variable dividing it; every variable is then a unit, and saturating J by
+    x_S saturates it by x_1...x_n, which gives I_A: I_B already does, and
+    I_A is saturated.  Each pass's ideal contains the saturation of the one
+    before, so passes over S alone end in I_A.  S is grown greedily from the
+    closure of ``seed``, which S leaves out: each step adds the variable that
+    grows U most, the lowest index among ties.
+
+    Re-planning after the pass by x_s: the pass's basis spans such a J, and
+    J : x_s = J, since no head of that reduced basis is divisible by x_s.
+    Under a graded order with x_s cheapest, x_s divides the head of a
+    homogeneous binomial only if it divides the tail too, and each element
+    is stripped of the monomial its terms share.  So J : (x_s prod_S' x_t)^inf
+    = J : (prod_S' x_t)^inf, which is I_A for the S' planned with ``seed`` (s,).
     """
     sides = [(_mask(u), _mask(v)) for u, v in gens]
 
@@ -282,7 +296,7 @@ def _saturating_variables(gens, n):
                     reach |= p | q
         return reach
 
-    chosen, reach, full = [], 0, _mask((1,) * n)
+    chosen, reach, full = [], closure(sum(1 << 8 * s for s in seed)), _mask((1,) * n)
     while reach != full:
         grown = {j: closure(reach | 1 << 8 * j) for j in range(n) if not reach >> 8 * j & 1}
         j = max(grown, key=lambda j: (grown[j].bit_count(), -j))
@@ -316,8 +330,12 @@ def toric_groebner(a: IntMatrix, order: CostOrder) -> GroebnerBasis:
     if not basis:
         return GroebnerBasis((), order, a, lattice, True)
     w = positive_grading(a)
-    for i in _saturating_variables(basis, a.n):
-        basis = _completion(basis, _RevlexSat(w, a.n, i))
+    plan = _saturating_variables(basis, a.n)
+    while plan:
+        s = plan.pop(0)
+        basis = _completion(basis, _RevlexSat(w, a.n, s))
+        if plan:  # a strictly shorter plan on the pass's basis replaces the rest
+            plan = min(plan, _saturating_variables(basis, a.n, (s,)), key=len)
     basis = _completion(basis, order)
     elems = tuple(Binomial(h, t) for h, t in basis)
     generic = all(dot(order.cost, b.head) != dot(order.cost, b.tail) for b in elems)
@@ -349,7 +367,7 @@ def normal_form(gb: GroebnerBasis, u):
     u = int_vector(u, gb.matrix.n, "exponent")
     if min(u, default=0) < 0:
         raise ParseError(f"exponent {list(u)} has a negative entry")
-    return _reduce(u, [(b.head, tuple(map(sub, b.tail, b.head))) for b in gb.elements])
+    return _reduce(u, gb.reducers)
 
 
 def solve_ip(a: IntMatrix, order: CostOrder, b):

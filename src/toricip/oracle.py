@@ -39,7 +39,7 @@ The module loads no Groebner, standard-pair or subdivision code at import.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby, repeat
 from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
@@ -105,7 +105,7 @@ def q_polytope(a: IntMatrix, cost, u, tau=()):
     lat = kernel_lattice_basis(a)
     rows = [(lat.matrix[i], u[i]) for i in range(a.n) if i not in tau]
     rows.append((cost_row(a, cost), 0))
-    return IneqPolytope.from_rows(rows)
+    return IneqPolytope(tuple(rows))  # every entry is checked already
 
 
 def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
@@ -116,19 +116,20 @@ def fiber_solve(a: IntMatrix, cost, b, with_fiber=False):
     fiber is x0 + B z over the echelon kernel basis B of the factorization,
     and cost . x = cost . x0 + r . z with r_j = cost . (column j of B).  The
     sweep yields z in lex order, which is lex order on x, so the first z of
-    least r . z is the optimum with its tie-break; only that z is lifted.
+    least r . z, the least (r . z, index), is the optimum with its tie-break;
+    only that z is lifted.
     """
     cost = int_vector(cost, a.n, "cost")
     fac = a.fibers
     x0 = fac.particular(b)
     zs = [] if x0 is None else fac.elimination.points(x0)
     r = [dot(cost, col) for col in zip(*fac.basis)]
-    best = min(zs, key=lambda z: dot(r, z), default=None)
+    best = min(zip(map(dot, repeat(r), zs), count()), default=None)
 
     def lift(z):
         return tuple(map(add, x0, mat_vec(fac.basis, z)))
 
-    opt = None if best is None else lift(best)
+    opt = None if best is None else lift(zs[best[1]])
     return (opt, [lift(z) for z in zs]) if with_fiber else opt
 
 

@@ -75,16 +75,17 @@ def solve_relaxation(r: GroupRelaxation) -> RelaxationOutcome:
     the first lattice point finds the (-cB)-minimum with lexicographic
     tie-break on z = T w.  An unbounded relaxation raises Unbounded.
     """
-    in_face = set(r.face)
-    offsets = [None if i in in_face else ui for i, ui in enumerate(r.feasible)]
-    pts = r.elimination.points(offsets + [0], limit=1)
+    offsets = [*r.feasible, 0]
+    for i in r.face:
+        offsets[i] = None
+    pts = r.elimination.points(offsets, limit=1)
     if not pts:
         raise AssertionError("relaxation lost the origin")
     w = pts[0]
     z = mat_vec(r.transform, w)
     x = tuple(map(sub, r.feasible, mat_vec(r.kernel_rows, w)))
-    solves = all(x[i] >= 0 for i in range(r.matrix.n) if i in in_face)
-    if any(x[i] < 0 for i in range(r.matrix.n) if i not in in_face):
+    solves = min(x) >= 0  # a negative entry must sit on the face, whose offsets are None
+    if not solves and any(xi < 0 and o is not None for xi, o in zip(x, offsets)):
         raise AssertionError("lift broke nonnegativity off the face")
     return RelaxationOutcome(z, x, solves, dot(r.cost, x))
 

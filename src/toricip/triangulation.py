@@ -270,8 +270,8 @@ def optimal_face(delta: RegularSubdivision, b):
     if not delta.is_triangulation:
         raise Degenerate("optimal_face needs a triangulation")
     for sigma, rows in delta.simplex_inverses:
-        lam = [linalg.dot(row, b) for row in rows]
-        if all(v >= 0 for v in lam):
+        lam = linalg.mat_vec(rows, b)
+        if min(lam) >= 0:
             return tuple(j for j, v in zip(sigma, lam) if v)
     raise OutsideCone(f"{b} is outside cone(A)")
 

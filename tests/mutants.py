@@ -37,6 +37,9 @@ REFUSAL = "tests/test_cli.py::test_oracle_refuses_a_refined_decomposition"
 PIPE = "tests/test_cli.py::test_closed_stdout_exits_quietly"
 ONE_FACTOR = "tests/test_oracle.py::test_fiber_solve_factors_each_matrix_once"
 FIBER_MIN = "tests/test_oracle.py::test_fiber_solve_matches_the_lifted_fiber_minimum"
+FIBER_TIES = ("tests/test_oracle.py::"
+              "test_fiber_solve_is_the_first_least_cost_point_of_its_fiber_on_tied_costs")
+Q_CHECKED = "tests/test_oracle.py::test_q_polytope_equals_the_checked_build_of_its_rows"
 NAMED_ROOTS = "tests/test_oracle.py::test_face_roots_match_reference_on_named_cases"
 MALFORMED = "tests/test_relax.py::test_inconsistent_library_inputs_are_parse_errors"
 RANK_INDEX = "tests/test_linalg.py::test_rank_and_lattice_index_match_the_references"
@@ -78,6 +81,12 @@ SHIFTED_COSTS = ("tests/test_subdivision.py::"
 INVERSE_ROWS = "tests/test_subdivision.py::test_inverse_rows_on_degenerate_costs"
 RECURSION_RANDOM = "tests/test_stdpairs.py::test_recursion_matches_reference_on_random_antichains"
 SQUARE_SCAN = "tests/test_relax.py::test_solve_via_pairs_matches_square_system_scan"
+RELAX_ACCEPTANCE = "tests/test_relax.py::test_solve_matches_enumerate_and_min_on_acceptance_rhs"
+SOLVES_FACE = ("tests/test_relax.py::"
+               "test_solves_ip_is_false_exactly_when_a_face_coordinate_of_the_lift_is_negative")
+OPTIMAL_FACE = "tests/test_triangulation.py::test_optimal_face_examples"
+REPLAN = "tests/test_groebner.py::test_each_replan_reaches_every_variable_from_its_seed"
+SEED_CLOSED = "tests/test_groebner.py::test_a_seed_is_closed_before_the_greedy_grows_it"
 SWEEP_SEEDED = "tests/test_elimination.py::test_seeded_reuse"
 SWEEP_BACKTRACK = "tests/test_elimination.py::test_backtracking_after_an_inner_dead_end"
 SWEEP_LIMIT = "tests/test_elimination.py::test_a_limit_inside_the_last_coordinates_range"
@@ -110,7 +119,10 @@ MUTANTS = {
     "fiber-solve-refactors-per-rhs": (
         ORACLE, "    fac = a.fibers\n", "    fac = IntMatrix(a.entries).fibers\n", [ONE_FACTOR]),
     "fiber-solve-last-tie": (
-        ORACLE, "best = min(zs, key=", "best = min(reversed(zs), key=", [FIBER_MIN]),
+        ORACLE, "zs), count()), default=None)", "zs), count(0, -1)), default=None)\n"
+        "    best = best and (best[0], -best[1])", [FIBER_MIN, FIBER_TIES]),
+    "q-polytope-rows-as-a-list": (
+        ORACLE, "return IneqPolytope(tuple(rows))", "return IneqPolytope(rows)", [Q_CHECKED]),
     "face-filter-strict": (
         ORACLE, "if dot(brows[k], z) <= caps[k]]", "if dot(brows[k], z) < caps[k]]", [NAMED_ROOTS]),
     "face-filter-dropped": (
@@ -256,6 +268,21 @@ MUTANTS = {
         [SQUARE_SCAN]),
     "pair-scan-divisibility-test-dropped": (
         RELAX, "            elif v < 0 or v % den:", "            elif v < 0:", [SQUARE_SCAN]),
+    "relaxation-face-offsets-kept": (
+        RELAX, "        offsets[i] = None\n", "        pass\n", [RELAX_ACCEPTANCE, SOLVES_FACE]),
+    "relaxation-solves-ignores-the-face": (
+        RELAX, "    solves = min(x) >= 0", "    solves = True", [RELAX_ACCEPTANCE, SOLVES_FACE]),
+    "relaxation-lift-check-reads-the-face-as-off-it": (
+        RELAX, "xi < 0 and o is not None", "xi < 0 and o is None",
+        [RELAX_ACCEPTANCE, SOLVES_FACE]),
+    "optimal-face-strict-cone-test": (
+        TRIANGULATION, "if min(lam) >= 0:", "if min(lam) > 0:", [OPTIMAL_FACE]),
+    "replan-ignores-the-seed": (
+        GROEBNER, "_saturating_variables(basis, a.n, (s,))", "_saturating_variables(basis, a.n)",
+        [REPLAN]),
+    "replan-seed-not-closed": (
+        GROEBNER, "closure(sum(1 << 8 * s for s in seed))", "sum(1 << 8 * s for s in seed)",
+        [REPLAN, SEED_CLOSED]),
     "relaxation-face-unchecked": (
         RELAX, "    tau = _face(tau, a.n)\n", "    tau = tuple(sorted(tau))\n", [MALFORMED]),
     "walk-ties-broken-by-the-lowest-index": (

@@ -38,6 +38,7 @@ PER_OBJECT_MEMOS = {
     ("RegularSubdivision", "cost_coordinates"),
     ("RegularSubdivision", "relaxation_elimination"),
     ("Decomposition", "pair_scan"),
+    ("GroebnerBasis", "reducers"),
 }
 PER_OBJECT_HOSTS = {host for host, _ in PER_OBJECT_MEMOS}
 

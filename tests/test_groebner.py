@@ -133,9 +133,10 @@ def test_sharp3_completions_fully_reduce_143_s_pairs(monkeypatch):
     assert len(calls) == 143
 
 
-@pytest.mark.parametrize("m, completions, size", [(3, 5, 13), (4, 11, 72)])
+@pytest.mark.parametrize("m, completions, size", [(3, 5, 13), (4, 9, 72)])
 def test_sharp_saturates_by_fewer_variables(monkeypatch, m, completions, size):
-    # 4 of 10 and 10 of 19 saturation passes, then the final completion
+    # 4 of 10 and 8 of 19 saturation passes, then the final completion; m=4
+    # plans 10 passes and re-plans a shorter rest on a pass's basis
     calls = []
     completion = groebner._completion
     monkeypatch.setattr(groebner, "_completion", lambda *args: calls.append(1) or completion(*args))
@@ -182,6 +183,38 @@ def test_saturating_variables_reach_every_variable(name):
     assert all(j not in _reach(gens, chosen[:k]) for k, j in enumerate(chosen))
     if name.startswith("sharp"):
         assert len(chosen) == {"sharp3": 4, "sharp4": 10}[name]
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_CASES))
+def test_each_replan_reaches_every_variable_from_its_seed(monkeypatch, name):
+    # after the pass by x_s the rest is planned again on that pass's basis,
+    # from s: the lemma's hypothesis on that basis, checked without a reference
+    a = LEMMA_CASES[name]()
+    plans = []
+    choose = groebner._saturating_variables
+
+    def recorded(gens, n, seed=()):
+        plans.append((list(gens), seed, choose(gens, n, seed)))
+        return list(plans[-1][2])
+
+    monkeypatch.setattr(groebner, "_saturating_variables", recorded)
+    toric_groebner.__wrapped__(a, CostOrder.from_cost((1,) * a.n))
+    assert plans[0][1] == () and all(len(seed) == 1 for _, seed, _ in plans[1:])
+    for gens, seed, chosen in plans:
+        assert not set(seed) & set(chosen) and len(set(chosen)) == len(chosen)
+        assert _reach(gens, [*seed, *chosen]) == set(range(a.n))
+        assert all(j not in _reach(gens, [*seed, *chosen[:k]]) for k, j in enumerate(chosen))
+    if name.startswith("sharp"):  # a plan, then one per pass with passes left after it
+        assert len(plans) == {"sharp3": 4, "sharp4": 8}[name]
+
+
+def test_a_seed_is_closed_before_the_greedy_grows_it():
+    # x0 - x1 x2: x0 alone makes x1 and x2 units, so seed (0,) needs no pass;
+    # x1 alone reaches nothing, and x0 and x2 each complete it, the lowest first
+    gens = [((1, 0, 0), (0, 1, 1))]
+    assert groebner._saturating_variables(gens, 3, (0,)) == []
+    assert groebner._saturating_variables(gens, 3, (1,)) == [0]
+    assert groebner._saturating_variables(gens, 3) == [0]
 
 
 def test_a_negative_cost_basis_is_reduced():

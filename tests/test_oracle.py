@@ -90,6 +90,20 @@ def test_q_polytope_optimum_is_singleton(knapsack_pipeline):
     assert len(enumerate_lattice_points(poly2, limit=2)) == 2
 
 
+def test_q_polytope_equals_the_checked_build_of_its_rows():
+    # q_polytope builds its record from rows of checked data; the checking
+    # constructor makes the same record from them, rows as tuples
+    for seed in range(0, 100, 5):
+        a, cost = make_instance(seed)
+        b = a.apply((1,) * a.n)
+        u = fiber_solve(a, cost, b)
+        for tau in ((), (0,), tuple(range(a.n))):
+            poly = oracle.q_polytope(a, cost, u, tau)
+            checked = IneqPolytope.from_rows([(list(s), o) for s, o in poly.rows])
+            assert poly == checked and hash(poly) == hash(checked)
+            assert len(poly.rows) == a.n - len(tau) + 1
+
+
 def test_fiber_solve_examples(long_chain_pipeline):
     a = IntMatrix(((2, 5, 8),))
     assert fiber_solve(a, KNAPSACK_COST, (0,)) == (0, 0, 0)
@@ -433,6 +447,28 @@ def test_fiber_solve_matches_the_lifted_fiber_minimum(name):
             ties += len(fiber) > 1 and not any(cost)
     assert fiber_solve(a, costs[0], (1,) * (a.d - 1) + (-1,)) is None  # infeasible
     assert ties > 0
+
+
+def test_fiber_solve_is_the_first_least_cost_point_of_its_fiber_on_tied_costs():
+    # costs with ties on every fourth acceptance matrix: 0, the matrix's
+    # grading row (every fiber point ties) and the seed's cost mod 2; the
+    # optimum is the first least-cost point of the fiber with_fiber returns,
+    # which is in lex order
+    ties = 0
+    for seed in range(0, 100, 4):
+        a, cost = make_instance(seed)
+        grading = tuple(dot(a.grading, a.column(j)) for j in range(a.n))
+        rng = random.Random(seed)
+        for c in ((0,) * a.n, grading, tuple(v % 2 for v in cost)):
+            for _ in range(8):
+                b = a.apply(tuple(rng.randint(0, 3) for _ in range(a.n)))
+                best, fiber = fiber_solve(a, c, b, with_fiber=True)
+                values = [dot(c, x) for x in fiber]
+                least = min(values)
+                assert best == fiber[values.index(least)] == fiber_solve(a, c, b), (seed, c, b)
+                assert fiber == sorted(fiber)
+                ties += values.count(least) > 1
+    assert ties > 100
 
 
 class _CountedElimination(fibers.Elimination):

@@ -280,6 +280,22 @@ def test_solve_matches_enumerate_and_min_on_acceptance_rhs(acceptance_pipelines)
     assert checked == 2000
 
 
+def test_solves_ip_is_false_exactly_when_a_face_coordinate_of_the_lift_is_negative(
+        acceptance_pipelines):
+    # the lift is checked in one pass only when some entry is negative: a
+    # negative entry on the face clears solves_ip, and off the face none occurs
+    seen = set()
+    for inst in acceptance_pipelines:
+        a, c, delta = inst["a"], inst["c"], inst["delta"]
+        for b, tau in zip(inst["rhs"], inst["taus"]):
+            out = solve_relaxation(build_relaxation(a, c, delta, tau, b))
+            assert all(out.x[i] >= 0 for i in range(a.n) if i not in tau), (inst["seed"], b, tau)
+            negative = any(out.x[i] < 0 for i in tau)
+            assert out.solves_ip is not negative, (inst["seed"], b, tau)
+            seen.add(negative)
+    assert seen == {True, False}
+
+
 LOW_CORANK = {
     # corank 0: the relaxation lives in Z^0
     "corank0": (((1, 1), (0, 2)), (3, 1)),
