@@ -221,27 +221,26 @@ def cmd_sharp_family(args):
     })
 
 
-def cmd_oracle(args):
+def cmd_oracle_points(args):
     from . import oracle
-    if args.oracle_cmd == "points":
-        rows, n = fileio.read_raw_matrix(args.rows)
-        offs = _vector(args.offsets, len(rows), "offsets")
-        # with no rows, the trivial row 0 . z <= 0 keeps the file's dimension n
-        poly = oracle.IneqPolytope.from_rows(list(zip(rows, offs)) or [((0,) * n, 0)])
-        pts = oracle.enumerate_lattice_points(poly)
-        _emit(args, {"points": [list(p) for p in pts], "oracle": True})
-    elif args.oracle_cmd == "fiber":
-        a, cost = _model(args)
-        b = _vector(args.rhs, a.d, "rhs")
-        opt, fiber = oracle.fiber_solve(a, cost, b, with_fiber=True)
-        _emit(args, {
-            "optimum": list(opt) if opt else None,
-            "fiber": [list(x) for x in fiber],
-            "oracle": True,
-        })
-    else:  # stdpairs
-        args.oracle = True
-        cmd_stdpairs(args)
+    rows, n = fileio.read_raw_matrix(args.rows)
+    offs = _vector(args.offsets, len(rows), "offsets")
+    # with no rows, the trivial row 0 . z <= 0 keeps the file's dimension n
+    poly = oracle.IneqPolytope.from_rows(list(zip(rows, offs)) or [((0,) * n, 0)])
+    pts = oracle.enumerate_lattice_points(poly)
+    _emit(args, {"points": [list(p) for p in pts], "oracle": True})
+
+
+def cmd_oracle_fiber(args):
+    from . import oracle
+    a, cost = _model(args)
+    b = _vector(args.rhs, a.d, "rhs")
+    opt, fiber = oracle.fiber_solve(a, cost, b, with_fiber=True)
+    _emit(args, {
+        "optimum": list(opt) if opt else None,
+        "fiber": [list(x) for x in fiber],
+        "oracle": True,
+    })
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,11 +280,11 @@ def build_parser():
     command(sub, "sharp-family", cmd_sharp_family).add_argument("--m", type=int, required=True)
 
     osub = sub.add_parser("oracle").add_subparsers(dest="oracle_cmd", required=True)
-    sp = command(osub, "points", cmd_oracle)
+    sp = command(osub, "points", cmd_oracle_points)
     sp.add_argument("--rows", required=True, help="matrix file of inequality normals")
     sp.add_argument("--offsets", required=True, help="vector of right-hand sides")
-    command(osub, "fiber", cmd_oracle, *model, "rhs")
-    command(osub, "stdpairs", cmd_oracle, *model)
+    command(osub, "fiber", cmd_oracle_fiber, *model, "rhs")
+    command(osub, "stdpairs", cmd_stdpairs, *model).set_defaults(oracle=True)
     return p
 
 

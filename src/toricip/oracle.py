@@ -14,7 +14,8 @@ boundedness test go through one exact integer Fourier-Motzkin elimination,
 solver, the fibers and the Hilbert-basis parallelepipeds use it too).  The
 questions here each ask about one system, so they use its one-off form
 :func:`lattice_points_boxed`, re-exported here, or, to test boundedness and
-sweep, one plan.  Only :func:`width_along` solves LPs.
+sweep, one plan; the standard-pair search plans once for all its systems.
+Only :func:`width_along` solves LPs.
 
 The standard-pair search keeps, per face, the minimal clipped images
 max(Bz, 0) of the nonzero points z within the caps: Q_w cages only the origin
@@ -23,23 +24,26 @@ of that drop's thresholds lifted with 0 there, that is one of the floors: the
 minimal joins of one such threshold per drop.  Those come first, and no floor
 means no root.  Roots are then swept in lex order, each node carrying the
 thresholds its prefix dominates and the floors that still complete it to a
-root, so every node leads to one.  One search keeps a memo from each system,
-keyed by its (B-row, cap) pairs, to its thresholds or to "unbounded": a
-face's drops are the systems of the faces one larger, so each system is
-planned, swept and thresholded once per search.  A face's system is its
-first bounded drop's plus the dropped row, so that drop's sweep, made by a
-face of the same size, gives both threshold sets: the face's points are the
-drop's within that row's cap.  ``fiber_solve``
-answers every right-hand side from the factorization the matrix keeps,
-minimizing the cost over the fiber's z-coordinates and lifting only the
-optimum to x.
+root, so every node leads to one.  Every system of one search, a face's or a
+drop's, keeps some B-rows and the cost cut, so one plan over all n B-rows and
+the cut serves them all: a system is the offset vector with the caps on its
+kept rows, None on the dropped ones and 0 on the cut.  The caps are
+nonnegative, so the origin lies in every system and the sweep reaches every
+level; it raises Unbounded exactly when the kept rows' system is unbounded,
+since the rows of a level with an offset are that system's own
+Fourier-Motzkin rows.  A memo from each tuple of kept rows to its thresholds,
+or to "unbounded", sweeps and thresholds each system once per search.
+
+``fiber_solve`` answers every right-hand side from the factorization the
+matrix keeps, minimizing the cost over the fiber's z-coordinates and lifting
+only the optimum to x.
 The module loads no Groebner, standard-pair or subdivision code at import.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, groupby, repeat
+from itertools import combinations, count, repeat
 from operator import add, le
 
 from .core import IntMatrix, kernel_lattice_basis
@@ -145,6 +149,8 @@ def is_standard_polytope(a: IntMatrix, cost, u, tau, delta: "RegularSubdivision"
     cost = int_vector(cost, a.n, "cost")
     if delta is None:
         delta = regular_subdivision(a, cost)
+    elif delta.matrix != a or delta.cost != cost:
+        raise ParseError("the subdivision was built for another matrix or cost")
     tau = _face(tau, a.n)
     if tau not in delta:
         raise NotAFace(f"{tau} is not a face of the triangulation")
@@ -217,6 +223,8 @@ def brute_force_standard_pairs(
     from .stdpairs import Decomposition, StandardPair
 
     cost = int_vector(cost, a.n, "cost")
+    if delta.matrix != a or delta.cost != cost:
+        raise ParseError("the subdivision was built for another matrix or cost")
     if root_box is not None:
         root_box = int_vector(root_box, a.n, "root box")
     (margin,) = int_vector((margin,), 1, "margin")
@@ -228,74 +236,51 @@ def brute_force_standard_pairs(
         raise BoundUnavailable("degenerate minors and no caller-supplied root box")
     box = [kb] * a.n if root_box is None else [r + margin for r in root_box]
     box = [cap if kb is None else min(cap, kb) for cap in box]
-    crow = (cost_row(a, cost), 0)
     ndim = lat.corank
+    plan = Elimination([*lat.matrix, cost_row(a, cost)], ndim)  # every system of the search
     pairs, memo = [], {}
-    for _, faces in groupby(delta.faces(), len):  # a first bounded drop is swept at its size
-        swept = {}
-        for face in faces:
-            taubar = [i for i in range(a.n) if i not in set(face)]
-            if ndim == 0:
-                # zero-dimensional z-space: the single full face carries (0, face)
-                if not taubar:
-                    pairs.append(StandardPair((0,) * a.n, face))
-                continue
-            caps = [box[i] for i in taubar]
-            brows = [lat.matrix[i] for i in taubar]
-            for w in _face_roots(brows, caps, crow, ndim, memo, swept):
-                root = dict(zip(taubar, w))
-                pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(a.n)), face))
+    for face in delta.faces():
+        taubar = tuple(i for i in range(a.n) if i not in face)
+        if ndim == 0:
+            # zero-dimensional z-space: the single full face carries (0, face)
+            if not taubar:
+                pairs.append(StandardPair((0,) * a.n, face))
+            continue
+        for w in _face_roots(plan, box, taubar, memo):
+            root = dict(zip(taubar, w))
+            pairs.append(StandardPair(tuple(root.get(i, 0) for i in range(a.n)), face))
     return Decomposition.from_pairs(pairs, delta)
 
 
-def _face_roots(brows, caps, crow, ndim, memo, swept):
-    """The roots w <= caps of one face's standard pairs, in lex order.
+def _face_roots(plan, box, kept, memo):
+    """The roots w <= the caps of one face's standard pairs, in lex order.
 
-    ``memo`` is the search's: it maps each system, keyed by its kept (B-row,
-    cap) pairs, to its thresholds, or to None when it is unbounded, so no
-    system is planned, swept or thresholded twice.  ``swept`` maps the
-    systems swept for the faces of this size to their points.  The face's
-    system is a bounded drop's system plus the dropped row, so it takes its
-    points from its first bounded drop's sweep, those within that row's cap;
-    a drop, one row short, is swept by a face of this size.  A face without
-    a bounded drop sweeps its own.  Raises Unbounded when the face's system
-    is unbounded, also when the memo first met it as a drop.
+    ``plan`` eliminates the n B-rows and, last, the cost cut; ``box`` holds
+    the n caps and ``kept`` the face's B-rows, off the face.  ``memo`` is the
+    search's: it maps each system, a tuple of kept B-rows, to its thresholds,
+    or to None when it is unbounded.  Raises Unbounded when the face's
+    system is unbounded.
     """
-    n = len(brows)
-    drops = [[i for i in range(n) if i != k] for k in range(n)]
+    def system(rows):  # the thresholds of the B-rows kept and the cost cut, or None when unbounded
+        if rows not in memo:
+            offsets = [None] * len(box) + [0]  # every B-row dropped; the cut at 0
+            for i in rows:
+                offsets[i] = box[i]
+            try:
+                memo[rows] = _thresholds([plan.normals[i] for i in rows], plan.points(offsets))
+            except Unbounded:
+                memo[rows] = None
+        return memo[rows]
 
-    def key(kept):
-        return tuple((brows[i], caps[i]) for i in kept)
-
-    def system(kept):  # the thresholds of the B-rows kept and the cost cut, or None when unbounded
-        at = key(kept)
-        if at not in memo:
-            normals = [brows[i] for i in kept]
-            plan = Elimination(normals + [crow[0]], ndim)  # one plan: bounded, then the sweep
-            offsets = [caps[i] for i in kept] + [crow[1]]
-            points = swept[at] = plan.points(offsets) if plan.bounded else None
-            memo[at] = None if points is None else _thresholds(normals, points)
-        return memo[at]
-
-    own = key(range(n))
-    if own not in memo:
-        k = next((k for k in range(n) if system(drops[k]) is not None), None)
-        points = None if k is None else swept.get(key(drops[k]))
-        if points is None:
-            system(range(n))
-        else:
-            memo[own] = _thresholds(brows, [z for z in points if dot(brows[k], z) <= caps[k]])
-    if memo[own] is None:
+    thresholds = system(kept)
+    if thresholds is None:
         raise Unbounded("the face's capped polytope is unbounded")
-    return _roots(memo[own], caps, map(system, drops))  # lazily: a drop only while floors remain
+    drops = (system(kept[:k] + kept[k + 1 :]) for k in range(len(kept)))
+    return _roots(thresholds, [box[i] for i in kept], drops)  # lazily: a drop only while floors remain
 
 
 def _thresholds(brows, points):
-    """Minimal clipped B-images max(Bz, 0) of the nonzero points of one sweep.
-
-    The points are those of a face's or a drop's system within the caps;
-    a face with a bounded drop takes them from that drop's sweep.
-    """
+    """Minimal clipped B-images max(Bz, 0) of the nonzero points of one system's sweep."""
     return _minimal({tuple(max(dot(b, z), 0) for b in brows) for z in points if any(z)})
 
 

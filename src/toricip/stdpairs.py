@@ -15,14 +15,13 @@ multiplicities, the arithmetic degree and the chain structure audited by
 """
 
 from functools import cached_property
-from itertools import combinations
 from operator import le
 
 from .core import IntMatrix
 from .errors import ChainViolation, LengthViolation, NotOptimal, ParseError, Record, int_vector
 from .groebner import CostOrder, GroebnerBasis, toric_groebner
 from .linalg import dot, mat_vec
-from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision
+from .triangulation import RegularSubdivision, lex_refinement, regular_subdivision, subset_closure
 
 
 class MonomialIdeal(Record):
@@ -283,8 +282,4 @@ def relaxations_solving(v, decomp: Decomposition):
                 and all(v[i] == p.root[i] for i in range(len(v)) if i not in p.face)]
     if not covering:
         raise NotOptimal(f"{v} is not covered by any standard pair")
-    out = set()
-    for face in covering:
-        for k in range(len(face) + 1):
-            out.update(combinations(face, k))
-    return sorted(out, key=lambda f: (len(f), f))
+    return subset_closure(covering)

@@ -53,11 +53,7 @@ class RegularSubdivision(Record):
 
     def faces(self):
         """All faces, by subset closure of the maximal ones (triangulations)."""
-        out = set()
-        for f in self.maximal_faces:
-            for k in range(len(f) + 1):
-                out.update(combinations(f, k))
-        return sorted(out, key=lambda f: (len(f), f))
+        return subset_closure(self.maximal_faces)
 
     def __contains__(self, face):
         face = set(face)
@@ -97,6 +93,15 @@ class RegularSubdivision(Record):
         """
         _, bt, cut = self.cost_coordinates
         return Elimination(bt + (cut,), len(cut))
+
+
+def subset_closure(faces):
+    """Every subset of every face, each once, sorted by (size, face)."""
+    out = set()
+    for f in faces:
+        for k in range(len(f) + 1):
+            out.update(combinations(f, k))
+    return sorted(out, key=lambda f: (len(f), f))
 
 
 def regular_subdivision(a: IntMatrix, cost) -> RegularSubdivision:

@@ -57,7 +57,8 @@ DELTA_NORMAL = "tests/test_hilbert.py::test_gfamily_delta_normality"
 SUPERNORMAL = "tests/test_hilbert.py::test_supernormal_graded_chain"
 CELLS_ALONE = "tests/test_hilbert.py::test_gomory_cost_tests_the_cells_alone"
 CACHED_FACTOR = "tests/test_hilbert.py::test_gomory_cost_reads_the_cached_factorization"
-ONE_MEMO = "tests/test_oracle.py::test_one_memo_serves_every_box"
+ONE_MEMO = "tests/test_oracle.py::test_each_box_memo_holds_the_reference_thresholds_of_its_rows"
+ONE_SEARCH = "tests/test_oracle.py::test_one_search_plans_and_sweeps_each_system_once"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
 S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_143_s_pairs"
 FEWER_PASSES = "tests/test_groebner.py::test_sharp_saturates_by_fewer_variables"
@@ -123,13 +124,23 @@ MUTANTS = {
         "    best = best and (best[0], -best[1])", [FIBER_MIN, FIBER_TIES]),
     "q-polytope-rows-as-a-list": (
         ORACLE, "return IneqPolytope(tuple(rows))", "return IneqPolytope(rows)", [Q_CHECKED]),
-    "face-filter-strict": (
-        ORACLE, "if dot(brows[k], z) <= caps[k]]", "if dot(brows[k], z) < caps[k]]", [NAMED_ROOTS]),
-    "face-filter-dropped": (
-        ORACLE, "[z for z in points if dot(brows[k], z) <= caps[k]]", "points", [ONE_MEMO]),
-    "memo-key-drops-caps": (
-        ORACLE, "return tuple((brows[i], caps[i]) for i in kept)",
-        "return tuple(brows[i] for i in kept)", [ONE_MEMO]),
+    "kept-row-left-unbounded": (
+        ORACLE, "            for i in rows:\n", "            for i in rows[1:]:\n",
+        [NAMED_ROOTS, ONE_MEMO]),
+    "unbounded-system-read-as-no-thresholds": (
+        ORACLE, "                memo[rows] = None", "                memo[rows] = []",
+        [NAMED_ROOTS, ONE_MEMO]),
+    "cost-cut-offset-not-zero": (
+        ORACLE, "offsets = [None] * len(box) + [0]", "offsets = [None] * len(box) + [1]",
+        [NAMED_ROOTS, ONE_MEMO]),
+    "system-memo-dropped": (
+        ORACLE, "        if rows not in memo:", "        if True:", [ONE_SEARCH]),
+    "pair-search-takes-any-subdivision": (
+        ORACLE, "    if delta.matrix != a or delta.cost != cost:", "    if False:",
+        [MALFORMED]),
+    "standard-polytope-takes-any-subdivision": (
+        ORACLE, "    elif delta.matrix != a or delta.cost != cost:", "    elif False:",
+        [MALFORMED]),
     "unbounded-face-returns-no-roots": (
         ORACLE, """raise Unbounded("the face's capped polytope is unbounded")""", "return []",
         [NAMED_ROOTS]),

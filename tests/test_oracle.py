@@ -271,19 +271,11 @@ def test_emptypolys_lemma_both_parts(knapsack_pipeline):
             assert out.solves_ip == single3
 
 
-def _face_systems(a, delta, caps_of):
-    """Per face of delta, in the search's order: (face, brows, caps), one list per face size."""
-    lat = kernel_lattice_basis(a)
-    for _, faces in itertools.groupby(delta.faces(), len):
-        yield [(tau, [lat.matrix[i] for i in range(a.n) if i not in tau],
-                [caps_of[i] for i in range(a.n) if i not in tau]) for tau in faces]
-
-
 def _assert_face_roots_match_reference(a, cost, delta, caps_of, memo=None):
     """oracle._face_roots equals the reference search on every face of delta.
 
-    ``caps_of`` is the full cap box.  The faces share one memo, and the faces
-    of one size one map of swept points, as in the search; ``memo`` passes
+    ``caps_of`` is the full cap box.  The faces share one plan over every
+    B-row and the cost cut, and one memo, as in the search; ``memo`` passes
     one in.  A face whose capped polytope is unbounded (a cost that vanishes
     on the kernel) must raise in both.  Returns the number of roots found.
     """
@@ -291,20 +283,21 @@ def _assert_face_roots_match_reference(a, cost, delta, caps_of, memo=None):
     if lat.corank == 0:
         return 0
     crow = (oracle.cost_row(a, cost), 0)
+    plan = fibers.Elimination([*lat.matrix, crow[0]], lat.corank)
     memo = {} if memo is None else memo
     found = 0
-    for faces in _face_systems(a, delta, caps_of):
-        swept = {}
-        for tau, brows, caps in faces:
-            try:
-                want = reference_face_roots(brows, caps, crow, lat.corank)
-            except Unbounded:
-                with pytest.raises(Unbounded):
-                    oracle._face_roots(brows, caps, crow, lat.corank, memo, swept)
-                continue
-            got = oracle._face_roots(brows, caps, crow, lat.corank, memo, swept)
-            assert got == want, (tau, caps)
-            found += len(want)
+    for tau in delta.faces():
+        kept = tuple(i for i in range(a.n) if i not in tau)
+        brows, caps = [lat.matrix[i] for i in kept], [caps_of[i] for i in kept]
+        try:
+            want = reference_face_roots(brows, caps, crow, lat.corank)
+        except Unbounded:
+            with pytest.raises(Unbounded):
+                oracle._face_roots(plan, caps_of, kept, memo)
+            continue
+        got = oracle._face_roots(plan, caps_of, kept, memo)
+        assert got == want, (tau, caps)
+        found += len(want)
     return found
 
 
@@ -496,36 +489,6 @@ def counted_eliminations(monkeypatch):
     return _CountedElimination
 
 
-def test_face_sweep_serves_its_first_bounded_drop(counted_eliminations):
-    # census 4 x 7, second cost: a face with a bounded drop takes its points
-    # from that drop's sweep, so its own system (one row more) is never swept;
-    # each face gets a memo of its own here, so nothing is shared
-    a, cost = REFERENCE_CASES["census4x7-1"]
-    delta, gb, _, _ = decomposition_for(a, cost)
-    box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
-    lat = kernel_lattice_basis(a)
-    crow = (oracle.cost_row(a, cost), 0)
-    sweeps = []  # per face: the row count of each of its sweeps
-    for faces in _face_systems(a, delta, box):
-        for _, brows, caps in faces:
-            del counted_eliminations.sweeps[:]
-            oracle._face_roots(brows, caps, crow, lat.corank, {}, {})
-            sweeps.append((brows, [len(normals) for normals, _ in counted_eliminations.sweeps]))
-    with_drop = 0
-    for brows, counts in sweeps:
-        has_drop = any(
-            fibers.Elimination(brows[:k] + brows[k + 1 :] + [crow[0]], lat.corank).bounded
-            for k in range(len(brows)))
-        with_drop += has_drop
-        own = len(brows) + 1  # the face's B-rows and the cost cut
-        assert counts.count(own) == (not has_drop)
-        assert len(counts) >= 1 and set(counts) <= {own, own - 1}
-    # 32 of the 36 faces have a bounded drop; sweeping each face's own system
-    # as well took 80 calls
-    assert (len(sweeps), with_drop) == (36, 32)
-    assert sum(len(counts) for _, counts in sweeps) == 48
-
-
 # census 4 x 7 and acceptance seed 5 swept 48 and 27 times, 23 and 12 systems,
 # before one search shared its systems across faces
 ONE_SEARCH_CASES = _BuiltOnUse({"census4x7-1": partial(REFERENCE_CASES.__getitem__, "census4x7-1"),
@@ -534,8 +497,9 @@ ONE_SEARCH_CASES = _BuiltOnUse({"census4x7-1": partial(REFERENCE_CASES.__getitem
 
 @pytest.mark.parametrize("name", sorted(ONE_SEARCH_CASES))
 def test_one_search_plans_and_sweeps_each_system_once(counted_eliminations, name):
-    # a face's drops are the systems of the faces one larger, and the faces of
-    # one size share drops
+    # one plan over every B-row and the cost cut serves every system of the
+    # search, each swept once: a face's drops are the systems of the faces
+    # one larger, and the faces of one size share drops
     a, cost = ONE_SEARCH_CASES[name]
     delta, gb, _, _ = decomposition_for(a, cost)
     box = [max(m - 1, 0) for m in initial_ideal(gb).max_exponents()]
@@ -543,25 +507,60 @@ def test_one_search_plans_and_sweeps_each_system_once(counted_eliminations, name
     brute_force_standard_pairs(a, cost, delta, root_box=box)
     plans, sweeps = counted_eliminations.plans, counted_eliminations.sweeps
     assert len(sweeps) == len(set(sweeps)) > 0
-    assert len(plans) == len(set(plans))
+    assert len(plans) == 1 and {normals for normals, _ in sweeps} == set(plans)
 
 
-def test_one_memo_serves_every_box():
-    # the memo is keyed by the caps as well as the B-rows, so one memo shared
-    # by the searches at three growing boxes gives each box its own roots, and
-    # every entry is the reference's thresholds of its system
+def test_each_box_memo_holds_the_reference_thresholds_of_its_rows():
+    # the memo is keyed by kept row indices alone, so it is valid for one box:
+    # each of three growing boxes gets its own, gives its own roots, and every
+    # entry is the reference's thresholds of its rows within that box
     a, cost = REFERENCE_CASES["census4x7-1"]
     delta, gb, decomp, _ = decomposition_for(a, cost)
-    crow, ndim = (oracle.cost_row(a, cost), 0), kernel_lattice_basis(a).corank
-    memo, found = {}, {}
+    lat = kernel_lattice_basis(a)
+    crow, ndim = (oracle.cost_row(a, cost), 0), lat.corank
+    found = {}
     for extra in (-1, 0, 1):
         box = [max(m - 1 + extra, 0) for m in initial_ideal(gb).max_exponents()]
+        memo = {}
         found[extra] = _assert_face_roots_match_reference(a, cost, delta, box, memo)
+        assert memo
+        for kept, thresholds in memo.items():
+            brows, caps = [lat.matrix[i] for i in kept], [box[i] for i in kept]
+            bounded = fibers.Elimination(brows + [crow[0]], ndim).bounded
+            want = reference_thresholds(brows, caps, crow, ndim) if bounded else None
+            assert thresholds == want, (extra, kept)
     assert found[-1] < found[0] == found[1] == len(decomp.pairs)
-    for rows, thresholds in memo.items():
-        brows, caps = [s for s, _ in rows], [c for _, c in rows]
-        bounded = fibers.Elimination(brows + [crow[0]], ndim).bounded
-        assert thresholds == (reference_thresholds(brows, caps, crow, ndim) if bounded else None)
+
+
+@st.composite
+def capped_systems(draw):
+    """B-rows over Z^k (k <= 3, entries -3..3), a cost row and caps >= 0."""
+    k = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-3, 3)] * k)
+    brows = draw(st.lists(row, min_size=1, max_size=5))
+    caps = draw(st.lists(st.integers(0, 3), min_size=len(brows), max_size=len(brows)))
+    return brows, draw(row), caps, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_systems())
+@example(([(1,), (-1,)], (0,), [0, 2], 1))  # the cut vanishes: only B-rows bound
+@example(([(1, 0), (0, 1), (-1, -1)], (1, 1), [1, 1, 1], 2))
+def test_one_plan_with_dropped_rows_is_each_systems_own_elimination(system):
+    # the search's lemma: with caps >= 0 and the cut at 0, the one plan's sweep
+    # with None on the dropped rows raises Unbounded exactly when the kept
+    # rows and the cut are unbounded, and otherwise gives their own points
+    brows, cut, caps, k = system
+    plan = fibers.Elimination([*brows, cut], k)
+    for size in range(len(brows) + 1):
+        for kept in itertools.combinations(range(len(brows)), size):
+            own = fibers.Elimination([brows[i] for i in kept] + [cut], k)
+            offsets = [caps[i] if i in kept else None for i in range(len(brows))] + [0]
+            if not own.bounded:
+                with pytest.raises(Unbounded):
+                    plan.points(offsets)
+            else:
+                assert plan.points(offsets) == own.points([caps[i] for i in kept] + [0]), kept
 
 
 def test_is_standard_polytope_plans_each_system_once(counted_eliminations, knapsack_pipeline):

@@ -190,6 +190,15 @@ INCONSISTENT_CALLS = {
         a, KNAPSACK_COST, delta, root_box=[-3, 1, 0]),
     "brute-pairs-margin-negative": lambda a, delta, decomp: brute_force_standard_pairs(
         a, KNAPSACK_COST, delta, root_box=[1, 1, 1], margin=-2),
+    # the oracle did not check its subdivision: on EX1 the first raised
+    # Unbounded, and the second returned pairs on the other matrix's subdivision
+    "standard-polytope-other-cost": lambda a, delta, decomp: oracle.is_standard_polytope(
+        IntMatrix(EX1), (1, 0, 0, 1), (0, 0, 0, 0), (0, 3),
+        regular_subdivision(IntMatrix(EX1), (0, 0, 0, 0))),
+    "brute-pairs-other-matrix": lambda a, delta, decomp: brute_force_standard_pairs(
+        IntMatrix(EX1), (1, 0, 0, 1),
+        regular_subdivision(IntMatrix(((1, 1, 1, 1), (0, 1, 3, 4))), (1, 0, 0, 1)),
+        root_box=[3] * 4, margin=1),
     # on EX1, the face (9,) used to give the empty face's five rows, a u of 6
     # entries was cut short, one of 2 raised IndexError, and the cost (1, 0)
     # gave the cost row (-1, 0), the dot product stopping at the shorter vector
