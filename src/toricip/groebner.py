@@ -28,6 +28,25 @@ zero are never queued: the chain criterion on the queued pairs, the lcm
 criteria on the new ones, and the coprime-heads test.  The passes grade by
 the y that ``IntMatrix`` validation found; any positive grading serves.
 
+The final completion, under the cost order, also skips every popped pair
+whose two tails share a variable; the passes reduce every pair they pop.
+Proof: the final completion's input generates I_A, by the saturation lemma
+(:func:`_saturating_variables`).  I_A is prime and w-homogeneous for the
+positive grading w, and the two monomials of such a pair's S-binomial share
+the variable, so the S-binomial is x^m h with m != 0 and h in I_A of lower
+w-degree.  By induction on w-degree, h already has a standard representation
+by the final basis, and so has x^m h; the Gebauer-Moeller criteria lean only
+on pairs of lower or equal degree.  In a pass the ideal is not yet I_A, and
+skipping there changes the bases.
+
+Inside a completion a monomial is a pair of ints of fixed-width exponent
+fields (:class:`_Fields`): divisibility is one add and mask against guard
+bits, an lcm or common factor a fieldwise max or min (SWAR: SIMD within a
+register), and a shift u - head + tail one add.  The width holds the inputs'
+degrees; a degree that outgrows it restarts the completion at double width.
+``normal_form`` reduces exponent tuples, since its caller's exponents are
+unbounded.
+
 The order is the cost refined by lex, encoded as a sort key, so every run is
 deterministic even for non-generic costs; genericity is reported, never
 assumed.
@@ -36,7 +55,7 @@ assumed.
 import heapq
 from functools import cached_property, lru_cache
 from itertools import count
-from operator import add, itemgetter, le, neg, sub, truth
+from operator import add, le, sub, truth
 
 from .core import IntMatrix, LatticeBasis, kernel_lattice_basis
 from .errors import Infeasible, ParseError, Record, int_vector
@@ -59,16 +78,15 @@ class CostOrder(Record):
 
 
 class _RevlexSat:
-    """Weight-graded reverse lex with one variable cheapest (saturation pass)."""
+    """Weight-graded reverse lex with one variable cheapest (saturation pass).
+
+    Ties of the grading go to the smaller exponent of ``seq[0]``, the
+    cheapest variable, then of ``seq[1]``, and so on down from x_n.
+    """
 
     def __init__(self, grading, n, cheapest):
         self.grading = grading
-        self.seq = [j for j in range(n) if j != cheapest] + [cheapest]
-        self.seq.reverse()
-        self._revlex = itemgetter(*self.seq)  # n >= 2: a completion needs a kernel
-
-    def key(self, u):
-        return (dot(self.grading, u), *map(neg, self._revlex(u)))
+        self.seq = [cheapest, *(j for j in reversed(range(n)) if j != cheapest)]
 
 
 class Binomial(Record):
@@ -100,44 +118,6 @@ def _mask(u):
     return int.from_bytes(bytes(map(truth, u)), "little")
 
 
-def _divisor(u, basis):
-    """The first element of ``basis`` whose head divides x^u, or None."""
-    m = _mask(u)
-    for g in basis:
-        if not g[2] & ~m and all(map(le, g[0], u)):
-            return g
-    return None
-
-
-def _strip(u, v):
-    m = tuple(map(min, u, v))
-    if any(m):
-        u = tuple(map(sub, u, m))
-        v = tuple(map(sub, v, m))
-    return u, v
-
-
-def _reduce_full(u, v, basis, key):
-    """Full normal form of x^u - x^v stripped of its common factor; None when it reduces to zero.
-
-    Each monomial's key is taken once: the tail's is carried while the head reduces.
-    """
-    head, tail = _strip(u, v)
-    if head == tail:
-        return None
-    kh, kt = key(head), key(tail)
-    if kh < kt:
-        head, tail, kh, kt = tail, head, kt, kh
-    while (g := _divisor(head, basis)) is not None:
-        head = tuple(map(add, head, g[1]))
-        if head == tail:
-            return None
-        kh = key(head)
-        if kh < kt:
-            head, tail, kh, kt = tail, head, kt, kh
-    return head, _reduce(tail, basis)
-
-
 def _reduce(u, basis):
     """x^u reduced by the first (head, tail - head, ...) whose head divides it, until none does."""
     while True:
@@ -149,118 +129,257 @@ def _reduce(u, basis):
             return u
 
 
-def _chain(queue, basis, h):
-    """The queued pairs that the new head ``h`` leaves (Gebauer-Moeller criterion B).
+_WIDTH = 8  # the least field width in bits; the degrees of a completion's input may ask for more
 
-    A pair (lcm key, counter, i, j, lcm, its support) goes when h divides
-    its lcm and the lcm differs from both lcm(h, head_i) and lcm(h, head_j):
-    the new element's pairs with i and with j then cover its S-polynomial.
+
+class _Wider(Exception):
+    """A degree reached a quarter of its field: the completion starts again at double width."""
+
+
+class _Fields:
+    """One completion's monomials as ints of ``width``-bit exponent fields.
+
+    The field of variable seq[k] lies k fields below the top one, so the
+    fields compare as an int the way the order breaks ties.  A monomial x^u is
+    a pair (k, p) of ints, both linear in u, with B = 2^width and f(u) its
+    fields: the key k = weight(u) B^n + sign f(u) (sign -1 for reverse lex),
+    which compares as the order does since 0 <= f(u) < B^n, and
+    p = deg(u) B^n + f(u).  Every p kept or reduced has deg(u) < 2^(width-2)
+    (else :class:`_Wider`), so each field stays below 2^(width-2) too, a
+    shift u - head + tail stays below the guard bit 2^(width-1) in every field,
+    and no field ever borrows from or carries into its neighbour.
     """
-    m = _mask(h)
-    kept = [e for e in queue if m & ~e[5] or not all(map(le, h, e[4]))
-            or tuple(map(max, h, basis[e[2]][0])) == e[4]
-            or tuple(map(max, h, basis[e[3]][0])) == e[4]]
+
+    def __init__(self, order, n, width):
+        if isinstance(order, CostOrder):
+            self.weights, seq, self.sign = order.cost, range(n), 1
+        else:
+            self.weights, seq, self.sign = order.grading, order.seq, -1
+        self.shifts = [0] * n
+        for k, j in enumerate(seq):
+            self.shifts[j] = width * (n - 1 - k)
+        self.base = 1 << width * n  # B^n: deg and weight sit above every field
+        self.low = self.base - 1
+        self.field = (1 << width) - 1
+        self.ones = self.low // self.field  # 1 in every field
+        self.guard = self.ones << width - 1
+        self.nonzero = self.guard - self.ones  # x + nonzero & guard: the fields where x > 0
+        self.top = width * (n - 1)  # x * ones >> top & field: the sum of x's fields
+        self.shift = width - 1
+        self.limit = self.base << width - 2
+
+    def pack(self, u):
+        x = sum(e << s for e, s in zip(u, self.shifts))
+        return dot(self.weights, u) * self.base + self.sign * x, sum(u) * self.base + x
+
+    def unpack(self, x):
+        field = self.field
+        return [x >> s & field for s in self.shifts]
+
+    def key(self, x):
+        """The key of the fields ``x``."""
+        return dot(self.weights, self.unpack(x)) * self.base + self.sign * x
+
+
+def _lcm(x, y, f):
+    """The fieldwise maximum of the fields ``x`` and ``y``: where x - y keeps its guard bit, x."""
+    t = x + f.guard - y & f.guard
+    return y ^ (x ^ y) & t - (t >> f.shift)
+
+
+def _divisor(p, basis, guard):
+    """The first element of ``basis`` whose head divides x^p, or None: one add and mask each."""
+    for g in basis:
+        if p + g[0] & guard == guard:
+            return g
+    return None
+
+
+def _strip(u, v, f):
+    """x^u and x^v, (k, p) pairs, without the monomial they share; _Wider if either is too large."""
+    x, y = u[1] & f.low, v[1] & f.low
+    t = x + f.guard - y & f.guard
+    c = x ^ (x ^ y) & t - (t >> f.shift)  # the fieldwise minimum
+    if c:
+        k = f.key(c)
+        p = (c * f.ones >> f.top & f.field) * f.base + c
+        u, v = (u[0] - k, u[1] - p), (v[0] - k, v[1] - p)
+    if u[1] >= f.limit or v[1] >= f.limit:
+        raise _Wider
+    return u, v
+
+
+def _reduce_full(u, v, basis, f):
+    """Full normal form of x^u - x^v stripped of its common factor; None when it reduces to zero.
+
+    The head is reduced until no head divides it, swapping with the tail
+    whenever it falls below it; then the tail is reduced.
+    """
+    (kh, ph), (kt, pt) = _strip(u, v, f)
+    if ph == pt:
+        return None
+    if kh < kt:
+        kh, ph, kt, pt = kt, pt, kh, ph
+    while (g := _divisor(ph, basis, f.guard)) is not None:
+        kh += g[1]
+        ph += g[2]
+        if ph >= f.limit:
+            raise _Wider
+        if ph == pt:
+            return None
+        if kh < kt:
+            kh, ph, kt, pt = kt, pt, kh, ph
+    return (kh, ph), _reduce_packed(kt, pt, basis, f)
+
+
+def _reduce_packed(k, p, basis, f):
+    """x^p with key k reduced by the first element whose head divides it, until none does."""
+    guard, limit = f.guard, f.limit
+    while True:
+        for g in basis:
+            if p + g[0] & guard == guard:
+                k += g[1]
+                p += g[2]
+                if p >= limit:
+                    raise _Wider
+                break
+        else:
+            return k, p
+
+
+def _chain(queue, basis, x, f):
+    """The queued pairs that the new head's fields ``x`` leave (Gebauer-Moeller criterion B).
+
+    A pair (lcm key, counter, i, j, lcm) goes when x divides its lcm and the
+    lcm differs from both lcm(x, head_i) and lcm(x, head_j): the new
+    element's pairs with i and with j then cover its S-polynomial.
+    """
+    guard, gx, low = f.guard, f.guard - x, f.low
+    kept = [e for e in queue if e[4] + gx & guard != guard
+            or _lcm(x, basis[e[2]][3], f) == e[4] & low
+            or _lcm(x, basis[e[3]][3], f) == e[4] & low]
     if len(kept) < len(queue):
         heapq.heapify(kept)
     return kept
 
 
-def _new_pairs(h, basis, partners):
-    """The pairs (lcm, i, its support) of the new head ``h`` with partners i that the criteria keep.
+def _new_pairs(x, degree, basis, partners, f):
+    """The pairs (2 deg + 1, i, lcm) of the new head's fields ``x`` that the criteria keep.
 
     Gebauer-Moeller criteria M and F: in increasing degree, coprime pairs
     first among equal lcms, a pair goes when the lcm of a pair kept before
     it divides its own (:func:`_minimal_lcms`).  Then every pair with coprime
-    heads goes, its S-polynomial reducing to zero (Buchberger's first criterion).
+    heads goes, its S-polynomial reducing to zero (Buchberger's first
+    criterion).  Two heads are coprime when the degree of their lcm is the
+    sum of theirs.
     """
-    m = _mask(h)
-    degree = sum(h)
+    guard, shift, ones, top, field = f.guard, f.shift, f.ones, f.top, f.field
+    xg = x + guard
     cands = []
     for i in partners:
         g = basis[i]
-        lcm = list(h)
-        deg = degree
-        for j, e in g[4]:  # the lcm is h raised to head_i's exponents, where those are larger
-            if e > lcm[j]:
-                deg += e - lcm[j]
-                lcm[j] = e
-        cands.append((2 * deg + bool(m & g[2]), i, tuple(lcm), m | g[2]))
+        y = g[3]
+        t = xg - y & guard
+        lcm = y ^ (x ^ y) & t - (t >> shift)  # as in _lcm
+        deg = lcm * ones >> top & field
+        cands.append((2 * deg + (deg < degree + g[4]), i, lcm))
     cands.sort()
-    return [(lcm, i, lm) for rank, i, lcm, lm in _minimal_lcms(cands) if rank & 1]
+    return [c for c in _minimal_lcms(cands, f.guard) if c[0] & 1]
 
 
-def _minimal_lcms(cands):
-    """The candidates (2 degree + shared, i, lcm, support), in order, that no kept lcm divides."""
+def _minimal_lcms(cands, guard):
+    """The candidates (2 degree + shared, i, lcm), in order, that no kept lcm divides."""
     kept = []
-    lcms = []  # (support, lcm) of the kept ones
+    lcms = []  # guard - lcm of the kept ones
     for c in cands:
-        _, _, lcm, m = c
-        for km, kl in lcms:
-            if not km & ~m and all(map(le, kl, lcm)):
+        lcm = c[2]
+        for gl in lcms:
+            if lcm + gl & guard == guard:
                 break
         else:
             kept.append(c)
-            lcms.append((m, lcm))
+            lcms.append(guard - lcm)
     return kept
 
 
 def _completion(gens, order):
     """Buchberger completion for binomials, each stripped of its common factor; the reduced basis.
 
+    The monomials are packed (:class:`_Fields`) at the least width that
+    holds the inputs' degrees, at least ``_WIDTH`` bits; a degree that grows
+    past a quarter of its field restarts the completion at double width, so
+    every width processes the same pairs in the same order.
+    """
+    width = max(_WIDTH, max(sum(u) for pair in gens for u in pair).bit_length() + 2)
+    while True:
+        try:
+            return _complete(gens, order, _Fields(order, len(gens[0][0]), width))
+        except _Wider:
+            width *= 2
+
+
+def _complete(gens, order, f):
+    """The completion at one width (:func:`_completion`).
+
     Each element added runs the Gebauer-Moeller update: its head drops the
     queued pairs it chains away (:func:`_chain`), and only its pairs with
     elements whose heads no later head divides pass :func:`_new_pairs`.
-    The queue hands out pairs by lcm in the order.  Each element carries
-    its head's support and key, so a key is taken once per monomial.
+    The queue hands out pairs by lcm in the order.  Under the cost order
+    a popped pair whose tails share a variable goes unreduced (the module
+    docstring proves it); the saturation passes reduce every popped pair.
     """
-    key = order.key
-    basis = []  # (head, tail - head, head support, tail, the head's nonzero (j, e), head key)
-    queue = []  # heap of (lcm key, counter, i, j, lcm, support of the lcm)
+    skip_shared_tails = isinstance(order, CostOrder)
+    guard, low, base = f.guard, f.low, f.base
+    # per element: guard - head fields, tail - head as k and as p, head fields,
+    # head degree, head (k, p), tail (k, p), the tail's support as guard bits
+    basis = []
+    queue = []  # heap of (lcm key, counter, i, j, lcm as p)
     partners = []  # the elements whose heads no later head divides
     counter = count()
 
     def insert(u, v):
         """Strip and orient x^u - x^v, and update the queue with its pairs."""
-        u, v = _strip(u, v)
-        ku, kv = key(u), key(v)
-        if ku < kv:
-            u, v, ku = v, u, kv
+        u, v = _strip(u, v, f)
+        if u[0] < v[0]:
+            u, v = v, u
+        x, degree = u[1] & low, u[1] // base
         k = len(basis)
         if queue:
-            queue[:] = _chain(queue, basis, u)
-        for lcm, i, support in _new_pairs(u, basis, partners):
-            heapq.heappush(queue, (key(lcm), next(counter), k, i, lcm, support))
-        m = _mask(u)
-        partners[:] = [i for i in partners
-                       if m & ~basis[i][2] or not all(map(le, u, basis[i][0]))]
+            queue[:] = _chain(queue, basis, x, f)
+        for rank, i, lcm in _new_pairs(x, degree, basis, partners, f):
+            heapq.heappush(queue, (f.key(lcm), next(counter), k, i, (rank >> 1) * base + lcm))
+        partners[:] = [i for i in partners if basis[i][3] + guard - x & guard != guard]
         partners.append(k)
-        nonzero = tuple((j, e) for j, e in enumerate(u) if e)
-        basis.append((u, tuple(map(sub, v, u)), m, v, nonzero, ku))
+        basis.append((guard - x, v[0] - u[0], v[1] - u[1], x, degree, u, v,
+                      (v[1] & low) + f.nonzero & guard))
 
     for u, v in gens:
-        insert(u, v)
+        insert(f.pack(u), f.pack(v))
     while queue:
-        _, _, i, j, lcm, _ = heapq.heappop(queue)
-        red = _reduce_full(tuple(map(add, lcm, basis[i][1])), tuple(map(add, lcm, basis[j][1])),
-                           basis, key)
+        k, _, i, j, p = heapq.heappop(queue)
+        gi, gj = basis[i], basis[j]
+        if skip_shared_tails and gi[7] & gj[7]:
+            continue
+        red = _reduce_full((k + gi[1], p + gi[2]), (k + gj[1], p + gj[2]), basis, f)
         if red is not None:
             insert(*red)
-    return _interreduce(basis)
+    return _interreduce(basis, f)
 
 
-def _interreduce(basis):
-    """Minimalize heads, then put every tail in normal form; sorted by head key.
+def _interreduce(basis, f):
+    """Minimalize heads, then put every tail in normal form; (head, tail) tuples sorted by head key.
 
     Heads are minimalized in (total degree, key) order, where a divisor
     always comes before its multiples: with a negative cost entry a multiple
     can have the smaller key.
     """
     kept = []
-    for g in sorted(basis, key=lambda g: (sum(g[0]), g[5])):
-        if _divisor(g[0], kept) is None:
+    for g in sorted(basis, key=lambda g: (g[4], g[5])):
+        if _divisor(g[5][1], kept, f.guard) is None:
             kept.append(g)
-    out = [(g[5], g[0], _reduce(g[3], kept[:idx] + kept[idx + 1 :])) for idx, g in enumerate(kept)]
-    return [(h, t) for _, h, t in sorted(out)]
+    out = [(g[5], _reduce_packed(*g[6], kept[:idx] + kept[idx + 1 :], f))
+           for idx, g in enumerate(kept)]
+    return [(tuple(f.unpack(h[1])), tuple(f.unpack(t[1]))) for h, t in sorted(out)]
 
 
 def _saturating_variables(gens, n, seed=()):

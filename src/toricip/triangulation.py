@@ -151,8 +151,10 @@ def _lex_feasible_bases(a, cost):
     on.  A slack row's sign is free, as the walk carries no right-hand side.
     The identity block carries A_sigma^{-1}: sigma comes sorted, and rows[t],
     the block's row of column sigma_t, is row t of A_sigma^{-1} times
-    rows[t] . a_{sigma_t} > 0.  The walk is depth-first and pivots back on
-    return, so a pending basis holds no tableau of its own.
+    rows[t] . a_{sigma_t} > 0.  The walk is depth-first, and each basis on
+    its path keeps its own tableau, so a return needs no pivot back: a copy
+    is a shallow one of the row list, since a pivot replaces rows and never
+    changes one.
     """
     n, d = a.n, a.d
     rows = [[*r, *(int(i == k) for k in range(d)), 0] for i, r in enumerate(a.entries)]
@@ -167,29 +169,25 @@ def _lex_feasible_bases(a, cost):
     mask = sum(1 << b for b in basis)
     seen = {mask}
     yield (*_inverse_rows(rows, basis, n), z)
-    tried, undo = [0], []  # rows tried per basis on the path; pivots to undo
-    while tried:
-        k = tried[-1]
+    path = [[rows, basis, z, mask, 0]]  # per basis on the path: its tableau, mask and next row
+    while path:
+        top = path[-1]
+        rows, basis, z, mask, k = top
         if k == d:
-            tried.pop()
-            if undo:
-                i, j = undo.pop()
-                mask ^= 1 << basis[i] | 1 << j
-                z = _eliminate(z, _pivot(rows, basis, i, j), j)
+            path.pop()
             continue
-        tried[-1] = k + 1
+        top[4] = k + 1
         j = _entering(rows, basis, z, k, n)
         if j is None:  # an unbounded edge
             continue
-        step = 1 << basis[k] | 1 << j
-        if mask ^ step in seen:
+        mask ^= 1 << basis[k] | 1 << j
+        if mask in seen:
             continue
-        mask ^= step
         seen.add(mask)
-        undo.append((k, basis[k]))
+        rows, basis = rows[:], basis[:]  # _pivot replaces rows and never changes one
         z = _eliminate(z, _pivot(rows, basis, k, j), j)
         yield (*_inverse_rows(rows, basis, n), z)
-        tried.append(0)
+        path.append([rows, basis, z, mask, 0])
 
 
 def _inverse_rows(rows, basis, n):

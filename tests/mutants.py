@@ -60,7 +60,7 @@ CACHED_FACTOR = "tests/test_hilbert.py::test_gomory_cost_reads_the_cached_factor
 ONE_MEMO = "tests/test_oracle.py::test_each_box_memo_holds_the_reference_thresholds_of_its_rows"
 ONE_SEARCH = "tests/test_oracle.py::test_one_search_plans_and_sweeps_each_system_once"
 GB_REFERENCE = "tests/test_groebner.py::test_basis_matches_hermite_seeded_reference"
-S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_143_s_pairs"
+S_PAIRS = "tests/test_groebner.py::test_sharp3_completions_fully_reduce_102_s_pairs"
 FEWER_PASSES = "tests/test_groebner.py::test_sharp_saturates_by_fewer_variables"
 REACH = "tests/test_groebner.py::test_saturating_variables_reach_every_variable"
 NEGATIVE_REDUCED = "tests/test_groebner.py::test_a_negative_cost_basis_is_reduced"
@@ -88,6 +88,9 @@ SOLVES_FACE = ("tests/test_relax.py::"
 OPTIMAL_FACE = "tests/test_triangulation.py::test_optimal_face_examples"
 REPLAN = "tests/test_groebner.py::test_each_replan_reaches_every_variable_from_its_seed"
 SEED_CLOSED = "tests/test_groebner.py::test_a_seed_is_closed_before_the_greedy_grows_it"
+NARROW_WIDTH = "tests/test_groebner.py::test_a_two_bit_start_width_restarts_and_keeps_every_basis"
+RANDOM_REFERENCE = "tests/test_groebner.py::test_random_bases_match_the_lll_seeded_reference"
+WALK_RECORDED = "tests/test_subdivision.py::test_walk_visits_the_recorded_bases_in_the_recorded_order"
 SWEEP_SEEDED = "tests/test_elimination.py::test_seeded_reuse"
 SWEEP_BACKTRACK = "tests/test_elimination.py::test_backtracking_after_an_inner_dead_end"
 SWEEP_LIMIT = "tests/test_elimination.py::test_a_limit_inside_the_last_coordinates_range"
@@ -240,16 +243,25 @@ MUTANTS = {
     "gomory-cost-refactors-the-matrix": (
         HILBERT, "    fac = a.fibers\n", "    fac = IntMatrix(a.entries).fibers\n", [CACHED_FACTOR]),
     "coprime-heads-any": (
-        GROEBNER, "bool(m & g[2])", "m & g[2] == m | g[2]", [GB_REFERENCE, LLL_REFERENCE]),
+        GROEBNER, "(deg < degree + g[4])", "(deg == max(degree, g[4]))", [GB_REFERENCE, LLL_REFERENCE]),
     "chain-ignores-pending-pairs": (
-        GROEBNER, "        if queue:\n            queue[:] = _chain(queue, basis, u)\n", "", [S_PAIRS]),
+        GROEBNER, "        if queue:\n            queue[:] = _chain(queue, basis, x, f)\n", "", [S_PAIRS]),
     "chain-drops-the-lcm-guards": (
-        GROEBNER, "not all(map(le, h, e[4]))\n            or tuple(map(max, h, basis[e[2]][0])) == e[4]"
-        "\n            or tuple(map(max, h, basis[e[3]][0])) == e[4]]",
-        "not all(map(le, h, e[4]))]", [GB_REFERENCE, LLL_REFERENCE]),
+        GROEBNER, "e[4] + gx & guard != guard\n            or _lcm(x, basis[e[2]][3], f) == e[4] & low"
+        "\n            or _lcm(x, basis[e[3]][3], f) == e[4] & low]",
+        "e[4] + gx & guard != guard]", [GB_REFERENCE, LLL_REFERENCE]),
     "lcm-criterion-keeps-every-pair": (
-        GROEBNER, "for rank, i, lcm, lm in _minimal_lcms(cands) if rank & 1]",
-        "for rank, i, lcm, lm in cands if rank & 1]", [S_PAIRS]),
+        GROEBNER, "return [c for c in _minimal_lcms(cands, f.guard) if c[0] & 1]",
+        "return [c for c in cands if c[0] & 1]", [S_PAIRS]),
+    "criterion-in-every-completion": (
+        GROEBNER, "skip_shared_tails = isinstance(order, CostOrder)", "skip_shared_tails = True",
+        [GB_REFERENCE, LLL_REFERENCE, RANDOM_REFERENCE]),
+    "criterion-on-shared-heads": (
+        GROEBNER, "(v[1] & low) + f.nonzero & guard", "(u[1] & low) + f.nonzero & guard",
+        [GB_REFERENCE, LLL_REFERENCE, RANDOM_REFERENCE]),
+    "width-guard-dropped": (
+        GROEBNER, "        self.limit = self.base << width - 2\n", '        self.limit = float("inf")\n',
+        [NARROW_WIDTH]),
     "farkas-ray-rhs-sign-flipped": (
         LINPROG, "[v - art[d] + z[-1] for v in art[:d]]", "[v - art[d] - z[-1] for v in art[:d]]",
         [GRADING_REFERENCE]),
@@ -263,7 +275,7 @@ MUTANTS = {
         GROEBNER, "    return chosen\n", "    return chosen[:-1]\n",
         [GB_REFERENCE, LLL_REFERENCE, REACH, FEWER_PASSES]),
     "interreduce-minimalizes-in-key-order": (
-        GROEBNER, "key=lambda g: (sum(g[0]), g[5])", "key=itemgetter(5)",
+        GROEBNER, "key=lambda g: (g[4], g[5])", "key=lambda g: g[5]",
         [NEGATIVE_REDUCED, NEGATIVE_SHIFTED]),
     "negative-exponent-accepted": (
         GROEBNER, "    if min(u, default=0) < 0:", "    if False:", [NEGATIVE_EXPONENT]),
@@ -309,6 +321,9 @@ MUTANTS = {
     "walk-unbounded-edge-check-dropped": (
         TRIANGULATION, "        if j is None:  # an unbounded edge\n            continue\n", "",
         [WALK_SEEDED, WALK_SHARP]),
+    "walk-child-shares-its-parents-tableau": (
+        TRIANGULATION, "        rows, basis = rows[:], basis[:]", "        pass",
+        [WALK_RECORDED, WALK_SEEDED]),
     "unimodularity-degenerate-guard-removed": (
         TRIANGULATION, "    if not delta.is_triangulation:\n        raise Degenerate(\"unimodularity_report",
         "    if False:\n        raise Degenerate(\"unimodularity_report", [NOT_TRIANGULATION]),

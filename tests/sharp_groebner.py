@@ -13,15 +13,19 @@ This prints S, 1-based, the passes it skips, and each re-plan with whether
 it was taken.  For each completion it prints the S-pairs popped from the
 queue, the pairs skipped by each criterion, the popped pairs that reduced
 to zero, the basis size and the CPU time.  The counts come from wrapping the completion's
-helpers in ``toricip.groebner``: every popped pair is one ``_reduce_full``
-call, ``_chain`` drops queued pairs (criterion B), ``_minimal_lcms`` drops
-new pairs whose lcm another divides (criteria M and F), and ``_new_pairs``
-then drops the coprime ones.  Every finished basis is checked without a
-reference: each element lies in the kernel, A(head - tail) = 0, its head
-is the larger monomial under the cost order refined by lex, the basis is
-reduced, and it meets Buchberger's criterion: every S-pair of two elements
-whose heads share a variable reduces to zero, that is, its two monomials
-have one normal form.  Pairs with coprime heads reduce to zero by
+helpers in ``toricip.groebner``: ``_chain`` drops queued pairs (criterion B),
+``_minimal_lcms`` drops new pairs whose lcm another divides (criteria M and
+F), ``_new_pairs`` then drops the coprime ones and queues the rest, and
+every popped pair that is reduced is one ``_reduce_full`` call.  The final
+completion also skips each popped pair whose tails share a variable: every
+queued pair is dropped by criterion B or popped, so those are the queued
+pairs less the chained and the reduced ones ("tails"; 0 in every pass).
+Every finished basis is checked without a reference: each element lies in
+the kernel, A(head - tail) = 0, its head is the larger monomial under the
+cost order refined by lex, the basis is reduced, and it meets Buchberger's
+criterion: every S-pair of two elements whose heads share a variable
+reduces to zero, that is, its two monomials have one normal form, whether
+or not their tails share a variable.  Pairs with coprime heads reduce to zero by
 Buchberger's first criterion.  So the basis is a reduced Groebner basis of
 an ideal inside the toric ideal; that this ideal is the whole toric ideal
 is what the saturation lemma and ``--reference`` show.  m = 4 must give 72
@@ -74,7 +78,7 @@ def _counted(name, count):
 
 
 def _count_reduction(args, out):
-    COUNTS["popped"] += 1
+    COUNTS["reduced"] += 1
     COUNTS["zero"] += out is None
 
 
@@ -89,6 +93,7 @@ def _count_lcm(args, out):
 
 def _count_coprime(args, out):
     COUNTS["coprime"] += COUNTS.pop("kept_lcm") - len(out)
+    COUNTS["queued"] += len(out)
 
 
 def _check(m, gb):
@@ -182,8 +187,10 @@ def run(m, budget, deadline):
         out = real(gens, order)
         done.append(out)
         name = "final" if isinstance(order, CostOrder) else f"pass {len(done)}"
-        print(f"m={m} {name:8} popped {COUNTS['popped']:7,}  skipped: chain {COUNTS['chain']:7,}"
-              f"  lcm {COUNTS['lcm']:7,}  coprime {COUNTS['coprime']:7,}"
+        tails = COUNTS["queued"] - COUNTS["chain"] - COUNTS["reduced"]
+        popped = COUNTS["reduced"] + tails
+        print(f"m={m} {name:8} popped {popped:7,}  skipped: chain {COUNTS['chain']:7,}"
+              f"  lcm {COUNTS['lcm']:7,}  coprime {COUNTS['coprime']:7,}  tails {tails:7,}"
               f"  zero {COUNTS['zero']:7,}  basis {len(out):4}"
               f"  {time.process_time() - t:7.2f} CPU s", flush=True)
         return out

@@ -116,21 +116,22 @@ def test_an_order_built_from_any_iterable_is_equal():
         CostOrder(x for x in (1, 2.5, 3))
 
 
-def test_sharp3_completions_fully_reduce_143_s_pairs(monkeypatch):
+def test_sharp3_completions_fully_reduce_102_s_pairs(monkeypatch):
     # every completion strips each input and remainder of its common factor
-    # and runs the Gebauer-Moeller update on each element it adds, and only
-    # the variables the start binomials cannot reach get a saturation pass.
-    # With a pass for each of the 10 variables the completions fully reduced
-    # 371 S-pairs for the same basis; with the coprime-heads test alone, 567;
-    # unstripped passes, each followed by a division by its cheapest
-    # variable, 971
+    # and runs the Gebauer-Moeller update on each element it adds, only the
+    # variables the start binomials cannot reach get a saturation pass, and
+    # the final completion leaves unreduced each pair whose tails share a
+    # variable.  Reducing those too, the completions fully reduced 143
+    # S-pairs; with a pass for each of the 10 variables, 371; with the
+    # coprime-heads test alone, 567; unstripped passes, each followed by a
+    # division by its cheapest variable, 971
     calls = []
     reduce_full = groebner._reduce_full
     monkeypatch.setattr(groebner, "_reduce_full", lambda *args: calls.append(1) or reduce_full(*args))
     a, cost = sharp_family(3)
     gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
     assert (len(gb.elements), gb.generic) == (13, False)
-    assert len(calls) == 143
+    assert len(calls) == 102
 
 
 @pytest.mark.parametrize("m, completions, size", [(3, 5, 13), (4, 9, 72)])
@@ -252,6 +253,45 @@ def test_negative_costs_give_the_basis_of_the_shifted_cost(seed):
         assert gb.generic == ref.generic
         assert gb.elements == lll_toric_groebner(a, gb.order).elements
         done += 1
+
+
+def test_a_two_bit_start_width_restarts_and_keeps_every_basis(monkeypatch):
+    # the width is a module constant, not an option: at 2 bits the inputs
+    # set it, a growing degree outgrows it, and the completion starts again
+    cases = [sharp_family(3), *(make_instance(seed) for seed in range(40))]
+    want = [toric_groebner.__wrapped__(a, CostOrder.from_cost(cost)) for a, cost in cases]
+    completions, widths = [], []
+    completion, fields = groebner._completion, groebner._Fields
+    monkeypatch.setattr(groebner, "_WIDTH", 2)
+    monkeypatch.setattr(groebner, "_completion",
+                        lambda gens, order: completions.append(1) or completion(gens, order))
+    monkeypatch.setattr(groebner, "_Fields",
+                        lambda order, n, width: widths.append(width) or fields(order, n, width))
+    for (a, cost), ref in zip(cases, want):
+        gb = toric_groebner.__wrapped__(a, CostOrder.from_cost(cost))
+        assert (gb.elements, gb.generic) == (ref.elements, ref.generic)
+    # some inputs fit in fewer bits than the default 8, and some completion restarted
+    assert min(widths) < 8 and len(widths) > len(completions)
+
+
+def test_random_bases_match_the_lll_seeded_reference():
+    # d <= 3, a corank of at most 3, n <= 6, entries 0..4 and costs -5..9,
+    # negative ones included; the reference takes 0.4 s for these
+    rng = random.Random(2024)
+    done = negative = 0
+    while done < 200:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, min(d + 3, 6))
+        try:
+            a = IntMatrix(tuple(tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(d)))
+        except DomainError:
+            continue
+        order = CostOrder(tuple(rng.randint(-5, 9) for _ in range(n)))
+        gb, ref = toric_groebner.__wrapped__(a, order), lll_toric_groebner(a, order)
+        assert (gb.elements, gb.generic) == (ref.elements, ref.generic), (a, order)
+        done += 1
+        negative += min(order.cost) < 0
+    assert negative > 100
 
 
 def test_toric_groebner_on_a_built_matrix_runs_no_lp(monkeypatch):

@@ -15,6 +15,7 @@ reference, as A_sigma^{-1} up to a positive factor per row, and against the
 cofactor adjugate of ``tests/reference_linalg.py``.
 """
 
+import hashlib
 import random
 import sys
 import time
@@ -70,6 +71,32 @@ def test_walk_matches_the_scan_on_census_costs(k):
 @pytest.mark.parametrize("m", [2, 3])
 def test_walk_matches_the_scan_on_the_sharp_family(m):
     _assert_walk_matches_scan(*sharp_family(m))
+
+
+# (sigma, rows, cost row) per basis in the walk's order, recorded from the
+# walk that pivoted back on return; a walk in another order, or with other
+# rows, differs.  The longer walks are held to the SHA-256 of their repr
+WALK_EX1 = [((1, 2), ((2, -1), (-1, 1)), [1, 0, 0, 1, 0, 0, 1]),
+            ((0, 1), ((1, -1), (0, 1)), [0, 0, 1, 3, -1, 1, 1]),
+            ((2, 3), ((3, -1), (-2, 1)), [3, 1, 0, 0, 2, -1, 1])]
+WALK_SHA256 = {
+    **{f"census-{k}-{i}": digest for k, digests in enumerate([
+        ("b94971c23f333fda", "10fc6c84fea1f1d9"), ("31414df8f14f3504", "2e044f34f81d5d85"),
+        ("2b043680bf417c22", "ebf8b9e5b11a046b")]) for i, digest in enumerate(digests)},
+    "sharp3": "fd1e20ef1a53ded8",
+    "sharp4": "e82c94f80d970430",
+}
+
+
+def test_walk_visits_the_recorded_bases_in_the_recorded_order():
+    assert list(_lex_feasible_bases(IntMatrix(EX1), EX1_COST)) == WALK_EX1
+    cases = {f"census-{k}-{i}": (IntMatrix(rows), cost)
+             for k, rows in enumerate(CENSUS_MATRICES) for i, cost in enumerate(CENSUS_COSTS[k])}
+    cases.update({f"sharp{m}": sharp_family(m) for m in (3, 4)})
+    assert sorted(cases) == sorted(WALK_SHA256)
+    for name, (a, cost) in cases.items():
+        walk = repr(list(_lex_feasible_bases(a, cost)))
+        assert hashlib.sha256(walk.encode()).hexdigest()[:16] == WALK_SHA256[name], name
 
 
 @pytest.mark.parametrize("seed", range(10))
